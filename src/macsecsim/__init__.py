@@ -4,7 +4,7 @@ from .crypto import LldpKey, Sak, lldp_open, lldp_seal, macsec_protect, macsec_v
 from .netsim import Simulation, build
 from .scenario import parse_script, run_scenario
 from .topology import SimParams, TopologySpec, chain_spec
-from .wire import EthernetFrame, Lldpdu, MacsecFrame, SecureLldpFrame, parse_frame, serialize_frame
+from .wire import EthernetFrame, Lldpdu, MacsecFrame, SecureLldpFrame, parse_frame
 
 __all__ = [
     "EthernetFrame",
@@ -25,7 +25,6 @@ __all__ = [
     "parse_frame",
     "parse_script",
     "run_scenario",
-    "serialize_frame",
 ]
 
 __version__ = "0.1.0"

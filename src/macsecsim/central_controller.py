@@ -81,7 +81,6 @@ class ScDirection:
     an: int
     sak: Sak
     phase: str = "ingress_pending"  # ingress_pending | egress_pending | active
-    install_time_us: int = 0
     rekey_deadline_us: int = 0
     rekey_count: int = 0
     # Staged values while a rekey is in flight.
@@ -255,53 +254,39 @@ class CentralController:
             )
         self.sc_records[key] = ScRecord(key=key, directions=directions)
         for name, direction in directions.items():
-            self._send_ingress_install(key, name, direction, kind="sc_install")
+            self._send_stage(key, name, direction, kind="sc_install", stage="ingress")
 
-    def _send_ingress_install(self, key: LinkKey, name: str, d: ScDirection, *, kind: str) -> None:
-        sai = d.next_sai if kind == "sc_rekey" else d.sai
-        an = d.next_an if kind == "sc_rekey" else d.an
-        sak = d.next_sak if kind == "sc_rekey" else d.sak
-        cfg = ScConfig(
-            batch_id=self._next_batch_id(),
-            ops=[
-                WriteSa(sai=sai, an=an, sak=sak, sci=d.sci, confidentiality=self.macsec_encrypt),
-                WriteIgSc(sci=d.sci, an=an, sai=sai),
-            ],
-        )
-        self._dispatch_batch(d.receiver, cfg, kind, key, name, "ingress")
+    def _send_stage(self, key: LinkKey, name: str, d: ScDirection, *, kind: str, stage: str) -> None:
+        """Write one direction's SA to the receiver's ingress ("ingress") or
+        the sender's egress ("egress"), tracking the batch until it is acked.
 
-    def _send_egress_activate(self, key: LinkKey, name: str, d: ScDirection, *, kind: str) -> None:
-        sai = d.next_sai if kind == "sc_rekey" else d.sai
-        an = d.next_an if kind == "sc_rekey" else d.an
-        sak = d.next_sak if kind == "sc_rekey" else d.sak
-        ops = [
-            WriteSa(sai=sai, an=an, sak=sak, sci=d.sci, confidentiality=self.macsec_encrypt),
-            WriteEgSc(port=d.sender_port, sai=sai),
-        ]
-        if kind == "sc_install":
-            ops.append(SetPortFlag(port=d.sender_port, flag=True))
+        A rekey ("sc_rekey") writes the staged generation; a first install
+        also turns on the sender port's MACsec flag.
+        """
+        staged = kind == "sc_rekey"
+        sai = d.next_sai if staged else d.sai
+        an = d.next_an if staged else d.an
+        sak = d.next_sak if staged else d.sak
+        ops = [WriteSa(sai=sai, an=an, sak=sak, sci=d.sci, confidentiality=self.macsec_encrypt)]
+        if stage == "ingress":
+            chassis = d.receiver
+            ops.append(WriteIgSc(sci=d.sci, an=an, sai=sai))
+        else:
+            chassis = d.sender
+            ops.append(WriteEgSc(port=d.sender_port, sai=sai))
+            if not staged:
+                ops.append(SetPortFlag(port=d.sender_port, flag=True))
         cfg = ScConfig(batch_id=self._next_batch_id(), ops=ops)
-        self._dispatch_batch(d.sender, cfg, kind, key, name, "egress")
-
-    def _next_batch_id(self) -> int:
-        self._batch_seq += 1
-        return self._batch_seq
-
-    def _dispatch_batch(
-        self, chassis: str, cfg: ScConfig, kind: str, key: LinkKey, direction: str, stage: str
-    ) -> None:
         batch = _PendingBatch(
-            batch_id=cfg.batch_id,
-            chassis=chassis,
-            cfg=cfg,
-            kind=kind,
-            link=key,
-            direction=direction,
-            stage=stage,
+            batch_id=cfg.batch_id, chassis=chassis, cfg=cfg, kind=kind, link=key, direction=name, stage=stage
         )
         self._pending[cfg.batch_id] = batch
         if not self._send(chassis, cfg):
             self._batch_failed(batch, "unreachable")
+
+    def _next_batch_id(self) -> int:
+        self._batch_seq += 1
+        return self._batch_seq
 
     def handle_sc_ack(self, ack: ScAck) -> None:
         batch = self._pending.pop(ack.batch_id, None)
@@ -317,7 +302,7 @@ class CentralController:
         d = record.directions[batch.direction]
         if batch.stage == "ingress":
             d.phase = "egress_pending"
-            self._send_egress_activate(batch.link, batch.direction, d, kind=batch.kind)
+            self._send_stage(batch.link, batch.direction, d, kind=batch.kind, stage="egress")
         else:
             self._finish_activation(batch, record, d)
 
@@ -333,7 +318,6 @@ class CentralController:
                 lambda: self._retire_old_sa(batch.link, batch.direction, d.sci, old_sai, old_an),
             )
         d.phase = "active"
-        d.install_time_us = now
         d.rekey_deadline_us = now + self.rekey_interval_us
         generation = d.rekey_count
         self._schedule(
@@ -420,23 +404,13 @@ class CentralController:
         if self._now() >= d.rekey_deadline_us:
             self._start_rekey(key, direction, d)
 
-    def rekey_tick(self, now_us: int | None = None) -> None:
-        """Renew every active channel whose deadline has passed."""
-        now = self._now() if now_us is None else now_us
-        for key, record in self.sc_records.items():
-            if record.state == "quarantined":
-                continue
-            for name, d in record.directions.items():
-                if d.phase == "active" and now >= d.rekey_deadline_us:
-                    self._start_rekey(key, name, d)
-
     def _start_rekey(self, key: LinkKey, direction: str, d: ScDirection) -> None:
         d.phase = "ingress_pending"
         d.next_sai = self._next_sai()
         d.next_an = (d.an + 1) % 4
         d.next_sak = self._new_sak()
         self.counters.incr("channels.rekey")
-        self._send_ingress_install(key, direction, d, kind="sc_rekey")
+        self._send_stage(key, direction, d, kind="sc_rekey", stage="ingress")
 
     def handle_pn_exhausted(self, msg: PnExhausted) -> None:
         self.counters.incr("channels.pn_exhausted")

@@ -3,12 +3,14 @@
 Ingress processing dispatches on EtherType: sealed LLDP punts straight to
 the CPU port, MACsec frames are validated against the IG-SC/SA tables and
 re-enter as cleartext, and everything else goes through MAC-table
-forwarding.  A MAC entry whose macsec_flag is set routes the frame through
-the protect function keyed by the EG-SC/SA tables of its egress port.
+forwarding.  A MAC entry whose macsec_flag is set sends the frame to the
+switch's one egress path, `Switch.protect`, which also serves floods and
+controller packet-outs.
 
-Tables and the pipeline core (`run_pipeline`) are plain data and a plain
-function so tests can diff them against an independent interpreter; the
-`Switch` wrapper adds ports, counters and the CPU/notification hooks.
+Tables and the pipeline core (`run_pipeline`, which takes the egress
+function as an argument) are plain data and a plain function so tests can
+diff them against an independent interpreter; the `Switch` wrapper adds
+ports, counters and the CPU/notification hooks.
 """
 
 from __future__ import annotations
@@ -133,54 +135,19 @@ class PipelineResult:
     drop_reason: Optional[str] = None
     validated_sai: Optional[int] = None
     failed_sai: Optional[int] = None
-    protected_sai: Optional[int] = None
-    rekey_sai: Optional[int] = None
 
 
 ProtectHook = Callable[[bytes, bytes], None]  # (sak key, 12-byte IV)
+ProtectFn = Callable[[int, EthernetFrame], tuple[Optional[bytes], Optional[str]]]
 
 
-def protect_egress(
-    tables: SwitchTables,
-    port: int,
-    frame: EthernetFrame,
-    *,
-    pn_ceiling: int = MAX_PN,
-    on_protect: ProtectHook | None = None,
-) -> tuple[Optional[bytes], Optional[str], Optional[int], Optional[int]]:
-    """Protect `frame` with the SA behind the port's EG-SC entry.
+def run_pipeline(tables: SwitchTables, ingress_port: int, data: bytes, protect: ProtectFn) -> PipelineResult:
+    """One ingress pass over the tables.
 
-    Returns (bytes_out, drop_reason, protected_sai, rekey_sai).  Fails
-    closed on a missing channel or an exhausted PN space; `rekey_sai`
-    reports the SA that just consumed its last allowed PN (or is already
-    out) so the control plane can renew it.
+    A MAC entry with its MACsec flag set sends the frame through
+    `protect(egress_port, frame)`, which returns (bytes_out, drop_reason);
+    the tables are otherwise read-only apart from the ingress PN floor.
     """
-    sai = tables.eg_sc.get(port)
-    sa = tables.sa.get(sai) if sai is not None else None
-    if sa is None:
-        return None, DROP_NO_EGRESS_SC, None, None
-    if sa.next_pn > pn_ceiling:
-        return None, DROP_PN_EXHAUSTED, None, sai
-    pn = sa.next_pn
-    sa.next_pn = pn + 1
-    if on_protect is not None:
-        on_protect(sa.sak.key, sa.sci + struct.pack(">I", pn))
-    protected = macsec_protect(
-        sa.sak, sa.sci, pn, frame, an=sa.an, confidentiality=sa.confidentiality
-    )
-    rekey_sai = sai if sa.next_pn > pn_ceiling else None
-    return protected.to_bytes(), None, sai, rekey_sai
-
-
-def run_pipeline(
-    tables: SwitchTables,
-    ingress_port: int,
-    data: bytes,
-    *,
-    pn_ceiling: int = MAX_PN,
-    on_protect: ProtectHook | None = None,
-) -> PipelineResult:
-    """One ingress pass over the tables.  Mutates only PN counters."""
     try:
         frame = parse_frame(data)
     except TruncatedFrame:
@@ -228,31 +195,22 @@ def run_pipeline(
         )
 
     if dst_entry.macsec_flag:
-        out, reason, protected_sai, rekey_sai = protect_egress(
-            tables, dst_entry.port, frame, pn_ceiling=pn_ceiling, on_protect=on_protect
-        )
+        out, reason = protect(dst_entry.port, frame)
         if out is None:
-            return PipelineResult(
-                kind=DROP, drop_reason=reason, validated_sai=validated_sai, rekey_sai=rekey_sai
-            )
-        return PipelineResult(
-            kind=FORWARD,
-            egress_port=dst_entry.port,
-            bytes_out=out,
-            validated_sai=validated_sai,
-            protected_sai=protected_sai,
-            rekey_sai=rekey_sai,
-        )
+            return PipelineResult(kind=DROP, drop_reason=reason, validated_sai=validated_sai)
+    else:
+        out = frame.to_bytes()
     return PipelineResult(
-        kind=FORWARD,
-        egress_port=dst_entry.port,
-        bytes_out=frame.to_bytes(),
-        validated_sai=validated_sai,
+        kind=FORWARD, egress_port=dst_entry.port, bytes_out=out, validated_sai=validated_sai
     )
 
 
 class Switch:
     """Data plane of one software switch: tables, ports, counters, CPU port.
+
+    Every frame the switch protects goes through `protect`, whether the
+    pipeline forwards it, a flood fans it out or the controller injects
+    it; `run_pipeline` receives that method as its egress function.
 
     The embedding (simulator or test) wires the hooks:
 
@@ -263,20 +221,12 @@ class Switch:
     * ``on_protect(sak_key, iv)``    observation point for IV uniqueness
     """
 
-    def __init__(
-        self,
-        chassis_id: str,
-        mac: bytes,
-        num_ports: int,
-        *,
-        counters: Counters | None = None,
-        pn_ceiling: int = MAX_PN,
-    ):
+    def __init__(self, chassis_id: str, mac: bytes, num_ports: int, *, pn_ceiling: int = MAX_PN):
         self.chassis_id = chassis_id
         self.mac = mac
         self.ports_up: dict[int, bool] = {p: True for p in range(1, num_ports + 1)}
         self.tables = SwitchTables()
-        self.counters = counters if counters is not None else Counters()
+        self.counters = Counters()
         self.pn_ceiling = pn_ceiling
         self.on_transmit: Callable[[int, bytes], None] | None = None
         self.on_packet_in: Callable[[PacketIn], None] | None = None
@@ -289,9 +239,7 @@ class Switch:
 
     def process_ingress(self, port: int, data: bytes) -> PipelineResult:
         """Run the pipeline and account for it; emission is the caller's job."""
-        result = run_pipeline(
-            self.tables, port, data, pn_ceiling=self.pn_ceiling, on_protect=self.on_protect
-        )
+        result = run_pipeline(self.tables, port, data, self.protect)
         if result.kind == DROP:
             self.counters.incr(f"drop.{result.drop_reason}")
         if result.validated_sai is not None:
@@ -300,12 +248,35 @@ class Switch:
         if result.failed_sai is not None:
             self.counters.incr("macsec.validate_failed")
             self.counters.incr(f"sa.{result.failed_sai}.failed")
-        if result.protected_sai is not None:
-            self.counters.incr("macsec.protected")
-            self.counters.incr(f"sa.{result.protected_sai}.protected")
-        if result.rekey_sai is not None:
-            self._signal_rekey(result.rekey_sai)
         return result
+
+    def protect(self, port: int, frame: EthernetFrame) -> tuple[Optional[bytes], Optional[str]]:
+        """Protect `frame` with the SA behind the port's EG-SC entry.
+
+        Returns (bytes_out, None), or (None, drop_reason) when the channel
+        is missing or its PN space is spent; the caller counts the drop.
+        The SA that consumes its last allowed PN (or is already out) is
+        signalled for rekey once.
+        """
+        sai = self.tables.eg_sc.get(port)
+        sa = self.tables.sa.get(sai) if sai is not None else None
+        if sa is None:
+            return None, DROP_NO_EGRESS_SC
+        if sa.next_pn > self.pn_ceiling:
+            self._signal_rekey(sai)
+            return None, DROP_PN_EXHAUSTED
+        pn = sa.next_pn
+        sa.next_pn = pn + 1
+        if self.on_protect is not None:
+            self.on_protect(sa.sak.key, sa.sci + struct.pack(">I", pn))
+        protected = macsec_protect(
+            sa.sak, sa.sci, pn, frame, an=sa.an, confidentiality=sa.confidentiality
+        )
+        self.counters.incr("macsec.protected")
+        self.counters.incr(f"sa.{sai}.protected")
+        if sa.next_pn > self.pn_ceiling:
+            self._signal_rekey(sai)
+        return protected.to_bytes(), None
 
     def handle_frame(self, port: int, data: bytes) -> PipelineResult:
         """Full ingress treatment of one frame delivered by the wire."""
@@ -327,20 +298,13 @@ class Switch:
         for port in sorted(self.ports_up):
             if port == ingress_port or not self.ports_up[port]:
                 continue
+            out = data
             if isinstance(frame, EthernetFrame) and port in self.tables.eg_sc:
-                out, reason, protected_sai, rekey_sai = protect_egress(
-                    self.tables, port, frame, pn_ceiling=self.pn_ceiling, on_protect=self.on_protect
-                )
-                if rekey_sai is not None:
-                    self._signal_rekey(rekey_sai)
+                out, reason = self.protect(port, frame)
                 if out is None:
                     self.counters.incr(f"drop.{reason}")
                     continue
-                self.counters.incr("macsec.protected")
-                self.counters.incr(f"sa.{protected_sai}.protected")
-                emissions.append((port, out))
-            else:
-                emissions.append((port, data))
+            emissions.append((port, out))
         return emissions
 
     def packet_out(self, msg: PacketOut) -> None:
@@ -352,21 +316,10 @@ class Switch:
         if msg.mode == MODE_PROCESS_EGRESS and msg.egress_port in self.tables.eg_sc:
             frame = parse_frame(data)
             if isinstance(frame, EthernetFrame):
-                out, reason, protected_sai, rekey_sai = protect_egress(
-                    self.tables,
-                    msg.egress_port,
-                    frame,
-                    pn_ceiling=self.pn_ceiling,
-                    on_protect=self.on_protect,
-                )
-                if rekey_sai is not None:
-                    self._signal_rekey(rekey_sai)
-                if out is None:
+                data, reason = self.protect(msg.egress_port, frame)
+                if data is None:
                     self.counters.incr(f"drop.{reason}")
                     return
-                self.counters.incr("macsec.protected")
-                self.counters.incr(f"sa.{protected_sai}.protected")
-                data = out
         self._transmit(msg.egress_port, data)
 
     def _transmit(self, port: int, data: bytes) -> None:

@@ -123,12 +123,6 @@ class TopologySpec:
             if f"{host.switch}-{host.name}" in names:
                 raise SpecError(f"host link name {host.switch}-{host.name} collides")
 
-    def switch(self, chassis_id: str) -> SwitchSpec:
-        for sw in self.switches:
-            if sw.chassis_id == chassis_id:
-                return sw
-        raise SpecError(f"unknown switch {chassis_id!r}")
-
     def adjacency(self) -> set[tuple[Endpoint, Endpoint]]:
         """Ground-truth inter-switch links as canonical endpoint pairs."""
         return {tuple(sorted((link.a, link.b))) for link in self.links}

@@ -268,10 +268,6 @@ def parse_frame(data: bytes) -> Frame:
     return EthernetFrame(dst=dst, src=src, ether_type=ether_type, payload=data[14:])
 
 
-def serialize_frame(frame: Frame) -> bytes:
-    return frame.to_bytes()
-
-
 def classify(data: bytes) -> str:
     """Trace-level classification: 'ethernet', 'macsec' or 'secure_lldp'."""
     if len(data) >= ETH_HEADER_LEN:

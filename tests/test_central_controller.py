@@ -183,7 +183,7 @@ def test_rekey_increments_an_and_orders_ingress_first():
     old_sai, old_sak = d.sai, d.sak.key
     h.outbox.clear()
     h.time_us = d.rekey_deadline_us
-    h.central.rekey_tick()
+    h.run_due_timers()
     # Ingress install to the receiver precedes egress activation.
     first = h.configs()[0]
     assert first[0] == d.receiver
@@ -204,7 +204,7 @@ def test_an_cycles_mod_four():
     seen = [d.an]
     for _ in range(4):
         h.time_us = max(x.rekey_deadline_us for x in h.central.sc_records[KEY_12].directions.values())
-        h.central.rekey_tick()
+        h.run_due_timers()
         h.ack_all()
         seen.append(d.an)
     assert seen == [0, 1, 2, 3, 0]

@@ -6,7 +6,6 @@ from macsecsim.crypto import Sak, macsec_protect, macsec_validate
 from macsecsim.dataplane import (
     DROP,
     DROP_INTEGRITY,
-    DROP_PN_EXHAUSTED,
     DROP_REPLAY_PN,
     DROP_TRUNCATED,
     DROP_UNKNOWN_SCI,
@@ -243,19 +242,60 @@ def test_egress_pn_strictly_monotonic():
     assert switch.tables.sa[3].next_pn == 6
 
 
-def test_pn_exhaustion_fails_closed_and_signals_rekey():
-    switch = make_switch(pn_ceiling=2)
+def _forward(switch):
+    result = switch.process_ingress(1, ether().to_bytes())
+    return [(result.egress_port, result.bytes_out)] if result.kind == FORWARD else []
+
+
+def _flood(switch):
+    return switch.expand_flood(1, ether(dst=b"\xff" * 6).to_bytes())
+
+
+def _packet_out(switch):
+    sent = []
+    switch.on_transmit = lambda port, data: sent.append((port, data))
+    switch.packet_out(PacketOut(egress_port=2, frame_bytes=ether().to_bytes()))
+    return sent
+
+
+# The three routes out of a switch; each returns the (port, bytes) emitted.
+EGRESS_ROUTES = {"forward": _forward, "flood": _flood, "packet_out": _packet_out}
+
+
+def egress_switch(**kwargs):
+    """Two ports, host H1 on port 1, H2 behind a protected port 2 (SAI 3)."""
+    switch = make_switch(num_ports=2, **kwargs)
     install_egress_sa(switch, port=2, sai=3)
     switch.write_mac(MacTableEntry(mac=H1, port=1))
     switch.write_mac(MacTableEntry(mac=H2, port=2, macsec_flag=True))
+    return switch
+
+
+@pytest.mark.parametrize("route", sorted(EGRESS_ROUTES))
+def test_pn_exhaustion_fails_closed_and_signals_rekey(route):
+    send = EGRESS_ROUTES[route]
+    switch = egress_switch(pn_ceiling=2)
     rekeys = []
     switch.on_rekey_needed = lambda sai, sci: rekeys.append(sai)
-    assert switch.process_ingress(1, ether().to_bytes()).kind == FORWARD
-    assert switch.process_ingress(1, ether().to_bytes()).kind == FORWARD
+    for pn in (1, 2):
+        [(port, out)] = send(switch)
+        assert port == 2 and parse_frame(out).sec_tag.packet_number == pn
+    assert switch.counters.get("macsec.protected") == 2
+    assert switch.counters.get("sa.3.protected") == 2
     assert rekeys == [3]  # signalled once, on consuming the last PN
-    third = switch.process_ingress(1, ether().to_bytes())
-    assert third.kind == DROP and third.drop_reason == DROP_PN_EXHAUSTED
+    assert send(switch) == []
     assert switch.counters.get("drop.pn_exhausted") == 1
+    assert rekeys == [3]
+    assert switch.counters.get("macsec.protected") == 2
+
+
+@pytest.mark.parametrize("route", sorted(EGRESS_ROUTES))
+def test_eg_sc_row_without_sa_fails_closed(route):
+    switch = egress_switch()
+    switch.delete_sa(3)
+    assert EGRESS_ROUTES[route](switch) == []
+    assert switch.counters.get("drop.no_egress_sc") == 1
+    assert switch.counters.get("macsec.protected") == 0
 
 
 def test_flag_without_eg_sc_fails_closed():

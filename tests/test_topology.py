@@ -28,7 +28,7 @@ def test_shipped_hierarchical_spec(hierarchical_spec):
 def test_from_dict_round_trip():
     spec = TopologySpec.from_dict(minimal())
     assert spec.links[0].name == "s1-s2"
-    assert spec.switch("s1").num_ports == 2
+    assert [(sw.chassis_id, sw.num_ports) for sw in spec.switches] == [("s1", 2), ("s2", 2)]
 
 
 def test_duplicate_port_rejected():

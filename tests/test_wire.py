@@ -19,7 +19,6 @@ from macsecsim.wire import (
     mac_to_str,
     make_sci,
     parse_frame,
-    serialize_frame,
 )
 
 macs = st.binary(min_size=6, max_size=6)
@@ -74,7 +73,7 @@ def test_frame_below_ethernet_minimum():
 @given(dst=macs, src=macs, ether_type=st.integers(0, 0xFFFF), payload=payloads)
 def test_ethernet_round_trip(dst, src, ether_type, payload):
     frame = EthernetFrame(dst=dst, src=src, ether_type=ether_type, payload=payload)
-    raw = serialize_frame(frame)
+    raw = frame.to_bytes()
     assert len(raw) == 14 + len(payload)
     if ether_type not in (ETHERTYPE_MACSEC, ETHERTYPE_LLDP):
         assert parse_frame(raw) == frame
@@ -93,7 +92,7 @@ def test_ethernet_round_trip(dst, src, ether_type, payload):
 def test_macsec_round_trip_and_length(dst, src, tci, sl, pn, sci, secure_data, icv):
     tag = SecTag(tci_an=tci, short_length=sl, packet_number=pn, sci=sci)
     frame = MacsecFrame(dst=dst, src=src, sec_tag=tag, secure_data=secure_data, icv=icv)
-    raw = serialize_frame(frame)
+    raw = frame.to_bytes()
     assert len(raw) == 14 + 14 + len(secure_data) + 16
     assert parse_frame(raw) == frame
     assert parse_frame(raw).sec_tag.an == tci & 0x03
@@ -110,7 +109,7 @@ def test_secure_lldp_round_trip(src, nonce, seq, ciphertext, icv):
     frame = SecureLldpFrame(
         dst=LLDP_MULTICAST, src=src, nonce=nonce, seq=seq, ciphertext=ciphertext, icv=icv
     )
-    assert parse_frame(serialize_frame(frame)) == frame
+    assert parse_frame(frame.to_bytes()) == frame
 
 
 @given(chassis=st.text(min_size=1, max_size=21), port=st.integers(0, 0xFFFF))
@@ -188,7 +187,7 @@ def _field_values(frame):
 )
 def test_single_byte_position_stability(frame):
     """Each mutated byte changes exactly one field, reclassifies, or errors."""
-    raw = serialize_frame(frame)
+    raw = frame.to_bytes()
     baseline = _field_values(frame)
     for pos in range(len(raw)):
         mutated = bytearray(raw)
@@ -230,4 +229,4 @@ def test_parse_frame_is_total(data):
     except TruncatedFrame:
         return
     assert type(frame) in (EthernetFrame, MacsecFrame, SecureLldpFrame)
-    assert serialize_frame(frame) == data
+    assert frame.to_bytes() == data
