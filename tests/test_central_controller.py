@@ -15,7 +15,7 @@ from macsecsim.messages import (
     WriteSa,
 )
 from macsecsim.randomness import RandomSource
-from macsecsim.wire import mac_from_str
+from macsecsim.wire import mac_from_str, make_sci
 
 MACS = {
     "s1": mac_from_str("02:00:00:00:00:01"),
@@ -219,6 +219,85 @@ def test_pn_exhaustion_triggers_out_of_cycle_rekey():
     h.central.handle_pn_exhausted(PnExhausted(chassis_id="s1", sci=d.sci))
     h.ack_all()
     assert d.rekey_count == 1
+
+
+def test_pn_exhaustion_rekeys_only_the_matching_direction():
+    h = Harness()
+    h.register_all("s1", "s2", "s3")
+    h.confirm_link(("s1", 2), ("s2", 4))
+    h.confirm_link(("s1", 3), ("s3", 1))
+    key_13 = link_key(("s1", 3), ("s3", 1))
+    exhausted = h.central.sc_records[key_13].directions["a2b"]
+    h.central.handle_pn_exhausted(PnExhausted(chassis_id="s1", sci=exhausted.sci))
+    h.ack_all()
+    rekeys = {
+        (key, name): d.rekey_count
+        for key, record in h.central.sc_records.items()
+        for name, d in record.directions.items()
+    }
+    assert rekeys == {(KEY_12, "a2b"): 0, (KEY_12, "b2a"): 0, (key_13, "a2b"): 1, (key_13, "b2a"): 0}
+    assert h.central.counters.get("channels.pn_exhausted") == 1
+    assert h.central.counters.get("channels.rekey") == 1
+
+
+def test_pn_exhaustion_of_unknown_or_quarantined_channel_starts_no_rekey():
+    h = Harness()
+    h.register_all("s1", "s2", "s3")
+    h.confirm_link(("s1", 2), ("s2", 4))
+    h.confirm_link(("s1", 3), ("s3", 1))
+    # s2 nacks the rekey of a2b twice: the link is quarantined while b2a stays active.
+    record = h.central.sc_records[KEY_12]
+    a2b, b2a = record.directions["a2b"], record.directions["b2a"]
+    h.central.handle_pn_exhausted(PnExhausted(chassis_id="s1", sci=a2b.sci))
+    chassis, cfg = h.configs()[-1]
+    h.central.handle_sc_ack(ScAck(chassis, cfg.batch_id, ok=False, detail="bad entry"))
+    h.time_us = 2_000_000
+    h.run_due_timers()
+    h.central.handle_sc_ack(ScAck(chassis, cfg.batch_id, ok=False, detail="bad entry"))
+    assert record.state == "quarantined" and b2a.phase == "active"
+    h.outbox.clear()
+    h.central.handle_pn_exhausted(PnExhausted(chassis_id="s2", sci=b2a.sci))
+    h.central.handle_pn_exhausted(PnExhausted(chassis_id="s1", sci=make_sci(MACS["s1"], 4)))
+    assert h.configs() == []
+    assert b2a.next_sai is None and b2a.phase == "active"
+    assert h.central.counters.get("channels.pn_exhausted") == 3
+    assert h.central.counters.get("channels.rekey") == 1
+
+
+def test_ack_of_a_torn_down_record_does_not_advance_its_successor():
+    h = Harness()
+    h.register_all("s1", "s2")
+    h.central.handle_link_delta(LinkDelta(chassis_id="s1", adds={2: ("s2", 4)}))
+    h.central.handle_link_delta(LinkDelta(chassis_id="s2", adds={4: ("s1", 2)}))
+    old_batches = h.configs()
+    h.central.handle_link_delta(LinkDelta(chassis_id="s1", removes=[2]))
+    h.central.handle_link_delta(LinkDelta(chassis_id="s1", adds={2: ("s2", 4)}))
+    record = h.central.sc_records[KEY_12]
+    sent = len(h.outbox)
+    for chassis, cfg in old_batches:
+        h.central.handle_sc_ack(ScAck(chassis, cfg.batch_id, ok=True))
+    assert [d.phase for d in record.directions.values()] == ["ingress_pending", "ingress_pending"]
+    assert not any(isinstance(op, WriteEgSc) for _, msg in h.outbox[sent:] for op in msg.ops)
+    h.ack_all()
+    assert record.state == "active"
+
+
+def test_retry_of_a_torn_down_record_is_dropped():
+    h = Harness()
+    h.register_all("s1", "s2")
+    h.unreachable.add("s2")
+    h.central.handle_link_delta(LinkDelta(chassis_id="s1", adds={2: ("s2", 4)}))
+    h.central.handle_link_delta(LinkDelta(chassis_id="s2", adds={4: ("s1", 2)}))
+    assert any(delay == 1.0 for delay, _fn, _hk in h.scheduled)  # the retry of s2's ingress
+    h.central.handle_link_delta(LinkDelta(chassis_id="s1", removes=[2]))
+    h.central.handle_link_delta(LinkDelta(chassis_id="s2", removes=[4]))
+    h.unreachable.clear()
+    h.outbox.clear()
+    h.time_us = 2_000_000
+    h.run_due_timers()
+    assert h.outbox == []
+    assert h.central.counters.get("channels.retry") == 0
+    assert h.central.counters.get("channels.quarantined") == 0
 
 
 def test_nack_retries_once_then_quarantines():
