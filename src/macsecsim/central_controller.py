@@ -5,6 +5,10 @@ them; every transition to or from Confirmed drives secure-channel
 reconciliation.  Channel installs are ordered receiver-ingress before
 sender-egress (at setup and rekey) so no in-flight frame ever meets a
 receiver that cannot validate it.
+
+Each link is indexed under both of its endpoints.  A batch in flight holds
+the channel record it was sent for; once teardown removes or replaces that
+record, the batch is stale, and its ack and retry are ignored.
 """
 
 from __future__ import annotations
@@ -30,12 +34,14 @@ from .messages import (
     WriteIgSc,
     WriteSa,
 )
-from .wire import make_sci
+from .wire import make_sci, sci_port
 
 log = logging.getLogger(__name__)
 
 Endpoint = tuple[str, int]
 LinkKey = tuple[Endpoint, Endpoint]
+
+RETRY_DELAY_S = 1.0
 
 
 def link_key(a: Endpoint, b: Endpoint) -> LinkKey:
@@ -45,13 +51,6 @@ def link_key(a: Endpoint, b: Endpoint) -> LinkKey:
 def link_name(key: LinkKey) -> str:
     (ca, pa), (cb, pb) = key
     return f"{ca}:{pa}-{cb}:{pb}"
-
-
-@dataclass
-class SwitchInfo:
-    chassis_id: str
-    mac: bytes
-    ports: list[int]
 
 
 @dataclass
@@ -102,11 +101,10 @@ class _PendingBatch:
     chassis: str
     cfg: ScConfig
     kind: str  # "sc_install" | "sc_rekey"
-    link: LinkKey
+    record: ScRecord
     direction: str
     stage: str  # "ingress" | "egress"
     attempts: int = 1
-    cancelled: bool = False
 
 
 class CentralController:
@@ -121,7 +119,6 @@ class CentralController:
         rekey_interval_s: float = 60.0,
         lldp_rotation_s: float = 300.0,
         grace_s: float | None = None,
-        retry_delay_s: float = 1.0,
         macsec_encrypt: bool = True,
     ):
         self._now = now
@@ -132,15 +129,16 @@ class CentralController:
         self.rekey_interval_us = int(rekey_interval_s * 1_000_000)
         self.lldp_rotation_s = lldp_rotation_s
         self.grace_s = grace_s if grace_s is not None else discovery_interval_s
-        self.retry_delay_s = retry_delay_s
         self.macsec_encrypt = macsec_encrypt
 
         self.counters = Counters()
-        self.switches: dict[str, SwitchInfo] = {}
+        self.switch_macs: dict[str, bytes] = {}
         self.link_map: dict[LinkKey, LinkState] = {}
+        self._link_at: dict[Endpoint, LinkState] = {}
         self.sc_records: dict[LinkKey, ScRecord] = {}
         self.alerts: list[str] = []
         self.sak_log: list[bytes] = []
+        self._saks: set[bytes] = set()
 
         self.lldp_key = LldpKey(key=rng.key_material(), key_id=1)
         self._sai_seq = 0
@@ -163,15 +161,15 @@ class CentralController:
         else:
             raise TypeError(f"unexpected control message {type(msg).__name__}")
 
-    def handle_register(self, chassis_id: str, mac: bytes, ports: list[int]) -> None:
-        self.switches[chassis_id] = SwitchInfo(chassis_id, mac, list(ports))
+    def handle_register(self, chassis_id: str, mac: bytes) -> None:
+        self.switch_macs[chassis_id] = mac
         self._send_or_alert(chassis_id, KeyInstall(key=self.lldp_key))
         self._send_or_alert(chassis_id, StartDiscovery())
 
     # -- global link map ----------------------------------------------------------
 
     def handle_link_delta(self, delta: LinkDelta) -> None:
-        if delta.chassis_id not in self.switches:
+        if delta.chassis_id not in self.switch_macs:
             log.warning("delta from unregistered switch %s ignored", delta.chassis_id)
             self.counters.incr("linkmap.unknown_switch")
             return
@@ -180,14 +178,13 @@ class CentralController:
         for port, remote in delta.adds.items():
             self._add_report(delta.chassis_id, port, remote)
 
-    def _link_at(self, endpoint: Endpoint) -> Optional[LinkState]:
-        for link in self.link_map.values():
-            if endpoint in link.key:
-                return link
-        return None
+    def _forget(self, link: LinkState) -> None:
+        del self.link_map[link.key]
+        for endpoint in link.key:
+            del self._link_at[endpoint]
 
     def _remove_report(self, chassis: str, port: int) -> None:
-        link = self._link_at((chassis, port))
+        link = self._link_at.get((chassis, port))
         if link is None:
             return
         was_confirmed = link.confirmed
@@ -195,7 +192,7 @@ class CentralController:
         if was_confirmed and not link.confirmed:
             self._teardown_sc(link.key)
         if not link.reporters:
-            del self.link_map[link.key]
+            self._forget(link)
 
     def _add_report(self, chassis: str, port: int, remote: tuple[str, int]) -> None:
         endpoint = (chassis, port)
@@ -203,15 +200,17 @@ class CentralController:
         # A conflicting earlier link on either endpoint is deleted outright;
         # the replacement starts over as a one-way report.
         for ep in key:
-            stale = self._link_at(ep)
+            stale = self._link_at.get(ep)
             if stale is not None and stale.key != key:
                 if stale.confirmed:
                     self._teardown_sc(stale.key)
-                del self.link_map[stale.key]
+                self._forget(stale)
         link = self.link_map.get(key)
         if link is None:
             link = LinkState(key=key)
             self.link_map[key] = link
+            for ep in key:
+                self._link_at[ep] = link
         was_confirmed = link.confirmed
         link.reporters.add(chassis)
         if link.confirmed and not was_confirmed:
@@ -228,8 +227,9 @@ class CentralController:
 
     def _new_sak(self) -> Sak:
         sak = Sak(self._rng.key_material())
-        if sak.key in self.sak_log:
+        if sak.key in self._saks:
             raise AssertionError("SAK reuse from the key source")
+        self._saks.add(sak.key)
         self.sak_log.append(sak.key)
         return sak
 
@@ -247,16 +247,16 @@ class CentralController:
                 sender_port=s_port,
                 receiver=receiver,
                 receiver_port=r_port,
-                sci=make_sci(self.switches[sender].mac, s_port),
+                sci=make_sci(self.switch_macs[sender], s_port),
                 sai=self._next_sai(),
                 an=0,
                 sak=self._new_sak(),
             )
-        self.sc_records[key] = ScRecord(key=key, directions=directions)
+        record = self.sc_records[key] = ScRecord(key=key, directions=directions)
         for name, direction in directions.items():
-            self._send_stage(key, name, direction, kind="sc_install", stage="ingress")
+            self._send_stage(record, name, direction, kind="sc_install", stage="ingress")
 
-    def _send_stage(self, key: LinkKey, name: str, d: ScDirection, *, kind: str, stage: str) -> None:
+    def _send_stage(self, record: ScRecord, name: str, d: ScDirection, *, kind: str, stage: str) -> None:
         """Write one direction's SA to the receiver's ingress ("ingress") or
         the sender's egress ("egress"), tracking the batch until it is acked.
 
@@ -278,7 +278,7 @@ class CentralController:
                 ops.append(SetPortFlag(port=d.sender_port, flag=True))
         cfg = ScConfig(batch_id=self._next_batch_id(), ops=ops)
         batch = _PendingBatch(
-            batch_id=cfg.batch_id, chassis=chassis, cfg=cfg, kind=kind, link=key, direction=name, stage=stage
+            batch_id=cfg.batch_id, chassis=chassis, cfg=cfg, kind=kind, record=record, direction=name, stage=stage
         )
         self._pending[cfg.batch_id] = batch
         if not self._send(chassis, cfg):
@@ -288,25 +288,27 @@ class CentralController:
         self._batch_seq += 1
         return self._batch_seq
 
+    def _stale(self, batch: _PendingBatch) -> bool:
+        return self.sc_records.get(batch.record.key) is not batch.record
+
     def handle_sc_ack(self, ack: ScAck) -> None:
         batch = self._pending.pop(ack.batch_id, None)
-        if batch is None or batch.cancelled:
+        if batch is None or self._stale(batch):
             return
         if not ack.ok:
             self._pending[batch.batch_id] = batch
             self._batch_failed(batch, ack.detail)
             return
-        record = self.sc_records.get(batch.link)
-        if record is None:
-            return
-        d = record.directions[batch.direction]
+        d = batch.record.directions[batch.direction]
         if batch.stage == "ingress":
             d.phase = "egress_pending"
-            self._send_stage(batch.link, batch.direction, d, kind=batch.kind, stage="egress")
+            self._send_stage(batch.record, batch.direction, d, kind=batch.kind, stage="egress")
         else:
-            self._finish_activation(batch, record, d)
+            self._finish_activation(batch, d)
 
-    def _finish_activation(self, batch: _PendingBatch, record: ScRecord, d: ScDirection) -> None:
+    def _finish_activation(self, batch: _PendingBatch, d: ScDirection) -> None:
+        # The timers capture no batch, so a queued timer keeps no SAK alive.
+        record, direction, key = batch.record, batch.direction, batch.record.key
         now = self._now()
         if batch.kind == "sc_rekey":
             old_sai, old_an = d.sai, d.an
@@ -314,15 +316,14 @@ class CentralController:
             d.next_sai = d.next_an = d.next_sak = None
             d.rekey_count += 1
             self._schedule(
-                self.grace_s,
-                lambda: self._retire_old_sa(batch.link, batch.direction, d.sci, old_sai, old_an),
+                self.grace_s, lambda: self._retire_old_sa(key, direction, old_sai, old_an)
             )
         d.phase = "active"
         d.rekey_deadline_us = now + self.rekey_interval_us
         generation = d.rekey_count
         self._schedule(
             self.rekey_interval_us / 1_000_000,
-            lambda: self._rekey_due(batch.link, batch.direction, generation),
+            lambda: self._rekey_due(key, direction, generation),
             housekeeping=True,
         )
         if record.state == "installing" and all(
@@ -330,7 +331,7 @@ class CentralController:
         ):
             record.state = "active"
 
-    def _retire_old_sa(self, key: LinkKey, direction: str, sci: bytes, old_sai: int, old_an: int) -> None:
+    def _retire_old_sa(self, key: LinkKey, direction: str, old_sai: int, old_an: int) -> None:
         record = self.sc_records.get(key)
         if record is None:
             return
@@ -339,7 +340,7 @@ class CentralController:
         # The AN may have wrapped back onto old_an within the grace window,
         # in which case the (SCI, AN) row now belongs to a live generation.
         if old_an not in (d.an, d.next_an):
-            receiver_ops.insert(0, DeleteIgSc(sci=sci, an=old_an))
+            receiver_ops.insert(0, DeleteIgSc(sci=d.sci, an=old_an))
         self._send_or_alert(
             d.receiver, ScConfig(batch_id=self._next_batch_id(), ops=receiver_ops)
         )
@@ -351,33 +352,28 @@ class CentralController:
     def _batch_failed(self, batch: _PendingBatch, detail: str) -> None:
         if batch.attempts >= 2:
             self._pending.pop(batch.batch_id, None)
-            self._quarantine(batch.link, f"{batch.stage} install on {batch.chassis}: {detail}")
+            self._quarantine(batch.record, f"{batch.stage} install on {batch.chassis}: {detail}")
             return
         batch.attempts += 1
-        self._schedule(self.retry_delay_s, lambda: self._retry_batch(batch))
+        self._schedule(RETRY_DELAY_S, lambda: self._retry_batch(batch))
 
     def _retry_batch(self, batch: _PendingBatch) -> None:
-        if batch.cancelled or batch.batch_id not in self._pending:
+        if batch.batch_id not in self._pending or self._stale(batch):
             return
         self.counters.incr("channels.retry")
         if not self._send(batch.chassis, batch.cfg):
             self._batch_failed(batch, "unreachable")
 
-    def _quarantine(self, key: LinkKey, detail: str) -> None:
-        record = self.sc_records.get(key)
-        if record is not None:
-            record.state = "quarantined"
-        self.alerts.append(f"link {link_name(key)} quarantined: {detail}")
+    def _quarantine(self, record: ScRecord, detail: str) -> None:
+        record.state = "quarantined"
+        self.alerts.append(f"link {link_name(record.key)} quarantined: {detail}")
         self.counters.incr("channels.quarantined")
-        log.error("link %s quarantined: %s", link_name(key), detail)
+        log.error("link %s quarantined: %s", link_name(record.key), detail)
 
     def _teardown_sc(self, key: LinkKey) -> None:
         record = self.sc_records.pop(key, None)
         if record is None:
             return
-        for batch in self._pending.values():
-            if batch.link == key:
-                batch.cancelled = True
         for d in record.directions.values():
             sais = [d.sai] + ([d.next_sai] if d.next_sai is not None else [])
             receiver_ops = [DeleteIgSc(sci=d.sci, an=an) for an in range(4)]
@@ -402,25 +398,25 @@ class CentralController:
         if d.rekey_count != generation or d.phase != "active":
             return
         if self._now() >= d.rekey_deadline_us:
-            self._start_rekey(key, direction, d)
+            self._start_rekey(record, direction, d)
 
-    def _start_rekey(self, key: LinkKey, direction: str, d: ScDirection) -> None:
+    def _start_rekey(self, record: ScRecord, direction: str, d: ScDirection) -> None:
         d.phase = "ingress_pending"
         d.next_sai = self._next_sai()
         d.next_an = (d.an + 1) % 4
         d.next_sak = self._new_sak()
         self.counters.incr("channels.rekey")
-        self._send_stage(key, direction, d, kind="sc_rekey", stage="ingress")
+        self._send_stage(record, direction, d, kind="sc_rekey", stage="ingress")
 
     def handle_pn_exhausted(self, msg: PnExhausted) -> None:
         self.counters.incr("channels.pn_exhausted")
-        for key, record in self.sc_records.items():
-            if record.state == "quarantined":
-                continue
-            for name, d in record.directions.items():
-                if d.sci == msg.sci and d.phase == "active":
-                    self._start_rekey(key, name, d)
-                    return
+        link = self._link_at.get((msg.chassis_id, sci_port(msg.sci)))
+        record = self.sc_records.get(link.key) if link is not None else None
+        if record is None or record.state == "quarantined":
+            return
+        for name, d in record.directions.items():
+            if d.sci == msg.sci and d.phase == "active":
+                self._start_rekey(record, name, d)
 
     # -- LLDP key rotation ------------------------------------------------------------
 
@@ -431,7 +427,7 @@ class CentralController:
     def rotate_lldp_key(self) -> None:
         self.lldp_key = LldpKey(key=self._rng.key_material(), key_id=self.lldp_key.key_id + 1)
         self.counters.incr("discovery_key.rotated")
-        for chassis in self.switches:
+        for chassis in self.switch_macs:
             self._send_key_with_retry(chassis, attempts=1)
 
     def _send_key_with_retry(self, chassis: str, attempts: int) -> None:
@@ -441,7 +437,7 @@ class CentralController:
             self.alerts.append(f"switch {chassis} unreachable for key install")
             self.counters.incr("control.unreachable")
             return
-        self._schedule(self.retry_delay_s, lambda: self._send_key_with_retry(chassis, attempts + 1))
+        self._schedule(RETRY_DELAY_S, lambda: self._send_key_with_retry(chassis, attempts + 1))
 
     def _send_or_alert(self, chassis: str, msg) -> None:
         if not self._send(chassis, msg):

@@ -377,6 +377,8 @@ class Switch:
         self.tables.ig_sc.pop((sci, an & 0x03), None)
 
     def set_port_macsec_flag(self, port: int, flag: bool) -> None:
+        if port not in self.ports_up:
+            raise InvalidEntry(f"port {port} not on switch {self.chassis_id}")
         for mac, entry in self.tables.mac.items():
             if entry.port == port and entry.macsec_flag != flag:
                 self.tables.mac[mac] = MacTableEntry(mac=mac, port=port, macsec_flag=flag)

@@ -3,6 +3,10 @@
 One controller instance runs next to each switch.  All its inputs
 (packet-ins, port events, timer ticks, central-controller messages) arrive
 through the simulator's single event queue, so handlers never interleave.
+
+The table agent applies a config batch through the switch's table writes,
+the one place an entry is checked.  If a write fails, the four tables are
+restored in place to their state before the batch, and the batch is nacked.
 """
 
 from __future__ import annotations
@@ -49,6 +53,9 @@ from .wire import (
 
 log = logging.getLogger(__name__)
 
+# A discovered link expires after this many discovery intervals unheard.
+LINK_EXPIRY_INTERVALS = 3
+
 
 class LocalController:
     def __init__(
@@ -60,7 +67,6 @@ class LocalController:
         send_to_central: Callable[[object], bool],
         rng,
         discovery_interval_s: float = 30.0,
-        link_expiry_intervals: int = 3,
     ):
         self.switch = switch
         self.chassis_id = switch.chassis_id
@@ -70,7 +76,6 @@ class LocalController:
         self._send = send_to_central
         self._rng = rng
         self.discovery_interval_us = int(discovery_interval_s * 1_000_000)
-        self.link_expiry_intervals = link_expiry_intervals
 
         # MAC learning state: mirror of the entries this controller wrote.
         self.mac_mirror: dict[bytes, int] = {}
@@ -230,7 +235,7 @@ class LocalController:
                 self._report_delta(removes=[port])
 
     def _expire_stale_links(self) -> None:
-        horizon = self.link_expiry_intervals * self.discovery_interval_us
+        horizon = LINK_EXPIRY_INTERVALS * self.discovery_interval_us
         now = self._now()
         for port in list(self.local_view):
             seen = self.last_seen_us.get(port)
@@ -248,36 +253,20 @@ class LocalController:
     # -- MACsec table agent ------------------------------------------------------
 
     def handle_sc_config(self, cfg: ScConfig) -> None:
+        tables = self.switch.tables
+        saved = [(table, dict(table)) for table in (tables.mac, tables.eg_sc, tables.ig_sc, tables.sa)]
         try:
-            self._validate_batch(cfg.ops)
+            for op in cfg.ops:
+                self._apply_op(op)
         except InvalidEntry as exc:
+            for table, before in saved:
+                table.clear()
+                table.update(before)
             self.counters.incr("sc_config.nack")
             self._send(ScAck(self.chassis_id, cfg.batch_id, ok=False, detail=str(exc)))
             return
-        for op in cfg.ops:
-            self._apply_op(op)
         self.counters.incr("sc_config.applied")
         self._send(ScAck(self.chassis_id, cfg.batch_id, ok=True))
-
-    def _validate_batch(self, ops) -> None:
-        """Reject the whole batch up front so application can't half-fail."""
-        sais = set(self.switch.tables.sa)
-        for op in ops:
-            if isinstance(op, WriteSa):
-                sais.add(op.sai)
-            elif isinstance(op, DeleteSa):
-                sais.discard(op.sai)
-            elif isinstance(op, WriteEgSc):
-                if op.port not in self.switch.ports_up:
-                    raise InvalidEntry(f"no port {op.port} on {self.chassis_id}")
-                if op.sai not in sais:
-                    raise InvalidEntry(f"EG-SC references missing SAI {op.sai}")
-            elif isinstance(op, WriteIgSc):
-                if op.sai not in sais:
-                    raise InvalidEntry(f"IG-SC references missing SAI {op.sai}")
-            elif isinstance(op, SetPortFlag):
-                if op.port not in self.switch.ports_up:
-                    raise InvalidEntry(f"no port {op.port} on {self.chassis_id}")
 
     def _apply_op(self, op) -> None:
         sw = self.switch

@@ -62,12 +62,12 @@ class Host:
 
 
 class Simulation:
-    def __init__(self, spec: TopologySpec, seed: int | None = None, *, random_mode: str = "seeded"):
+    def __init__(self, spec: TopologySpec, seed: int | None = None):
         spec.validate()
         self.spec = spec
         self.params = spec.params
         self.seed = self.params.seed if seed is None else seed
-        self.rng = RandomSource(self.seed, mode=random_mode)
+        self.rng = RandomSource(self.seed)
         self.iv_registry = IvUniquenessRegistry()
         self.trace = Trace()
 
@@ -159,12 +159,7 @@ class Simulation:
                     switch.ports_up[port] = False
 
         for sw_spec in self.spec.switches:
-            self.schedule(
-                0,
-                lambda s=sw_spec: self.central.handle_register(
-                    s.chassis_id, s.mac, list(range(1, s.num_ports + 1))
-                ),
-            )
+            self.schedule(0, lambda s=sw_spec: self.central.handle_register(s.chassis_id, s.mac))
         self.central.start()
 
     # -- clock and event queue ------------------------------------------------------
@@ -351,6 +346,6 @@ class Simulation:
         return {chassis: sw.counters.as_dict() for chassis, sw in sorted(self.switches.items())}
 
 
-def build(spec: TopologySpec, seed: int | None = None, **kwargs) -> Simulation:
+def build(spec: TopologySpec, seed: int | None = None) -> Simulation:
     """Wire a spec into a running simulation; discovery starts at t=0."""
-    return Simulation(spec, seed=seed, **kwargs)
+    return Simulation(spec, seed=seed)

@@ -1,28 +1,22 @@
 """Single randomness source feeding nonces, keys and boot timestamps.
 
-Default mode is a seeded PRNG so that a (spec, seed) pair fully determines
-a run.  The "os" mode draws hardware entropy instead; it exists for
-interactive use and stays off in tests.
+It is a seeded PRNG, so a (spec, seed) pair fully determines a run.
 """
 
 from __future__ import annotations
 
-import os
 import random
+
+from .wire import SCI_LEN
 
 
 class RandomSource:
-    def __init__(self, seed: int | None = None, mode: str = "seeded"):
-        if mode not in ("seeded", "os"):
-            raise ValueError(f"unknown randomness mode {mode!r}")
-        self.mode = mode
+    def __init__(self, seed: int | None = None):
         self.seed = seed if seed is not None else 0
         self._rng = random.Random(self.seed)
         self._nonces_issued: set[bytes] = set()
 
     def rand_bytes(self, n: int) -> bytes:
-        if self.mode == "os":
-            return os.urandom(n)
         return self._rng.randbytes(n)
 
     def lldp_nonce(self) -> bytes:
@@ -38,7 +32,7 @@ class RandomSource:
 
     def boot_seq(self) -> int:
         """Bootup-timestamp-style seed for a switch's discovery tx sequence."""
-        return self._rng.randrange(1, 2**31) if self.mode == "seeded" else int.from_bytes(os.urandom(4), "big") >> 1 or 1
+        return self._rng.randrange(1, 2**31)
 
     def randrange(self, *args) -> int:
         return self._rng.randrange(*args)
@@ -54,13 +48,18 @@ class RandomSource:
 
 
 class IvUniquenessRegistry:
-    """Runtime assertion that no (key, IV) pair is ever used twice."""
+    """Runtime assertion that no (key, IV) pair is ever used twice.
+
+    The IV is SCI + big-endian PN, so under one SCI IVs order as their PNs
+    do.  Keeping the highest IV per (key, SCI) and rejecting one that does
+    not exceed it catches every reuse in one entry per SA.
+    """
 
     def __init__(self):
-        self._seen: set[tuple[bytes, bytes]] = set()
+        self._seen: dict[tuple[bytes, bytes], bytes] = {}
 
     def observe(self, key: bytes, iv: bytes) -> None:
-        pair = (key, iv)
-        if pair in self._seen:
-            raise AssertionError(f"(SAK, IV) reuse: iv={iv.hex()}")
-        self._seen.add(pair)
+        channel = (key, iv[:SCI_LEN])
+        if iv <= self._seen.get(channel, b""):
+            raise AssertionError(f"(SAK, IV) reuse or PN regression: iv={iv.hex()}")
+        self._seen[channel] = iv

@@ -55,8 +55,6 @@ class Trace:
         classification: str | None = None,
         direction: str | None = None,
         t_min_us: int | None = None,
-        t_max_us: int | None = None,
-        dropped: bool | None = None,
     ) -> list[TraceRecord]:
         out = []
         for rec in self.records:
@@ -67,10 +65,6 @@ class Trace:
             if direction is not None and rec.direction != direction:
                 continue
             if t_min_us is not None and rec.time_us < t_min_us:
-                continue
-            if t_max_us is not None and rec.time_us > t_max_us:
-                continue
-            if dropped is not None and bool(rec.dropped) != dropped:
                 continue
             out.append(rec)
         return out

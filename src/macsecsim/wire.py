@@ -62,6 +62,11 @@ def make_sci(switch_mac: bytes, port: int) -> bytes:
     return switch_mac + struct.pack(">H", port)
 
 
+def sci_port(sci: bytes) -> int:
+    """The sender egress port of an SCI built by `make_sci`."""
+    return struct.unpack(">H", sci[6:8])[0]
+
+
 @dataclass(frozen=True)
 class EthernetFrame:
     dst: bytes

@@ -50,7 +50,7 @@ class Harness:
 
     def register_all(self, *names):
         for name in names:
-            self.central.handle_register(name, MACS[name], [1, 2, 3, 4])
+            self.central.handle_register(name, MACS[name])
 
     def configs(self):
         return [(ch, m) for ch, m in self.outbox if isinstance(m, ScConfig)]

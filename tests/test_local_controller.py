@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from macsecsim.crypto import LldpKey, Sak, lldp_seal
 from macsecsim.dataplane import (
     REASON_MAC_MISS,
@@ -294,18 +296,37 @@ def test_sc_config_bad_batch_nacked_and_unapplied():
     assert h.switch.tables.eg_sc == {}
 
 
-def test_sc_config_batch_is_all_or_nothing():
+@pytest.mark.parametrize(
+    "bad_op",
+    [
+        WriteEgSc(port=99, sai=1),
+        WriteSa(sai=2, an=7, sak=Sak(b"\x02" * 16), sci=b"\x00" * 8),
+        WriteSa(sai=2, an=0, sak=Sak(b"\x02" * 16), sci=b"\x00" * 7),
+        WriteIgSc(sci=b"\x00" * 7, an=0, sai=1),
+        SetPortFlag(port=99, flag=True),
+        object(),
+    ],
+    ids=["eg_sc_port", "sa_an", "sa_sci", "ig_sc_sci", "port_flag_port", "not_an_op"],
+)
+def test_sc_config_batch_is_all_or_nothing(bad_op):
     h = Harness()
+    h.switch.write_mac(MacTableEntry(mac=H1, port=2))
+    tables = h.switch.tables
+    before = (dict(tables.mac), dict(tables.eg_sc), dict(tables.ig_sc), dict(tables.sa))
     cfg = ScConfig(
         batch_id=7,
         ops=[
             WriteSa(sai=1, an=0, sak=Sak(b"\x01" * 16), sci=b"\x00" * 8),
-            WriteEgSc(port=99, sai=1),  # invalid port sinks the whole batch
+            WriteEgSc(port=2, sai=1),
+            SetPortFlag(port=2, flag=True),
+            bad_op,  # sinks the whole batch
         ],
     )
     h.ctl.deliver(cfg)
-    assert h.switch.tables.sa == {}
-    assert [m for m in h.sent if isinstance(m, ScAck)][0].ok is False
+    acks = [m for m in h.sent if isinstance(m, ScAck)]
+    assert len(acks) == 1 and acks[0].ok is False
+    assert (tables.mac, tables.eg_sc, tables.ig_sc, tables.sa) == before
+    assert h.switch.counters.get("sc_config.nack") == 1
 
 
 def test_sc_config_delete_after_write():

@@ -1,8 +1,6 @@
 import pytest
 
-from macsecsim.netsim import Simulation
 from macsecsim.randomness import IvUniquenessRegistry, RandomSource
-from macsecsim.topology import chain_spec
 
 
 def test_seeded_source_is_reproducible():
@@ -31,12 +29,19 @@ def test_iv_registry_flags_reuse():
         reg.observe(b"k" * 16, b"i" * 12)
 
 
-def test_os_entropy_mode_runs():
-    sim = Simulation(chain_spec(2), seed=0, random_mode="os")
-    sim.quiesce()
-    assert len(sim.central.confirmed_links()) == 1
+def test_iv_registry_rejects_a_pn_below_the_highest_seen():
+    reg = IvUniquenessRegistry()
+    sci = b"s" * 8
+    reg.observe(b"k" * 16, sci + (5).to_bytes(4, "big"))
+    with pytest.raises(AssertionError, match="PN regression"):
+        reg.observe(b"k" * 16, sci + (3).to_bytes(4, "big"))  # never used, but below 5
 
 
-def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        RandomSource(0, mode="quantum")
+def test_iv_registry_tracks_each_sci_under_a_key_on_its_own():
+    reg = IvUniquenessRegistry()
+    reg.observe(b"k" * 16, b"a" * 8 + (5).to_bytes(4, "big"))
+    reg.observe(b"k" * 16, b"b" * 8 + (1).to_bytes(4, "big"))
+    reg.observe(b"k" * 16, b"b" * 8 + (2).to_bytes(4, "big"))
+    with pytest.raises(AssertionError, match="reuse"):
+        reg.observe(b"k" * 16, b"b" * 8 + (2).to_bytes(4, "big"))
+    assert len(reg._seen) == 2
