@@ -1,8 +1,9 @@
 """AES-GCM-128 protection for data frames and discovery PDUs.
 
 Data frames: IV is SCI(8) + packet number(4); the AAD covers the outer
-Ethernet header plus the serialized SecTAG, so any header bit flip breaks
-the 16-byte ICV.  Discovery PDUs: IV is a fresh 12-byte random nonce and
+Ethernet header plus the SecTAG, so any header bit flip breaks the 16-byte
+ICV.  Protect and validate work on frame bytes, and each SAK keeps one
+AES-GCM context.  Discovery PDUs: IV is a fresh 12-byte random nonce and
 the AAD is the 4-byte sequence number carried in clear.
 """
 
@@ -11,23 +12,28 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .errors import IntegrityFailure
+from .errors import IntegrityFailure, TruncatedFrame
 from .wire import (
+    ETH_HEADER_LEN,
     ETHERTYPE_MACSEC,
     ICV_LEN,
+    MAX_PN,
+    MIN_MACSEC_LEN,
     NONCE_LEN,
+    PN_OFFSET,
     SCI_LEN,
+    SCI_OFFSET,
+    SECURE_DATA_OFFSET,
     TCI_C,
     TCI_E,
     TCI_SC,
     EthernetFrame,
     Lldpdu,
-    MacsecFrame,
-    SecTag,
     SecureLldpFrame,
     short_length_for,
 )
@@ -50,6 +56,15 @@ class Sak:
         """8-hex-char identifier safe to print in dumps."""
         return hashlib.sha256(self.key).hexdigest()[:8]
 
+    @cached_property
+    def cipher(self) -> AESGCM:
+        """The AES-GCM context for this key, built on first use and kept."""
+        return AESGCM(self.key)
+
+    def __deepcopy__(self, memo) -> "Sak":
+        # Immutable, and the cached cipher cannot be copied.
+        return self
+
 
 @dataclass(frozen=True)
 class LldpKey:
@@ -67,75 +82,63 @@ class LldpKey:
         return hashlib.sha256(self.key).hexdigest()[:8]
 
 
-def _macsec_iv(sci: bytes, pn: int) -> bytes:
-    return sci + struct.pack(">I", pn)
-
-
-def _macsec_aad(dst: bytes, src: bytes, sec_tag: SecTag) -> bytes:
-    return dst + src + struct.pack(">H", ETHERTYPE_MACSEC) + sec_tag.to_bytes()
+_SECTAG_HEAD = struct.Struct(">HBBI")  # EtherType, TCI/AN, SL, PN
 
 
 def macsec_protect(
     sak: Sak,
     sci: bytes,
     pn: int,
-    frame: EthernetFrame,
+    frame: bytes | EthernetFrame,
     *,
     an: int = 0,
     confidentiality: bool = True,
-) -> MacsecFrame:
-    """Transform an Ethernet frame into a MACsec frame under one SA.
+) -> bytes:
+    """Transform an Ethernet frame into the bytes of a MACsec frame under one SA.
 
-    The original EtherType and payload are concatenated and become the
-    secure data (encrypted unless confidentiality is off, in which case
-    they ride in clear and are only authenticated).
+    `frame` is the frame's bytes (or an EthernetFrame).  The original
+    EtherType and payload become the secure data (encrypted unless
+    confidentiality is off, in which case they ride in clear and are only
+    authenticated); the Ethernet header and the SecTAG are the AAD.
     """
+    if isinstance(frame, EthernetFrame):
+        frame = frame.to_bytes()
     if len(sci) != SCI_LEN:
         raise ValueError("SCI must be 8 bytes")
-    if pn < 1:
-        raise ValueError("packet number starts at 1")
-    plaintext = struct.pack(">H", frame.ether_type) + frame.payload
+    if not 1 <= pn <= MAX_PN:
+        raise ValueError("packet number must be 1..2**32-1")
+    if len(frame) < ETH_HEADER_LEN:
+        raise TruncatedFrame(f"{len(frame)} bytes is below the 14-byte Ethernet minimum")
+    plaintext = frame[12:]
     tci = TCI_SC | (TCI_E | TCI_C if confidentiality else 0) | (an & 0x03)
-    sec_tag = SecTag(
-        tci_an=tci,
-        short_length=short_length_for(len(plaintext)),
-        packet_number=pn,
-        sci=sci,
-    )
-    aad = _macsec_aad(frame.dst, frame.src, sec_tag)
-    gcm = AESGCM(sak.key)
-    iv = _macsec_iv(sci, pn)
+    tag_head = _SECTAG_HEAD.pack(ETHERTYPE_MACSEC, tci, short_length_for(len(plaintext)), pn)
+    header = frame[:12] + tag_head + sci
+    iv = sci + header[PN_OFFSET:SCI_OFFSET]
     if confidentiality:
-        sealed = gcm.encrypt(iv, plaintext, aad)
-        secure_data, icv = sealed[:-ICV_LEN], sealed[-ICV_LEN:]
-    else:
-        # GMAC-style: no encryption, the ICV additionally covers the cleartext.
-        icv = gcm.encrypt(iv, b"", aad + plaintext)
-        secure_data = plaintext
-    return MacsecFrame(dst=frame.dst, src=frame.src, sec_tag=sec_tag, secure_data=secure_data, icv=icv)
+        return header + sak.cipher.encrypt(iv, plaintext, header)
+    # GMAC-style: no encryption, the ICV additionally covers the cleartext.
+    return header + plaintext + sak.cipher.encrypt(iv, b"", header + plaintext)
 
 
-def macsec_validate(sak: Sak, frame: MacsecFrame, *, confidentiality: bool = True) -> EthernetFrame:
-    """Verify the ICV and recover the original Ethernet frame.
+def macsec_validate(sak: Sak, data: bytes, *, confidentiality: bool = True) -> bytes:
+    """Verify the ICV of MACsec frame bytes and recover the original frame's bytes.
 
     Raises IntegrityFailure when any bit of the header, SecTAG, secure
-    data or ICV was altered (or the SAK is wrong).
+    data or ICV was altered (or the SAK is wrong), and TruncatedFrame when
+    `data` is shorter than the MACsec minimum.
     """
-    aad = _macsec_aad(frame.dst, frame.src, frame.sec_tag)
-    iv = _macsec_iv(frame.sec_tag.sci, frame.sec_tag.packet_number)
-    gcm = AESGCM(sak.key)
+    if len(data) < MIN_MACSEC_LEN:
+        raise TruncatedFrame(f"MACsec frame needs >= {MIN_MACSEC_LEN} bytes, got {len(data)}")
+    iv = data[SCI_OFFSET:SECURE_DATA_OFFSET] + data[PN_OFFSET:SCI_OFFSET]
     try:
         if confidentiality:
-            plaintext = gcm.decrypt(iv, frame.secure_data + frame.icv, aad)
+            plaintext = sak.cipher.decrypt(iv, data[SECURE_DATA_OFFSET:], data[:SECURE_DATA_OFFSET])
         else:
-            gcm.decrypt(iv, frame.icv, aad + frame.secure_data)
-            plaintext = frame.secure_data
+            sak.cipher.decrypt(iv, data[-ICV_LEN:], data[:-ICV_LEN])
+            plaintext = data[SECURE_DATA_OFFSET:-ICV_LEN]
     except InvalidTag as exc:
         raise IntegrityFailure("MACsec ICV verification failed") from exc
-    if len(plaintext) < 2:
-        raise IntegrityFailure("secure data too short for an EtherType")
-    ether_type = struct.unpack(">H", plaintext[:2])[0]
-    return EthernetFrame(dst=frame.dst, src=frame.src, ether_type=ether_type, payload=plaintext[2:])
+    return data[:12] + plaintext
 
 
 def lldp_seal(

@@ -1,11 +1,12 @@
 """Per-switch match-action pipeline.
 
-Ingress processing dispatches on EtherType: sealed LLDP punts straight to
-the CPU port, MACsec frames are validated against the IG-SC/SA tables and
-re-enter as cleartext, and everything else goes through MAC-table
-forwarding.  A MAC entry whose macsec_flag is set sends the frame to the
-switch's one egress path, `Switch.protect`, which also serves floods and
-controller packet-outs.
+A hop works on the frame's bytes from wire to wire; no frame object is
+built.  Ingress reads the EtherType (and a MACsec frame's AN, PN and SCI)
+at fixed offsets: sealed LLDP punts straight to the CPU port, MACsec frames
+are validated against the IG-SC/SA tables and re-enter as the inner frame's
+bytes, and everything else goes through MAC-table forwarding.  A MAC entry
+whose macsec_flag is set sends the frame to the switch's one egress path,
+`Switch.protect`, which also serves floods and controller packet-outs.
 
 Tables and the pipeline core (`run_pipeline`, which takes the egress
 function as an argument) are plain data and a plain function so tests can
@@ -15,20 +16,22 @@ ports, counters and the CPU/notification hooks.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .crypto import Sak, macsec_protect, macsec_validate
-from .errors import IntegrityFailure, InvalidEntry, TruncatedFrame
+from .errors import IntegrityFailure, InvalidEntry
 from .wire import (
+    ETH_HEADER_LEN,
     ETHERTYPE_LLDP,
+    ETHERTYPE_MACSEC,
     MAX_PN,
-    EthernetFrame,
-    MacsecFrame,
-    SecureLldpFrame,
+    MIN_FRAME_LEN,
+    PN_OFFSET,
+    SCI_OFFSET,
+    SECURE_DATA_OFFSET,
+    classify,
     is_group_mac,
-    parse_frame,
 )
 
 # Pipeline outcomes
@@ -138,68 +141,65 @@ class PipelineResult:
 
 
 ProtectHook = Callable[[bytes, bytes], None]  # (sak key, 12-byte IV)
-ProtectFn = Callable[[int, EthernetFrame], tuple[Optional[bytes], Optional[str]]]
+ProtectFn = Callable[[int, bytes], tuple[Optional[bytes], Optional[str]]]
 
 
 def run_pipeline(tables: SwitchTables, ingress_port: int, data: bytes, protect: ProtectFn) -> PipelineResult:
-    """One ingress pass over the tables.
+    """One ingress pass over the tables, reading the received bytes in place.
 
-    A MAC entry with its MACsec flag set sends the frame through
-    `protect(egress_port, frame)`, which returns (bytes_out, drop_reason);
+    A MAC entry with its MACsec flag set sends the frame's bytes through
+    `protect(egress_port, data)`, which returns (bytes_out, drop_reason);
     the tables are otherwise read-only apart from the ingress PN floor.
     """
-    try:
-        frame = parse_frame(data)
-    except TruncatedFrame:
+    if len(data) < ETH_HEADER_LEN:
+        return PipelineResult(kind=DROP, drop_reason=DROP_TRUNCATED)
+    ether_type = data[12] << 8 | data[13]  # big-endian, at offset 12
+    if len(data) < MIN_FRAME_LEN.get(ether_type, ETH_HEADER_LEN):
         return PipelineResult(kind=DROP, drop_reason=DROP_TRUNCATED)
 
-    # Discovery frames punt before any table is consulted or updated.
-    if isinstance(frame, SecureLldpFrame):
-        return PipelineResult(
-            kind=PACKET_IN,
-            packet_in=PacketIn(ingress_port, data, REASON_LLDP_PUNT),
-        )
-
     validated_sai = None
-    if isinstance(frame, MacsecFrame):
-        sai = tables.ig_sc.get((frame.sec_tag.sci, frame.sec_tag.an))
+    if ether_type == ETHERTYPE_MACSEC:
+        sai = tables.ig_sc.get((data[SCI_OFFSET:SECURE_DATA_OFFSET], data[ETH_HEADER_LEN] & 0x03))
         sa = tables.sa.get(sai) if sai is not None else None
         if sa is None:
             return PipelineResult(kind=DROP, drop_reason=DROP_UNKNOWN_SCI)
-        if frame.sec_tag.packet_number < sa.lowest_acceptable_pn:
+        pn = int.from_bytes(data[PN_OFFSET:SCI_OFFSET], "big")
+        if pn < sa.lowest_acceptable_pn:
             return PipelineResult(kind=DROP, drop_reason=DROP_REPLAY_PN)
         try:
-            inner = macsec_validate(sa.sak, frame, confidentiality=sa.confidentiality)
+            data = macsec_validate(sa.sak, data, confidentiality=sa.confidentiality)
         except IntegrityFailure:
             return PipelineResult(kind=DROP, drop_reason=DROP_INTEGRITY, failed_sai=sai)
-        sa.lowest_acceptable_pn = frame.sec_tag.packet_number + 1
+        sa.lowest_acceptable_pn = pn + 1
         validated_sai = sai
-        if inner.ether_type == ETHERTYPE_LLDP:
-            # Nested discovery frame: punt, never forward or learn from it.
-            return PipelineResult(
-                kind=PACKET_IN,
-                packet_in=PacketIn(ingress_port, inner.to_bytes(), REASON_LLDP_PUNT),
-                validated_sai=validated_sai,
-            )
-        frame = inner
+        ether_type = data[12] << 8 | data[13]
 
-    if is_group_mac(frame.dst):
-        return PipelineResult(kind=FLOOD, bytes_out=frame.to_bytes(), validated_sai=validated_sai)
-
-    dst_entry = tables.mac.get(frame.dst)
-    if frame.src not in tables.mac or dst_entry is None:
+    # Discovery frames, sealed or nested in a validated frame, punt; they
+    # are never forwarded or learned from.
+    if ether_type == ETHERTYPE_LLDP:
         return PipelineResult(
             kind=PACKET_IN,
-            packet_in=PacketIn(ingress_port, frame.to_bytes(), REASON_MAC_MISS),
+            packet_in=PacketIn(ingress_port, data, REASON_LLDP_PUNT),
             validated_sai=validated_sai,
         )
 
+    dst = data[:6]
+    if is_group_mac(dst):
+        return PipelineResult(kind=FLOOD, bytes_out=data, validated_sai=validated_sai)
+
+    dst_entry = tables.mac.get(dst)
+    if data[6:12] not in tables.mac or dst_entry is None:
+        return PipelineResult(
+            kind=PACKET_IN,
+            packet_in=PacketIn(ingress_port, data, REASON_MAC_MISS),
+            validated_sai=validated_sai,
+        )
+
+    out = data
     if dst_entry.macsec_flag:
-        out, reason = protect(dst_entry.port, frame)
+        out, reason = protect(dst_entry.port, data)
         if out is None:
             return PipelineResult(kind=DROP, drop_reason=reason, validated_sai=validated_sai)
-    else:
-        out = frame.to_bytes()
     return PipelineResult(
         kind=FORWARD, egress_port=dst_entry.port, bytes_out=out, validated_sai=validated_sai
     )
@@ -250,8 +250,8 @@ class Switch:
             self.counters.incr(f"sa.{result.failed_sai}.failed")
         return result
 
-    def protect(self, port: int, frame: EthernetFrame) -> tuple[Optional[bytes], Optional[str]]:
-        """Protect `frame` with the SA behind the port's EG-SC entry.
+    def protect(self, port: int, data: bytes) -> tuple[Optional[bytes], Optional[str]]:
+        """Protect the frame bytes `data` with the SA behind the port's EG-SC entry.
 
         Returns (bytes_out, None), or (None, drop_reason) when the channel
         is missing or its PN space is spent; the caller counts the drop.
@@ -263,20 +263,18 @@ class Switch:
         if sa is None:
             return None, DROP_NO_EGRESS_SC
         if sa.next_pn > self.pn_ceiling:
-            self._signal_rekey(sai)
+            self._signal_rekey(sai, sa.sci)
             return None, DROP_PN_EXHAUSTED
         pn = sa.next_pn
         sa.next_pn = pn + 1
         if self.on_protect is not None:
-            self.on_protect(sa.sak.key, sa.sci + struct.pack(">I", pn))
-        protected = macsec_protect(
-            sa.sak, sa.sci, pn, frame, an=sa.an, confidentiality=sa.confidentiality
-        )
+            self.on_protect(sa.sak.key, sa.sci + pn.to_bytes(4, "big"))
+        protected = macsec_protect(sa.sak, sa.sci, pn, data, an=sa.an, confidentiality=sa.confidentiality)
         self.counters.incr("macsec.protected")
         self.counters.incr(f"sa.{sai}.protected")
         if sa.next_pn > self.pn_ceiling:
-            self._signal_rekey(sai)
-        return protected.to_bytes(), None
+            self._signal_rekey(sai, sa.sci)
+        return protected, None
 
     def handle_frame(self, port: int, data: bytes) -> PipelineResult:
         """Full ingress treatment of one frame delivered by the wire."""
@@ -293,14 +291,14 @@ class Switch:
 
     def expand_flood(self, ingress_port: int, data: bytes) -> list[tuple[int, bytes]]:
         """Per-port egress processing for a flood: protect where an EG-SC exists."""
-        frame = parse_frame(data)
+        protectable = classify(data) == "ethernet"
         emissions = []
         for port in sorted(self.ports_up):
             if port == ingress_port or not self.ports_up[port]:
                 continue
             out = data
-            if isinstance(frame, EthernetFrame) and port in self.tables.eg_sc:
-                out, reason = self.protect(port, frame)
+            if protectable and port in self.tables.eg_sc:
+                out, reason = self.protect(port, data)
                 if out is None:
                     self.counters.incr(f"drop.{reason}")
                     continue
@@ -313,13 +311,12 @@ class Switch:
             self.counters.incr(f"drop.{DROP_PORT_DOWN}")
             return
         data = msg.frame_bytes
-        if msg.mode == MODE_PROCESS_EGRESS and msg.egress_port in self.tables.eg_sc:
-            frame = parse_frame(data)
-            if isinstance(frame, EthernetFrame):
-                data, reason = self.protect(msg.egress_port, frame)
-                if data is None:
-                    self.counters.incr(f"drop.{reason}")
-                    return
+        egress = msg.mode == MODE_PROCESS_EGRESS and msg.egress_port in self.tables.eg_sc
+        if egress and classify(data) == "ethernet":
+            data, reason = self.protect(msg.egress_port, data)
+            if data is None:
+                self.counters.incr(f"drop.{reason}")
+                return
         self._transmit(msg.egress_port, data)
 
     def _transmit(self, port: int, data: bytes) -> None:
@@ -330,13 +327,11 @@ class Switch:
         if self.on_transmit is not None:
             self.on_transmit(port, data)
 
-    def _signal_rekey(self, sai: int) -> None:
-        if sai in self._rekey_signalled:
-            return
-        self._rekey_signalled.add(sai)
-        sa = self.tables.sa.get(sai)
-        if sa is not None and self.on_rekey_needed is not None:
-            self.on_rekey_needed(sai, sa.sci)
+    def _signal_rekey(self, sai: int, sci: bytes) -> None:
+        if sai not in self._rekey_signalled:
+            self._rekey_signalled.add(sai)
+            if self.on_rekey_needed is not None:
+                self.on_rekey_needed(sai, sci)
 
     # -- table writes (each call is atomic wrt frame processing) -------------
 
@@ -354,7 +349,9 @@ class Switch:
         self.tables.sa[entry.sai] = entry
 
     def delete_sa(self, sai: int) -> None:
+        # SAIs are never reused, so a deleted SA's rekey mark is dropped with it.
         self.tables.sa.pop(sai, None)
+        self._rekey_signalled.discard(sai)
 
     def write_eg_sc(self, port: int, sai: int) -> None:
         if port not in self.ports_up:

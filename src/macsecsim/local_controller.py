@@ -44,9 +44,9 @@ from .messages import (
 )
 from .wire import (
     LLDP_MULTICAST,
-    EthernetFrame,
     Lldpdu,
     SecureLldpFrame,
+    classify,
     is_group_mac,
     parse_frame,
 )
@@ -116,10 +116,9 @@ class LocalController:
     # -- MAC learning -----------------------------------------------------------
 
     def _handle_mac_miss(self, pi: PacketIn) -> None:
-        frame = parse_frame(pi.frame_bytes)
-        if not isinstance(frame, EthernetFrame):
+        if classify(pi.frame_bytes) != "ethernet":
             return
-        src = frame.src
+        src = pi.frame_bytes[6:12]
         if not is_group_mac(src) and self.mac_mirror.get(src) != pi.ingress_port:
             flag = pi.ingress_port in self.switch.tables.eg_sc
             self.switch.write_mac(MacTableEntry(mac=src, port=pi.ingress_port, macsec_flag=flag))

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 from .central_controller import CentralController, LinkKey, link_key
 from .dataplane import DROP, Switch
-from .errors import LivelockError, UnknownLink, UnknownSwitch
+from .errors import LivelockError, TruncatedFrame, UnknownLink, UnknownSwitch
 from .local_controller import LocalController
 from .randomness import IvUniquenessRegistry, RandomSource
 from .topology import TopologySpec
@@ -270,7 +270,7 @@ class Simulation:
             host.delivered += 1
             try:
                 frame = parse_frame(data)
-            except Exception:
+            except TruncatedFrame:
                 record.dropped = "unparseable"
                 return
             if isinstance(frame, EthernetFrame):

@@ -37,8 +37,17 @@ TCI_SC = 0x20  # SCI explicitly present
 TCI_E = 0x08   # secure_data is encrypted
 TCI_C = 0x04   # ICV covers changed (encrypted) user data
 
-_MIN_MACSEC = ETH_HEADER_LEN + SECTAG_LEN + 2 + ICV_LEN
-_MIN_LLDP = ETH_HEADER_LEN + NONCE_LEN + 4 + ICV_LEN
+MIN_MACSEC_LEN = ETH_HEADER_LEN + SECTAG_LEN + 2 + ICV_LEN
+MIN_LLDP_LEN = ETH_HEADER_LEN + NONCE_LEN + 4 + ICV_LEN
+# EtherType -> minimum length of the frame classes that have one.
+MIN_FRAME_LEN = {ETHERTYPE_MACSEC: MIN_MACSEC_LEN, ETHERTYPE_LLDP: MIN_LLDP_LEN}
+
+# Byte offsets within a MACsec frame: the SecTAG's PN and SCI, then the
+# secure data.  The header before SECURE_DATA_OFFSET is authenticated, never
+# encrypted.
+PN_OFFSET = ETH_HEADER_LEN + 2
+SCI_OFFSET = PN_OFFSET + 4
+SECURE_DATA_OFFSET = ETH_HEADER_LEN + SECTAG_LEN
 
 
 def mac_to_str(mac: bytes) -> str:
@@ -250,20 +259,20 @@ def parse_frame(data: bytes) -> Frame:
     ether_type = struct.unpack(">H", data[12:14])[0]
 
     if ether_type == ETHERTYPE_MACSEC:
-        if len(data) < _MIN_MACSEC:
-            raise TruncatedFrame(f"MACsec frame needs >= {_MIN_MACSEC} bytes, got {len(data)}")
-        sec_tag = SecTag.from_bytes(data[14 : 14 + SECTAG_LEN])
+        if len(data) < MIN_MACSEC_LEN:
+            raise TruncatedFrame(f"MACsec frame needs >= {MIN_MACSEC_LEN} bytes, got {len(data)}")
+        sec_tag = SecTag.from_bytes(data[ETH_HEADER_LEN:SECURE_DATA_OFFSET])
         return MacsecFrame(
             dst=dst,
             src=src,
             sec_tag=sec_tag,
-            secure_data=data[14 + SECTAG_LEN : -ICV_LEN],
+            secure_data=data[SECURE_DATA_OFFSET:-ICV_LEN],
             icv=data[-ICV_LEN:],
         )
 
     if ether_type == ETHERTYPE_LLDP:
-        if len(data) < _MIN_LLDP:
-            raise TruncatedFrame(f"sealed LLDP frame needs >= {_MIN_LLDP} bytes, got {len(data)}")
+        if len(data) < MIN_LLDP_LEN:
+            raise TruncatedFrame(f"sealed LLDP frame needs >= {MIN_LLDP_LEN} bytes, got {len(data)}")
         nonce = data[14 : 14 + NONCE_LEN]
         seq = struct.unpack(">I", data[26:30])[0]
         return SecureLldpFrame(

@@ -96,9 +96,9 @@ def random_frame(rng: random.Random, tables: SwitchTables, known_macs) -> bytes:
             )
             pn = rng.randrange(max(1, sa.lowest_acceptable_pn - 3), sa.lowest_acceptable_pn + 20)
             protected = macsec_protect(
-                sa.sak, sci, pn, inner, an=an, confidentiality=sa.confidentiality
+                sa.sak, sci, pn, inner.to_bytes(), an=an, confidentiality=sa.confidentiality
             )
-            raw = bytearray(protected.to_bytes())
+            raw = bytearray(protected)
             if rng.random() > 0.8:  # corrupt one byte
                 raw[rng.randrange(len(raw))] ^= 0xFF
             return bytes(raw)

@@ -47,9 +47,15 @@ def reference_process(tables, ingress_port, data, pn_ceiling):
         if frame.sec_tag.packet_number < sa.lowest_acceptable_pn:
             return {"kind": "drop", "reason": "replay_pn"}
         try:
-            inner = macsec_validate(sa.sak, frame, confidentiality=sa.confidentiality)
+            plain = macsec_validate(sa.sak, data, confidentiality=sa.confidentiality)
         except IntegrityFailure:
             return {"kind": "drop", "reason": "integrity_failure"}
+        inner = EthernetFrame(
+            dst=plain[0:6],
+            src=plain[6:12],
+            ether_type=struct.unpack(">H", plain[12:14])[0],
+            payload=plain[14:],
+        )
         sa.lowest_acceptable_pn = frame.sec_tag.packet_number + 1
         if inner.ether_type == ETHERTYPE_LLDP:
             return {
@@ -102,8 +108,7 @@ def _reference_protect(tables, port, frame, pn_ceiling):
         return "pn_exhausted"
     pn = sa.next_pn
     sa.next_pn += 1
-    protected = macsec_protect(sa.sak, sa.sci, pn, frame, an=sa.an, confidentiality=sa.confidentiality)
-    return protected.to_bytes()
+    return macsec_protect(sa.sak, sa.sci, pn, frame, an=sa.an, confidentiality=sa.confidentiality)
 
 
 def reference_flood(tables, ingress_port, data, ports_up, pn_ceiling):

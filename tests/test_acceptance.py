@@ -262,7 +262,7 @@ def _crit7_tamper_defense(seed):
             frame = None
         if isinstance(frame, MacsecFrame):
             with pytest.raises(IntegrityFailure):
-                macsec_validate(sak, frame)
+                macsec_validate(sak, mutated)
         sim.inject_frame(macsec_rec.link, macsec_rec.direction, mutated)
     sim.quiesce()
 
@@ -325,7 +325,7 @@ def test_criterion_8_crypto_oracle_equivalence():
                 ether_type=rng.randrange(0, 0x10000),
                 payload=rng.randbytes(rng.randrange(0, 700)),
             )
-            protected = macsec_protect(sak, sci, pn, frame)
+            protected = parse_frame(macsec_protect(sak, sci, pn, frame.to_bytes()))
             iv = sci + struct.pack(">I", pn)
             aad = (
                 frame.dst

@@ -1,3 +1,5 @@
+import copy
+import random
 import struct
 
 import pytest
@@ -58,19 +60,22 @@ def test_sak_length_enforced():
        pn=st.integers(1, 2**32 - 1), an=st.integers(0, 3))
 def test_protect_validate_round_trip(dst, src, ether_type, payload, pn, an):
     frame = EthernetFrame(dst=dst, src=src, ether_type=ether_type, payload=payload)
-    protected = macsec_protect(KEY, SCI, pn, frame, an=an)
+    raw = macsec_protect(KEY, SCI, pn, frame.to_bytes(), an=an)
+    protected = parse_frame(raw)
     assert protected.dst == dst and protected.src == src
     assert len(protected.secure_data) == len(payload) + 2
     assert protected.sec_tag.packet_number == pn
     assert protected.sec_tag.sci == SCI
     assert protected.sec_tag.an == an
-    assert macsec_validate(KEY, protected) == frame
+    assert macsec_validate(KEY, raw) == frame.to_bytes()
 
 
 def test_protect_matches_independent_oracle():
     frame = ether(payload=b"fixed payload vector")
     pn = 0x01020304
-    protected = macsec_protect(KEY, SCI, pn, frame)
+    raw = macsec_protect(KEY, SCI, pn, frame.to_bytes())
+    assert macsec_protect(KEY, SCI, pn, frame) == raw  # a frame object is accepted too
+    protected = parse_frame(raw)
     iv = SCI + struct.pack(">I", pn)
     aad = (
         frame.dst
@@ -87,7 +92,7 @@ def test_protect_matches_independent_oracle():
 def test_integrity_only_mode_matches_oracle():
     frame = ether(payload=b"cleartext but authenticated")
     pn = 9
-    protected = macsec_protect(KEY, SCI, pn, frame, confidentiality=False)
+    protected = parse_frame(macsec_protect(KEY, SCI, pn, frame.to_bytes(), confidentiality=False))
     plaintext = struct.pack(">H", frame.ether_type) + frame.payload
     assert protected.secure_data == plaintext
     iv = SCI + struct.pack(">I", pn)
@@ -96,7 +101,7 @@ def test_integrity_only_mode_matches_oracle():
     )
     _, tag = gcm_oracle.gcm_encrypt(KEY.key, iv, b"", aad + plaintext)
     assert protected.icv == tag
-    assert macsec_validate(KEY, protected, confidentiality=False) == frame
+    assert macsec_validate(KEY, protected.to_bytes(), confidentiality=False) == frame.to_bytes()
     tampered = MacsecFrame(
         dst=protected.dst,
         src=protected.src,
@@ -105,25 +110,24 @@ def test_integrity_only_mode_matches_oracle():
         icv=protected.icv,
     )
     with pytest.raises(IntegrityFailure):
-        macsec_validate(KEY, tampered, confidentiality=False)
+        macsec_validate(KEY, tampered.to_bytes(), confidentiality=False)
 
 
 def test_distinct_pn_distinct_ciphertext():
     frame = ether(payload=b"same payload")
-    a = macsec_protect(KEY, SCI, 5, frame)
-    b = macsec_protect(KEY, SCI, 6, frame)
+    a = parse_frame(macsec_protect(KEY, SCI, 5, frame.to_bytes()))
+    b = parse_frame(macsec_protect(KEY, SCI, 6, frame.to_bytes()))
     assert a.secure_data != b.secure_data
 
 
 def test_pn_zero_rejected():
     with pytest.raises(ValueError):
-        macsec_protect(KEY, SCI, 0, ether())
+        macsec_protect(KEY, SCI, 0, ether().to_bytes())
 
 
 def test_exhaustive_bit_flip_sweep_macsec():
     """Every single-bit corruption is rejected at parse or by the ICV."""
-    protected = macsec_protect(KEY, SCI, 7, ether(payload=b"tiny"))
-    raw = protected.to_bytes()
+    raw = macsec_protect(KEY, SCI, 7, ether(payload=b"tiny").to_bytes())
     for pos in range(len(raw)):
         for bit in range(8):
             mutated = bytearray(raw)
@@ -136,13 +140,51 @@ def test_exhaustive_bit_flip_sweep_macsec():
                 assert 12 <= pos < 14
                 continue
             with pytest.raises(IntegrityFailure):
-                macsec_validate(KEY, reparsed)
+                macsec_validate(KEY, bytes(mutated))
 
 
 def test_wrong_sak_fails():
-    protected = macsec_protect(KEY, SCI, 3, ether())
+    protected = macsec_protect(KEY, SCI, 3, ether().to_bytes())
     with pytest.raises(IntegrityFailure):
         macsec_validate(Sak(b"\x55" * 16), protected)
+
+
+def _oracle_seal(sak, sci, pn, an, frame, confidentiality):
+    """802.1AE framing written out by hand, sealed by the independent GCM oracle."""
+    plaintext = struct.pack(">H", frame.ether_type) + frame.payload
+    tci = 0x20 | (0x0C if confidentiality else 0) | an
+    short_length = len(plaintext) if len(plaintext) < 48 else 0
+    header = frame.dst + frame.src + struct.pack(">HBBI", 0x88E5, tci, short_length, pn) + sci
+    iv = sci + struct.pack(">I", pn)
+    if confidentiality:
+        ct, tag = gcm_oracle.gcm_encrypt(sak.key, iv, plaintext, header)
+        return header + ct + tag
+    _, tag = gcm_oracle.gcm_encrypt(sak.key, iv, b"", header + plaintext)
+    return header + plaintext + tag
+
+
+@pytest.mark.parametrize("confidentiality", [True, False])
+def test_protect_and_validate_agree_with_oracle(confidentiality):
+    rng = random.Random(8)
+    for _ in range(30):
+        sak, sci, pn, an = Sak(rng.randbytes(16)), rng.randbytes(8), rng.randrange(1, 2**32), rng.randrange(4)
+        frame = EthernetFrame(
+            dst=rng.randbytes(6),
+            src=rng.randbytes(6),
+            ether_type=rng.randrange(0x10000),
+            payload=rng.randbytes(rng.randrange(0, 100)),
+        )
+        sealed = _oracle_seal(sak, sci, pn, an, frame, confidentiality)
+        got = macsec_protect(sak, sci, pn, frame.to_bytes(), an=an, confidentiality=confidentiality)
+        assert got == sealed
+        assert macsec_validate(sak, sealed, confidentiality=confidentiality) == frame.to_bytes()
+
+
+def test_sak_builds_its_cipher_once_and_deep_copies_to_itself():
+    sak = Sak(b"\x21" * 16)
+    assert sak.cipher is sak.cipher
+    assert copy.deepcopy(sak) is sak
+    assert sak == Sak(b"\x21" * 16)
 
 
 def pdu(chassis=b"s1", port=3):

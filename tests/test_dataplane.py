@@ -77,14 +77,14 @@ def test_sc_flagged_entry_protects_on_forward():
     assert result.kind == FORWARD and result.egress_port == 2
     protected = parse_frame(result.bytes_out)
     assert protected.ether_type == 0x88E5
-    assert macsec_validate(sak, protected) == ether()
+    assert macsec_validate(sak, result.bytes_out) == ether().to_bytes()
 
 
 def test_unknown_sci_dropped_and_counted():
     switch = make_switch()
     inner = ether()
-    protected = macsec_protect(Sak(b"\x01" * 16), make_sci(PEER_MAC, 9), 1, inner)
-    result = switch.process_ingress(1, protected.to_bytes())
+    protected = macsec_protect(Sak(b"\x01" * 16), make_sci(PEER_MAC, 9), 1, inner.to_bytes())
+    result = switch.process_ingress(1, protected)
     assert result.kind == DROP and result.drop_reason == DROP_UNKNOWN_SCI
     assert switch.counters.get("drop.unknown_sci") == 1
 
@@ -92,8 +92,8 @@ def test_unknown_sci_dropped_and_counted():
 def test_validated_frame_with_unknown_dst_punts_cleartext():
     switch = make_switch()
     sak, sci = install_ingress_sa(switch, PEER_MAC, 1)
-    protected = macsec_protect(sak, sci, 1, ether())
-    result = switch.process_ingress(3, protected.to_bytes())
+    protected = macsec_protect(sak, sci, 1, ether().to_bytes())
+    result = switch.process_ingress(3, protected)
     assert result.kind == PACKET_IN
     assert result.packet_in.reason == REASON_MAC_MISS
     assert result.packet_in.frame_bytes == ether().to_bytes()
@@ -113,10 +113,10 @@ def test_lldp_punts_before_tables():
 def test_replay_pn_dropped():
     switch = make_switch()
     sak, sci = install_ingress_sa(switch, PEER_MAC, 1)
-    protected = macsec_protect(sak, sci, 5, ether())
-    first = switch.process_ingress(3, protected.to_bytes())
+    protected = macsec_protect(sak, sci, 5, ether().to_bytes())
+    first = switch.process_ingress(3, protected)
     assert first.kind == PACKET_IN  # validated, then MAC miss
-    replayed = switch.process_ingress(3, protected.to_bytes())
+    replayed = switch.process_ingress(3, protected)
     assert replayed.kind == DROP and replayed.drop_reason == DROP_REPLAY_PN
     assert switch.counters.get("drop.replay_pn") == 1
 
@@ -124,7 +124,7 @@ def test_replay_pn_dropped():
 def test_corrupted_frame_counts_integrity_failure():
     switch = make_switch()
     sak, sci = install_ingress_sa(switch, PEER_MAC, 1, sai=4)
-    raw = bytearray(macsec_protect(sak, sci, 1, ether()).to_bytes())
+    raw = bytearray(macsec_protect(sak, sci, 1, ether().to_bytes()))
     raw[30] ^= 0x01
     result = switch.process_ingress(3, bytes(raw))
     assert result.kind == DROP and result.drop_reason == DROP_INTEGRITY
@@ -149,7 +149,7 @@ def test_broadcast_floods_with_per_port_protection():
     assert parse_frame(emissions[0][1]) == frame
     protected = parse_frame(emissions[1][1])
     assert protected.ether_type == 0x88E5
-    assert macsec_validate(sak, protected) == frame
+    assert macsec_validate(sak, emissions[1][1]) == frame.to_bytes()
 
 
 def test_packet_out_raw_is_verbatim():
@@ -168,7 +168,7 @@ def test_packet_out_process_egress_protects_when_sc_present():
     switch.on_transmit = lambda port, data: sent.append((port, data))
     switch.packet_out(PacketOut(egress_port=2, frame_bytes=ether().to_bytes()))
     assert len(sent) == 1
-    assert macsec_validate(sak, parse_frame(sent[0][1])) == ether()
+    assert macsec_validate(sak, sent[0][1]) == ether().to_bytes()
     # no EG-SC on port 3: goes out in clear
     switch.packet_out(PacketOut(egress_port=3, frame_bytes=ether().to_bytes()))
     assert sent[1] == (3, ether().to_bytes())
@@ -215,7 +215,7 @@ def test_sa_keyed_protection_uses_selected_sak():
     switch.write_mac(MacTableEntry(mac=H1, port=1))
     switch.write_mac(MacTableEntry(mac=H2, port=2, macsec_flag=True))
     out = switch.process_ingress(1, ether().to_bytes())
-    assert macsec_validate(sak, parse_frame(out.bytes_out)) == ether()
+    assert macsec_validate(sak, out.bytes_out) == ether().to_bytes()
     assert switch.counters.get("sa.7.protected") == 1
 
 
@@ -321,3 +321,62 @@ def test_pipeline_equivalence_sample():
     rng = random.Random(0xDA7A)
     for _ in range(500):
         run_equivalence_case(rng)
+
+
+def _minimal_frame(kind, switch):
+    """The shortest valid MACsec or sealed-LLDP frame (46 B) that `switch` accepts."""
+    if kind == "macsec":
+        sak, sci = install_ingress_sa(switch, PEER_MAC, 1)
+        return macsec_protect(sak, sci, 1, ether(payload=b"").to_bytes())
+    return b"\x01\x80\xc2\x00\x00\x0e" + PEER_MAC + b"\x88\xcc" + bytes(12) + bytes(4) + bytes(16)
+
+
+@pytest.mark.parametrize("kind", ["macsec", "lldp"])
+def test_minimum_length_boundary(kind):
+    switch = make_switch()
+    raw = _minimal_frame(kind, switch)
+    assert len(raw) == 46
+    result = switch.process_ingress(3, raw)
+    assert result.kind == PACKET_IN
+    assert switch.counters.get("drop.truncated") == 0
+    result = switch.process_ingress(3, raw[:45])
+    assert result.kind == DROP and result.drop_reason == DROP_TRUNCATED
+    assert switch.counters.get("drop.truncated") == 1
+
+
+def test_validated_frame_with_inner_lldp_punts():
+    switch = make_switch()
+    sak, sci = install_ingress_sa(switch, PEER_MAC, 1)
+    switch.write_mac(MacTableEntry(mac=H1, port=1))
+    switch.write_mac(MacTableEntry(mac=H2, port=2))
+    inner = EthernetFrame(dst=H2, src=H1, ether_type=0x88CC, payload=b"short")
+    result = switch.process_ingress(3, macsec_protect(sak, sci, 1, inner.to_bytes()))
+    assert result.kind == PACKET_IN and result.packet_in.reason == REASON_LLDP_PUNT
+    assert result.packet_in.frame_bytes == inner.to_bytes()
+    assert switch.counters.get("macsec.validated") == 1
+
+
+@pytest.mark.parametrize("ether_type", [b"\x88\xe5", b"\x88\xcc"])
+@pytest.mark.parametrize("route", ["flood", "packet_out"])
+def test_macsec_and_lldp_typed_frames_leave_unprotected(route, ether_type):
+    switch = make_switch(num_ports=2)
+    install_egress_sa(switch, port=2)
+    raw = b"\xff" * 6 + H1 + ether_type + bytes(40)
+    if route == "flood":
+        assert switch.expand_flood(1, raw) == [(2, raw)]
+    else:
+        sent = []
+        switch.on_transmit = lambda port, data: sent.append((port, data))
+        switch.packet_out(PacketOut(egress_port=2, frame_bytes=raw))
+        assert sent == [(2, raw)]
+    assert switch.counters.get("macsec.protected") == 0
+
+
+def test_deleting_an_exhausted_sa_forgets_its_rekey_signal():
+    switch = egress_switch(pn_ceiling=1)
+    rekeys = []
+    switch.on_rekey_needed = lambda sai, sci: rekeys.append(sai)
+    _forward(switch)
+    assert rekeys == [3] and switch._rekey_signalled == {3}
+    switch.delete_sa(3)
+    assert switch._rekey_signalled == set()

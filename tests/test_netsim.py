@@ -474,3 +474,16 @@ def test_pcapng_file_is_structurally_valid(tmp_path):
         assert trailer == total  # trailing length mirrors the leading one
         offset += total
     assert offset == len(blob)
+
+
+def test_unparseable_frame_toward_a_host_is_dropped_at_the_nic():
+    sim = build(chain_spec(2), seed=1)
+    sim.quiesce()
+    host = sim.hosts["h1"]
+    before = list(host.received)
+    toward_host = "b2a" if host.side == "a" else "a2b"
+    sim.inject_frame(host.link.name, toward_host, b"\x00" * 10)
+    sim.quiesce()
+    [record] = [rec for rec in sim.trace.records if rec.data == b"\x00" * 10]
+    assert record.dropped == "unparseable"
+    assert host.received == before
