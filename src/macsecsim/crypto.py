@@ -2,9 +2,10 @@
 
 Data frames: IV is SCI(8) + packet number(4); the AAD covers the outer
 Ethernet header plus the SecTAG, so any header bit flip breaks the 16-byte
-ICV.  Protect and validate work on frame bytes, and each SAK keeps one
-AES-GCM context.  Discovery PDUs: IV is a fresh 12-byte random nonce and
-the AAD is the 4-byte sequence number carried in clear.
+ICV.  Protect and validate work on frame bytes.  Discovery PDUs: IV is a
+fresh 12-byte random nonce and the AAD is the 4-byte sequence number
+carried in clear.  Each key, SAK or discovery key, builds its AES-GCM
+context once, on first use.
 """
 
 from __future__ import annotations
@@ -41,15 +42,10 @@ from .wire import (
 KEY_LEN = 16  # AES-GCM-128
 
 
-@dataclass(frozen=True)
-class Sak:
-    """Secure association key."""
+class _AesKey:
+    """Fingerprint and cached AES-GCM context shared by both key types."""
 
     key: bytes
-
-    def __post_init__(self):
-        if len(self.key) != KEY_LEN:
-            raise ValueError("SAK must be 16 bytes")
 
     @property
     def fingerprint(self) -> str:
@@ -61,13 +57,24 @@ class Sak:
         """The AES-GCM context for this key, built on first use and kept."""
         return AESGCM(self.key)
 
-    def __deepcopy__(self, memo) -> "Sak":
+    def __deepcopy__(self, memo):
         # Immutable, and the cached cipher cannot be copied.
         return self
 
 
 @dataclass(frozen=True)
-class LldpKey:
+class Sak(_AesKey):
+    """Secure association key."""
+
+    key: bytes
+
+    def __post_init__(self):
+        if len(self.key) != KEY_LEN:
+            raise ValueError("SAK must be 16 bytes")
+
+
+@dataclass(frozen=True)
+class LldpKey(_AesKey):
     """Common discovery key plus its rotation generation counter."""
 
     key: bytes
@@ -76,10 +83,6 @@ class LldpKey:
     def __post_init__(self):
         if len(self.key) != KEY_LEN:
             raise ValueError("LLDP key must be 16 bytes")
-
-    @property
-    def fingerprint(self) -> str:
-        return hashlib.sha256(self.key).hexdigest()[:8]
 
 
 _SECTAG_HEAD = struct.Struct(">HBBI")  # EtherType, TCI/AN, SL, PN
@@ -147,7 +150,7 @@ def lldp_seal(
     """Seal a discovery PDU: encrypt it, authenticating the sequence number."""
     if len(nonce) != NONCE_LEN:
         raise ValueError("nonce must be 12 bytes")
-    sealed = AESGCM(key.key).encrypt(nonce, pdu.encode(), struct.pack(">I", seq))
+    sealed = key.cipher.encrypt(nonce, pdu.encode(), struct.pack(">I", seq))
     return SecureLldpFrame(
         dst=dst,
         src=src,
@@ -166,7 +169,7 @@ def lldp_open(key: LldpKey, frame: SecureLldpFrame) -> tuple[int, Lldpdu]:
     well-formed LLDPDU.
     """
     try:
-        plaintext = AESGCM(key.key).decrypt(
+        plaintext = key.cipher.decrypt(
             frame.nonce, frame.ciphertext + frame.icv, struct.pack(">I", frame.seq)
         )
     except InvalidTag as exc:

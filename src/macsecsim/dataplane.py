@@ -79,6 +79,23 @@ class Counters:
         return dict(sorted(self._values.items()))
 
 
+# Per-port and per-SA counter names, as templates for `CounterNames`.
+PORT_RX = "port.{}.rx"
+PORT_TX = "port.{}.tx"
+SA_VALIDATED = "sa.{}.validated"
+SA_FAILED = "sa.{}.failed"
+SA_PROTECTED = "sa.{}.protected"
+
+
+class CounterNames(dict):
+    """Counter names keyed by (template, port or SAI), each built on first use."""
+
+    def __missing__(self, key: tuple[str, int]) -> str:
+        template, number = key
+        name = self[key] = template.format(number)
+        return name
+
+
 @dataclass
 class MacTableEntry:
     mac: bytes
@@ -234,6 +251,7 @@ class Switch:
         self.on_rekey_needed: Callable[[int, bytes], None] | None = None
         self.on_protect: ProtectHook | None = None
         self._rekey_signalled: set[int] = set()
+        self._names = CounterNames()
 
     # -- frame path ---------------------------------------------------------
 
@@ -244,10 +262,10 @@ class Switch:
             self.counters.incr(f"drop.{result.drop_reason}")
         if result.validated_sai is not None:
             self.counters.incr("macsec.validated")
-            self.counters.incr(f"sa.{result.validated_sai}.validated")
+            self.counters.incr(self._names[SA_VALIDATED, result.validated_sai])
         if result.failed_sai is not None:
             self.counters.incr("macsec.validate_failed")
-            self.counters.incr(f"sa.{result.failed_sai}.failed")
+            self.counters.incr(self._names[SA_FAILED, result.failed_sai])
         return result
 
     def protect(self, port: int, data: bytes) -> tuple[Optional[bytes], Optional[str]]:
@@ -271,14 +289,14 @@ class Switch:
             self.on_protect(sa.sak.key, sa.sci + pn.to_bytes(4, "big"))
         protected = macsec_protect(sa.sak, sa.sci, pn, data, an=sa.an, confidentiality=sa.confidentiality)
         self.counters.incr("macsec.protected")
-        self.counters.incr(f"sa.{sai}.protected")
+        self.counters.incr(self._names[SA_PROTECTED, sai])
         if sa.next_pn > self.pn_ceiling:
             self._signal_rekey(sai, sa.sci)
         return protected, None
 
     def handle_frame(self, port: int, data: bytes) -> PipelineResult:
         """Full ingress treatment of one frame delivered by the wire."""
-        self.counters.incr(f"port.{port}.rx")
+        self.counters.incr(self._names[PORT_RX, port])
         result = self.process_ingress(port, data)
         if result.kind == FORWARD:
             self._transmit(result.egress_port, result.bytes_out)
@@ -323,7 +341,7 @@ class Switch:
         if not self.ports_up.get(port, False):
             self.counters.incr(f"drop.{DROP_PORT_DOWN}")
             return
-        self.counters.incr(f"port.{port}.tx")
+        self.counters.incr(self._names[PORT_TX, port])
         if self.on_transmit is not None:
             self.on_transmit(port, data)
 
@@ -349,9 +367,12 @@ class Switch:
         self.tables.sa[entry.sai] = entry
 
     def delete_sa(self, sai: int) -> None:
-        # SAIs are never reused, so a deleted SA's rekey mark is dropped with it.
+        # SAIs are never reused, so a deleted SA's rekey mark and cached
+        # counter names are dropped with it.
         self.tables.sa.pop(sai, None)
         self._rekey_signalled.discard(sai)
+        for template in (SA_VALIDATED, SA_FAILED, SA_PROTECTED):
+            self._names.pop((template, sai), None)
 
     def write_eg_sc(self, port: int, sai: int) -> None:
         if port not in self.ports_up:

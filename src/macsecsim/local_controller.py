@@ -26,7 +26,7 @@ from .dataplane import (
     SaEntry,
     Switch,
 )
-from .errors import DecodeFailure, IntegrityFailure, InvalidEntry
+from .errors import DecodeFailure, IntegrityFailure, InvalidEntry, TruncatedFrame
 from .messages import (
     DeleteEgSc,
     DeleteIgSc,
@@ -184,7 +184,13 @@ class LocalController:
             raise
 
     def _handle_lldp(self, pi: PacketIn) -> None:
-        frame = parse_frame(pi.frame_bytes)
+        try:
+            frame = parse_frame(pi.frame_bytes)
+        except TruncatedFrame:
+            # An LLDP-typed frame too short to be sealed, e.g. one nested in
+            # a validated MACsec frame.
+            self.counters.incr("discovery.decode_failure")
+            return
         if not isinstance(frame, SecureLldpFrame):
             return
         if self.lldp_key is None:

@@ -6,17 +6,26 @@ only through scheduled events, so a (spec, seed) pair fully determines
 every trace byte and counter value.  The virtual clock counts integer
 microseconds and never moves backward.
 
+A queue entry is the tuple ``(at_us, seq, housekeeping, fn, args)``; the
+loop runs ``fn(*args)``, so queueing a frame or a control message builds no
+closure.  `seq` breaks ties, so events due at the same microsecond run in
+the order they were queued.  `schedule` takes its delay in float seconds
+and rounds it to the microsecond; a frame put on a link without jitter is
+queued at the link's integer latency directly.
+
 Periodic timers (discovery rounds, rekey deadlines, key rotation) are
 flagged as housekeeping; `quiesce` runs the queue in time order until only
 housekeeping remains, which is the artifact's notion of "no in-flight
-events".
+events".  `run_until` and `quiesce` share one loop, which raises
+`LivelockError` once a call has run `max_events` events.
 """
 
 from __future__ import annotations
 
-import heapq
 import logging
 from dataclasses import dataclass, field
+from functools import partial
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
 from .central_controller import CentralController, LinkKey, link_key
@@ -73,7 +82,7 @@ class Simulation:
 
         self._clock_us = 0
         self._seq = 0
-        self._queue: list[tuple[int, int, bool, Callable[[], None]]] = []
+        self._queue: list[tuple[int, int, bool, Callable[..., None], tuple]] = []
         self._actionable = 0
         self.events_processed = 0
 
@@ -108,19 +117,13 @@ class Simulation:
                 sw_spec.num_ports,
                 pn_ceiling=self.params.pn_ceiling,
             )
-            switch.on_transmit = (
-                lambda port, data, chassis=sw_spec.chassis_id: self._switch_transmit(
-                    chassis, port, data
-                )
-            )
+            switch.on_transmit = partial(self._switch_transmit, sw_spec.chassis_id)
             switch.on_protect = self.iv_registry.observe
             controller = LocalController(
                 switch,
                 now=self.now_us,
                 schedule=self.schedule,
-                send_to_central=lambda msg, chassis=sw_spec.chassis_id: self._send_to_central(
-                    chassis, msg
-                ),
+                send_to_central=partial(self._send_to_central, sw_spec.chassis_id),
                 rng=self.rng,
                 discovery_interval_s=self.params.discovery_interval,
             )
@@ -159,7 +162,7 @@ class Simulation:
                     switch.ports_up[port] = False
 
         for sw_spec in self.spec.switches:
-            self.schedule(0, lambda s=sw_spec: self.central.handle_register(s.chassis_id, s.mac))
+            self.schedule(0, self.central.handle_register, sw_spec.chassis_id, sw_spec.mac)
         self.central.start()
 
     # -- clock and event queue ------------------------------------------------------
@@ -170,58 +173,59 @@ class Simulation:
     def now_s(self) -> float:
         return self._clock_us / 1_000_000
 
-    def schedule(self, delay_s: float, fn: Callable[[], None], *, housekeeping: bool = False) -> None:
+    def schedule(
+        self, delay_s: float, fn: Callable[..., None], *args, housekeeping: bool = False
+    ) -> None:
+        """Run `fn(*args)` `delay_s` seconds of virtual time from now."""
         at_us = self._clock_us + max(0, round(delay_s * 1_000_000))
         self._seq += 1
         if not housekeeping:
             self._actionable += 1
-        heapq.heappush(self._queue, (at_us, self._seq, housekeeping, fn))
-
-    def _pop_and_run(self) -> None:
-        at_us, _, housekeeping, fn = heapq.heappop(self._queue)
-        if at_us < self._clock_us:
-            raise AssertionError("virtual clock moved backward")
-        self._clock_us = at_us
-        if not housekeeping:
-            self._actionable -= 1
-        self.events_processed += 1
-        fn()
+        heappush(self._queue, (at_us, self._seq, housekeeping, fn, args))
 
     def run_until(self, t_s: float) -> None:
         """Execute every event with time <= t_s, then advance the clock to t_s."""
         target_us = round(t_s * 1_000_000)
         if target_us < self._clock_us:
             raise ValueError("run_until target precedes current time")
-        budget = self.params.max_events
-        while self._queue and self._queue[0][0] <= target_us:
-            self._pop_and_run()
-            budget -= 1
-            if budget <= 0:
-                raise LivelockError(f"exceeded {self.params.max_events} events in run_until")
+        self._run(target_us, "run_until")
         self._clock_us = target_us
 
     def quiesce(self) -> None:
         """Run, in time order, until only housekeeping timers remain queued."""
-        budget = self.params.max_events
-        while self._actionable > 0:
-            self._pop_and_run()
-            budget -= 1
-            if budget <= 0:
-                raise LivelockError(f"exceeded {self.params.max_events} events in quiesce")
+        self._run(None, "quiesce")
+
+    def _run(self, target_us: int | None, caller: str) -> None:
+        """Pop and run events in (time, seq) order: those due by `target_us`,
+        or, without a target, until no actionable event is left."""
+        queue = self._queue
+        limit = self.params.max_events
+        ran = 0
+        while (queue and queue[0][0] <= target_us) if target_us is not None else self._actionable > 0:
+            at_us, _, housekeeping, fn, args = heappop(queue)
+            if at_us < self._clock_us:
+                raise AssertionError("virtual clock moved backward")
+            self._clock_us = at_us
+            if not housekeeping:
+                self._actionable -= 1
+            self.events_processed += 1
+            ran += 1
+            fn(*args)
+            if ran >= limit:
+                raise LivelockError(f"exceeded {limit} events in {caller}")
 
     # -- control channel ---------------------------------------------------------------
 
     def _send_to_local(self, chassis: str, msg) -> bool:
         if not self.control_up.get(chassis, False):
             return False
-        controller = self.controllers[chassis]
-        self.schedule(self.params.control_latency, lambda: controller.deliver(msg))
+        self.schedule(self.params.control_latency, self.controllers[chassis].deliver, msg)
         return True
 
     def _send_to_central(self, chassis: str, msg) -> bool:
         if not self.control_up.get(chassis, False):
             return False
-        self.schedule(self.params.control_latency, lambda: self.central.deliver(msg))
+        self.schedule(self.params.control_latency, self.central.deliver, msg)
         return True
 
     def set_control_state(self, chassis: str, up: bool) -> None:
@@ -240,38 +244,43 @@ class Simulation:
         self._transmit_on_link(link, "a2b" if side == "a" else "b2a", data)
 
     def _transmit_on_link(self, link: Link, direction: str, data: bytes) -> None:
-        record = self.trace.record(self._clock_us, link.name, direction, data)
+        index = self.trace.record(self._clock_us, link.name, direction, data)
         if not link.up:
-            record.dropped = "link_down"
+            self.trace.drop(index, "link_down")
             return
-        if self.params.loss_probability > 0 and self.rng.uniform() < self.params.loss_probability:
-            record.dropped = "random_loss"
+        params = self.params
+        if params.loss_probability > 0 and self.rng.uniform() < params.loss_probability:
+            self.trace.drop(index, "random_loss")
             return
-        delay_s = link.latency_us / 1_000_000
-        if self.params.latency_jitter > 0:
-            delay_s += self.rng.uniform() * self.params.latency_jitter
-        self.schedule(delay_s, lambda: self._deliver(link, direction, data, record))
+        if params.latency_jitter > 0:
+            delay_s = link.latency_us / 1_000_000 + self.rng.uniform() * params.latency_jitter
+            self.schedule(delay_s, self._deliver, link, direction, data, index)
+            return
+        self._seq += 1
+        self._actionable += 1
+        args = (link, direction, data, index)
+        heappush(self._queue, (self._clock_us + link.latency_us, self._seq, False, self._deliver, args))
 
-    def _deliver(self, link: Link, direction: str, data: bytes, record) -> None:
+    def _deliver(self, link: Link, direction: str, data: bytes, index: int) -> None:
         if not link.up:
-            record.dropped = "link_down"
+            self.trace.drop(index, "link_down")
             return
         end = link.end(direction)
         if end.kind == "switch":
             switch = self.switches[end.name]
             if not switch.ports_up.get(end.port, False):
-                record.dropped = "port_down"
+                self.trace.drop(index, "port_down")
                 return
             result = switch.handle_frame(end.port, data)
             if result.kind == DROP:
-                record.dropped = result.drop_reason
+                self.trace.drop(index, result.drop_reason)
         else:
             host = self.hosts[end.name]
             host.delivered += 1
             try:
                 frame = parse_frame(data)
             except TruncatedFrame:
-                record.dropped = "unparseable"
+                self.trace.drop(index, "unparseable")
                 return
             if isinstance(frame, EthernetFrame):
                 host.received.append((self._clock_us, frame))
@@ -298,7 +307,7 @@ class Simulation:
             raise UnknownLink(name)
         if direction not in ("a2b", "b2a"):
             raise ValueError(f"direction must be a2b or b2a, not {direction!r}")
-        self.schedule(0, lambda: self._transmit_on_link(link, direction, data))
+        self.schedule(0, self._transmit_on_link, link, direction, data)
 
     # -- hosts --------------------------------------------------------------------------------
 
@@ -308,7 +317,7 @@ class Simulation:
             raise UnknownSwitch(f"unknown host {host_name!r}")
         frame = EthernetFrame(dst=dst_mac, src=host.mac, ether_type=ether_type, payload=payload)
         direction = "a2b" if host.side == "a" else "b2a"
-        self.schedule(0, lambda: self._transmit_on_link(host.link, direction, frame.to_bytes()))
+        self.schedule(0, self._transmit_on_link, host.link, direction, frame.to_bytes())
 
     def host_recv(self, host_name: str) -> list[EthernetFrame]:
         host = self.hosts.get(host_name)
@@ -340,7 +349,7 @@ class Simulation:
         interfaces = []
         for name in self.links:
             interfaces.extend((f"{name}:a2b", f"{name}:b2a"))
-        write_pcapng(path, interfaces, self.trace.records)
+        write_pcapng(path, interfaces, self.trace)
 
     def counters_dump(self) -> dict[str, dict[str, int]]:
         return {chassis: sw.counters.as_dict() for chassis, sw in sorted(self.switches.items())}

@@ -1,15 +1,19 @@
 """Per-link frame capture and pcapng export.
 
-Every transmitted frame becomes one TraceRecord; frames the receiver
-refuses keep their record and gain a drop annotation.  Export writes a
-pcapng file with one synthetic interface per link direction so standard
-analyzers can open captures.
+The trace keeps one row per transmitted frame, the tuple
+``(time_us, link, direction, data)``, and a dict from row index to drop
+reason for the frames the receiver refused: `record` returns the index that
+`drop` takes.  Rows hold only atomic values, so the garbage collector stops
+tracking them.  `Trace.records` and `Trace.query` hand out `TraceRecord`
+objects built from the rows on demand; editing one changes nothing in the
+trace.  Export reads the rows and writes a pcapng file with one synthetic
+interface per link direction so standard analyzers can open captures.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .wire import classify
@@ -23,30 +27,40 @@ _LINKTYPE_ETHERNET = 1
 
 @dataclass
 class TraceRecord:
+    """A view of one captured frame."""
+
     index: int
     time_us: int
     link: str
     direction: str  # "a2b" | "b2a"
     data: bytes
-    classification: str
     dropped: Optional[str] = None
 
+    @property
+    def classification(self) -> str:
+        return classify(self.data)
 
-@dataclass
+
 class Trace:
-    records: list[TraceRecord] = field(default_factory=list)
+    def __init__(self):
+        self._rows: list[tuple[int, str, str, bytes]] = []
+        self._drops: dict[int, str] = {}
 
-    def record(self, time_us: int, link: str, direction: str, data: bytes) -> TraceRecord:
-        rec = TraceRecord(
-            index=len(self.records),
-            time_us=time_us,
-            link=link,
-            direction=direction,
-            data=data,
-            classification=classify(data),
-        )
-        self.records.append(rec)
-        return rec
+    def record(self, time_us: int, link: str, direction: str, data: bytes) -> int:
+        """Capture one frame; returns its index for `drop`."""
+        rows = self._rows
+        rows.append((time_us, link, direction, data))
+        return len(rows) - 1
+
+    def drop(self, index: int, reason: str) -> None:
+        """Annotate the frame at `index` as refused by its receiver."""
+        self._drops[index] = reason
+
+    @property
+    def records(self) -> list[TraceRecord]:
+        """A fresh view of every captured frame, in capture order."""
+        drops = self._drops
+        return [TraceRecord(i, *row, drops.get(i)) for i, row in enumerate(self._rows)]
 
     def query(
         self,
@@ -57,16 +71,16 @@ class Trace:
         t_min_us: int | None = None,
     ) -> list[TraceRecord]:
         out = []
-        for rec in self.records:
-            if link is not None and rec.link != link:
+        for i, (time_us, rec_link, rec_direction, data) in enumerate(self._rows):
+            if link is not None and rec_link != link:
                 continue
-            if classification is not None and rec.classification != classification:
+            if classification is not None and classify(data) != classification:
                 continue
-            if direction is not None and rec.direction != direction:
+            if direction is not None and rec_direction != direction:
                 continue
-            if t_min_us is not None and rec.time_us < t_min_us:
+            if t_min_us is not None and time_us < t_min_us:
                 continue
-            out.append(rec)
+            out.append(TraceRecord(i, time_us, rec_link, rec_direction, data, self._drops.get(i)))
         return out
 
 
@@ -87,9 +101,10 @@ def _option(code: int, value: bytes) -> bytes:
 _OPT_END = struct.pack("<HH", 0, 0)
 
 
-def write_pcapng(path, interfaces: list[str], records: list[TraceRecord]) -> None:
-    """Write records to `path`; `interfaces` fixes the id of each link direction."""
+def write_pcapng(path, interfaces: list[str], trace: Trace) -> None:
+    """Write the trace's frames to `path`; `interfaces` fixes the id of each link direction."""
     iface_ids = {name: i for i, name in enumerate(interfaces)}
+    drops = trace._drops
     with open(path, "wb") as fh:
         shb = struct.pack("<IHHq", _BYTE_ORDER_MAGIC, 1, 0, -1)
         fh.write(_block(_SHB_TYPE, shb))
@@ -97,19 +112,13 @@ def write_pcapng(path, interfaces: list[str], records: list[TraceRecord]) -> Non
             body = struct.pack("<HHI", _LINKTYPE_ETHERNET, 0, 0)
             body += _option(2, name.encode("utf-8")) + _OPT_END
             fh.write(_block(_IDB_TYPE, body))
-        for rec in records:
-            iface = iface_ids[f"{rec.link}:{rec.direction}"]
-            body = struct.pack(
-                "<IIIII",
-                iface,
-                rec.time_us >> 32,
-                rec.time_us & 0xFFFFFFFF,
-                len(rec.data),
-                len(rec.data),
-            )
-            body += _pad4(rec.data)
-            if rec.dropped:
-                body += _option(1, f"dropped: {rec.dropped}".encode("utf-8")) + _OPT_END
+        for index, (time_us, link, direction, data) in enumerate(trace._rows):
+            iface = iface_ids[f"{link}:{direction}"]
+            body = struct.pack("<IIIII", iface, time_us >> 32, time_us & 0xFFFFFFFF, len(data), len(data))
+            body += _pad4(data)
+            dropped = drops.get(index)
+            if dropped:
+                body += _option(1, f"dropped: {dropped}".encode("utf-8")) + _OPT_END
             fh.write(_block(_EPB_TYPE, body))
 
 

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gcm_oracle
+from macsecsim import crypto
 from macsecsim.crypto import (
     LldpKey,
     Sak,
@@ -189,6 +190,19 @@ def test_sak_builds_its_cipher_once_and_deep_copies_to_itself():
 
 def pdu(chassis=b"s1", port=3):
     return Lldpdu(chassis_id=chassis, port_id=port)
+
+
+def test_lldp_key_builds_its_cipher_once(monkeypatch):
+    built = []
+    real = crypto.AESGCM
+    monkeypatch.setattr(crypto, "AESGCM", lambda key: built.append(key) or real(key))
+    key = LldpKey(key=b"\x42" * 16, key_id=3)
+    for seq in range(1, 4):
+        frame = lldp_seal(key, bytes([seq]) * 12, seq, pdu(), src=b"\x02" * 6, dst=LLDP_MULTICAST)
+        assert lldp_open(key, frame) == (seq, pdu())
+    assert built == [key.key]
+    assert key.cipher is key.cipher
+    assert copy.deepcopy(key) is key
 
 
 def test_lldp_seal_open_round_trip():

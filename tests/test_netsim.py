@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from macsecsim.crypto import LldpKey, lldp_seal
+from macsecsim.crypto import LldpKey, lldp_seal, macsec_protect
 from macsecsim.errors import LivelockError, UnknownLink
 from macsecsim.netsim import Simulation, build
 from macsecsim.topology import SwitchSpec, TopologySpec, chain_spec
@@ -487,3 +487,57 @@ def test_unparseable_frame_toward_a_host_is_dropped_at_the_nic():
     [record] = [rec for rec in sim.trace.records if rec.data == b"\x00" * 10]
     assert record.dropped == "unparseable"
     assert host.received == before
+
+
+@pytest.mark.parametrize("entry", ["run_until", "quiesce"])
+def test_livelock_is_raised_after_exactly_max_events(entry):
+    sim = build(chain_spec(2).with_params(max_events=10), seed=1)
+    with pytest.raises(LivelockError, match=entry):
+        sim.run_until(60.0) if entry == "run_until" else sim.quiesce()
+    assert sim.events_processed == 10
+
+
+def test_events_due_at_the_same_microsecond_run_in_queue_order():
+    sim = build(chain_spec(2), seed=1)
+    sim.quiesce()
+    latency_s = sim.links["s1-s2"].latency_us / 1_000_000
+    order = []
+    s2 = sim.switches["s2"]
+    handle_frame = s2.handle_frame
+    s2.handle_frame = lambda port, data: (order.append("frame"), handle_frame(port, data))[1]
+    # All three are due one link latency from now: a timer queued before the
+    # frame's delivery, the delivery, and a timer queued after it.
+    sim.schedule(latency_s, lambda: order.append("timer before"))
+    sim.inject_frame("s1-s2", "a2b", b"\x00" * 10)
+    sim.schedule(0, lambda: sim.schedule(latency_s, lambda: order.append("timer after")))
+    sim.run_until(sim.now_s() + 2 * latency_s)
+    assert order == ["timer before", "frame", "timer after"]
+
+
+@pytest.mark.parametrize("delay_s", [0.0, 4e-7, 5e-7, 1.5e-6, 2.5e-6, 0.1 + 0.2, 1.2345678e-3, -3e-7])
+def test_schedule_rounds_a_float_delay_to_the_microsecond(delay_s):
+    sim = build(chain_spec(2), seed=1)
+    sim.quiesce()
+    t0 = sim.now_us()
+    fired = []
+    sim.schedule(delay_s, lambda: fired.append(sim.now_us()))
+    sim.run_until(sim.now_s() + 1.0)
+    assert fired == [t0 + max(0, round(delay_s * 1_000_000))]
+
+
+def test_validated_frame_with_a_short_lldp_typed_inner_frame_fails_closed():
+    sim = build(chain_spec(2), seed=1)
+    sim.quiesce()
+    s1, s2 = sim.switches["s1"], sim.switches["s2"]
+    [sai] = s2.tables.ig_sc.values()
+    sa = s2.tables.sa[sai]
+    inner = LLDP_MULTICAST + s1.mac + b"\x88\xcc" + b"\x00" * 5
+    assert len(inner) == 19
+    data = macsec_protect(
+        sa.sak, sa.sci, sa.lowest_acceptable_pn, inner, an=sa.an, confidentiality=sa.confidentiality
+    )
+    validated = s2.counters.get("macsec.validated")
+    sim.inject_frame("s1-s2", "a2b", data)
+    sim.quiesce()
+    assert s2.counters.get("macsec.validated") == validated + 1
+    assert s2.counters.get("discovery.decode_failure") == 1

@@ -2,7 +2,9 @@
 
 `perfbench/layers.py` wraps `macsec_protect` and `macsec_validate` where the
 data plane looks them up and checks their call counts against the switch
-counters; it refuses to run when a name it wraps is gone.
+counters; it refuses to run when a name it wraps is gone.  At the end of a
+pass it sums `sys.getsizeof(vars(rec))` over `Trace.records`, so a record
+must keep a `__dict__`.
 """
 
 from collections import Counter
@@ -11,7 +13,8 @@ from pathlib import Path
 from macsecsim import crypto, dataplane
 from macsecsim.netsim import build
 from macsecsim.topology import chain_spec
-from macsecsim.wire import PN_OFFSET
+from macsecsim.trace import Trace, TraceRecord, read_pcapng
+from macsecsim.wire import PN_OFFSET, classify
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -59,3 +62,59 @@ def test_layer_tracer_installs_and_uninstalls(monkeypatch, tmp_path):
     with layers.LayerTracer(capture=tmp_path / "capture.pcapng").installed():
         assert all(now is not before for now, before in zip(bound(), originals))
     assert bound() == originals
+
+
+def _run_with_drops():
+    """A chain_spec(3) run whose trace holds frames of all three classes and drops."""
+    sim = build(chain_spec(3), seed=5)
+    sim.quiesce()
+    sim.host_send("h1", sim.hosts["h2"].mac, 0x0800, b"unicast")
+    sim.quiesce()
+    sim.inject_frame("s1-s2", "a2b", b"\x00" * 10)  # truncated at s2
+    sim.set_link_state("s2-s3", False)
+    sim.inject_frame("s2-s3", "b2a", b"\x00" * 64)  # refused by the down link
+    sim.run_until(sim.now_s())
+    sim.set_link_state("s2-s3", True)
+    sim.quiesce()
+    return sim
+
+
+def test_layer_tracer_samples_the_trace_view(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+
+    sim = _run_with_drops()
+    tracer = layers.LayerTracer(capture=tmp_path / "capture.pcapng")
+    tracer.attach(sim)
+    tracer.pass_done()
+    assert tracer.state["trace.retained_B"] > sum(len(rec.data) for rec in sim.trace.records)
+    assert len(read_pcapng(tmp_path / "capture.pcapng")) == len(sim.trace.records)
+
+
+def test_trace_records_are_views_of_the_rows():
+    sim = _run_with_drops()
+    records = sim.trace.records
+    assert [rec.index for rec in records] == list(range(len(records)))
+    assert {rec.classification for rec in records} == {"ethernet", "macsec", "secure_lldp"}
+    assert all(rec.classification == classify(rec.data) for rec in records)
+    assert sim.trace_query(classification="macsec") == [r for r in records if r.classification == "macsec"]
+    records[0].dropped = "edited"
+    assert sim.trace.records[0].dropped is None
+
+
+def test_drops_come_back_in_records_and_in_the_pcapng(tmp_path):
+    sim = _run_with_drops()
+    dropped = {rec.index: rec.dropped for rec in sim.trace.records if rec.dropped}
+    assert sorted(dropped.values()) == ["link_down", "truncated"]
+    path = tmp_path / "trace.pcapng"
+    sim.trace_export(path)
+    comments = {i: p.comment for i, p in enumerate(read_pcapng(path)) if p.comment}
+    assert comments == {i: f"dropped: {reason}" for i, reason in dropped.items()}
+
+    trace = Trace()
+    first = trace.record(5, "l", "a2b", b"\x01" * 14)
+    second = trace.record(6, "l", "b2a", b"\x02" * 14)
+    trace.drop(second, "port_down")
+    assert (first, second) == (0, 1)
+    assert [rec.dropped for rec in trace.records] == [None, "port_down"]
+    assert trace.query(direction="b2a") == [TraceRecord(1, 6, "l", "b2a", b"\x02" * 14, "port_down")]
