@@ -80,12 +80,8 @@ class ScDirection:
     an: int
     sak: Sak
     phase: str = "ingress_pending"  # ingress_pending | egress_pending | active
-    rekey_deadline_us: int = 0
     rekey_count: int = 0
-    # Staged values while a rekey is in flight.
-    next_sai: Optional[int] = None
-    next_an: Optional[int] = None
-    next_sak: Optional[Sak] = None
+    next: Optional[tuple[int, int, Sak]] = None  # the staged (sai, an, sak) while a rekey is in flight
 
 
 @dataclass
@@ -100,7 +96,6 @@ class _PendingBatch:
     batch_id: int
     chassis: str
     cfg: ScConfig
-    kind: str  # "sc_install" | "sc_rekey"
     record: ScRecord
     direction: str
     stage: str  # "ingress" | "egress"
@@ -254,19 +249,17 @@ class CentralController:
             )
         record = self.sc_records[key] = ScRecord(key=key, directions=directions)
         for name, direction in directions.items():
-            self._send_stage(record, name, direction, kind="sc_install", stage="ingress")
+            self._send_stage(record, name, direction, stage="ingress")
 
-    def _send_stage(self, record: ScRecord, name: str, d: ScDirection, *, kind: str, stage: str) -> None:
+    def _send_stage(self, record: ScRecord, name: str, d: ScDirection, *, stage: str) -> None:
         """Write one direction's SA to the receiver's ingress ("ingress") or
         the sender's egress ("egress"), tracking the batch until it is acked.
 
-        A rekey ("sc_rekey") writes the staged generation; a first install
-        also turns on the sender port's MACsec flag.
+        A rekey writes the staged generation `d.next`; a first install also
+        turns on the sender port's MACsec flag.
         """
-        staged = kind == "sc_rekey"
-        sai = d.next_sai if staged else d.sai
-        an = d.next_an if staged else d.an
-        sak = d.next_sak if staged else d.sak
+        staged = d.next is not None
+        sai, an, sak = d.next if staged else (d.sai, d.an, d.sak)
         ops = [WriteSa(sai=sai, an=an, sak=sak, sci=d.sci, confidentiality=self.macsec_encrypt)]
         if stage == "ingress":
             chassis = d.receiver
@@ -277,9 +270,7 @@ class CentralController:
             if not staged:
                 ops.append(SetPortFlag(port=d.sender_port, flag=True))
         cfg = ScConfig(batch_id=self._next_batch_id(), ops=ops)
-        batch = _PendingBatch(
-            batch_id=cfg.batch_id, chassis=chassis, cfg=cfg, kind=kind, record=record, direction=name, stage=stage
-        )
+        batch = _PendingBatch(cfg.batch_id, chassis, cfg, record, name, stage)
         self._pending[cfg.batch_id] = batch
         if not self._send(chassis, cfg):
             self._batch_failed(batch, "unreachable")
@@ -302,24 +293,22 @@ class CentralController:
         d = batch.record.directions[batch.direction]
         if batch.stage == "ingress":
             d.phase = "egress_pending"
-            self._send_stage(batch.record, batch.direction, d, kind=batch.kind, stage="egress")
+            self._send_stage(batch.record, batch.direction, d, stage="egress")
         else:
             self._finish_activation(batch, d)
 
     def _finish_activation(self, batch: _PendingBatch, d: ScDirection) -> None:
         # The timers capture no batch, so a queued timer keeps no SAK alive.
         record, direction, key = batch.record, batch.direction, batch.record.key
-        now = self._now()
-        if batch.kind == "sc_rekey":
+        if d.next is not None:
             old_sai, old_an = d.sai, d.an
-            d.sai, d.an, d.sak = d.next_sai, d.next_an, d.next_sak
-            d.next_sai = d.next_an = d.next_sak = None
+            d.sai, d.an, d.sak = d.next
+            d.next = None
             d.rekey_count += 1
             self._schedule(
                 self.grace_s, lambda: self._retire_old_sa(key, direction, old_sai, old_an)
             )
         d.phase = "active"
-        d.rekey_deadline_us = now + self.rekey_interval_us
         generation = d.rekey_count
         self._schedule(
             self.rekey_interval_us / 1_000_000,
@@ -339,7 +328,7 @@ class CentralController:
         receiver_ops: list = [DeleteSa(sai=old_sai)]
         # The AN may have wrapped back onto old_an within the grace window,
         # in which case the (SCI, AN) row now belongs to a live generation.
-        if old_an not in (d.an, d.next_an):
+        if old_an != d.an and (d.next is None or old_an != d.next[1]):
             receiver_ops.insert(0, DeleteIgSc(sci=d.sci, an=old_an))
         self._send_or_alert(
             d.receiver, ScConfig(batch_id=self._next_batch_id(), ops=receiver_ops)
@@ -375,7 +364,7 @@ class CentralController:
         if record is None:
             return
         for d in record.directions.values():
-            sais = [d.sai] + ([d.next_sai] if d.next_sai is not None else [])
+            sais = [d.sai] + ([d.next[0]] if d.next is not None else [])
             receiver_ops = [DeleteIgSc(sci=d.sci, an=an) for an in range(4)]
             receiver_ops += [DeleteSa(sai=s) for s in sais]
             self._send_or_alert(
@@ -391,22 +380,20 @@ class CentralController:
     # -- rekeying -------------------------------------------------------------------
 
     def _rekey_due(self, key: LinkKey, direction: str, generation: int) -> None:
+        """Fired one rekey interval after the generation's activation; a
+        timer of an older generation finds the count moved on."""
         record = self.sc_records.get(key)
         if record is None or record.state == "quarantined":
             return
         d = record.directions[direction]
-        if d.rekey_count != generation or d.phase != "active":
-            return
-        if self._now() >= d.rekey_deadline_us:
+        if d.rekey_count == generation and d.phase == "active":
             self._start_rekey(record, direction, d)
 
     def _start_rekey(self, record: ScRecord, direction: str, d: ScDirection) -> None:
         d.phase = "ingress_pending"
-        d.next_sai = self._next_sai()
-        d.next_an = (d.an + 1) % 4
-        d.next_sak = self._new_sak()
+        d.next = (self._next_sai(), (d.an + 1) % 4, self._new_sak())
         self.counters.incr("channels.rekey")
-        self._send_stage(record, direction, d, kind="sc_rekey", stage="ingress")
+        self._send_stage(record, direction, d, stage="ingress")
 
     def handle_pn_exhausted(self, msg: PnExhausted) -> None:
         self.counters.incr("channels.pn_exhausted")

@@ -2,10 +2,10 @@
 
 Data frames: IV is SCI(8) + packet number(4); the AAD covers the outer
 Ethernet header plus the SecTAG, so any header bit flip breaks the 16-byte
-ICV.  Protect and validate work on frame bytes.  Discovery PDUs: IV is a
-fresh 12-byte random nonce and the AAD is the 4-byte sequence number
-carried in clear.  Each key, SAK or discovery key, builds its AES-GCM
-context once, on first use.
+ICV.  Discovery PDUs: IV is a fresh 12-byte random nonce and the AAD is the
+4-byte sequence number carried in clear.  All four operations work on
+frame bytes and read their fields at the fixed offsets in `wire`.  Each
+key, SAK or discovery key, builds its AES-GCM context once, on first use.
 """
 
 from __future__ import annotations
@@ -21,9 +21,14 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from .errors import IntegrityFailure, TruncatedFrame
 from .wire import (
     ETH_HEADER_LEN,
+    ETHERTYPE_LLDP,
     ETHERTYPE_MACSEC,
     ICV_LEN,
+    LLDP_NONCE_OFFSET,
+    LLDP_SEALED_OFFSET,
+    LLDP_SEQ_OFFSET,
     MAX_PN,
+    MIN_LLDP_LEN,
     MIN_MACSEC_LEN,
     NONCE_LEN,
     PN_OFFSET,
@@ -35,7 +40,6 @@ from .wire import (
     TCI_SC,
     EthernetFrame,
     Lldpdu,
-    SecureLldpFrame,
     short_length_for,
 )
 
@@ -144,34 +148,29 @@ def macsec_validate(sak: Sak, data: bytes, *, confidentiality: bool = True) -> b
     return data[:12] + plaintext
 
 
-def lldp_seal(
-    key: LldpKey, nonce: bytes, seq: int, pdu: Lldpdu, src: bytes, dst: bytes
-) -> SecureLldpFrame:
-    """Seal a discovery PDU: encrypt it, authenticating the sequence number."""
+_LLDP_TYPE = ETHERTYPE_LLDP.to_bytes(2, "big")
+
+
+def lldp_seal(key: LldpKey, nonce: bytes, seq: int, pdu: Lldpdu, src: bytes, dst: bytes) -> bytes:
+    """Seal a discovery PDU into sealed-LLDP frame bytes, authenticating the sequence number."""
     if len(nonce) != NONCE_LEN:
         raise ValueError("nonce must be 12 bytes")
-    sealed = key.cipher.encrypt(nonce, pdu.encode(), struct.pack(">I", seq))
-    return SecureLldpFrame(
-        dst=dst,
-        src=src,
-        nonce=nonce,
-        seq=seq,
-        ciphertext=sealed[:-ICV_LEN],
-        icv=sealed[-ICV_LEN:],
-    )
+    seq_bytes = struct.pack(">I", seq)
+    return dst + src + _LLDP_TYPE + nonce + seq_bytes + key.cipher.encrypt(nonce, pdu.encode(), seq_bytes)
 
 
-def lldp_open(key: LldpKey, frame: SecureLldpFrame) -> tuple[int, Lldpdu]:
-    """Verify and decrypt a sealed discovery frame.
+def lldp_open(key: LldpKey, data: bytes) -> tuple[int, Lldpdu]:
+    """Verify and decrypt the bytes of a sealed discovery frame.
 
-    Raises IntegrityFailure on a bad tag (tampering, replayed nonce games,
-    or a rotated-out key) and DecodeFailure when the plaintext is not a
-    well-formed LLDPDU.
+    Raises TruncatedFrame below the sealed-LLDP minimum, IntegrityFailure
+    on a bad tag (tampering, replayed nonce games, or a rotated-out key)
+    and DecodeFailure when the plaintext is not a well-formed LLDPDU.
     """
+    if len(data) < MIN_LLDP_LEN:
+        raise TruncatedFrame(f"sealed LLDP frame needs >= {MIN_LLDP_LEN} bytes, got {len(data)}")
+    nonce, seq_bytes = data[LLDP_NONCE_OFFSET:LLDP_SEQ_OFFSET], data[LLDP_SEQ_OFFSET:LLDP_SEALED_OFFSET]
     try:
-        plaintext = key.cipher.decrypt(
-            frame.nonce, frame.ciphertext + frame.icv, struct.pack(">I", frame.seq)
-        )
+        plaintext = key.cipher.decrypt(nonce, data[LLDP_SEALED_OFFSET:], seq_bytes)
     except InvalidTag as exc:
         raise IntegrityFailure("sealed LLDP ICV verification failed") from exc
-    return frame.seq, Lldpdu.decode(plaintext)
+    return int.from_bytes(seq_bytes, "big"), Lldpdu.decode(plaintext)

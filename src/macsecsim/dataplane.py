@@ -6,7 +6,9 @@ at fixed offsets: sealed LLDP punts straight to the CPU port, MACsec frames
 are validated against the IG-SC/SA tables and re-enter as the inner frame's
 bytes, and everything else goes through MAC-table forwarding.  A MAC entry
 whose macsec_flag is set sends the frame to the switch's one egress path,
-`Switch.protect`, which also serves floods and controller packet-outs.
+`Switch.protect`.  A flood, whether the pipeline floods a group frame or the
+local controller floods a MAC miss, goes through `Switch.flood`, which
+protects per port; a controller packet-out is sent verbatim.
 
 Tables and the pipeline core (`run_pipeline`, which takes the egress
 function as an argument) are plain data and a plain function so tests can
@@ -43,10 +45,6 @@ DROP = "drop"
 # Packet-in reasons
 REASON_MAC_MISS = "mac_miss"
 REASON_LLDP_PUNT = "lldp_punt"
-
-# Packet-out modes
-MODE_RAW = "raw"
-MODE_PROCESS_EGRESS = "process_egress"
 
 # Drop reasons (each backs a per-switch counter "drop.<reason>")
 DROP_TRUNCATED = "truncated"
@@ -140,13 +138,6 @@ class PacketIn:
 
 
 @dataclass
-class PacketOut:
-    egress_port: int
-    frame_bytes: bytes
-    mode: str = MODE_PROCESS_EGRESS
-
-
-@dataclass
 class PipelineResult:
     kind: str
     egress_port: Optional[int] = None
@@ -226,8 +217,8 @@ class Switch:
     """Data plane of one software switch: tables, ports, counters, CPU port.
 
     Every frame the switch protects goes through `protect`, whether the
-    pipeline forwards it, a flood fans it out or the controller injects
-    it; `run_pipeline` receives that method as its egress function.
+    pipeline forwards it or `flood` fans it out; `run_pipeline` receives
+    that method as its egress function.
 
     The embedding (simulator or test) wires the hooks:
 
@@ -301,8 +292,7 @@ class Switch:
         if result.kind == FORWARD:
             self._transmit(result.egress_port, result.bytes_out)
         elif result.kind == FLOOD:
-            for egress, out in self.expand_flood(port, result.bytes_out):
-                self._transmit(egress, out)
+            self.flood(port, result.bytes_out)
         elif result.kind == PACKET_IN and self.on_packet_in is not None:
             self.on_packet_in(result.packet_in)
         return result
@@ -323,19 +313,14 @@ class Switch:
             emissions.append((port, out))
         return emissions
 
-    def packet_out(self, msg: PacketOut) -> None:
-        """Controller-injected frame: raw bypasses all tables."""
-        if not self.ports_up.get(msg.egress_port, False):
-            self.counters.incr(f"drop.{DROP_PORT_DOWN}")
-            return
-        data = msg.frame_bytes
-        egress = msg.mode == MODE_PROCESS_EGRESS and msg.egress_port in self.tables.eg_sc
-        if egress and classify(data) == "ethernet":
-            data, reason = self.protect(msg.egress_port, data)
-            if data is None:
-                self.counters.incr(f"drop.{reason}")
-                return
-        self._transmit(msg.egress_port, data)
+    def flood(self, ingress_port: int, data: bytes) -> None:
+        """Send a frame out of every other up port, protected where an EG-SC exists."""
+        for egress, out in self.expand_flood(ingress_port, data):
+            self._transmit(egress, out)
+
+    def packet_out(self, port: int, data: bytes) -> None:
+        """Controller-injected frame, sent verbatim: no table is consulted."""
+        self._transmit(port, data)
 
     def _transmit(self, port: int, data: bytes) -> None:
         if not self.ports_up.get(port, False):

@@ -4,6 +4,11 @@ One controller instance runs next to each switch.  All its inputs
 (packet-ins, port events, timer ticks, central-controller messages) arrive
 through the simulator's single event queue, so handlers never interleave.
 
+The controller keeps no copy of what its switch holds: MAC learning reads
+and writes the switch's MAC table, a MAC miss floods through the switch's
+own flood path, and discovery probes are sealed to frame bytes that go out
+by raw packet-out.  A punted probe is opened from its bytes.
+
 The table agent applies a config batch through the switch's table writes,
 the one place an entry is checked.  If a write fails, the four tables are
 restored in place to their state before the batch, and the batch is nacked.
@@ -15,18 +20,8 @@ import logging
 from typing import Callable
 
 from .crypto import LldpKey, lldp_open, lldp_seal
-from .dataplane import (
-    MODE_PROCESS_EGRESS,
-    MODE_RAW,
-    REASON_LLDP_PUNT,
-    REASON_MAC_MISS,
-    MacTableEntry,
-    PacketIn,
-    PacketOut,
-    SaEntry,
-    Switch,
-)
-from .errors import DecodeFailure, IntegrityFailure, InvalidEntry, TruncatedFrame
+from .dataplane import REASON_LLDP_PUNT, REASON_MAC_MISS, MacTableEntry, PacketIn, SaEntry, Switch
+from .errors import DecodeFailure, IntegrityFailure, InvalidEntry
 from .messages import (
     DeleteEgSc,
     DeleteIgSc,
@@ -42,14 +37,7 @@ from .messages import (
     WriteIgSc,
     WriteSa,
 )
-from .wire import (
-    LLDP_MULTICAST,
-    Lldpdu,
-    SecureLldpFrame,
-    classify,
-    is_group_mac,
-    parse_frame,
-)
+from .wire import LLDP_MULTICAST, MIN_LLDP_LEN, Lldpdu, classify, is_group_mac
 
 log = logging.getLogger(__name__)
 
@@ -76,9 +64,6 @@ class LocalController:
         self._send = send_to_central
         self._rng = rng
         self.discovery_interval_us = int(discovery_interval_s * 1_000_000)
-
-        # MAC learning state: mirror of the entries this controller wrote.
-        self.mac_mirror: dict[bytes, int] = {}
 
         # Link discovery state.
         self.lldp_key: LldpKey | None = None
@@ -116,19 +101,15 @@ class LocalController:
     # -- MAC learning -----------------------------------------------------------
 
     def _handle_mac_miss(self, pi: PacketIn) -> None:
-        if classify(pi.frame_bytes) != "ethernet":
+        data, port, sw = pi.frame_bytes, pi.ingress_port, self.switch
+        if classify(data) != "ethernet":
             return
-        src = pi.frame_bytes[6:12]
-        if not is_group_mac(src) and self.mac_mirror.get(src) != pi.ingress_port:
-            flag = pi.ingress_port in self.switch.tables.eg_sc
-            self.switch.write_mac(MacTableEntry(mac=src, port=pi.ingress_port, macsec_flag=flag))
-            self.mac_mirror[src] = pi.ingress_port
+        src = data[6:12]
+        entry = sw.tables.mac.get(src)
+        if not is_group_mac(src) and (entry is None or entry.port != port):
+            sw.write_mac(MacTableEntry(mac=src, port=port, macsec_flag=port in sw.tables.eg_sc))
             self.counters.incr("learning.learned")
-        for port in self.switch.up_ports():
-            if port != pi.ingress_port:
-                self.switch.packet_out(
-                    PacketOut(egress_port=port, frame_bytes=pi.frame_bytes, mode=MODE_PROCESS_EGRESS)
-                )
+        sw.flood(port, data)
 
     # -- link discovery --------------------------------------------------------
 
@@ -164,40 +145,31 @@ class LocalController:
             return
         self.tx_seq = (self.tx_seq + 1) & 0xFFFFFFFF
         pdu = Lldpdu(chassis_id=self.chassis_id.encode(), port_id=port)
-        frame = lldp_seal(
-            self.lldp_key,
-            self._rng.lldp_nonce(),
-            self.tx_seq,
-            pdu,
-            src=self.switch.mac,
-            dst=LLDP_MULTICAST,
+        data = lldp_seal(
+            self.lldp_key, self._rng.lldp_nonce(), self.tx_seq, pdu, src=self.switch.mac, dst=LLDP_MULTICAST
         )
         self.counters.incr("discovery.sent")
-        self.switch.packet_out(PacketOut(egress_port=port, frame_bytes=frame.to_bytes(), mode=MODE_RAW))
+        self.switch.packet_out(port, data)
 
-    def _open_with_keys(self, frame: SecureLldpFrame):
+    def _open_with_keys(self, data: bytes):
         try:
-            return lldp_open(self.lldp_key, frame)
+            return lldp_open(self.lldp_key, data)
         except IntegrityFailure:
             if self.prev_key is not None and self._now() < self.prev_key_expiry_us:
-                return lldp_open(self.prev_key, frame)
+                return lldp_open(self.prev_key, data)
             raise
 
     def _handle_lldp(self, pi: PacketIn) -> None:
-        try:
-            frame = parse_frame(pi.frame_bytes)
-        except TruncatedFrame:
+        if len(pi.frame_bytes) < MIN_LLDP_LEN:
             # An LLDP-typed frame too short to be sealed, e.g. one nested in
             # a validated MACsec frame.
             self.counters.incr("discovery.decode_failure")
-            return
-        if not isinstance(frame, SecureLldpFrame):
             return
         if self.lldp_key is None:
             self.counters.incr("discovery.no_key")
             return
         try:
-            seq, pdu = self._open_with_keys(frame)
+            seq, pdu = self._open_with_keys(pi.frame_bytes)
         except IntegrityFailure:
             self.counters.incr("discovery.integrity_failure")
             return

@@ -219,13 +219,13 @@ class Simulation:
     def _send_to_local(self, chassis: str, msg) -> bool:
         if not self.control_up.get(chassis, False):
             return False
-        self.schedule(self.params.control_latency, self.controllers[chassis].deliver, msg)
+        self.schedule(0, self.controllers[chassis].deliver, msg)
         return True
 
     def _send_to_central(self, chassis: str, msg) -> bool:
         if not self.control_up.get(chassis, False):
             return False
-        self.schedule(self.params.control_latency, self.central.deliver, msg)
+        self.schedule(0, self.central.deliver, msg)
         return True
 
     def set_control_state(self, chassis: str, up: bool) -> None:

@@ -173,7 +173,7 @@ class ScenarioRunner:
             data = _parse_payload("hex:" + value, d.line_no)
         else:
             try:
-                record = self.sim.trace.records[int(value)]
+                record = self.sim.trace[int(value)]
             except (ValueError, IndexError) as exc:
                 raise ScriptError(f"line {d.line_no}: bad capture index {value!r}") from exc
             data = record.data

@@ -46,7 +46,6 @@ class SimParams:
     lldp_key_rotation: float = 300.0
     grace: float | None = None  # defaults to one discovery interval
     link_latency: float = 0.001
-    control_latency: float = 0.0
     loss_probability: float = 0.0  # per-frame wire loss; links are lossless by default
     latency_jitter: float = 0.0  # extra uniform delay; > 0 permits reordering
     pn_ceiling: int = MAX_PN

@@ -4,10 +4,11 @@ The trace keeps one row per transmitted frame, the tuple
 ``(time_us, link, direction, data)``, and a dict from row index to drop
 reason for the frames the receiver refused: `record` returns the index that
 `drop` takes.  Rows hold only atomic values, so the garbage collector stops
-tracking them.  `Trace.records` and `Trace.query` hand out `TraceRecord`
-objects built from the rows on demand; editing one changes nothing in the
-trace.  Export reads the rows and writes a pcapng file with one synthetic
-interface per link direction so standard analyzers can open captures.
+tracking them.  `Trace.query` (and `records`, the unfiltered query) builds
+`TraceRecord` views of the rows on demand, and `trace[i]` builds one;
+editing a view changes nothing in the trace.  Export reads the rows and
+writes a pcapng file with one synthetic interface per link direction so
+standard analyzers can open captures.
 """
 
 from __future__ import annotations
@@ -56,11 +57,17 @@ class Trace:
         """Annotate the frame at `index` as refused by its receiver."""
         self._drops[index] = reason
 
+    def __getitem__(self, index: int) -> TraceRecord:
+        """A view of one captured frame; a negative index counts from the end."""
+        row = self._rows[index]
+        if index < 0:
+            index += len(self._rows)
+        return TraceRecord(index, *row, self._drops.get(index))
+
     @property
     def records(self) -> list[TraceRecord]:
         """A fresh view of every captured frame, in capture order."""
-        drops = self._drops
-        return [TraceRecord(i, *row, drops.get(i)) for i, row in enumerate(self._rows)]
+        return self.query()
 
     def query(
         self,

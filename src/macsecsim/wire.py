@@ -10,6 +10,11 @@ dispatched on the EtherType at offset 12:
 The SecTAG is tci_an(1) short_length(1) packet_number(4) sci(8); the SCI is
 always present (SC bit set on every frame this code emits).  No FCS is
 modeled.
+
+The simulator itself reads frames as bytes: the pipeline, MACsec protect
+and validate, and LLDP seal and open use the fixed offsets below.  Only a
+host NIC parses a delivered frame into one of the frame dataclasses, which
+otherwise serve tests and tools.
 """
 
 from __future__ import annotations
@@ -48,6 +53,12 @@ MIN_FRAME_LEN = {ETHERTYPE_MACSEC: MIN_MACSEC_LEN, ETHERTYPE_LLDP: MIN_LLDP_LEN}
 PN_OFFSET = ETH_HEADER_LEN + 2
 SCI_OFFSET = PN_OFFSET + 4
 SECURE_DATA_OFFSET = ETH_HEADER_LEN + SECTAG_LEN
+
+# Byte offsets within a sealed LLDP frame: the nonce, the clear sequence
+# number, then the sealed PDU (ciphertext and ICV) to the end of the frame.
+LLDP_NONCE_OFFSET = ETH_HEADER_LEN
+LLDP_SEQ_OFFSET = LLDP_NONCE_OFFSET + NONCE_LEN
+LLDP_SEALED_OFFSET = LLDP_SEQ_OFFSET + 4
 
 
 def mac_to_str(mac: bytes) -> str:
@@ -273,11 +284,10 @@ def parse_frame(data: bytes) -> Frame:
     if ether_type == ETHERTYPE_LLDP:
         if len(data) < MIN_LLDP_LEN:
             raise TruncatedFrame(f"sealed LLDP frame needs >= {MIN_LLDP_LEN} bytes, got {len(data)}")
-        nonce = data[14 : 14 + NONCE_LEN]
-        seq = struct.unpack(">I", data[26:30])[0]
-        return SecureLldpFrame(
-            dst=dst, src=src, nonce=nonce, seq=seq, ciphertext=data[30:-ICV_LEN], icv=data[-ICV_LEN:]
-        )
+        nonce = data[LLDP_NONCE_OFFSET:LLDP_SEQ_OFFSET]
+        seq = int.from_bytes(data[LLDP_SEQ_OFFSET:LLDP_SEALED_OFFSET], "big")
+        ciphertext, icv = data[LLDP_SEALED_OFFSET:-ICV_LEN], data[-ICV_LEN:]
+        return SecureLldpFrame(dst=dst, src=src, nonce=nonce, seq=seq, ciphertext=ciphertext, icv=icv)
 
     return EthernetFrame(dst=dst, src=src, ether_type=ether_type, payload=data[14:])
 

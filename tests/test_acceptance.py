@@ -24,7 +24,7 @@ from macsecsim.wire import (
     EthernetFrame,
     Lldpdu,
     MacsecFrame,
-    SecureLldpFrame,
+    classify,
     make_sci,
     parse_frame,
 )
@@ -237,16 +237,12 @@ def _crit7_tamper_defense(seed):
     expected_replays = 0
     for pos, mutated in flips(lldp_rec.data):
         total += 1
-        try:
-            frame = parse_frame(mutated)
-        except Exception:
-            frame = None
-        if isinstance(frame, SecureLldpFrame):
+        if classify(mutated) == "secure_lldp":
             if pos < 12:
                 expected_replays += 1
             else:
                 with pytest.raises(IntegrityFailure):
-                    lldp_open(lldp_key, frame)
+                    lldp_open(lldp_key, mutated)
         sim.inject_frame(lldp_rec.link, lldp_rec.direction, mutated)
     sim.quiesce()
     assert receiver.counters.get("discovery.accepted") == accepted_before
@@ -348,7 +344,7 @@ def test_criterion_8_crypto_oracle_equivalence():
                 key, nonce, seq, pdu, src=bytes([0x02]) + rng.randbytes(5), dst=LLDP_MULTICAST
             )
             ct, tag = gcm_oracle.gcm_encrypt(key.key, nonce, pdu.encode(), struct.pack(">I", seq))
-            assert sealed.ciphertext == ct and sealed.icv == tag
+            assert sealed[30:] == ct + tag
 
 
 def test_criterion_9_determinism(tmp_path):

@@ -72,6 +72,11 @@ class Harness:
         self.central.handle_link_delta(LinkDelta(chassis_id=b[0], adds={b[1]: a}))
         self.ack_all()
 
+    def advance_to_rekey_timers(self):
+        """Move the clock on by the delay of the queued rekey timers, the only housekeeping ones."""
+        [delay] = {delay for delay, _fn, hk in self.scheduled if hk}
+        self.time_us += round(delay * 1_000_000)
+
     def run_due_timers(self):
         """Fire scheduled callbacks whose deadline has passed (one sweep)."""
         for entry in list(self.scheduled):
@@ -182,7 +187,7 @@ def test_rekey_increments_an_and_orders_ingress_first():
     d = record.directions["a2b"]
     old_sai, old_sak = d.sai, d.sak.key
     h.outbox.clear()
-    h.time_us = d.rekey_deadline_us
+    h.advance_to_rekey_timers()
     h.run_due_timers()
     # Ingress install to the receiver precedes egress activation.
     first = h.configs()[0]
@@ -203,7 +208,7 @@ def test_an_cycles_mod_four():
     d = h.central.sc_records[KEY_12].directions["a2b"]
     seen = [d.an]
     for _ in range(4):
-        h.time_us = max(x.rekey_deadline_us for x in h.central.sc_records[KEY_12].directions.values())
+        h.advance_to_rekey_timers()
         h.run_due_timers()
         h.ack_all()
         seen.append(d.an)
@@ -259,7 +264,7 @@ def test_pn_exhaustion_of_unknown_or_quarantined_channel_starts_no_rekey():
     h.central.handle_pn_exhausted(PnExhausted(chassis_id="s2", sci=b2a.sci))
     h.central.handle_pn_exhausted(PnExhausted(chassis_id="s1", sci=make_sci(MACS["s1"], 4)))
     assert h.configs() == []
-    assert b2a.next_sai is None and b2a.phase == "active"
+    assert b2a.next is None and b2a.phase == "active"
     assert h.central.counters.get("channels.pn_exhausted") == 3
     assert h.central.counters.get("channels.rekey") == 1
 

@@ -16,10 +16,11 @@ from macsecsim.crypto import (
     macsec_protect,
     macsec_validate,
 )
-from macsecsim.errors import DecodeFailure, IntegrityFailure
+from macsecsim.errors import DecodeFailure, IntegrityFailure, TruncatedFrame
 from macsecsim.wire import (
     ETHERTYPE_MACSEC,
     LLDP_MULTICAST,
+    SecureLldpFrame,
     EthernetFrame,
     Lldpdu,
     MacsecFrame,
@@ -198,65 +199,63 @@ def test_lldp_key_builds_its_cipher_once(monkeypatch):
     monkeypatch.setattr(crypto, "AESGCM", lambda key: built.append(key) or real(key))
     key = LldpKey(key=b"\x42" * 16, key_id=3)
     for seq in range(1, 4):
-        frame = lldp_seal(key, bytes([seq]) * 12, seq, pdu(), src=b"\x02" * 6, dst=LLDP_MULTICAST)
-        assert lldp_open(key, frame) == (seq, pdu())
+        data = lldp_seal(key, bytes([seq]) * 12, seq, pdu(), src=b"\x02" * 6, dst=LLDP_MULTICAST)
+        assert lldp_open(key, data) == (seq, pdu())
     assert built == [key.key]
     assert key.cipher is key.cipher
     assert copy.deepcopy(key) is key
 
 
 def test_lldp_seal_open_round_trip():
-    frame = lldp_seal(LKEY, bytes(range(12)), 42, pdu(), src=b"\x02" * 6, dst=LLDP_MULTICAST)
-    seq, opened = lldp_open(LKEY, frame)
+    data = lldp_seal(LKEY, bytes(range(12)), 42, pdu(), src=b"\x02" * 6, dst=LLDP_MULTICAST)
+    seq, opened = lldp_open(LKEY, data)
     assert seq == 42
     assert opened == pdu()
 
 
 def test_lldp_seal_matches_independent_oracle():
     nonce = bytes(range(100, 112))
-    frame = lldp_seal(LKEY, nonce, 77, pdu(b"agg1", 9), src=b"\x02" * 6, dst=LLDP_MULTICAST)
+    data = lldp_seal(LKEY, nonce, 77, pdu(b"agg1", 9), src=b"\x02" * 6, dst=LLDP_MULTICAST)
     ct, tag = gcm_oracle.gcm_encrypt(LKEY.key, nonce, pdu(b"agg1", 9).encode(), struct.pack(">I", 77))
-    assert frame.ciphertext == ct
-    assert frame.icv == tag
+    assert data[:30] == LLDP_MULTICAST + b"\x02" * 6 + b"\x88\xcc" + nonce + struct.pack(">I", 77)
+    assert data[30:] == ct + tag
 
 
 def test_lldp_distinct_nonces_distinct_ciphertexts():
     a = lldp_seal(LKEY, b"\x01" * 12, 5, pdu(), src=b"\x02" * 6, dst=LLDP_MULTICAST)
     b = lldp_seal(LKEY, b"\x02" * 12, 5, pdu(), src=b"\x02" * 6, dst=LLDP_MULTICAST)
-    assert a.ciphertext != b.ciphertext
+    assert a[30:-16] != b[30:-16]  # the ciphertexts
 
 
 def test_lldp_seq_is_authenticated():
-    frame = lldp_seal(LKEY, b"\x07" * 12, 41, pdu(), src=b"\x02" * 6, dst=LLDP_MULTICAST)
-    raw = bytearray(frame.to_bytes())
+    raw = lldp_seal(LKEY, b"\x07" * 12, 41, pdu(), src=b"\x02" * 6, dst=LLDP_MULTICAST)
     for pos in range(26, 30):  # the four seq bytes
         for bit in range(8):
             mutated = bytearray(raw)
             mutated[pos] ^= 1 << bit
             with pytest.raises(IntegrityFailure):
-                lldp_open(LKEY, parse_frame(bytes(mutated)))
+                lldp_open(LKEY, bytes(mutated))
 
 
 def test_lldp_rotated_out_key_fails():
-    frame = lldp_seal(LKEY, b"\x09" * 12, 4, pdu(), src=b"\x02" * 6, dst=LLDP_MULTICAST)
+    data = lldp_seal(LKEY, b"\x09" * 12, 4, pdu(), src=b"\x02" * 6, dst=LLDP_MULTICAST)
     with pytest.raises(IntegrityFailure):
-        lldp_open(LldpKey(key=b"\x33" * 16, key_id=2), frame)
+        lldp_open(LldpKey(key=b"\x33" * 16, key_id=2), data)
 
 
 def test_lldp_open_decode_failure():
-    sealed = gcm_oracle.gcm_encrypt(LKEY.key, b"\x0a" * 12, b"not a pdu", struct.pack(">I", 8))
-    from macsecsim.wire import SecureLldpFrame
-
-    frame = SecureLldpFrame(
-        dst=LLDP_MULTICAST,
-        src=b"\x02" * 6,
-        nonce=b"\x0a" * 12,
-        seq=8,
-        ciphertext=sealed[0],
-        icv=sealed[1],
-    )
+    ct, tag = gcm_oracle.gcm_encrypt(LKEY.key, b"\x0a" * 12, b"not a pdu", struct.pack(">I", 8))
+    data = LLDP_MULTICAST + b"\x02" * 6 + b"\x88\xcc" + b"\x0a" * 12 + struct.pack(">I", 8) + ct + tag
     with pytest.raises(DecodeFailure):
-        lldp_open(LKEY, frame)
+        lldp_open(LKEY, data)
+
+
+def test_lldp_open_rejects_a_frame_below_the_sealed_minimum():
+    data = lldp_seal(LKEY, b"\x0b" * 12, 3, pdu(), src=b"\x02" * 6, dst=LLDP_MULTICAST)
+    with pytest.raises(TruncatedFrame):
+        lldp_open(LKEY, data[:45])
+    with pytest.raises(IntegrityFailure):  # 46 bytes is long enough to be checked
+        lldp_open(LKEY, data[:46])
 
 
 def test_sak_fingerprint_is_stable_and_short():
@@ -275,6 +274,7 @@ def test_sak_fingerprint_is_stable_and_short():
 def test_lldp_seal_open_property(key, nonce, seq, chassis, port):
     lkey = LldpKey(key=key, key_id=1)
     pdu = Lldpdu(chassis_id=chassis, port_id=port)
-    frame = lldp_seal(lkey, nonce, seq, pdu, src=b"\x02" * 6, dst=LLDP_MULTICAST)
-    reparsed = parse_frame(frame.to_bytes())
-    assert lldp_open(lkey, reparsed) == (seq, pdu)
+    data = lldp_seal(lkey, nonce, seq, pdu, src=b"\x02" * 6, dst=LLDP_MULTICAST)
+    assert lldp_open(lkey, data) == (seq, pdu)
+    frame = parse_frame(data)  # the wire parser reads the same layout
+    assert isinstance(frame, SecureLldpFrame) and (frame.nonce, frame.seq) == (nonce, seq)

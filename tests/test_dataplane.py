@@ -11,16 +11,16 @@ from macsecsim.dataplane import (
     DROP_UNKNOWN_SCI,
     FLOOD,
     FORWARD,
-    MODE_RAW,
     PACKET_IN,
     REASON_LLDP_PUNT,
     REASON_MAC_MISS,
     MacTableEntry,
-    PacketOut,
     SaEntry,
     Switch,
 )
 from macsecsim.errors import InvalidEntry
+from macsecsim.local_controller import LocalController
+from macsecsim.randomness import RandomSource
 from macsecsim.wire import (
     EthernetFrame,
     make_sci,
@@ -33,6 +33,7 @@ SW_MAC = b"\x02\x00\x00\x00\x00\x01"
 PEER_MAC = b"\x02\x00\x00\x00\x00\x02"
 H1 = b"\x02\x00\x00\x00\x10\x01"
 H2 = b"\x02\x00\x00\x00\x10\x02"
+H3 = b"\x02\x00\x00\x00\x10\x03"
 
 
 def make_switch(num_ports=4, **kwargs) -> Switch:
@@ -157,20 +158,34 @@ def test_packet_out_raw_is_verbatim():
     install_egress_sa(switch, port=2)
     sent = []
     switch.on_transmit = lambda port, data: sent.append((port, data))
-    switch.packet_out(PacketOut(egress_port=2, frame_bytes=b"\x00" * 20, mode=MODE_RAW))
+    switch.packet_out(2, b"\x00" * 20)
     assert sent == [(2, b"\x00" * 20)]
+    switch.packet_out(2, ether().to_bytes())  # an Ethernet frame is not protected either
+    assert sent[1] == (2, ether().to_bytes())
+    assert switch.counters.get("macsec.protected") == 0
 
 
-def test_packet_out_process_egress_protects_when_sc_present():
-    switch = make_switch()
+def attach_controller(switch):
+    """Run a local controller next to `switch`; its timers and messages are discarded."""
+    LocalController(
+        switch,
+        now=lambda: 0,
+        schedule=lambda *args, **kwargs: None,
+        send_to_central=lambda msg: True,
+        rng=RandomSource(1),
+    )
+
+
+def test_mac_miss_flood_protects_where_sc_present():
+    switch = make_switch(num_ports=3)
     sak = install_egress_sa(switch, port=2)
     sent = []
     switch.on_transmit = lambda port, data: sent.append((port, data))
-    switch.packet_out(PacketOut(egress_port=2, frame_bytes=ether().to_bytes()))
-    assert len(sent) == 1
-    assert macsec_validate(sak, sent[0][1]) == ether().to_bytes()
+    attach_controller(switch)
+    switch.handle_frame(1, ether().to_bytes())  # both MACs unknown: punted and flooded
+    assert len(sent) == 2
+    assert sent[0][0] == 2 and macsec_validate(sak, sent[0][1]) == ether().to_bytes()
     # no EG-SC on port 3: goes out in clear
-    switch.packet_out(PacketOut(egress_port=3, frame_bytes=ether().to_bytes()))
     assert sent[1] == (3, ether().to_bytes())
 
 
@@ -179,7 +194,7 @@ def test_packet_out_to_down_port_counts_drop():
     switch.set_port_state(2, False)
     sent = []
     switch.on_transmit = lambda port, data: sent.append((port, data))
-    switch.packet_out(PacketOut(egress_port=2, frame_bytes=ether().to_bytes(), mode=MODE_RAW))
+    switch.packet_out(2, ether().to_bytes())
     assert sent == []
     assert switch.counters.get("drop.port_down") == 1
 
@@ -251,20 +266,23 @@ def _flood(switch):
     return switch.expand_flood(1, ether(dst=b"\xff" * 6).to_bytes())
 
 
-def _packet_out(switch):
+def _mac_miss_flood(switch):
+    # H3 is unknown: the miss punts to the controller, which floods it.
     sent = []
     switch.on_transmit = lambda port, data: sent.append((port, data))
-    switch.packet_out(PacketOut(egress_port=2, frame_bytes=ether().to_bytes()))
+    switch.handle_frame(1, ether(dst=H3).to_bytes())
     return sent
 
 
 # The three routes out of a switch; each returns the (port, bytes) emitted.
-EGRESS_ROUTES = {"forward": _forward, "flood": _flood, "packet_out": _packet_out}
+EGRESS_ROUTES = {"forward": _forward, "flood": _flood, "mac_miss_flood": _mac_miss_flood}
 
 
 def egress_switch(**kwargs):
-    """Two ports, host H1 on port 1, H2 behind a protected port 2 (SAI 3)."""
+    """Two ports, host H1 on port 1, H2 behind a protected port 2 (SAI 3),
+    and a local controller."""
     switch = make_switch(num_ports=2, **kwargs)
+    attach_controller(switch)
     install_egress_sa(switch, port=2, sai=3)
     switch.write_mac(MacTableEntry(mac=H1, port=1))
     switch.write_mac(MacTableEntry(mac=H2, port=2, macsec_flag=True))
@@ -357,8 +375,10 @@ def test_validated_frame_with_inner_lldp_punts():
 
 
 @pytest.mark.parametrize("ether_type", [b"\x88\xe5", b"\x88\xcc"])
-@pytest.mark.parametrize("route", ["flood", "packet_out"])
+@pytest.mark.parametrize("route", ["flood", "switch_flood"])
 def test_macsec_and_lldp_typed_frames_leave_unprotected(route, ether_type):
+    # The controller floods only Ethernet-typed frames, so `Switch.flood`,
+    # the path its MAC-miss flood takes, stands for it here.
     switch = make_switch(num_ports=2)
     install_egress_sa(switch, port=2)
     raw = b"\xff" * 6 + H1 + ether_type + bytes(40)
@@ -367,7 +387,7 @@ def test_macsec_and_lldp_typed_frames_leave_unprotected(route, ether_type):
     else:
         sent = []
         switch.on_transmit = lambda port, data: sent.append((port, data))
-        switch.packet_out(PacketOut(egress_port=2, frame_bytes=raw))
+        switch.flood(1, raw)
         assert sent == [(2, raw)]
     assert switch.counters.get("macsec.protected") == 0
 

@@ -24,7 +24,17 @@ from macsecsim.messages import (
     WriteSa,
 )
 from macsecsim.randomness import RandomSource
-from macsecsim.wire import LLDP_MULTICAST, EthernetFrame, Lldpdu, mac_from_str, parse_frame
+from macsecsim.netsim import build
+from macsecsim.topology import chain_spec
+from macsecsim.wire import (
+    LLDP_MULTICAST,
+    LLDP_NONCE_OFFSET,
+    LLDP_SEALED_OFFSET,
+    LLDP_SEQ_OFFSET,
+    EthernetFrame,
+    Lldpdu,
+    mac_from_str,
+)
 
 SW_MAC = mac_from_str("02:00:00:00:00:01")
 PEER_MAC = mac_from_str("02:00:00:00:00:02")
@@ -64,11 +74,11 @@ class Harness:
 
     def probe_from_peer(self, port=2, *, seq, chassis=b"s2", remote_port=7, key=KEY, nonce=None):
         nonce = nonce if nonce is not None else random.Random(seq).randbytes(12)
-        frame = lldp_seal(
+        data = lldp_seal(
             key, nonce, seq, Lldpdu(chassis_id=chassis, port_id=remote_port),
             src=PEER_MAC, dst=LLDP_MULTICAST,
         )
-        self.ctl.handle_packet_in(PacketIn(port, frame.to_bytes(), "lldp_punt"))
+        self.ctl.handle_packet_in(PacketIn(port, data, "lldp_punt"))
 
     def deltas(self):
         return [m for m in self.sent if isinstance(m, LinkDelta)]
@@ -128,6 +138,25 @@ def test_mlf_matches_reference_learning_switch():
         assert {m: e.port for m, e in h.switch.tables.mac.items()} == reference
 
 
+def test_deleted_mac_entry_is_learned_again():
+    sim = build(chain_spec(2), seed=1)
+    sim.quiesce()
+    h1, h2 = sim.hosts["h1"].mac, sim.hosts["h2"].mac
+    s1 = sim.switches["s1"]
+    sim.host_send("h1", h2, 0x0800, b"ping")
+    sim.host_send("h2", h1, 0x0800, b"pong")
+    sim.quiesce()
+    assert s1.counters.get("learning.learned") == 2
+    port = s1.tables.mac[h1].port
+    s1.delete_mac(h1)
+    for _ in range(3):
+        sim.host_send("h1", h2, 0x0800, b"again")
+        sim.quiesce()
+    assert s1.tables.mac[h1].port == port
+    assert s1.counters.get("learning.learned") == 3
+    assert len(sim.host_recv("h2")) == 4
+
+
 # -- link discovery ------------------------------------------------------------
 
 
@@ -135,10 +164,10 @@ def test_emit_round_probes_every_up_port():
     h = Harness(num_ports=3)
     h.start()
     assert len(h.transmitted) == 3
-    frames = [parse_frame(data) for _, data in h.transmitted]
-    assert all(f.dst == LLDP_MULTICAST for f in frames)
-    assert len({f.nonce for f in frames}) == 3
-    seqs = [f.seq for f in frames]
+    frames = [data for _, data in h.transmitted]
+    assert all(data[:6] == LLDP_MULTICAST for data in frames)
+    assert len({data[LLDP_NONCE_OFFSET:LLDP_SEQ_OFFSET] for data in frames}) == 3
+    seqs = [int.from_bytes(data[LLDP_SEQ_OFFSET:LLDP_SEALED_OFFSET], "big") for data in frames]
     assert seqs == [seqs[0], seqs[0] + 1, seqs[0] + 2]
     # round re-arms itself on the discovery interval as a housekeeping timer
     assert h.scheduled[-1][0] == 30.0 and h.scheduled[-1][2] is True
@@ -239,8 +268,7 @@ def test_port_up_sends_targeted_probe():
     sent_before = len(h.transmitted)
     h.switch.set_port_state(2, True)
     assert len(h.transmitted) == sent_before + 1
-    frame = parse_frame(h.transmitted[-1][1])
-    assert frame.ether_type == 0x88CC
+    assert h.transmitted[-1][1][12:14] == b"\x88\xcc"
 
 
 def test_stale_view_entries_expire_after_three_intervals():

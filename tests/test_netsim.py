@@ -134,7 +134,7 @@ def test_forged_lldp_rejected_no_fake_link():
         dst=LLDP_MULTICAST,
     )
     before = sim.switches["s2"].counters.get("discovery.integrity_failure")
-    sim.inject_frame("s1-s2", "a2b", fake.to_bytes())
+    sim.inject_frame("s1-s2", "a2b", fake)
     sim.quiesce()
     assert sim.switches["s2"].counters.get("discovery.integrity_failure") == before + 1
     assert sim.central.confirmed_links() == confirmed

@@ -78,6 +78,8 @@ def test_unknown_sections_and_params_rejected():
         TopologySpec.from_dict(minimal(extra={}))
     with pytest.raises(SpecError, match="unknown params"):
         TopologySpec.from_dict(minimal(params={"typo_interval": 3}))
+    with pytest.raises(SpecError, match="unknown params"):
+        TopologySpec.from_dict(minimal(params={"control_latency": 0.0}))
 
 
 def test_parallel_links_get_distinct_names():
