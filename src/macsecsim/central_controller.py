@@ -41,7 +41,7 @@ log = logging.getLogger(__name__)
 Endpoint = tuple[str, int]
 LinkKey = tuple[Endpoint, Endpoint]
 
-RETRY_DELAY_S = 1.0
+RETRY_DELAY_US = 1_000_000
 
 
 def link_key(a: Endpoint, b: Endpoint) -> LinkKey:
@@ -110,20 +110,20 @@ class CentralController:
         schedule: Callable[..., None],
         send_to_local: Callable[[str, object], bool],
         rng,
-        discovery_interval_s: float = 30.0,
-        rekey_interval_s: float = 60.0,
-        lldp_rotation_s: float = 300.0,
-        grace_s: float | None = None,
+        rekey_interval_us: int = 60_000_000,
+        lldp_rotation_us: int = 300_000_000,
+        grace_us: int = 30_000_000,
         macsec_encrypt: bool = True,
     ):
+        """`schedule(delay_us, fn, *args, housekeeping=False)` queues a timer;
+        every interval is in whole microseconds of virtual time."""
         self._now = now
         self._schedule = schedule
         self._send = send_to_local
         self._rng = rng
-        self.discovery_interval_s = discovery_interval_s
-        self.rekey_interval_us = int(rekey_interval_s * 1_000_000)
-        self.lldp_rotation_s = lldp_rotation_s
-        self.grace_s = grace_s if grace_s is not None else discovery_interval_s
+        self.rekey_interval_us = rekey_interval_us
+        self.lldp_rotation_us = lldp_rotation_us
+        self.grace_us = grace_us
         self.macsec_encrypt = macsec_encrypt
 
         self.counters = Counters()
@@ -142,7 +142,7 @@ class CentralController:
 
     def start(self) -> None:
         """Arm the periodic LLDP key rotation."""
-        self._schedule(self.lldp_rotation_s, self._rotation_due, housekeeping=True)
+        self._schedule(self.lldp_rotation_us, self._rotation_due, housekeeping=True)
 
     # -- message entry points ---------------------------------------------------
 
@@ -305,15 +305,10 @@ class CentralController:
             d.sai, d.an, d.sak = d.next
             d.next = None
             d.rekey_count += 1
-            self._schedule(
-                self.grace_s, lambda: self._retire_old_sa(key, direction, old_sai, old_an)
-            )
+            self._schedule(self.grace_us, self._retire_old_sa, key, direction, old_sai, old_an)
         d.phase = "active"
-        generation = d.rekey_count
         self._schedule(
-            self.rekey_interval_us / 1_000_000,
-            lambda: self._rekey_due(key, direction, generation),
-            housekeeping=True,
+            self.rekey_interval_us, self._rekey_due, key, direction, d.rekey_count, housekeeping=True
         )
         if record.state == "installing" and all(
             x.phase == "active" for x in record.directions.values()
@@ -321,22 +316,20 @@ class CentralController:
             record.state = "active"
 
     def _retire_old_sa(self, key: LinkKey, direction: str, old_sai: int, old_an: int) -> None:
-        record = self.sc_records.get(key)
-        if record is None:
-            return
-        d = record.directions[direction]
+        """Delete a replaced generation's SA at both ends, even if a teardown has
+        removed the record meanwhile; SAIs are never reused, so after a redeploy too."""
+        (a, _), (b, _) = key
+        sender, receiver = (a, b) if direction == "a2b" else (b, a)
         receiver_ops: list = [DeleteSa(sai=old_sai)]
-        # The AN may have wrapped back onto old_an within the grace window,
-        # in which case the (SCI, AN) row now belongs to a live generation.
-        if old_an != d.an and (d.next is None or old_an != d.next[1]):
-            receiver_ops.insert(0, DeleteIgSc(sci=d.sci, an=old_an))
-        self._send_or_alert(
-            d.receiver, ScConfig(batch_id=self._next_batch_id(), ops=receiver_ops)
-        )
-        self._send_or_alert(
-            d.sender,
-            ScConfig(batch_id=self._next_batch_id(), ops=[DeleteSa(sai=old_sai)]),
-        )
+        record = self.sc_records.get(key)
+        if record is not None:
+            d = record.directions[direction]
+            # The AN may have wrapped back onto old_an within the grace window,
+            # in which case the (SCI, AN) row now belongs to a live generation.
+            if old_an != d.an and (d.next is None or old_an != d.next[1]):
+                receiver_ops.insert(0, DeleteIgSc(sci=d.sci, an=old_an))
+        self._send_or_alert(receiver, ScConfig(batch_id=self._next_batch_id(), ops=receiver_ops))
+        self._send_or_alert(sender, ScConfig(batch_id=self._next_batch_id(), ops=[DeleteSa(sai=old_sai)]))
 
     def _batch_failed(self, batch: _PendingBatch, detail: str) -> None:
         if batch.attempts >= 2:
@@ -344,7 +337,7 @@ class CentralController:
             self._quarantine(batch.record, f"{batch.stage} install on {batch.chassis}: {detail}")
             return
         batch.attempts += 1
-        self._schedule(RETRY_DELAY_S, lambda: self._retry_batch(batch))
+        self._schedule(RETRY_DELAY_US, self._retry_batch, batch)
 
     def _retry_batch(self, batch: _PendingBatch) -> None:
         if batch.batch_id not in self._pending or self._stale(batch):
@@ -409,7 +402,7 @@ class CentralController:
 
     def _rotation_due(self) -> None:
         self.rotate_lldp_key()
-        self._schedule(self.lldp_rotation_s, self._rotation_due, housekeeping=True)
+        self._schedule(self.lldp_rotation_us, self._rotation_due, housekeeping=True)
 
     def rotate_lldp_key(self) -> None:
         self.lldp_key = LldpKey(key=self._rng.key_material(), key_id=self.lldp_key.key_id + 1)
@@ -424,7 +417,7 @@ class CentralController:
             self.alerts.append(f"switch {chassis} unreachable for key install")
             self.counters.incr("control.unreachable")
             return
-        self._schedule(RETRY_DELAY_S, lambda: self._send_key_with_retry(chassis, attempts + 1))
+        self._schedule(RETRY_DELAY_US, self._send_key_with_retry, chassis, attempts + 1)
 
     def _send_or_alert(self, chassis: str, msg) -> None:
         if not self._send(chassis, msg):

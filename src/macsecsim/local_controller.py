@@ -54,8 +54,10 @@ class LocalController:
         schedule: Callable[..., None],
         send_to_central: Callable[[object], bool],
         rng,
-        discovery_interval_s: float = 30.0,
+        discovery_interval_us: int = 30_000_000,
     ):
+        """`schedule(delay_us, fn, *args, housekeeping=False)` queues a timer;
+        the discovery interval is in whole microseconds of virtual time."""
         self.switch = switch
         self.chassis_id = switch.chassis_id
         self.counters = switch.counters
@@ -63,7 +65,7 @@ class LocalController:
         self._schedule = schedule
         self._send = send_to_central
         self._rng = rng
-        self.discovery_interval_us = int(discovery_interval_s * 1_000_000)
+        self.discovery_interval_us = discovery_interval_us
 
         # Link discovery state.
         self.lldp_key: LldpKey | None = None
@@ -135,9 +137,7 @@ class LocalController:
         else:
             for port in self.switch.up_ports():
                 self._emit_probe(port)
-        self._schedule(
-            self.discovery_interval_us / 1_000_000, self.discovery_round, housekeeping=True
-        )
+        self._schedule(self.discovery_interval_us, self.discovery_round, housekeeping=True)
 
     def _emit_probe(self, port: int) -> None:
         if self.lldp_key is None:

@@ -7,11 +7,12 @@ every trace byte and counter value.  The virtual clock counts integer
 microseconds and never moves backward.
 
 A queue entry is the tuple ``(at_us, seq, housekeeping, fn, args)``; the
-loop runs ``fn(*args)``, so queueing a frame or a control message builds no
-closure.  `seq` breaks ties, so events due at the same microsecond run in
-the order they were queued.  `schedule` takes its delay in float seconds
-and rounds it to the microsecond; a frame put on a link without jitter is
-queued at the link's integer latency directly.
+loop runs ``fn(*args)``, so queueing a frame, a control message or a timer
+builds no closure.  `seq` breaks ties, so events due at the same
+microsecond run in the order they were queued.  `Simulation.schedule`,
+which takes an integer delay in microseconds, is the one push onto the
+queue.  The spec's durations are in seconds; `to_us` rounds each to the
+microsecond once, when the simulation is built.
 
 Periodic timers (discovery rounds, rekey deadlines, key rotation) are
 flagged as housekeeping; `quiesce` runs the queue in time order until only
@@ -70,6 +71,11 @@ class Host:
     delivered: int = 0  # every frame that reached the NIC, any class
 
 
+def to_us(seconds: float) -> int:
+    """Seconds of virtual time as whole microseconds, rounded to nearest."""
+    return round(seconds * 1_000_000)
+
+
 class Simulation:
     def __init__(self, spec: TopologySpec, seed: int | None = None):
         spec.validate()
@@ -93,15 +99,16 @@ class Simulation:
         self._port_map: dict[tuple[str, int], tuple[Link, str]] = {}
         self.control_up: dict[str, bool] = {}
 
+        self._jitter_us = to_us(self.params.latency_jitter)
+        grace = self.params.discovery_interval if self.params.grace is None else self.params.grace
         self.central = CentralController(
             now=self.now_us,
             schedule=self.schedule,
             send_to_local=self._send_to_local,
             rng=self.rng,
-            discovery_interval_s=self.params.discovery_interval,
-            rekey_interval_s=self.params.rekey_interval,
-            lldp_rotation_s=self.params.lldp_key_rotation,
-            grace_s=self.params.grace,
+            rekey_interval_us=to_us(self.params.rekey_interval),
+            lldp_rotation_us=to_us(self.params.lldp_key_rotation),
+            grace_us=to_us(grace),
             macsec_encrypt=self.params.macsec_encrypt,
         )
         self._build()
@@ -109,7 +116,8 @@ class Simulation:
     # -- construction ------------------------------------------------------------
 
     def _build(self) -> None:
-        latency_us = int(self.params.link_latency * 1_000_000)
+        latency_us = to_us(self.params.link_latency)
+        discovery_interval_us = to_us(self.params.discovery_interval)
         for sw_spec in self.spec.switches:
             switch = Switch(
                 sw_spec.chassis_id,
@@ -125,7 +133,7 @@ class Simulation:
                 schedule=self.schedule,
                 send_to_central=partial(self._send_to_central, sw_spec.chassis_id),
                 rng=self.rng,
-                discovery_interval_s=self.params.discovery_interval,
+                discovery_interval_us=discovery_interval_us,
             )
             self.switches[sw_spec.chassis_id] = switch
             self.controllers[sw_spec.chassis_id] = controller
@@ -174,18 +182,17 @@ class Simulation:
         return self._clock_us / 1_000_000
 
     def schedule(
-        self, delay_s: float, fn: Callable[..., None], *args, housekeeping: bool = False
+        self, delay_us: int, fn: Callable[..., None], *args, housekeeping: bool = False
     ) -> None:
-        """Run `fn(*args)` `delay_s` seconds of virtual time from now."""
-        at_us = self._clock_us + max(0, round(delay_s * 1_000_000))
+        """Run `fn(*args)` `delay_us` microseconds of virtual time from now."""
         self._seq += 1
         if not housekeeping:
             self._actionable += 1
-        heappush(self._queue, (at_us, self._seq, housekeeping, fn, args))
+        heappush(self._queue, (self._clock_us + delay_us, self._seq, housekeeping, fn, args))
 
     def run_until(self, t_s: float) -> None:
         """Execute every event with time <= t_s, then advance the clock to t_s."""
-        target_us = round(t_s * 1_000_000)
+        target_us = to_us(t_s)
         if target_us < self._clock_us:
             raise ValueError("run_until target precedes current time")
         self._run(target_us, "run_until")
@@ -252,14 +259,10 @@ class Simulation:
         if params.loss_probability > 0 and self.rng.uniform() < params.loss_probability:
             self.trace.drop(index, "random_loss")
             return
-        if params.latency_jitter > 0:
-            delay_s = link.latency_us / 1_000_000 + self.rng.uniform() * params.latency_jitter
-            self.schedule(delay_s, self._deliver, link, direction, data, index)
-            return
-        self._seq += 1
-        self._actionable += 1
-        args = (link, direction, data, index)
-        heappush(self._queue, (self._clock_us + link.latency_us, self._seq, False, self._deliver, args))
+        delay_us = link.latency_us
+        if self._jitter_us:
+            delay_us += int(self.rng.uniform() * (self._jitter_us + 1))
+        self.schedule(delay_us, self._deliver, link, direction, data, index)
 
     def _deliver(self, link: Link, direction: str, data: bytes, index: int) -> None:
         if not link.up:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .central_controller import LinkKey, link_key, link_name
 from .errors import ScriptError, UnknownLink
-from .netsim import Simulation
+from .netsim import Simulation, to_us
 from .topology import TopologySpec
 from .wire import mac_from_str, make_sci
 
@@ -225,44 +225,47 @@ class ScenarioRunner:
             return True, f"{len(confirmed)} links"
         return False, "confirmed set changed since snapshot"
 
-    def _sc_rows_present(self, key: LinkKey) -> tuple[bool, bool]:
-        """(controller record exists, endpoint switches hold matching rows)."""
-        record = self.sim.central.sc_records.get(key)
-        rows = True
-        for (sender, s_port), (receiver, _r_port) in (
-            (key[0], key[1]),
-            (key[1], key[0]),
-        ):
-            sci = make_sci(self.sim.switches[sender].mac, s_port)
-            sender_tables = self.sim.switches[sender].tables
-            receiver_tables = self.sim.switches[receiver].tables
-            has_eg = s_port in sender_tables.eg_sc
-            has_ig = any(k[0] == sci for k in receiver_tables.ig_sc)
-            has_sa = any(sa.sci == sci for sa in sender_tables.sa.values()) or any(
-                sa.sci == sci for sa in receiver_tables.sa.values()
-            )
-            rows = rows and has_eg and has_ig and has_sa
-        return record is not None, rows
-
     def _assert_no_sc_for(self, args, line_no):
         key = self._link_key_for(args[0], line_no)
-        record, rows = self._sc_rows_present(key)
+        record = key in self.sim.central.sc_records
+        rows = False
+        for (sender, s_port), (receiver, _r_port) in ((key[0], key[1]), (key[1], key[0])):
+            sender_tables = self.sim.switches[sender].tables
+            receiver_tables = self.sim.switches[receiver].tables
+            sci = make_sci(self.sim.switches[sender].mac, s_port)
+            rows = (
+                rows
+                or s_port in sender_tables.eg_sc
+                or any(k[0] == sci for k in receiver_tables.ig_sc)
+                or any(sa.sci == sci for t in (sender_tables, receiver_tables) for sa in t.sa.values())
+            )
         if not record and not rows:
             return True, "no channel state"
         return False, f"record={record} table_rows={rows}"
 
     def _assert_sc_exists_for(self, args, line_no):
         key = self._link_key_for(args[0], line_no)
-        record, rows = self._sc_rows_present(key)
-        state = self.sim.central.sc_records[key].state if record else "absent"
-        if record and rows and state == "active":
+        record = self.sim.central.sc_records.get(key)
+        if record is None:
+            return False, "record=False state=absent table_rows=False"
+        switches = self.sim.switches
+        # Each direction's rows are the record's own: the sender's EG-SC and
+        # the receiver's IG-SC (SCI, AN) both point to its SA, held at both ends.
+        rows = all(
+            switches[d.sender].tables.eg_sc.get(d.sender_port) == d.sai
+            and switches[d.receiver].tables.ig_sc.get((d.sci, d.an)) == d.sai
+            and d.sai in switches[d.sender].tables.sa
+            and d.sai in switches[d.receiver].tables.sa
+            for d in record.directions.values()
+        )
+        if rows and record.state == "active":
             return True, "both directions installed"
-        return False, f"record={record} state={state} table_rows={rows}"
+        return False, f"record=True state={record.state} table_rows={rows}"
 
     def _assert_all_interswitch_frames_protected(self, args, line_no):
         target, from_t = args
         try:
-            t_min_us = round(float(from_t) * 1_000_000)
+            t_min_us = to_us(float(from_t))
         except ValueError as exc:
             raise ScriptError(f"line {line_no}: bad time {from_t!r}") from exc
         names = self.sim.interswitch_link_names() if target == "*" else [target]

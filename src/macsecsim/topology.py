@@ -39,6 +39,10 @@ class LinkSpec:
     b: Endpoint
 
 
+# Spec durations, in seconds of virtual time; none may be negative.
+_DURATIONS = ("discovery_interval", "rekey_interval", "lldp_key_rotation", "grace", "link_latency", "latency_jitter")
+
+
 @dataclass
 class SimParams:
     discovery_interval: float = 30.0
@@ -56,8 +60,10 @@ class SimParams:
     def __post_init__(self):
         if not 0.0 <= self.loss_probability < 1.0:
             raise SpecError("loss_probability must be in [0, 1)")
-        if self.latency_jitter < 0:
-            raise SpecError("latency_jitter must be >= 0")
+        for name in _DURATIONS:
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise SpecError(f"{name} must be >= 0")
 
 
 _PARAM_FIELDS = set(SimParams.__dataclass_fields__)

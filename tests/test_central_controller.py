@@ -34,8 +34,8 @@ class Harness:
         self.unreachable = set()
         self.central = CentralController(
             now=lambda: self.time_us,
-            schedule=lambda delay, fn, housekeeping=False: self.scheduled.append(
-                [delay, fn, housekeeping]
+            schedule=lambda delay_us, fn, *args, housekeeping=False: self.scheduled.append(
+                [delay_us, fn, args, housekeeping]
             ),
             send_to_local=self._send,
             rng=RandomSource(7),
@@ -74,16 +74,16 @@ class Harness:
 
     def advance_to_rekey_timers(self):
         """Move the clock on by the delay of the queued rekey timers, the only housekeeping ones."""
-        [delay] = {delay for delay, _fn, hk in self.scheduled if hk}
-        self.time_us += round(delay * 1_000_000)
+        [delay_us] = {delay_us for delay_us, _fn, _args, hk in self.scheduled if hk}
+        self.time_us += delay_us
 
     def run_due_timers(self):
         """Fire scheduled callbacks whose deadline has passed (one sweep)."""
         for entry in list(self.scheduled):
-            delay, fn, _hk = entry
-            if delay <= self.time_us / 1_000_000:
+            delay_us, fn, args, _hk = entry
+            if delay_us <= self.time_us:
                 self.scheduled.remove(entry)
-                fn()
+                fn(*args)
 
 
 def test_register_installs_key_then_starts_discovery():
@@ -180,7 +180,7 @@ def test_reconfirmed_link_gets_fresh_saks():
 
 
 def test_rekey_increments_an_and_orders_ingress_first():
-    h = Harness(rekey_interval_s=60.0)
+    h = Harness(rekey_interval_us=60_000_000)
     h.register_all("s1", "s2")
     h.confirm_link()
     record = h.central.sc_records[KEY_12]
@@ -198,11 +198,11 @@ def test_rekey_increments_an_and_orders_ingress_first():
     assert d.sai != old_sai and d.sak.key != old_sak
     assert d.rekey_count == 1
     # Old-generation cleanup waits for the grace timer.
-    assert any(not hk and delay == h.central.grace_s for delay, _fn, hk in h.scheduled)
+    assert any(not hk and delay_us == h.central.grace_us for delay_us, _fn, _args, hk in h.scheduled)
 
 
 def test_an_cycles_mod_four():
-    h = Harness(rekey_interval_s=10.0)
+    h = Harness(rekey_interval_us=10_000_000)
     h.register_all("s1", "s2")
     h.confirm_link()
     d = h.central.sc_records[KEY_12].directions["a2b"]
@@ -293,7 +293,7 @@ def test_retry_of_a_torn_down_record_is_dropped():
     h.unreachable.add("s2")
     h.central.handle_link_delta(LinkDelta(chassis_id="s1", adds={2: ("s2", 4)}))
     h.central.handle_link_delta(LinkDelta(chassis_id="s2", adds={4: ("s1", 2)}))
-    assert any(delay == 1.0 for delay, _fn, _hk in h.scheduled)  # the retry of s2's ingress
+    assert any(delay_us == 1_000_000 for delay_us, _fn, _args, _hk in h.scheduled)  # the retry of s2's ingress
     h.central.handle_link_delta(LinkDelta(chassis_id="s1", removes=[2]))
     h.central.handle_link_delta(LinkDelta(chassis_id="s2", removes=[4]))
     h.unreachable.clear()

@@ -45,7 +45,7 @@ KEY = LldpKey(key=bytes(range(16)), key_id=1)
 
 
 class Harness:
-    def __init__(self, chassis="s1", num_ports=4, interval=30.0):
+    def __init__(self, chassis="s1", num_ports=4, interval_us=30_000_000):
         self.time_us = 0
         self.scheduled = []
         self.sent = []
@@ -56,12 +56,12 @@ class Harness:
         self.ctl = LocalController(
             self.switch,
             now=lambda: self.time_us,
-            schedule=lambda delay, fn, housekeeping=False: self.scheduled.append(
-                (delay, fn, housekeeping)
+            schedule=lambda delay_us, fn, *args, housekeeping=False: self.scheduled.append(
+                (delay_us, fn, args, housekeeping)
             ),
             send_to_central=self._send,
             rng=RandomSource(42),
-            discovery_interval_s=interval,
+            discovery_interval_us=interval_us,
         )
 
     def _send(self, msg):
@@ -170,7 +170,7 @@ def test_emit_round_probes_every_up_port():
     seqs = [int.from_bytes(data[LLDP_SEQ_OFFSET:LLDP_SEALED_OFFSET], "big") for data in frames]
     assert seqs == [seqs[0], seqs[0] + 1, seqs[0] + 2]
     # round re-arms itself on the discovery interval as a housekeeping timer
-    assert h.scheduled[-1][0] == 30.0 and h.scheduled[-1][2] is True
+    assert h.scheduled[-1][0] == 30_000_000 and h.scheduled[-1][3] is True
 
 
 def test_emit_round_all_ports_down():

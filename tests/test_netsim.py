@@ -274,6 +274,18 @@ def test_rekey_grace_removes_old_generation_rows():
         assert old_sais.isdisjoint(switch.tables.ig_sc.values())
 
 
+def test_teardown_in_the_grace_window_still_retires_the_old_sa():
+    spec = chain_spec(2).with_params(rekey_interval=2.0, grace=1.0)
+    sim = build(spec, seed=1)
+    sim.quiesce()
+    sim.run_until(2.5)  # first rekey done, grace still pending
+    sim.set_link_state("s1-s2", False)
+    sim.run_until(10)
+    assert sim.central.sc_records == {}
+    for switch in sim.switches.values():
+        assert switch.tables.sa == {}, switch.chassis_id
+
+
 def test_pn_exhaustion_triggers_automatic_rekey():
     spec = chain_spec(2).with_params(pn_ceiling=6, rekey_interval=1000.0)
     sim = Simulation(spec, seed=22)
@@ -500,29 +512,70 @@ def test_livelock_is_raised_after_exactly_max_events(entry):
 def test_events_due_at_the_same_microsecond_run_in_queue_order():
     sim = build(chain_spec(2), seed=1)
     sim.quiesce()
-    latency_s = sim.links["s1-s2"].latency_us / 1_000_000
+    latency_us = sim.links["s1-s2"].latency_us
     order = []
     s2 = sim.switches["s2"]
     handle_frame = s2.handle_frame
     s2.handle_frame = lambda port, data: (order.append("frame"), handle_frame(port, data))[1]
     # All three are due one link latency from now: a timer queued before the
     # frame's delivery, the delivery, and a timer queued after it.
-    sim.schedule(latency_s, lambda: order.append("timer before"))
+    sim.schedule(latency_us, lambda: order.append("timer before"))
     sim.inject_frame("s1-s2", "a2b", b"\x00" * 10)
-    sim.schedule(0, lambda: sim.schedule(latency_s, lambda: order.append("timer after")))
-    sim.run_until(sim.now_s() + 2 * latency_s)
+    sim.schedule(0, lambda: sim.schedule(latency_us, lambda: order.append("timer after")))
+    sim.run_until((sim.now_us() + 2 * latency_us) / 1_000_000)
     assert order == ["timer before", "frame", "timer after"]
 
 
-@pytest.mark.parametrize("delay_s", [0.0, 4e-7, 5e-7, 1.5e-6, 2.5e-6, 0.1 + 0.2, 1.2345678e-3, -3e-7])
-def test_schedule_rounds_a_float_delay_to_the_microsecond(delay_s):
-    sim = build(chain_spec(2), seed=1)
+LATENCY_CASES = [
+    (0.0, 0), (4e-7, 0), (5e-7, 0), (1.5e-6, 2), (2.5e-6, 2),
+    (0.1 + 0.2, 300_000), (1.2345678e-3, 1235), (0.000251, 251),
+]
+
+
+@pytest.mark.parametrize(
+    "seconds,expected_us", LATENCY_CASES, ids=[str(seconds) for seconds, _ in LATENCY_CASES]
+)
+def test_link_latency_rounds_to_the_nearest_microsecond(seconds, expected_us):
+    sim = build(chain_spec(3).with_params(link_latency=seconds), seed=1)
+    assert {link.latency_us for link in sim.links.values()} == {expected_us}
+
+
+def test_discovery_rounds_come_one_rounded_interval_apart():
+    sim = build(chain_spec(2).with_params(discovery_interval=1.001), seed=1)
+    sim.run_until(3.5)
+    times = [rec.time_us for rec in sim.trace_query(link="s1-s2", direction="a2b", classification="secure_lldp")]
+    assert [b - a for a, b in zip(times, times[1:])] == [1_001_000] * 3
+
+
+def test_default_grace_is_the_rounded_discovery_interval():
+    sim = build(chain_spec(2).with_params(discovery_interval=1.001), seed=1)
+    assert sim.central.grace_us == sim.controllers["s1"].discovery_interval_us == 1_001_000
+
+
+@pytest.mark.parametrize("jitter_s", [0.0, 0.0005])
+def test_every_queue_push_goes_through_schedule(monkeypatch, jitter_s):
+    pushes = []
+    schedule = Simulation.schedule
+
+    def counting(self, delay_us, fn, *args, housekeeping=False):
+        pushes.append((delay_us, fn.__name__))
+        schedule(self, delay_us, fn, *args, housekeeping=housekeeping)
+
+    monkeypatch.setattr(Simulation, "schedule", counting)
+    spec = chain_spec(3).with_params(latency_jitter=jitter_s, rekey_interval=2.0, grace=1.0)
+    sim = build(spec, seed=1)
     sim.quiesce()
-    t0 = sim.now_us()
-    fired = []
-    sim.schedule(delay_s, lambda: fired.append(sim.now_us()))
-    sim.run_until(sim.now_s() + 1.0)
-    assert fired == [t0 + max(0, round(delay_s * 1_000_000))]
+    sim.run_until(3.5)  # a rekey round and its retires
+    sim.set_control_state("s2", False)  # the next rekey's installs on s2 are retried
+    sim.run_until(5.0)
+    sim.set_control_state("s2", True)
+    sim.run_until(8.0)
+    assert sim.central.counters.get("channels.retry") > 0
+    assert {"_deliver", "_retire_old_sa", "_retry_batch"} <= {name for _, name in pushes}
+    assert len(pushes) == sim.events_processed + len(sim._queue)
+    assert all(type(delay_us) is int for delay_us, _ in pushes)
+    assert all(type(at_us) is int for at_us, *_ in sim._queue)
+    assert "<lambda>" not in {name for _, name in pushes}
 
 
 def test_validated_frame_with_a_short_lldp_typed_inner_frame_fails_closed():

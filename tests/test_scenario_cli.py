@@ -4,7 +4,12 @@ import pytest
 
 from macsecsim.cli import main
 from macsecsim.errors import ScriptError
-from macsecsim.scenario import parse_script, run_scenario
+from macsecsim.central_controller import link_key
+from macsecsim.crypto import Sak
+from macsecsim.dataplane import SaEntry
+from macsecsim.scenario import ScenarioRunner, parse_script, run_scenario
+from macsecsim.topology import TopologySpec
+from macsecsim.wire import make_sci
 from conftest import SCENARIOS
 
 SPEC = str(SCENARIOS / "hierarchical.yaml")
@@ -94,6 +99,41 @@ def test_failing_assertion_reported_not_thrown(tmp_path):
     report, _ = run_scenario(SPEC, script, seed=7)
     assert not report.all_passed
     assert "FAIL" in report.results[0].to_line()
+
+
+def _quiesced_runner(script: str = "") -> ScenarioRunner:
+    runner = ScenarioRunner(TopologySpec.from_yaml(SPEC), parse_script("quiesce\n" + script), seed=7)
+    runner.execute()
+    return runner
+
+
+def _expect(runner: ScenarioRunner, assertion: str):
+    runner.directives = parse_script(f"expect {assertion}\n")
+    return runner.execute().results[-1]
+
+
+def test_no_sc_for_fails_on_an_orphan_sa_row():
+    runner = _quiesced_runner("link down agg1-core\nquiesce\n")
+    assert _expect(runner, "no_sc_for agg1-core").ok
+    link = runner.sim.links["agg1-core"]
+    sender = runner.sim.switches[link.a.name]
+    sender.write_sa(SaEntry(sai=999, sak=Sak(b"\x01" * 16), an=0, sci=make_sci(sender.mac, link.a.port)))
+    result = _expect(runner, "no_sc_for agg1-core")
+    assert not result.ok and result.detail == "record=False table_rows=True"
+
+
+def test_sc_exists_for_requires_the_records_own_rows():
+    runner = _quiesced_runner()
+    assert _expect(runner, "sc_exists_for agg1-core").ok
+    link = runner.sim.links["agg1-core"]
+    d = runner.sim.central.sc_records[
+        link_key((link.a.name, link.a.port), (link.b.name, link.b.port))
+    ].directions["a2b"]
+    receiver = runner.sim.switches[d.receiver]
+    receiver.delete_ig_sc(d.sci, d.an)
+    receiver.write_ig_sc(d.sci, (d.an + 1) % 4, d.sai)  # the SA's row under another AN
+    result = _expect(runner, "sc_exists_for agg1-core")
+    assert not result.ok and result.detail == "record=True state=active table_rows=False"
 
 
 def test_snapshot_semantics_for_link_map_unchanged(tmp_path):

@@ -82,6 +82,16 @@ def test_unknown_sections_and_params_rejected():
         TopologySpec.from_dict(minimal(params={"control_latency": 0.0}))
 
 
+@pytest.mark.parametrize(
+    "name", ["discovery_interval", "rekey_interval", "lldp_key_rotation", "grace", "link_latency"]
+)
+def test_negative_durations_rejected(name):
+    with pytest.raises(SpecError, match=f"{name} must be >= 0"):
+        TopologySpec.from_dict(minimal(params={name: -3e-7}))
+    with pytest.raises(SpecError, match=f"{name} must be >= 0"):
+        chain_spec(2).with_params(**{name: -1.0})
+
+
 def test_parallel_links_get_distinct_names():
     raw = {
         "switches": [
