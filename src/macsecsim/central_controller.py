@@ -8,7 +8,9 @@ receiver that cannot validate it.
 
 Each link is indexed under both of its endpoints.  A batch in flight holds
 the channel record it was sent for; once teardown removes or replaces that
-record, the batch is stale, and its ack and retry are ignored.
+record, the batch is stale, and its ack is ignored.  The control channel
+delivers every message, late if it is cut, so the one failure is a nack,
+which quarantines the channel.
 """
 
 from __future__ import annotations
@@ -40,8 +42,6 @@ log = logging.getLogger(__name__)
 
 Endpoint = tuple[str, int]
 LinkKey = tuple[Endpoint, Endpoint]
-
-RETRY_DELAY_US = 1_000_000
 
 
 def link_key(a: Endpoint, b: Endpoint) -> LinkKey:
@@ -93,13 +93,10 @@ class ScRecord:
 
 @dataclass
 class _PendingBatch:
-    batch_id: int
     chassis: str
-    cfg: ScConfig
     record: ScRecord
     direction: str
     stage: str  # "ingress" | "egress"
-    attempts: int = 1
 
 
 class CentralController:
@@ -108,7 +105,7 @@ class CentralController:
         *,
         now: Callable[[], int],
         schedule: Callable[..., None],
-        send_to_local: Callable[[str, object], bool],
+        send_to_local: Callable[[str, object], None],
         rng,
         rekey_interval_us: int = 60_000_000,
         lldp_rotation_us: int = 300_000_000,
@@ -116,7 +113,9 @@ class CentralController:
         macsec_encrypt: bool = True,
     ):
         """`schedule(delay_us, fn, *args, housekeeping=False)` queues a timer;
-        every interval is in whole microseconds of virtual time."""
+        every interval is in whole microseconds of virtual time.
+        `send_to_local(chassis, msg)` returns nothing: each message arrives,
+        in order, though late if the switch's control channel is cut."""
         self._now = now
         self._schedule = schedule
         self._send = send_to_local
@@ -131,7 +130,7 @@ class CentralController:
         self.link_map: dict[LinkKey, LinkState] = {}
         self._link_at: dict[Endpoint, LinkState] = {}
         self.sc_records: dict[LinkKey, ScRecord] = {}
-        self.alerts: list[str] = []
+        self.alerts: list[str] = []  # one line per quarantine
         self.sak_log: list[bytes] = []
         self._saks: set[bytes] = set()
 
@@ -158,8 +157,8 @@ class CentralController:
 
     def handle_register(self, chassis_id: str, mac: bytes) -> None:
         self.switch_macs[chassis_id] = mac
-        self._send_or_alert(chassis_id, KeyInstall(key=self.lldp_key))
-        self._send_or_alert(chassis_id, StartDiscovery())
+        self._send(chassis_id, KeyInstall(key=self.lldp_key))
+        self._send(chassis_id, StartDiscovery())
 
     # -- global link map ----------------------------------------------------------
 
@@ -270,10 +269,8 @@ class CentralController:
             if not staged:
                 ops.append(SetPortFlag(port=d.sender_port, flag=True))
         cfg = ScConfig(batch_id=self._next_batch_id(), ops=ops)
-        batch = _PendingBatch(cfg.batch_id, chassis, cfg, record, name, stage)
-        self._pending[cfg.batch_id] = batch
-        if not self._send(chassis, cfg):
-            self._batch_failed(batch, "unreachable")
+        self._pending[cfg.batch_id] = _PendingBatch(chassis, record, name, stage)
+        self._send(chassis, cfg)
 
     def _next_batch_id(self) -> int:
         self._batch_seq += 1
@@ -287,8 +284,9 @@ class CentralController:
         if batch is None or self._stale(batch):
             return
         if not ack.ok:
-            self._pending[batch.batch_id] = batch
-            self._batch_failed(batch, ack.detail)
+            # Resending is futile: the batch writes its SA before anything
+            # refers to it, and ports never change.
+            self._quarantine(batch.record, f"{batch.stage} install on {batch.chassis}: {ack.detail}")
             return
         d = batch.record.directions[batch.direction]
         if batch.stage == "ingress":
@@ -328,23 +326,8 @@ class CentralController:
             # in which case the (SCI, AN) row now belongs to a live generation.
             if old_an != d.an and (d.next is None or old_an != d.next[1]):
                 receiver_ops.insert(0, DeleteIgSc(sci=d.sci, an=old_an))
-        self._send_or_alert(receiver, ScConfig(batch_id=self._next_batch_id(), ops=receiver_ops))
-        self._send_or_alert(sender, ScConfig(batch_id=self._next_batch_id(), ops=[DeleteSa(sai=old_sai)]))
-
-    def _batch_failed(self, batch: _PendingBatch, detail: str) -> None:
-        if batch.attempts >= 2:
-            self._pending.pop(batch.batch_id, None)
-            self._quarantine(batch.record, f"{batch.stage} install on {batch.chassis}: {detail}")
-            return
-        batch.attempts += 1
-        self._schedule(RETRY_DELAY_US, self._retry_batch, batch)
-
-    def _retry_batch(self, batch: _PendingBatch) -> None:
-        if batch.batch_id not in self._pending or self._stale(batch):
-            return
-        self.counters.incr("channels.retry")
-        if not self._send(batch.chassis, batch.cfg):
-            self._batch_failed(batch, "unreachable")
+        self._send(receiver, ScConfig(batch_id=self._next_batch_id(), ops=receiver_ops))
+        self._send(sender, ScConfig(batch_id=self._next_batch_id(), ops=[DeleteSa(sai=old_sai)]))
 
     def _quarantine(self, record: ScRecord, detail: str) -> None:
         record.state = "quarantined"
@@ -360,15 +343,13 @@ class CentralController:
             sais = [d.sai] + ([d.next[0]] if d.next is not None else [])
             receiver_ops = [DeleteIgSc(sci=d.sci, an=an) for an in range(4)]
             receiver_ops += [DeleteSa(sai=s) for s in sais]
-            self._send_or_alert(
-                d.receiver, ScConfig(batch_id=self._next_batch_id(), ops=receiver_ops)
-            )
+            self._send(d.receiver, ScConfig(batch_id=self._next_batch_id(), ops=receiver_ops))
             sender_ops = [
                 DeleteEgSc(port=d.sender_port),
                 SetPortFlag(port=d.sender_port, flag=False),
             ]
             sender_ops += [DeleteSa(sai=s) for s in sais]
-            self._send_or_alert(d.sender, ScConfig(batch_id=self._next_batch_id(), ops=sender_ops))
+            self._send(d.sender, ScConfig(batch_id=self._next_batch_id(), ops=sender_ops))
 
     # -- rekeying -------------------------------------------------------------------
 
@@ -408,21 +389,7 @@ class CentralController:
         self.lldp_key = LldpKey(key=self._rng.key_material(), key_id=self.lldp_key.key_id + 1)
         self.counters.incr("discovery_key.rotated")
         for chassis in self.switch_macs:
-            self._send_key_with_retry(chassis, attempts=1)
-
-    def _send_key_with_retry(self, chassis: str, attempts: int) -> None:
-        if self._send(chassis, KeyInstall(key=self.lldp_key)):
-            return
-        if attempts >= 2:
-            self.alerts.append(f"switch {chassis} unreachable for key install")
-            self.counters.incr("control.unreachable")
-            return
-        self._schedule(RETRY_DELAY_US, self._send_key_with_retry, chassis, attempts + 1)
-
-    def _send_or_alert(self, chassis: str, msg) -> None:
-        if not self._send(chassis, msg):
-            self.alerts.append(f"switch {chassis} unreachable for {type(msg).__name__}")
-            self.counters.incr("control.unreachable")
+            self._send(chassis, KeyInstall(key=self.lldp_key))
 
     # -- read-only query surface ---------------------------------------------------------
 

@@ -14,7 +14,7 @@ import logging
 import os
 import sys
 
-from .errors import MacsecSimError, UnknownQuery, UnknownSwitch
+from .errors import MacsecSimError, SpecError, UnknownQuery, UnknownSwitch
 from .netsim import Simulation
 from .scenario import run_scenario
 from .topology import TopologySpec
@@ -27,9 +27,12 @@ def _resolve_seed(args) -> int | None:
     if args.seed is not None:
         return args.seed
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    if env is None:
+        return None
+    try:
         return int(env)
-    return None
+    except ValueError:
+        raise SpecError(f"${SEED_ENV_VAR} must be an integer, not {env!r}") from None
 
 
 def format_tables(sim: Simulation, chassis: str, *, unsafe_keys: bool = False) -> str:

@@ -52,12 +52,14 @@ class LocalController:
         *,
         now: Callable[[], int],
         schedule: Callable[..., None],
-        send_to_central: Callable[[object], bool],
+        send_to_central: Callable[[object], None],
         rng,
         discovery_interval_us: int = 30_000_000,
     ):
         """`schedule(delay_us, fn, *args, housekeeping=False)` queues a timer;
-        the discovery interval is in whole microseconds of virtual time."""
+        the discovery interval is in whole microseconds of virtual time.
+        `send_to_central(msg)` returns nothing: each message arrives, in
+        order, though late if the control channel is cut."""
         self.switch = switch
         self.chassis_id = switch.chassis_id
         self.counters = switch.counters
@@ -223,9 +225,7 @@ class LocalController:
                 self._report_delta(removes=[port])
 
     def _report_delta(self, adds=None, removes=None) -> None:
-        delta = LinkDelta(chassis_id=self.chassis_id, adds=dict(adds or {}), removes=list(removes or []))
-        if not self._send(delta):
-            self.counters.incr("ctl.send_failed")
+        self._send(LinkDelta(chassis_id=self.chassis_id, adds=dict(adds or {}), removes=list(removes or [])))
 
     # -- MACsec table agent ------------------------------------------------------
 
@@ -268,5 +268,4 @@ class LocalController:
 
     def handle_rekey_needed(self, sai: int, sci: bytes) -> None:
         self.counters.incr("sc_config.pn_exhausted")
-        if not self._send(PnExhausted(chassis_id=self.chassis_id, sci=sci)):
-            self.counters.incr("ctl.send_failed")
+        self._send(PnExhausted(chassis_id=self.chassis_id, sci=sci))

@@ -19,6 +19,11 @@ flagged as housekeeping; `quiesce` runs the queue in time order until only
 housekeeping remains, which is the artifact's notion of "no in-flight
 events".  `run_until` and `quiesce` share one loop, which raises
 `LivelockError` once a call has run `max_events` events.
+
+Control messages between a switch and the central controller are queued
+at zero delay.  While a switch's control channel is cut they are held, in
+both directions, and queued in the order sent when it heals; no control
+message is ever lost.
 """
 
 from __future__ import annotations
@@ -97,7 +102,8 @@ class Simulation:
         self.hosts: dict[str, Host] = {}
         self.links: dict[str, Link] = {}
         self._port_map: dict[tuple[str, int], tuple[Link, str]] = {}
-        self.control_up: dict[str, bool] = {}
+        # chassis -> (deliver, msg) held while its control channel is cut
+        self._held: dict[str, list[tuple[Callable[[object], None], object]]] = {}
 
         self._jitter_us = to_us(self.params.latency_jitter)
         grace = self.params.discovery_interval if self.params.grace is None else self.params.grace
@@ -137,7 +143,6 @@ class Simulation:
             )
             self.switches[sw_spec.chassis_id] = switch
             self.controllers[sw_spec.chassis_id] = controller
-            self.control_up[sw_spec.chassis_id] = True
 
         for link_spec in self.spec.links:
             link = Link(
@@ -223,23 +228,29 @@ class Simulation:
 
     # -- control channel ---------------------------------------------------------------
 
-    def _send_to_local(self, chassis: str, msg) -> bool:
-        if not self.control_up.get(chassis, False):
-            return False
-        self.schedule(0, self.controllers[chassis].deliver, msg)
-        return True
+    def _send_to_local(self, chassis: str, msg) -> None:
+        self._send(chassis, self.controllers[chassis].deliver, msg)
 
-    def _send_to_central(self, chassis: str, msg) -> bool:
-        if not self.control_up.get(chassis, False):
-            return False
-        self.schedule(0, self.central.deliver, msg)
-        return True
+    def _send_to_central(self, chassis: str, msg) -> None:
+        self._send(chassis, self.central.deliver, msg)
+
+    def _send(self, chassis: str, deliver: Callable[[object], None], msg) -> None:
+        held = self._held.get(chassis)
+        if held is None:
+            self.schedule(0, deliver, msg)
+        else:
+            held.append((deliver, msg))
 
     def set_control_state(self, chassis: str, up: bool) -> None:
-        """Partition (or heal) a switch's control channel."""
+        """Cut or heal a switch's control channel.  A cut channel holds the
+        messages sent either way; healing queues them in the order sent."""
         if chassis not in self.controllers:
             raise UnknownSwitch(chassis)
-        self.control_up[chassis] = up
+        if not up:
+            self._held.setdefault(chassis, [])
+            return
+        for deliver, msg in self._held.pop(chassis, ()):
+            self.schedule(0, deliver, msg)
 
     # -- wire ---------------------------------------------------------------------------
 

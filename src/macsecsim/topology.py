@@ -7,7 +7,8 @@ end-to-end transparency checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 
 import yaml
 
@@ -39,8 +40,10 @@ class LinkSpec:
     b: Endpoint
 
 
-# Spec durations, in seconds of virtual time; none may be negative.
+# Spec durations, in seconds of virtual time; each is finite and none negative.
 _DURATIONS = ("discovery_interval", "rekey_interval", "lldp_key_rotation", "grace", "link_latency", "latency_jitter")
+# The value types each annotation admits; a bool is not a number here.
+_TYPES = {"float": (int, float), "float | None": (int, float, type(None)), "int": (int,), "bool": (bool,)}
 
 
 @dataclass
@@ -58,12 +61,20 @@ class SimParams:
     max_events: int = 1_000_000
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) not in _TYPES[f.type]:
+                raise SpecError(f"{f.name} must be {f.type}, not {type(value).__name__}")
+        if self.max_events < 1:
+            raise SpecError("max_events must be >= 1")
+        if not 1 <= self.pn_ceiling <= MAX_PN:
+            raise SpecError(f"pn_ceiling must be in 1..{MAX_PN}")
         if not 0.0 <= self.loss_probability < 1.0:
             raise SpecError("loss_probability must be in [0, 1)")
         for name in _DURATIONS:
             value = getattr(self, name)
-            if value is not None and value < 0:
-                raise SpecError(f"{name} must be >= 0")
+            if value is not None and not 0 <= value < math.inf:
+                raise SpecError(f"{name} must be >= 0 and finite")
 
 
 _PARAM_FIELDS = set(SimParams.__dataclass_fields__)
@@ -142,30 +153,33 @@ class TopologySpec:
         unknown = set(raw) - {"switches", "hosts", "links", "params"}
         if unknown:
             raise SpecError(f"unknown spec sections: {sorted(unknown)}")
+        for name, kind in (("switches", list), ("hosts", list), ("links", list), ("params", dict)):
+            if raw.get(name) is not None and not isinstance(raw[name], kind):
+                raise SpecError(f"{name} must be a {'list' if kind is list else 'mapping'}")
         try:
             switches = [
                 SwitchSpec(
                     chassis_id=str(s["id"]),
-                    mac=mac_from_str(s["mac"]),
+                    mac=mac_from_str(str(s["mac"])),
                     num_ports=int(s["ports"]),
                 )
-                for s in raw.get("switches", [])
+                for s in raw.get("switches") or []
             ]
             hosts = [
                 HostSpec(
                     name=str(h["name"]),
-                    mac=mac_from_str(h["mac"]),
+                    mac=mac_from_str(str(h["mac"])),
                     switch=str(h["switch"]),
                     port=int(h["port"]),
                 )
-                for h in raw.get("hosts", [])
+                for h in raw.get("hosts") or []
             ]
         except (KeyError, ValueError, TypeError) as exc:
             raise SpecError(f"bad switch/host entry: {exc}") from exc
 
         links = []
         taken = set()
-        for entry in raw.get("links", []):
+        for entry in raw.get("links") or []:
             try:
                 a = _parse_endpoint(entry["a"])
                 b = _parse_endpoint(entry["b"])
@@ -175,7 +189,7 @@ class TopologySpec:
             taken.add(name)
             links.append(LinkSpec(name=name, a=a, b=b))
 
-        params_raw = raw.get("params", {}) or {}
+        params_raw = raw.get("params") or {}
         bad = set(params_raw) - _PARAM_FIELDS
         if bad:
             raise SpecError(f"unknown params: {sorted(bad)}")

@@ -49,7 +49,6 @@ class Harness:
         self.time_us = 0
         self.scheduled = []
         self.sent = []
-        self.send_ok = True
         self.transmitted = []
         self.switch = Switch(chassis, SW_MAC, num_ports)
         self.switch.on_transmit = lambda port, data: self.transmitted.append((port, data))
@@ -66,7 +65,6 @@ class Harness:
 
     def _send(self, msg):
         self.sent.append(msg)
-        return self.send_ok
 
     def start(self, key=KEY):
         self.ctl.deliver(KeyInstall(key=key))
@@ -280,14 +278,6 @@ def test_stale_view_entries_expire_after_three_intervals():
     assert 2 not in h.ctl.local_view
     assert h.deltas()[-1].removes == [2]
     assert h.switch.counters.get("discovery.expired") == 1
-
-
-def test_delta_send_failure_counted():
-    h = Harness()
-    h.start()
-    h.send_ok = False
-    h.probe_from_peer(port=2, seq=50)
-    assert h.switch.counters.get("ctl.send_failed") == 1
 
 
 # -- MACsec table agent -----------------------------------------------------------

@@ -4,10 +4,13 @@ import pytest
 
 from macsecsim.crypto import LldpKey, lldp_seal, macsec_protect
 from macsecsim.errors import LivelockError, UnknownLink
+from macsecsim.local_controller import LocalController
 from macsecsim.netsim import Simulation, build
 from macsecsim.topology import SwitchSpec, TopologySpec, chain_spec
 from macsecsim.trace import read_pcapng
 from macsecsim.wire import LLDP_MULTICAST, Lldpdu, mac_from_str
+
+from fabric_checks import assert_converged
 
 
 def test_hierarchical_discovery_matches_wiring(hierarchical_spec):
@@ -235,7 +238,7 @@ def test_inflight_frame_on_cut_link_annotated():
     assert drops
 
 
-def test_control_partition_expires_links_and_alerts():
+def test_control_partition_expires_links_until_heal():
     spec = chain_spec(2).with_params(
         discovery_interval=1.0, lldp_key_rotation=5.0, rekey_interval=1000.0
     )
@@ -244,11 +247,73 @@ def test_control_partition_expires_links_and_alerts():
     assert len(sim.central.confirmed_links()) == 1
     sim.set_control_state("s2", False)
     sim.run_until(12.0)
-    assert any("s2" in alert for alert in sim.central.alerts)
     # s2 kept sealing with the rotated-out key; s1 stopped accepting, the
     # stale view entry aged out, and the link fell out of Confirmed.
     assert sim.central.confirmed_links() == set()
     assert sim.switches["s1"].counters.get("discovery.integrity_failure") > 0
+    # The heal delivers s2 its held key installs, and discovery confirms the link again.
+    sim.set_control_state("s2", True)
+    sim.run_until(15.0)
+    assert_converged(sim)
+    t0 = sim.now_us()
+    sim.host_send("h1", sim.hosts["h2"].mac, 0x0800, b"after-heal")
+    sim.quiesce()
+    assert [f.payload for f in sim.host_recv("h2")] == [b"after-heal"]
+    assert sim.trace_query(link="s1-s2", classification="ethernet", t_min_us=t0) == []
+    assert sim.trace_query(link="s1-s2", classification="macsec", t_min_us=t0)
+
+
+def test_partition_at_registration_converges_after_heal():
+    sim = build(chain_spec(2), seed=3)
+    sim.set_control_state("s2", False)  # before the first event: registration is held
+    sim.run_until(0.5)
+    sim.set_control_state("s2", True)
+    sim.run_until(200)
+    assert_converged(sim)
+
+
+def test_ack_sent_during_a_partition_arrives_on_heal(monkeypatch):
+    sim = build(chain_spec(2), seed=3)
+    handle_sc_config = LocalController.handle_sc_config
+    cut = []
+
+    def cut_while_applying_first_batch(self, cfg):
+        first = self.chassis_id == "s2" and not cut
+        if first:
+            cut.append(cfg.batch_id)
+            sim.set_control_state("s2", False)
+        handle_sc_config(self, cfg)
+        if first:
+            sim.set_control_state("s2", True)
+
+    monkeypatch.setattr(LocalController, "handle_sc_config", cut_while_applying_first_batch)
+    sim.run_until(600)
+    assert cut
+    assert_converged(sim)
+
+
+def test_partition_flap_and_heal_converges():
+    sim = build(chain_spec(3).with_params(discovery_interval=1), seed=3)
+    sim.quiesce()
+    sim.set_control_state("s2", False)
+    sim.set_link_state("s2-s3", False)
+    sim.run_until(sim.now_s() + 5)
+    sim.set_link_state("s2-s3", True)
+    sim.run_until(sim.now_s() + 5)
+    sim.set_control_state("s2", True)
+    sim.run_until(sim.now_s() + 400)
+    assert_converged(sim)
+
+
+def test_partition_across_a_discovery_key_rotation_converges():
+    spec = chain_spec(2).with_params(discovery_interval=1, lldp_key_rotation=10, rekey_interval=1000)
+    sim = build(spec, seed=3)
+    sim.quiesce()
+    sim.set_control_state("s2", False)  # misses the rotations at 10, 20 and 30 s
+    sim.run_until(30)
+    sim.set_control_state("s2", True)
+    sim.run_until(35)
+    assert_converged(sim)
 
 
 def test_duplicate_link_state_writes_are_silent(hierarchical_spec):
@@ -566,12 +631,16 @@ def test_every_queue_push_goes_through_schedule(monkeypatch, jitter_s):
     sim = build(spec, seed=1)
     sim.quiesce()
     sim.run_until(3.5)  # a rekey round and its retires
-    sim.set_control_state("s2", False)  # the next rekey's installs on s2 are retried
+    sim.set_control_state("s2", False)  # the next rekey's messages to and from s2 are held
     sim.run_until(5.0)
+    held = [msg for _deliver, msg in sim._held["s2"]]
+    assert held
+    seq = sim._seq
     sim.set_control_state("s2", True)
+    assert pushes[-len(held):] == [(0, "deliver")] * len(held)
+    assert [args[0] for _at, s, _hk, _fn, args in sorted(sim._queue) if s > seq] == held
     sim.run_until(8.0)
-    assert sim.central.counters.get("channels.retry") > 0
-    assert {"_deliver", "_retire_old_sa", "_retry_batch"} <= {name for _, name in pushes}
+    assert {"_deliver", "_retire_old_sa"} <= {name for _, name in pushes}
     assert len(pushes) == sim.events_processed + len(sim._queue)
     assert all(type(delay_us) is int for delay_us, _ in pushes)
     assert all(type(at_us) is int for at_us, *_ in sim._queue)

@@ -255,6 +255,12 @@ def test_cli_seed_env_var(monkeypatch, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_cli_non_integer_seed_env_var_is_an_error(monkeypatch, capsys):
+    monkeypatch.setenv("MACSECSIM_SEED", "seven")
+    assert main(["inspect", "--spec", SPEC, "scs"]) == 2
+    assert capsys.readouterr().err == "error: SpecError: $MACSECSIM_SEED must be an integer, not 'seven'\n"
+
+
 def test_send_accepts_literal_mac(tmp_path):
     script = tmp_path / "literal.txt"
     script.write_text(

@@ -82,14 +82,39 @@ def test_unknown_sections_and_params_rejected():
         TopologySpec.from_dict(minimal(params={"control_latency": 0.0}))
 
 
+BAD_INPUT = [
+    ("switches-not-a-list", {"switches": 5}, "switches must be a list"),
+    ("hosts-not-a-list", {"hosts": "h1"}, "hosts must be a list"),
+    ("links-not-a-list", {"links": 5}, "links must be a list"),
+    ("params-not-a-mapping", {"params": 5}, "params must be a mapping"),
+    ("int-mac", {"switches": [{"id": "s1", "mac": 5, "ports": 2}]}, "bad MAC"),
+    ("str-duration", {"params": {"discovery_interval": "abc"}}, "discovery_interval must be float"),
+    ("bool-duration", {"params": {"grace": True}}, "grace must be float | None"),
+    ("float-seed", {"params": {"seed": 1.5}}, "seed must be int"),
+    ("str-flag", {"params": {"macsec_encrypt": "yes"}}, "macsec_encrypt must be bool"),
+    ("zero-max-events", {"params": {"max_events": 0}}, "max_events must be >= 1"),
+    ("zero-pn-ceiling", {"params": {"pn_ceiling": 0}}, "pn_ceiling must be in"),
+    ("wide-pn-ceiling", {"params": {"pn_ceiling": 2**32}}, "pn_ceiling must be in"),
+    ("inf-duration", {"params": {"link_latency": float("inf")}}, "link_latency must be >= 0 and finite"),
+    ("nan-duration", {"params": {"grace": float("nan")}}, "grace must be >= 0 and finite"),
+]
+
+
 @pytest.mark.parametrize(
-    "name", ["discovery_interval", "rekey_interval", "lldp_key_rotation", "grace", "link_latency"]
+    "overrides, match",
+    [
+        pytest.param({"params": {name: -3e-7}}, f"{name} must be >= 0", id=name)
+        for name in ["discovery_interval", "rekey_interval", "lldp_key_rotation", "grace", "link_latency"]
+    ]
+    + [pytest.param(overrides, match, id=case) for case, overrides, match in BAD_INPUT],
 )
-def test_negative_durations_rejected(name):
-    with pytest.raises(SpecError, match=f"{name} must be >= 0"):
-        TopologySpec.from_dict(minimal(params={name: -3e-7}))
-    with pytest.raises(SpecError, match=f"{name} must be >= 0"):
-        chain_spec(2).with_params(**{name: -1.0})
+def test_negative_durations_rejected(overrides, match):
+    """Bad spec input raises SpecError, never a raw TypeError or a spec that fails later."""
+    with pytest.raises(SpecError, match=match):
+        TopologySpec.from_dict(minimal(**overrides))
+    if isinstance(overrides.get("params"), dict):
+        with pytest.raises(SpecError, match=match):
+            chain_spec(2).with_params(**overrides["params"])
 
 
 def test_parallel_links_get_distinct_names():
