@@ -7,7 +7,8 @@ sender-egress (at setup and rekey) so no in-flight frame ever meets a
 receiver that cannot validate it.
 
 Each link is indexed under both of its endpoints.  A batch in flight holds
-the channel record it was sent for; once teardown removes or replaces that
+the channel record and direction it was sent for; the direction's phase
+names the stage it installs.  Once teardown removes or replaces that
 record, the batch is stale, and its ack is ignored.  The control channel
 delivers every message, late if it is cut, so the one failure is a nack,
 which quarantines the channel.
@@ -91,14 +92,6 @@ class ScRecord:
     state: str = "installing"  # installing | active | quarantined
 
 
-@dataclass
-class _PendingBatch:
-    chassis: str
-    record: ScRecord
-    direction: str
-    stage: str  # "ingress" | "egress"
-
-
 class CentralController:
     def __init__(
         self,
@@ -137,7 +130,7 @@ class CentralController:
         self.lldp_key = LldpKey(key=rng.key_material(), key_id=1)
         self._sai_seq = 0
         self._batch_seq = 0
-        self._pending: dict[int, _PendingBatch] = {}
+        self._pending: dict[int, tuple[ScRecord, str]] = {}  # batch id -> (record, direction)
 
     def start(self) -> None:
         """Arm the periodic LLDP key rotation."""
@@ -269,35 +262,35 @@ class CentralController:
             if not staged:
                 ops.append(SetPortFlag(port=d.sender_port, flag=True))
         cfg = ScConfig(batch_id=self._next_batch_id(), ops=ops)
-        self._pending[cfg.batch_id] = _PendingBatch(chassis, record, name, stage)
+        self._pending[cfg.batch_id] = (record, name)
         self._send(chassis, cfg)
 
     def _next_batch_id(self) -> int:
         self._batch_seq += 1
         return self._batch_seq
 
-    def _stale(self, batch: _PendingBatch) -> bool:
-        return self.sc_records.get(batch.record.key) is not batch.record
-
     def handle_sc_ack(self, ack: ScAck) -> None:
-        batch = self._pending.pop(ack.batch_id, None)
-        if batch is None or self._stale(batch):
+        """A direction has at most one stage batch in flight, and its phase
+        names that stage: the receiver's ingress, then the sender's egress."""
+        record, direction = self._pending.pop(ack.batch_id, (None, None))
+        if record is None or self.sc_records.get(record.key) is not record:
             return
+        d = record.directions[direction]
+        ingress = d.phase == "ingress_pending"
         if not ack.ok:
             # Resending is futile: the batch writes its SA before anything
             # refers to it, and ports never change.
-            self._quarantine(batch.record, f"{batch.stage} install on {batch.chassis}: {ack.detail}")
-            return
-        d = batch.record.directions[batch.direction]
-        if batch.stage == "ingress":
+            stage, chassis = ("ingress", d.receiver) if ingress else ("egress", d.sender)
+            self._quarantine(record, f"{stage} install on {chassis}: {ack.detail}")
+        elif ingress:
             d.phase = "egress_pending"
-            self._send_stage(batch.record, batch.direction, d, stage="egress")
+            self._send_stage(record, direction, d, stage="egress")
         else:
-            self._finish_activation(batch, d)
+            self._finish_activation(record, direction, d)
 
-    def _finish_activation(self, batch: _PendingBatch, d: ScDirection) -> None:
-        # The timers capture no batch, so a queued timer keeps no SAK alive.
-        record, direction, key = batch.record, batch.direction, batch.record.key
+    def _finish_activation(self, record: ScRecord, direction: str, d: ScDirection) -> None:
+        # The timers capture no record, so a queued timer keeps no SAK alive.
+        key = record.key
         if d.next is not None:
             old_sai, old_an = d.sai, d.an
             d.sai, d.an, d.sak = d.next

@@ -10,10 +10,11 @@ whose macsec_flag is set sends the frame to the switch's one egress path,
 local controller floods a MAC miss, goes through `Switch.flood`, which
 protects per port; a controller packet-out is sent verbatim.
 
-Tables and the pipeline core (`run_pipeline`, which takes the egress
-function as an argument) are plain data and a plain function so tests can
-diff them against an independent interpreter; the `Switch` wrapper adds
-ports, counters and the CPU/notification hooks.
+The tables are plain data.  The pipeline core, `run_pipeline`, is one pass
+over a switch: it reads the tables, counts each validation on the SA that
+checked it and protects through `Switch.protect`.  The `Switch` adds ports,
+counters and the CPU/notification hooks; the pipeline oracle diffs
+`Switch.process_ingress` against an independent interpreter.
 """
 
 from __future__ import annotations
@@ -144,20 +145,18 @@ class PipelineResult:
     bytes_out: Optional[bytes] = None
     packet_in: Optional[PacketIn] = None
     drop_reason: Optional[str] = None
-    validated_sai: Optional[int] = None
-    failed_sai: Optional[int] = None
 
 
 ProtectHook = Callable[[bytes, bytes], None]  # (sak key, 12-byte IV)
-ProtectFn = Callable[[int, bytes], tuple[Optional[bytes], Optional[str]]]
 
 
-def run_pipeline(tables: SwitchTables, ingress_port: int, data: bytes, protect: ProtectFn) -> PipelineResult:
-    """One ingress pass over the tables, reading the received bytes in place.
+def run_pipeline(sw: Switch, ingress_port: int, data: bytes) -> PipelineResult:
+    """One ingress pass over the switch's tables, reading the received bytes in place.
 
-    A MAC entry with its MACsec flag set sends the frame's bytes through
-    `protect(egress_port, data)`, which returns (bytes_out, drop_reason);
-    the tables are otherwise read-only apart from the ingress PN floor.
+    A MACsec frame's validation, passed or failed, is counted on its SA
+    here.  A MAC entry with its MACsec flag set sends the frame's bytes
+    through `sw.protect`; the tables are otherwise read-only apart from the
+    ingress PN floor.
     """
     if len(data) < ETH_HEADER_LEN:
         return PipelineResult(kind=DROP, drop_reason=DROP_TRUNCATED)
@@ -165,7 +164,7 @@ def run_pipeline(tables: SwitchTables, ingress_port: int, data: bytes, protect: 
     if len(data) < MIN_FRAME_LEN.get(ether_type, ETH_HEADER_LEN):
         return PipelineResult(kind=DROP, drop_reason=DROP_TRUNCATED)
 
-    validated_sai = None
+    tables = sw.tables
     if ether_type == ETHERTYPE_MACSEC:
         sai = tables.ig_sc.get((data[SCI_OFFSET:SECURE_DATA_OFFSET], data[ETH_HEADER_LEN] & 0x03))
         sa = tables.sa.get(sai) if sai is not None else None
@@ -177,48 +176,40 @@ def run_pipeline(tables: SwitchTables, ingress_port: int, data: bytes, protect: 
         try:
             data = macsec_validate(sa.sak, data, confidentiality=sa.confidentiality)
         except IntegrityFailure:
-            return PipelineResult(kind=DROP, drop_reason=DROP_INTEGRITY, failed_sai=sai)
+            sw.counters.incr("macsec.validate_failed")
+            sw.counters.incr(sw._names[SA_FAILED, sai])
+            return PipelineResult(kind=DROP, drop_reason=DROP_INTEGRITY)
         sa.lowest_acceptable_pn = pn + 1
-        validated_sai = sai
+        sw.counters.incr("macsec.validated")
+        sw.counters.incr(sw._names[SA_VALIDATED, sai])
         ether_type = data[12] << 8 | data[13]
 
     # Discovery frames, sealed or nested in a validated frame, punt; they
     # are never forwarded or learned from.
     if ether_type == ETHERTYPE_LLDP:
-        return PipelineResult(
-            kind=PACKET_IN,
-            packet_in=PacketIn(ingress_port, data, REASON_LLDP_PUNT),
-            validated_sai=validated_sai,
-        )
+        return PipelineResult(kind=PACKET_IN, packet_in=PacketIn(ingress_port, data, REASON_LLDP_PUNT))
 
     dst = data[:6]
     if is_group_mac(dst):
-        return PipelineResult(kind=FLOOD, bytes_out=data, validated_sai=validated_sai)
+        return PipelineResult(kind=FLOOD, bytes_out=data)
 
     dst_entry = tables.mac.get(dst)
     if data[6:12] not in tables.mac or dst_entry is None:
-        return PipelineResult(
-            kind=PACKET_IN,
-            packet_in=PacketIn(ingress_port, data, REASON_MAC_MISS),
-            validated_sai=validated_sai,
-        )
+        return PipelineResult(kind=PACKET_IN, packet_in=PacketIn(ingress_port, data, REASON_MAC_MISS))
 
     out = data
     if dst_entry.macsec_flag:
-        out, reason = protect(dst_entry.port, data)
+        out, reason = sw.protect(dst_entry.port, data)
         if out is None:
-            return PipelineResult(kind=DROP, drop_reason=reason, validated_sai=validated_sai)
-    return PipelineResult(
-        kind=FORWARD, egress_port=dst_entry.port, bytes_out=out, validated_sai=validated_sai
-    )
+            return PipelineResult(kind=DROP, drop_reason=reason)
+    return PipelineResult(kind=FORWARD, egress_port=dst_entry.port, bytes_out=out)
 
 
 class Switch:
     """Data plane of one software switch: tables, ports, counters, CPU port.
 
     Every frame the switch protects goes through `protect`, whether the
-    pipeline forwards it or `flood` fans it out; `run_pipeline` receives
-    that method as its egress function.
+    pipeline forwards it or `flood` fans it out.
 
     The embedding (simulator or test) wires the hooks:
 
@@ -247,16 +238,10 @@ class Switch:
     # -- frame path ---------------------------------------------------------
 
     def process_ingress(self, port: int, data: bytes) -> PipelineResult:
-        """Run the pipeline and account for it; emission is the caller's job."""
-        result = run_pipeline(self.tables, port, data, self.protect)
+        """Run the pipeline and count its drop; emission is the caller's job."""
+        result = run_pipeline(self, port, data)
         if result.kind == DROP:
             self.counters.incr(f"drop.{result.drop_reason}")
-        if result.validated_sai is not None:
-            self.counters.incr("macsec.validated")
-            self.counters.incr(self._names[SA_VALIDATED, result.validated_sai])
-        if result.failed_sai is not None:
-            self.counters.incr("macsec.validate_failed")
-            self.counters.incr(self._names[SA_FAILED, result.failed_sai])
         return result
 
     def protect(self, port: int, data: bytes) -> tuple[Optional[bytes], Optional[str]]:

@@ -207,11 +207,9 @@ class LocalController:
                 self._emit_probe(port)
         else:
             self.rx_seq.pop(port, None)
-            self.last_seen_us.pop(port, None)
             if port in self.local_view:
-                del self.local_view[port]
                 log.debug("%s: link lost on port %s", self.chassis_id, port)
-                self._report_delta(removes=[port])
+                self._forget_link(port)
 
     def _expire_stale_links(self) -> None:
         horizon = LINK_EXPIRY_INTERVALS * self.discovery_interval_us
@@ -219,10 +217,15 @@ class LocalController:
         for port in list(self.local_view):
             seen = self.last_seen_us.get(port)
             if seen is None or now - seen > horizon:
-                del self.local_view[port]
-                self.last_seen_us.pop(port, None)
                 self.counters.incr("discovery.expired")
-                self._report_delta(removes=[port])
+                self._forget_link(port)
+
+    def _forget_link(self, port: int) -> None:
+        """Drop the link discovered on `port` and report its removal.  Only a
+        port with a link has a `last_seen_us` entry."""
+        del self.local_view[port]
+        self.last_seen_us.pop(port, None)
+        self._report_delta(removes=[port])
 
     def _report_delta(self, adds=None, removes=None) -> None:
         self._send(LinkDelta(chassis_id=self.chassis_id, adds=dict(adds or {}), removes=list(removes or [])))

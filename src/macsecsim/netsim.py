@@ -70,8 +70,7 @@ class Link:
 class Host:
     name: str
     mac: bytes
-    link: Optional[Link] = None
-    side: str = "a"  # which end of its link the host occupies
+    link: Optional[Link] = None  # the host is its link's b end
     received: list[tuple[int, EthernetFrame]] = field(default_factory=list)
     delivered: int = 0  # every frame that reached the NIC, any class
 
@@ -101,6 +100,7 @@ class Simulation:
         self.controllers: dict[str, LocalController] = {}
         self.hosts: dict[str, Host] = {}
         self.links: dict[str, Link] = {}
+        # (chassis, port) -> (link, direction a frame sent from that port takes)
         self._port_map: dict[tuple[str, int], tuple[Link, str]] = {}
         # chassis -> (deliver, msg) held while its control channel is cut
         self._held: dict[str, list[tuple[Callable[[object], None], object]]] = {}
@@ -152,8 +152,8 @@ class Simulation:
                 latency_us=latency_us,
             )
             self.links[link.name] = link
-            self._port_map[link_spec.a] = (link, "a")
-            self._port_map[link_spec.b] = (link, "b")
+            self._port_map[link_spec.a] = (link, "a2b")
+            self._port_map[link_spec.b] = (link, "b2a")
 
         for host_spec in self.spec.hosts:
             host = Host(name=host_spec.name, mac=host_spec.mac)
@@ -163,10 +163,10 @@ class Simulation:
                 b=LinkEnd("host", host_spec.name),
                 latency_us=latency_us,
             )
-            host.link, host.side = link, "b"
+            host.link = link
             self.hosts[host.name] = host
             self.links[link.name] = link
-            self._port_map[(host_spec.switch, host_spec.port)] = (link, "a")
+            self._port_map[(host_spec.switch, host_spec.port)] = (link, "a2b")
 
         # Ports with no cable attached have no carrier.
         for chassis, switch in self.switches.items():
@@ -258,8 +258,7 @@ class Simulation:
         attachment = self._port_map.get((chassis, port))
         if attachment is None:
             return
-        link, side = attachment
-        self._transmit_on_link(link, "a2b" if side == "a" else "b2a", data)
+        self._transmit_on_link(*attachment, data)
 
     def _transmit_on_link(self, link: Link, direction: str, data: bytes) -> None:
         index = self.trace.record(self._clock_us, link.name, direction, data)
@@ -330,8 +329,7 @@ class Simulation:
         if host is None:
             raise UnknownSwitch(f"unknown host {host_name!r}")
         frame = EthernetFrame(dst=dst_mac, src=host.mac, ether_type=ether_type, payload=payload)
-        direction = "a2b" if host.side == "a" else "b2a"
-        self.schedule(0, self._transmit_on_link, host.link, direction, frame.to_bytes())
+        self.schedule(0, self._transmit_on_link, host.link, "b2a", frame.to_bytes())
 
     def host_recv(self, host_name: str) -> list[EthernetFrame]:
         host = self.hosts.get(host_name)

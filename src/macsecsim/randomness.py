@@ -34,17 +34,8 @@ class RandomSource:
         """Bootup-timestamp-style seed for a switch's discovery tx sequence."""
         return self._rng.randrange(1, 2**31)
 
-    def randrange(self, *args) -> int:
-        return self._rng.randrange(*args)
-
     def uniform(self) -> float:
         return self._rng.random()
-
-    def choice(self, seq):
-        return self._rng.choice(seq)
-
-    def sample(self, seq, k):
-        return self._rng.sample(seq, k)
 
 
 class IvUniquenessRegistry:

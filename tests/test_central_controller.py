@@ -153,6 +153,19 @@ def test_conflicting_report_recables():
     assert h.central.link_map[new_key].status == "reported"
 
 
+def test_removal_report_for_a_port_without_a_link_changes_nothing():
+    h = Harness()
+    h.register_all("s1", "s2")
+    h.confirm_link()
+    record = h.central.sc_records[KEY_12]
+    sent = len(h.outbox)
+    h.central.handle_link_delta(LinkDelta(chassis_id="s1", removes=[7]))
+    assert list(h.central.link_map) == [KEY_12]
+    assert h.central.link_map[KEY_12].reporters == {"s1", "s2"}
+    assert h.central.sc_records == {KEY_12: record} and record.state == "active"
+    assert len(h.outbox) == sent
+
+
 def test_unknown_switch_delta_ignored():
     h = Harness()
     h.register_all("s1")
@@ -294,6 +307,20 @@ def test_nack_quarantines_the_channel():
     assert h.central.alerts == [f"link s1:2-s2:4 quarantined: ingress install on {chassis}: bad entry"]
     assert h.scheduled == []
     assert cfg.batch_id not in h.central._pending
+
+
+def test_egress_nack_names_the_sender_in_the_alert():
+    h = Harness()
+    h.register_all("s1", "s2")
+    h.central.handle_link_delta(LinkDelta(chassis_id="s1", adds={2: ("s2", 4)}))
+    h.central.handle_link_delta(LinkDelta(chassis_id="s2", adds={4: ("s1", 2)}))
+    for chassis, cfg in h.configs():  # both receivers ack their ingress batch
+        h.central.handle_sc_ack(ScAck(chassis, cfg.batch_id, ok=True))
+    chassis, cfg = h.configs()[2]  # a2b's egress batch, sent to its sender
+    assert chassis == "s1" and any(isinstance(op, WriteEgSc) for op in cfg.ops)
+    h.central.handle_sc_ack(ScAck(chassis, cfg.batch_id, ok=False, detail="bad entry"))
+    assert h.central.sc_records[KEY_12].state == "quarantined"
+    assert h.central.alerts == ["link s1:2-s2:4 quarantined: egress install on s1: bad entry"]
 
 
 def test_key_rotation_bumps_generation_for_everyone():

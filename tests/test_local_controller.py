@@ -1,8 +1,9 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from macsecsim.crypto import LldpKey, Sak, lldp_seal
+from macsecsim.crypto import LldpKey, Sak, lldp_seal, macsec_protect
 from macsecsim.dataplane import (
     REASON_MAC_MISS,
     MacTableEntry,
@@ -27,6 +28,7 @@ from macsecsim.randomness import RandomSource
 from macsecsim.netsim import build
 from macsecsim.topology import chain_spec
 from macsecsim.wire import (
+    ETHERTYPE_MACSEC,
     LLDP_MULTICAST,
     LLDP_NONCE_OFFSET,
     LLDP_SEALED_OFFSET,
@@ -136,6 +138,19 @@ def test_mlf_matches_reference_learning_switch():
         assert {m: e.port for m, e in h.switch.tables.mac.items()} == reference
 
 
+def test_mac_miss_of_a_macsec_typed_inner_frame_learns_and_floods_nothing():
+    h = Harness()
+    sak, sci = Sak(b"\x05" * 16), PEER_MAC + b"\x00\x07"
+    h.switch.write_sa(SaEntry(sai=1, sak=sak, an=0, sci=sci))
+    h.switch.write_ig_sc(sci, 0, 1)
+    inner = EthernetFrame(dst=H2, src=H1, ether_type=ETHERTYPE_MACSEC, payload=bytes(40))
+    result = h.switch.handle_frame(2, macsec_protect(sak, sci, 1, inner))
+    assert result.packet_in.reason == REASON_MAC_MISS  # validated, then an unknown unicast destination
+    assert h.switch.tables.mac == {}
+    assert h.transmitted == []
+    assert h.switch.counters.get("learning.learned") == 0
+
+
 def test_deleted_mac_entry_is_learned_again():
     sim = build(chain_spec(2), seed=1)
     sim.quiesce()
@@ -187,6 +202,15 @@ def test_round_without_key_counts_and_reschedules():
     assert len(h.scheduled) == 1
 
 
+def test_second_start_discovery_arms_no_second_timer():
+    h = Harness()
+    h.start()
+    probes = len(h.transmitted)
+    h.ctl.deliver(StartDiscovery())
+    assert len(h.scheduled) == 1
+    assert len(h.transmitted) == probes
+
+
 def test_accept_updates_view_and_reports_once():
     h = Harness()
     h.start()
@@ -214,6 +238,26 @@ def test_attacker_key_rejected():
     h.start()
     h.probe_from_peer(port=2, seq=50, key=LldpKey(key=b"\x66" * 16, key_id=9))
     assert h.switch.counters.get("discovery.integrity_failure") == 1
+    assert h.ctl.local_view == {}
+    assert h.deltas() == []
+
+
+def test_sealed_probe_that_is_not_an_lldpdu_is_a_decode_failure():
+    h = Harness()
+    h.start()
+    not_a_pdu = SimpleNamespace(encode=lambda: b"\x00\x00 not an LLDPDU")
+    data = lldp_seal(KEY, b"\x01" * 12, 50, not_a_pdu, src=PEER_MAC, dst=LLDP_MULTICAST)
+    h.ctl.handle_packet_in(PacketIn(2, data, "lldp_punt"))
+    assert h.switch.counters.get("discovery.decode_failure") == 1
+    assert h.ctl.local_view == {}
+    assert h.deltas() == []
+
+
+def test_probe_with_a_non_utf8_chassis_id_is_a_decode_failure():
+    h = Harness()
+    h.start()
+    h.probe_from_peer(port=2, seq=50, chassis=b"\xff\xfe")
+    assert h.switch.counters.get("discovery.decode_failure") == 1
     assert h.ctl.local_view == {}
     assert h.deltas() == []
 

@@ -8,7 +8,7 @@ from macsecsim.local_controller import LocalController
 from macsecsim.netsim import Simulation, build
 from macsecsim.topology import SwitchSpec, TopologySpec, chain_spec
 from macsecsim.trace import read_pcapng
-from macsecsim.wire import LLDP_MULTICAST, Lldpdu, mac_from_str
+from macsecsim.wire import LLDP_MULTICAST, PN_OFFSET, SCI_OFFSET, SECURE_DATA_OFFSET, Lldpdu, mac_from_str
 
 from fabric_checks import assert_converged
 
@@ -339,6 +339,42 @@ def test_rekey_grace_removes_old_generation_rows():
         assert old_sais.isdisjoint(switch.tables.ig_sc.values())
 
 
+def test_per_sa_counters_sum_to_the_switch_totals_across_rekeys():
+    spec = chain_spec(3).with_params(rekey_interval=2.0, grace=1.0)
+    sim = build(spec, seed=4)
+    sim.quiesce()
+    h1, h2 = sim.hosts["h1"].mac, sim.hosts["h2"].mac
+    for i in range(24):  # 6 s of traffic both ways: past two rekeys of every channel
+        sim.run_until(sim.now_s() + 0.25)
+        sim.host_send("h1", h2, 0x0800, b"a%d" % i)
+        sim.host_send("h2", h1, 0x0800, b"b%d" % i)
+    sim.quiesce()
+    assert all(d.rekey_count >= 2 for r in sim.central.sc_records.values() for d in r.directions.values())
+    # A fresh PN passes the replay floor, so the altered frame reaches the ICV check.
+    rec = sim.trace_query(classification="macsec")[-1]
+    forged = bytearray(rec.data)
+    forged[PN_OFFSET] ^= 0x80
+    sim.inject_frame(rec.link, rec.direction, bytes(forged))
+    sim.quiesce()
+    receiver = sim.switches[sim.links[rec.link].end(rec.direction).name]
+    forged_sai = receiver.tables.ig_sc[(rec.data[SCI_OFFSET:SECURE_DATA_OFFSET], rec.data[14] & 0x03)]
+
+    def per_sa(counts, kind):
+        return {k.split(".")[1]: n for k, n in counts.items() if k.startswith("sa.") and k.endswith("." + kind)}
+
+    failed = {}
+    for switch in sim.switches.values():
+        counts = switch.counters.as_dict()
+        validated, protected = per_sa(counts, "validated"), per_sa(counts, "protected")
+        assert sum(validated.values()) == counts["macsec.validated"], switch.chassis_id
+        assert sum(protected.values()) == counts["macsec.protected"], switch.chassis_id
+        assert sum(per_sa(counts, "failed").values()) == counts.get("macsec.validate_failed", 0), switch.chassis_id
+        # Each SA carries one direction: a switch validates on its peers' SAs and protects on its own.
+        assert validated.keys().isdisjoint(protected) and len(validated) + len(protected) > 2, switch.chassis_id
+        failed.update({(switch.chassis_id, sai): n for sai, n in per_sa(counts, "failed").items()})
+    assert failed == {(receiver.chassis_id, str(forged_sai)): 1}
+
+
 def test_teardown_in_the_grace_window_still_retires_the_old_sa():
     spec = chain_spec(2).with_params(rekey_interval=2.0, grace=1.0)
     sim = build(spec, seed=1)
@@ -558,8 +594,7 @@ def test_unparseable_frame_toward_a_host_is_dropped_at_the_nic():
     sim.quiesce()
     host = sim.hosts["h1"]
     before = list(host.received)
-    toward_host = "b2a" if host.side == "a" else "a2b"
-    sim.inject_frame(host.link.name, toward_host, b"\x00" * 10)
+    sim.inject_frame(host.link.name, "a2b", b"\x00" * 10)  # hosts sit on their link's b end
     sim.quiesce()
     [record] = [rec for rec in sim.trace.records if rec.data == b"\x00" * 10]
     assert record.dropped == "unparseable"
