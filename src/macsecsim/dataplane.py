@@ -232,7 +232,6 @@ class Switch:
         self.on_port_event: Callable[[int, bool], None] | None = None
         self.on_rekey_needed: Callable[[int, bytes], None] | None = None
         self.on_protect: ProtectHook | None = None
-        self._rekey_signalled: set[int] = set()
         self._names = CounterNames()
 
     # -- frame path ---------------------------------------------------------
@@ -249,15 +248,14 @@ class Switch:
 
         Returns (bytes_out, None), or (None, drop_reason) when the channel
         is missing or its PN space is spent; the caller counts the drop.
-        The SA that consumes its last allowed PN (or is already out) is
-        signalled for rekey once.
+        The call that consumes the SA's last allowed PN signals a rekey; an
+        SA starts at PN 1 and the ceiling is at least 1, so that is once.
         """
         sai = self.tables.eg_sc.get(port)
         sa = self.tables.sa.get(sai) if sai is not None else None
         if sa is None:
             return None, DROP_NO_EGRESS_SC
         if sa.next_pn > self.pn_ceiling:
-            self._signal_rekey(sai, sa.sci)
             return None, DROP_PN_EXHAUSTED
         pn = sa.next_pn
         sa.next_pn = pn + 1
@@ -266,8 +264,8 @@ class Switch:
         protected = macsec_protect(sa.sak, sa.sci, pn, data, an=sa.an, confidentiality=sa.confidentiality)
         self.counters.incr("macsec.protected")
         self.counters.incr(self._names[SA_PROTECTED, sai])
-        if sa.next_pn > self.pn_ceiling:
-            self._signal_rekey(sai, sa.sci)
+        if sa.next_pn > self.pn_ceiling and self.on_rekey_needed is not None:
+            self.on_rekey_needed(sai, sa.sci)
         return protected, None
 
     def handle_frame(self, port: int, data: bytes) -> PipelineResult:
@@ -315,12 +313,6 @@ class Switch:
         if self.on_transmit is not None:
             self.on_transmit(port, data)
 
-    def _signal_rekey(self, sai: int, sci: bytes) -> None:
-        if sai not in self._rekey_signalled:
-            self._rekey_signalled.add(sai)
-            if self.on_rekey_needed is not None:
-                self.on_rekey_needed(sai, sci)
-
     # -- table writes (each call is atomic wrt frame processing) -------------
 
     def write_mac(self, entry: MacTableEntry) -> None:
@@ -337,10 +329,9 @@ class Switch:
         self.tables.sa[entry.sai] = entry
 
     def delete_sa(self, sai: int) -> None:
-        # SAIs are never reused, so a deleted SA's rekey mark and cached
-        # counter names are dropped with it.
+        # SAIs are never reused, so a deleted SA's cached counter names are
+        # dropped with it.
         self.tables.sa.pop(sai, None)
-        self._rekey_signalled.discard(sai)
         for template in (SA_VALIDATED, SA_FAILED, SA_PROTECTED):
             self._names.pop((template, sai), None)
 
@@ -359,7 +350,9 @@ class Switch:
             raise InvalidEntry(f"IG-SC references missing SAI {sai}")
         if len(sci) != 8:
             raise InvalidEntry("SCI must be 8 bytes")
-        self.tables.ig_sc[(sci, an & 0x03)] = sai
+        if not 0 <= an <= 3:
+            raise InvalidEntry("AN must be 0..3")
+        self.tables.ig_sc[(sci, an)] = sai
 
     def delete_ig_sc(self, sci: bytes, an: int) -> None:
         self.tables.ig_sc.pop((sci, an & 0x03), None)

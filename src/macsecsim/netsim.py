@@ -72,7 +72,6 @@ class Host:
     mac: bytes
     link: Optional[Link] = None  # the host is its link's b end
     received: list[tuple[int, EthernetFrame]] = field(default_factory=list)
-    delivered: int = 0  # every frame that reached the NIC, any class
 
 
 def to_us(seconds: float) -> int:
@@ -289,7 +288,6 @@ class Simulation:
                 self.trace.drop(index, result.drop_reason)
         else:
             host = self.hosts[end.name]
-            host.delivered += 1
             try:
                 frame = parse_frame(data)
             except TruncatedFrame:

@@ -20,11 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .audit import audit
 from .central_controller import LinkKey, link_key, link_name
 from .errors import ScriptError, UnknownLink
 from .netsim import Simulation, to_us
 from .topology import TopologySpec
-from .wire import mac_from_str, make_sci
+from .wire import mac_from_str
 
 ASSERTIONS = {
     "link_map_matches_spec": 0,
@@ -211,12 +212,11 @@ class ScenarioRunner:
         return link_key((link.a.name, link.a.port), (link.b.name, link.b.port))
 
     def _assert_link_map_matches_spec(self, args, line_no):
-        confirmed = self.sim.central.confirmed_links()
-        truth = self.sim.ground_truth_links()
-        if confirmed == truth:
-            return True, f"{len(confirmed)} links"
-        missing = sorted(link_name(k) for k in truth - confirmed)
-        excess = sorted(link_name(k) for k in confirmed - truth)
+        found = audit(self.sim)
+        missing = sorted(link_name(v.link) for v in found if v.kind == "missing_link")
+        excess = sorted(link_name(v.link) for v in found if v.kind == "excess_link")
+        if not missing and not excess:
+            return True, f"{len(self.sim.central.confirmed_links())} links"
         return False, f"missing={missing} excess={excess}"
 
     def _assert_link_map_unchanged(self, args, line_no):
@@ -227,18 +227,11 @@ class ScenarioRunner:
 
     def _assert_no_sc_for(self, args, line_no):
         key = self._link_key_for(args[0], line_no)
+        found = audit(self.sim)
         record = key in self.sim.central.sc_records
-        rows = False
-        for (sender, s_port), (receiver, _r_port) in ((key[0], key[1]), (key[1], key[0])):
-            sender_tables = self.sim.switches[sender].tables
-            receiver_tables = self.sim.switches[receiver].tables
-            sci = make_sci(self.sim.switches[sender].mac, s_port)
-            rows = (
-                rows
-                or s_port in sender_tables.eg_sc
-                or any(k[0] == sci for k in receiver_tables.ig_sc)
-                or any(sa.sci == sci for t in (sender_tables, receiver_tables) for sa in t.sa.values())
-            )
+        # A record's rows are expected, so the audit names those it lacks;
+        # without a record, every row of the link is stray.
+        rows = ("stray_row", key) in found or (record and ("missing_row", key) not in found)
         if not record and not rows:
             return True, "no channel state"
         return False, f"record={record} table_rows={rows}"
@@ -248,16 +241,7 @@ class ScenarioRunner:
         record = self.sim.central.sc_records.get(key)
         if record is None:
             return False, "record=False state=absent table_rows=False"
-        switches = self.sim.switches
-        # Each direction's rows are the record's own: the sender's EG-SC and
-        # the receiver's IG-SC (SCI, AN) both point to its SA, held at both ends.
-        rows = all(
-            switches[d.sender].tables.eg_sc.get(d.sender_port) == d.sai
-            and switches[d.receiver].tables.ig_sc.get((d.sci, d.an)) == d.sai
-            and d.sai in switches[d.sender].tables.sa
-            and d.sai in switches[d.receiver].tables.sa
-            for d in record.directions.values()
-        )
+        rows = ("missing_row", key) not in audit(self.sim)
         if rows and record.state == "active":
             return True, "both directions installed"
         return False, f"record=True state={record.state} table_rows={rows}"

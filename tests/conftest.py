@@ -10,8 +10,6 @@ SCENARIOS = REPO_ROOT / "scenarios"
 if str(TESTS_DIR) not in sys.path:
     sys.path.insert(0, str(TESTS_DIR))
 
-pytest.register_assert_rewrite("fabric_checks")
-
 
 @pytest.fixture(scope="session")
 def hierarchical_spec_path():

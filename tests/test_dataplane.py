@@ -392,11 +392,12 @@ def test_macsec_and_lldp_typed_frames_leave_unprotected(route, ether_type):
     assert switch.counters.get("macsec.protected") == 0
 
 
-def test_deleting_an_exhausted_sa_forgets_its_rekey_signal():
+def test_an_exhausted_sa_signals_rekey_only_once():
     switch = egress_switch(pn_ceiling=1)
     rekeys = []
     switch.on_rekey_needed = lambda sai, sci: rekeys.append(sai)
-    _forward(switch)
-    assert rekeys == [3] and switch._rekey_signalled == {3}
-    switch.delete_sa(3)
-    assert switch._rekey_signalled == set()
+    assert _forward(switch)
+    for _ in range(3):
+        assert _forward(switch) == []
+    assert switch.counters.get("drop.pn_exhausted") == 3
+    assert rekeys == [3]

@@ -365,10 +365,11 @@ def test_sc_config_bad_batch_nacked_and_unapplied():
         WriteSa(sai=2, an=7, sak=Sak(b"\x02" * 16), sci=b"\x00" * 8),
         WriteSa(sai=2, an=0, sak=Sak(b"\x02" * 16), sci=b"\x00" * 7),
         WriteIgSc(sci=b"\x00" * 7, an=0, sai=1),
+        WriteIgSc(sci=b"\x00" * 8, an=5, sai=1),
         SetPortFlag(port=99, flag=True),
         object(),
     ],
-    ids=["eg_sc_port", "sa_an", "sa_sci", "ig_sc_sci", "port_flag_port", "not_an_op"],
+    ids=["eg_sc_port", "sa_an", "sa_sci", "ig_sc_sci", "ig_sc_an", "port_flag_port", "not_an_op"],
 )
 def test_sc_config_batch_is_all_or_nothing(bad_op):
     h = Harness()

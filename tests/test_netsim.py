@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from macsecsim.audit import audit
 from macsecsim.crypto import LldpKey, lldp_seal, macsec_protect
 from macsecsim.errors import LivelockError, UnknownLink
 from macsecsim.local_controller import LocalController
@@ -10,7 +11,16 @@ from macsecsim.topology import SwitchSpec, TopologySpec, chain_spec
 from macsecsim.trace import read_pcapng
 from macsecsim.wire import LLDP_MULTICAST, PN_OFFSET, SCI_OFFSET, SECURE_DATA_OFFSET, Lldpdu, mac_from_str
 
-from fabric_checks import assert_converged
+WIRE_DROPS = ("link_down", "port_down", "random_loss")
+
+
+def host_arrivals(sim) -> int:
+    """Frames sent toward a host (its link's b end) that the wire did not drop."""
+    return sum(
+        rec.dropped not in WIRE_DROPS
+        for host in sim.hosts.values()
+        for rec in sim.trace_query(link=host.link.name, direction="a2b")
+    )
 
 
 def test_hierarchical_discovery_matches_wiring(hierarchical_spec):
@@ -70,14 +80,10 @@ def test_conservation_every_frame_received_or_annotated():
     switch_rx = sum(
         sw.counters.total(f"port.{p}.rx") for sw in sim.switches.values() for p in sw.ports_up
     )
-    host_rx = sum(h.delivered for h in sim.hosts.values())
-    annotated = sum(1 for rec in sim.trace.records if rec.dropped)
-    # rx counters count only frames the pipeline saw; drop annotations with a
-    # pipeline reason were counted by rx as well, wire-level ones were not.
-    wire_level = sum(1 for rec in sim.trace.records if rec.dropped in ("link_down", "port_down"))
-    pipeline_drops = annotated - wire_level
-    assert switch_rx + host_rx + wire_level - pipeline_drops == len(sim.trace.records) - pipeline_drops
-    assert switch_rx + host_rx + wire_level == len(sim.trace.records)
+    # rx counters count every frame the pipeline saw, pipeline drops too;
+    # a frame dropped on the wire never reached it.
+    wire_level = sum(1 for rec in sim.trace.records if rec.dropped in WIRE_DROPS)
+    assert switch_rx + host_arrivals(sim) + wire_level == len(sim.trace.records)
 
 
 def test_clock_is_monotonic_across_records():
@@ -90,25 +96,10 @@ def test_clock_is_monotonic_across_records():
 def test_link_cut_revokes_both_channels(hierarchical_spec):
     sim = build(hierarchical_spec, seed=3)
     sim.quiesce()
-    cut_key = next(iter(sim.central.sc_records))
-    name = None
-    for link_name, link in sim.links.items():
-        if link.a.kind == "switch" and link.b.kind == "switch":
-            key = tuple(sorted(((link.a.name, link.a.port), (link.b.name, link.b.port))))
-            if key == cut_key:
-                name = link_name
-    record = sim.central.sc_records[cut_key]
-    scis = {d.sci for d in record.directions.values()}
-    sim.set_link_state(name, False)
+    sim.set_link_state("agg1-core", False)
     sim.quiesce()
-    assert cut_key not in sim.central.sc_records
-    (ca, pa), (cb, pb) = cut_key
-    assert pa not in sim.switches[ca].tables.eg_sc
-    assert pb not in sim.switches[cb].tables.eg_sc
-    for chassis in (ca, cb):
-        tables = sim.switches[chassis].tables
-        assert not any(sa.sci in scis for sa in tables.sa.values())
-        assert not any(key[0] in scis for key in tables.ig_sc)
+    assert len(sim.central.sc_records) == 5
+    assert audit(sim) == []  # no record, SA, EG-SC or IG-SC row of the cut link is left
 
 
 def test_restored_link_gets_fresh_generation(hierarchical_spec):
@@ -254,7 +245,8 @@ def test_control_partition_expires_links_until_heal():
     # The heal delivers s2 its held key installs, and discovery confirms the link again.
     sim.set_control_state("s2", True)
     sim.run_until(15.0)
-    assert_converged(sim)
+    sim.quiesce()
+    assert audit(sim) == []
     t0 = sim.now_us()
     sim.host_send("h1", sim.hosts["h2"].mac, 0x0800, b"after-heal")
     sim.quiesce()
@@ -269,7 +261,8 @@ def test_partition_at_registration_converges_after_heal():
     sim.run_until(0.5)
     sim.set_control_state("s2", True)
     sim.run_until(200)
-    assert_converged(sim)
+    sim.quiesce()
+    assert audit(sim) == []
 
 
 def test_ack_sent_during_a_partition_arrives_on_heal(monkeypatch):
@@ -289,7 +282,8 @@ def test_ack_sent_during_a_partition_arrives_on_heal(monkeypatch):
     monkeypatch.setattr(LocalController, "handle_sc_config", cut_while_applying_first_batch)
     sim.run_until(600)
     assert cut
-    assert_converged(sim)
+    sim.quiesce()
+    assert audit(sim) == []
 
 
 def test_partition_flap_and_heal_converges():
@@ -302,7 +296,8 @@ def test_partition_flap_and_heal_converges():
     sim.run_until(sim.now_s() + 5)
     sim.set_control_state("s2", True)
     sim.run_until(sim.now_s() + 400)
-    assert_converged(sim)
+    sim.quiesce()
+    assert audit(sim) == []
 
 
 def test_partition_across_a_discovery_key_rotation_converges():
@@ -313,7 +308,34 @@ def test_partition_across_a_discovery_key_rotation_converges():
     sim.run_until(30)
     sim.set_control_state("s2", True)
     sim.run_until(35)
-    assert_converged(sim)
+    sim.quiesce()
+    assert audit(sim) == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=LivelockError,
+    reason="ROADMAP item 3: the directions' grace windows tile the rekey period",
+)
+def test_partition_with_staggered_activations_quiesces():
+    spec = chain_spec(4).with_params(
+        discovery_interval=1, rekey_interval=4, grace=1, lldp_key_rotation=6,
+        pn_ceiling=3, max_events=20_000,
+    )
+    sim = build(spec, seed=3)
+    sim.set_link_state("s2-s3", False)
+    for t in (2, 5):
+        sim.run_until(t)
+        for src, dst in (("h1", "h2"), ("h2", "h1")) * 5:
+            sim.host_send(src, sim.hosts[dst].mac, 0x0800, b"burst")
+    sim.run_until(13)
+    sim.set_control_state("s1", False)
+    sim.run_until(22)
+    sim.set_control_state("s1", True)
+    sim.set_link_state("s2-s3", True)
+    sim.run_until(32)
+    sim.quiesce()
+    assert audit(sim) == []
 
 
 def test_duplicate_link_state_writes_are_silent(hierarchical_spec):
@@ -330,13 +352,11 @@ def test_rekey_grace_removes_old_generation_rows():
     sim = Simulation(spec, seed=21)
     sim.quiesce()
     record = next(iter(sim.central.sc_records.values()))
-    old_sais = {d.sai for d in record.directions.values()}
     sim.run_until(2.5)  # first rekey done, grace still pending
     assert all(d.rekey_count == 1 for d in record.directions.values())
+    assert {v.kind for v in audit(sim)} == {"stray_row"}  # the old generation's rows
     sim.run_until(4.0)  # past activation + 1 s grace
-    for switch in sim.switches.values():
-        assert old_sais.isdisjoint(switch.tables.sa), switch.chassis_id
-        assert old_sais.isdisjoint(switch.tables.ig_sc.values())
+    assert audit(sim) == []
 
 
 def test_per_sa_counters_sum_to_the_switch_totals_across_rekeys():
@@ -382,9 +402,7 @@ def test_teardown_in_the_grace_window_still_retires_the_old_sa():
     sim.run_until(2.5)  # first rekey done, grace still pending
     sim.set_link_state("s1-s2", False)
     sim.run_until(10)
-    assert sim.central.sc_records == {}
-    for switch in sim.switches.values():
-        assert switch.tables.sa == {}, switch.chassis_id
+    assert audit(sim) == []  # no record, SA, EG-SC or IG-SC row is left
 
 
 def test_pn_exhaustion_triggers_automatic_rekey():
@@ -468,10 +486,10 @@ def test_lossy_links_conserve_frames_and_stay_deterministic():
     sim = run()
     lost = [rec for rec in sim.trace.records if rec.dropped == "random_loss"]
     assert lost  # the knob really drops frames
-    delivered = sum(h.delivered for h in sim.hosts.values()) + sum(
+    delivered = host_arrivals(sim) + sum(
         sw.counters.total(f"port.{p}.rx") for sw in sim.switches.values() for p in sw.ports_up
     )
-    annotated = sum(1 for rec in sim.trace.records if rec.dropped in ("random_loss", "link_down", "port_down"))
+    annotated = sum(1 for rec in sim.trace.records if rec.dropped in WIRE_DROPS)
     assert delivered + annotated == len(sim.trace.records)
     again = run()
     assert [r.dropped for r in again.trace.records] == [r.dropped for r in sim.trace.records]
