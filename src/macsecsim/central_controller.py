@@ -6,12 +6,15 @@ reconciliation.  Channel installs are ordered receiver-ingress before
 sender-egress (at setup and rekey) so no in-flight frame ever meets a
 receiver that cannot validate it.
 
-Each link is indexed under both of its endpoints.  A batch in flight holds
-the channel record and direction it was sent for; the direction's phase
-names the stage it installs.  Once teardown removes or replaces that
-record, the batch is stale, and its ack is ignored.  The control channel
-delivers every message, late if it is cut, so the one failure is a nack,
-which quarantines the channel.
+Each link is indexed under both of its endpoints.  Only a stage batch (an
+install or rekey of one direction's ingress or egress) carries a batch id
+and is acked.  In flight it holds the channel record and direction it was
+sent for; the direction's phase names the stage it installs.  Once teardown
+removes or replaces that record, the batch is stale, and its ack is
+ignored.  The control channel delivers every message, late if it is cut,
+so the one failure is a nack, which quarantines the channel.  Retire and
+teardown batches carry no id and get no ack: a delete that failed or went
+missing leaves a row that the fabric audit reports as `stray_row`.
 """
 
 from __future__ import annotations
@@ -261,13 +264,9 @@ class CentralController:
             ops.append(WriteEgSc(port=d.sender_port, sai=sai))
             if not staged:
                 ops.append(SetPortFlag(port=d.sender_port, flag=True))
-        cfg = ScConfig(batch_id=self._next_batch_id(), ops=ops)
-        self._pending[cfg.batch_id] = (record, name)
-        self._send(chassis, cfg)
-
-    def _next_batch_id(self) -> int:
         self._batch_seq += 1
-        return self._batch_seq
+        self._pending[self._batch_seq] = (record, name)
+        self._send(chassis, ScConfig(batch_id=self._batch_seq, ops=ops))
 
     def handle_sc_ack(self, ack: ScAck) -> None:
         """A direction has at most one stage batch in flight, and its phase
@@ -319,8 +318,8 @@ class CentralController:
             # in which case the (SCI, AN) row now belongs to a live generation.
             if old_an != d.an and (d.next is None or old_an != d.next[1]):
                 receiver_ops.insert(0, DeleteIgSc(sci=d.sci, an=old_an))
-        self._send(receiver, ScConfig(batch_id=self._next_batch_id(), ops=receiver_ops))
-        self._send(sender, ScConfig(batch_id=self._next_batch_id(), ops=[DeleteSa(sai=old_sai)]))
+        self._send(receiver, ScConfig(batch_id=None, ops=receiver_ops))
+        self._send(sender, ScConfig(batch_id=None, ops=[DeleteSa(sai=old_sai)]))
 
     def _quarantine(self, record: ScRecord, detail: str) -> None:
         record.state = "quarantined"
@@ -336,13 +335,13 @@ class CentralController:
             sais = [d.sai] + ([d.next[0]] if d.next is not None else [])
             receiver_ops = [DeleteIgSc(sci=d.sci, an=an) for an in range(4)]
             receiver_ops += [DeleteSa(sai=s) for s in sais]
-            self._send(d.receiver, ScConfig(batch_id=self._next_batch_id(), ops=receiver_ops))
+            self._send(d.receiver, ScConfig(batch_id=None, ops=receiver_ops))
             sender_ops = [
                 DeleteEgSc(port=d.sender_port),
                 SetPortFlag(port=d.sender_port, flag=False),
             ]
             sender_ops += [DeleteSa(sai=s) for s in sais]
-            self._send(d.sender, ScConfig(batch_id=self._next_batch_id(), ops=sender_ops))
+            self._send(d.sender, ScConfig(batch_id=None, ops=sender_ops))
 
     # -- rekeying -------------------------------------------------------------------
 

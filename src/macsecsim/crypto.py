@@ -39,7 +39,6 @@ from .wire import (
     TCI_E,
     TCI_SC,
     EthernetFrame,
-    Lldpdu,
     short_length_for,
 )
 
@@ -151,20 +150,20 @@ def macsec_validate(sak: Sak, data: bytes, *, confidentiality: bool = True) -> b
 _LLDP_TYPE = ETHERTYPE_LLDP.to_bytes(2, "big")
 
 
-def lldp_seal(key: LldpKey, nonce: bytes, seq: int, pdu: Lldpdu, src: bytes, dst: bytes) -> bytes:
-    """Seal a discovery PDU into sealed-LLDP frame bytes, authenticating the sequence number."""
+def lldp_seal(key: LldpKey, nonce: bytes, seq: int, plaintext: bytes, src: bytes, dst: bytes) -> bytes:
+    """Seal an encoded discovery PDU into sealed-LLDP frame bytes, authenticating the sequence number."""
     if len(nonce) != NONCE_LEN:
         raise ValueError("nonce must be 12 bytes")
     seq_bytes = struct.pack(">I", seq)
-    return dst + src + _LLDP_TYPE + nonce + seq_bytes + key.cipher.encrypt(nonce, pdu.encode(), seq_bytes)
+    return dst + src + _LLDP_TYPE + nonce + seq_bytes + key.cipher.encrypt(nonce, plaintext, seq_bytes)
 
 
-def lldp_open(key: LldpKey, data: bytes) -> tuple[int, Lldpdu]:
-    """Verify and decrypt the bytes of a sealed discovery frame.
+def lldp_open(key: LldpKey, data: bytes) -> tuple[int, bytes]:
+    """Verify and decrypt the bytes of a sealed discovery frame into (seq, plaintext PDU).
 
-    Raises TruncatedFrame below the sealed-LLDP minimum, IntegrityFailure
-    on a bad tag (tampering, replayed nonce games, or a rotated-out key)
-    and DecodeFailure when the plaintext is not a well-formed LLDPDU.
+    Raises TruncatedFrame below the sealed-LLDP minimum and IntegrityFailure
+    on a bad tag (tampering, replayed nonce games, or a rotated-out key).
+    `wire.read_lldpdu` reads the plaintext.
     """
     if len(data) < MIN_LLDP_LEN:
         raise TruncatedFrame(f"sealed LLDP frame needs >= {MIN_LLDP_LEN} bytes, got {len(data)}")
@@ -173,4 +172,4 @@ def lldp_open(key: LldpKey, data: bytes) -> tuple[int, Lldpdu]:
         plaintext = key.cipher.decrypt(nonce, data[LLDP_SEALED_OFFSET:], seq_bytes)
     except InvalidTag as exc:
         raise IntegrityFailure("sealed LLDP ICV verification failed") from exc
-    return int.from_bytes(seq_bytes, "big"), Lldpdu.decode(plaintext)
+    return int.from_bytes(seq_bytes, "big"), plaintext

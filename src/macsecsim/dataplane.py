@@ -355,7 +355,9 @@ class Switch:
         self.tables.ig_sc[(sci, an)] = sai
 
     def delete_ig_sc(self, sci: bytes, an: int) -> None:
-        self.tables.ig_sc.pop((sci, an & 0x03), None)
+        if not 0 <= an <= 3:
+            raise InvalidEntry("AN must be 0..3")
+        self.tables.ig_sc.pop((sci, an), None)
 
     def set_port_macsec_flag(self, port: int, flag: bool) -> None:
         if port not in self.ports_up:

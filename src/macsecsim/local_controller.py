@@ -7,11 +7,14 @@ through the simulator's single event queue, so handlers never interleave.
 The controller keeps no copy of what its switch holds: MAC learning reads
 and writes the switch's MAC table, a MAC miss floods through the switch's
 own flood path, and discovery probes are sealed to frame bytes that go out
-by raw packet-out.  A punted probe is opened from its bytes.
+by raw packet-out.  Each port's LLDPDU is encoded once; a punted probe is
+opened from its bytes and its TLVs are read at their offsets.
 
 The table agent applies a config batch through the switch's table writes,
-the one place an entry is checked.  If a write fails, the four tables are
-restored in place to their state before the batch, and the batch is nacked.
+the one place an entry is checked.  Before each write it logs the rows the
+write may change with their old values.  If a write fails, the log is
+replayed in reverse and the batch fails: a batch with an id is nacked, one
+without (a retire or teardown) sends nothing, as on success.
 """
 
 from __future__ import annotations
@@ -37,12 +40,14 @@ from .messages import (
     WriteIgSc,
     WriteSa,
 )
-from .wire import LLDP_MULTICAST, MIN_LLDP_LEN, Lldpdu, classify, is_group_mac
+from .wire import LLDP_MULTICAST, MIN_LLDP_LEN, Lldpdu, classify, is_group_mac, read_lldpdu
 
 log = logging.getLogger(__name__)
 
 # A discovered link expires after this many discovery intervals unheard.
 LINK_EXPIRY_INTERVALS = 3
+
+_ABSENT = object()  # the undo log's old value of a row that a batch adds
 
 
 class LocalController:
@@ -78,6 +83,7 @@ class LocalController:
         self.rx_seq: dict[int, int] = {}
         self.local_view: dict[int, tuple[str, int]] = {}
         self.last_seen_us: dict[int, int] = {}
+        self._lldpdus: dict[int, bytes] = {}  # port -> its encoded LLDPDU
 
         switch.on_packet_in = self.handle_packet_in
         switch.on_port_event = self.handle_port_event
@@ -146,7 +152,9 @@ class LocalController:
             self.counters.incr("discovery.no_key")
             return
         self.tx_seq = (self.tx_seq + 1) & 0xFFFFFFFF
-        pdu = Lldpdu(chassis_id=self.chassis_id.encode(), port_id=port)
+        pdu = self._lldpdus.get(port)
+        if pdu is None:
+            pdu = self._lldpdus[port] = Lldpdu(chassis_id=self.chassis_id.encode(), port_id=port).encode()
         data = lldp_seal(
             self.lldp_key, self._rng.lldp_nonce(), self.tx_seq, pdu, src=self.switch.mac, dst=LLDP_MULTICAST
         )
@@ -171,16 +179,13 @@ class LocalController:
             self.counters.incr("discovery.no_key")
             return
         try:
-            seq, pdu = self._open_with_keys(pi.frame_bytes)
+            seq, plaintext = self._open_with_keys(pi.frame_bytes)
+            chassis, remote_port = read_lldpdu(plaintext)
+            remote_chassis = chassis.decode("utf-8")
         except IntegrityFailure:
             self.counters.incr("discovery.integrity_failure")
             return
-        except DecodeFailure:
-            self.counters.incr("discovery.decode_failure")
-            return
-        try:
-            remote_chassis = pdu.chassis_id.decode("utf-8")
-        except UnicodeDecodeError:
+        except (DecodeFailure, UnicodeDecodeError):
             self.counters.incr("discovery.decode_failure")
             return
         if remote_chassis == self.chassis_id:
@@ -195,7 +200,7 @@ class LocalController:
         self.rx_seq[port] = seq
         self.last_seen_us[port] = self._now()
         self.counters.incr("discovery.accepted")
-        remote = (remote_chassis, pdu.port_id)
+        remote = (remote_chassis, remote_port)
         if self.local_view.get(port) != remote:
             self.local_view[port] = remote
             log.debug("%s: link detected %s -> %s:%s", self.chassis_id, port, *remote)
@@ -233,41 +238,68 @@ class LocalController:
     # -- MACsec table agent ------------------------------------------------------
 
     def handle_sc_config(self, cfg: ScConfig) -> None:
-        tables = self.switch.tables
-        saved = [(table, dict(table)) for table in (tables.mac, tables.eg_sc, tables.ig_sc, tables.sa)]
+        undo: list = []
         try:
             for op in cfg.ops:
-                self._apply_op(op)
+                handler = self._OP_HANDLERS.get(type(op))
+                if handler is None:
+                    raise InvalidEntry(f"unknown op {type(op).__name__}")
+                handler(self, op, undo)
         except InvalidEntry as exc:
-            for table, before in saved:
-                table.clear()
-                table.update(before)
+            for table, key, old in reversed(undo):
+                if old is _ABSENT:
+                    table.pop(key, None)
+                else:
+                    table[key] = old
             self.counters.incr("sc_config.nack")
-            self._send(ScAck(self.chassis_id, cfg.batch_id, ok=False, detail=str(exc)))
+            if cfg.batch_id is not None:
+                self._send(ScAck(self.chassis_id, cfg.batch_id, ok=False, detail=str(exc)))
             return
         self.counters.incr("sc_config.applied")
-        self._send(ScAck(self.chassis_id, cfg.batch_id, ok=True))
+        if cfg.batch_id is not None:
+            self._send(ScAck(self.chassis_id, cfg.batch_id, ok=True))
 
-    def _apply_op(self, op) -> None:
-        sw = self.switch
-        if isinstance(op, WriteSa):
-            sw.write_sa(
-                SaEntry(sai=op.sai, sak=op.sak, an=op.an, sci=op.sci, confidentiality=op.confidentiality)
-            )
-        elif isinstance(op, WriteIgSc):
-            sw.write_ig_sc(op.sci, op.an, op.sai)
-        elif isinstance(op, WriteEgSc):
-            sw.write_eg_sc(op.port, op.sai)
-        elif isinstance(op, SetPortFlag):
-            sw.set_port_macsec_flag(op.port, op.flag)
-        elif isinstance(op, DeleteIgSc):
-            sw.delete_ig_sc(op.sci, op.an)
-        elif isinstance(op, DeleteEgSc):
-            sw.delete_eg_sc(op.port)
-        elif isinstance(op, DeleteSa):
-            sw.delete_sa(op.sai)
-        else:
-            raise InvalidEntry(f"unknown op {type(op).__name__}")
+    # Each op handler logs the rows its write may change, then writes.
+
+    def _write_sa(self, op: WriteSa, undo: list) -> None:
+        sa = self.switch.tables.sa
+        undo.append((sa, op.sai, sa.get(op.sai, _ABSENT)))
+        self.switch.write_sa(SaEntry(op.sai, op.sak, op.an, op.sci, op.confidentiality))
+
+    def _write_ig_sc(self, op: WriteIgSc, undo: list) -> None:
+        ig_sc = self.switch.tables.ig_sc
+        undo.append((ig_sc, (op.sci, op.an), ig_sc.get((op.sci, op.an), _ABSENT)))
+        self.switch.write_ig_sc(op.sci, op.an, op.sai)
+
+    def _write_eg_sc(self, op: WriteEgSc, undo: list) -> None:
+        eg_sc = self.switch.tables.eg_sc
+        undo.append((eg_sc, op.port, eg_sc.get(op.port, _ABSENT)))
+        self.switch.write_eg_sc(op.port, op.sai)
+
+    def _set_port_flag(self, op: SetPortFlag, undo: list) -> None:
+        mac = self.switch.tables.mac
+        undo += [(mac, addr, entry) for addr, entry in mac.items() if entry.port == op.port]
+        self.switch.set_port_macsec_flag(op.port, op.flag)
+
+    def _delete_ig_sc(self, op: DeleteIgSc, undo: list) -> None:
+        ig_sc = self.switch.tables.ig_sc
+        undo.append((ig_sc, (op.sci, op.an), ig_sc.get((op.sci, op.an), _ABSENT)))
+        self.switch.delete_ig_sc(op.sci, op.an)
+
+    def _delete_eg_sc(self, op: DeleteEgSc, undo: list) -> None:
+        eg_sc = self.switch.tables.eg_sc
+        undo.append((eg_sc, op.port, eg_sc.get(op.port, _ABSENT)))
+        self.switch.delete_eg_sc(op.port)
+
+    def _delete_sa(self, op: DeleteSa, undo: list) -> None:
+        sa = self.switch.tables.sa
+        undo.append((sa, op.sai, sa.get(op.sai, _ABSENT)))
+        self.switch.delete_sa(op.sai)
+
+    _OP_HANDLERS = {
+        WriteSa: _write_sa, WriteIgSc: _write_ig_sc, WriteEgSc: _write_eg_sc, SetPortFlag: _set_port_flag,
+        DeleteIgSc: _delete_ig_sc, DeleteEgSc: _delete_eg_sc, DeleteSa: _delete_sa,
+    }
 
     def handle_rekey_needed(self, sai: int, sci: bytes) -> None:
         self.counters.incr("sc_config.pn_exhausted")

@@ -11,31 +11,31 @@ from dataclasses import dataclass, field
 from .crypto import LldpKey, Sak
 
 
-@dataclass
+@dataclass(slots=True)
 class Register:
     chassis_id: str
     mac: bytes
     ports: list[int]
 
 
-@dataclass
+@dataclass(slots=True)
 class KeyInstall:
     key: LldpKey
 
 
-@dataclass
+@dataclass(slots=True)
 class StartDiscovery:
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class LinkDelta:
     chassis_id: str
     adds: dict[int, tuple[str, int]] = field(default_factory=dict)
     removes: list[int] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class PnExhausted:
     chassis_id: str
     sci: bytes
@@ -44,7 +44,7 @@ class PnExhausted:
 # SC configuration batch operations, applied atomically by the switch agent.
 
 
-@dataclass
+@dataclass(slots=True)
 class WriteSa:
     sai: int
     an: int
@@ -53,37 +53,37 @@ class WriteSa:
     confidentiality: bool = True
 
 
-@dataclass
+@dataclass(slots=True)
 class WriteIgSc:
     sci: bytes
     an: int
     sai: int
 
 
-@dataclass
+@dataclass(slots=True)
 class WriteEgSc:
     port: int
     sai: int
 
 
-@dataclass
+@dataclass(slots=True)
 class SetPortFlag:
     port: int
     flag: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class DeleteIgSc:
     sci: bytes
     an: int
 
 
-@dataclass
+@dataclass(slots=True)
 class DeleteEgSc:
     port: int
 
 
-@dataclass
+@dataclass(slots=True)
 class DeleteSa:
     sai: int
 
@@ -91,13 +91,13 @@ class DeleteSa:
 ScOp = WriteSa | WriteIgSc | WriteEgSc | SetPortFlag | DeleteIgSc | DeleteEgSc | DeleteSa
 
 
-@dataclass
+@dataclass(slots=True)
 class ScConfig:
-    batch_id: int
+    batch_id: int | None  # None: untracked, neither acked nor nacked
     ops: list[ScOp]
 
 
-@dataclass
+@dataclass(slots=True)
 class ScAck:
     chassis_id: str
     batch_id: int

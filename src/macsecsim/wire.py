@@ -231,31 +231,28 @@ class Lldpdu:
 
     @classmethod
     def decode(cls, data: bytes) -> "Lldpdu":
-        fields = {}
-        offset = 0
-        for expected in (_TLV_CHASSIS_ID, _TLV_PORT_ID, _TLV_END):
-            if len(data) < offset + 2:
-                raise DecodeFailure("LLDPDU ends mid-TLV")
-            header = struct.unpack(">H", data[offset : offset + 2])[0]
-            tlv_type, length = header >> 9, header & 0x1FF
-            offset += 2
-            if tlv_type != expected:
-                raise DecodeFailure(f"expected TLV {expected}, found {tlv_type}")
-            if len(data) < offset + length:
-                raise DecodeFailure("TLV value truncated")
-            fields[tlv_type] = data[offset : offset + length]
-            offset += length
-        if offset != len(data):
-            raise DecodeFailure("trailing bytes after End TLV")
-        if len(fields[_TLV_PORT_ID]) != 2:
-            raise DecodeFailure("Port ID TLV must be 2 bytes")
-        try:
-            return cls(
-                chassis_id=fields[_TLV_CHASSIS_ID],
-                port_id=struct.unpack(">H", fields[_TLV_PORT_ID])[0],
-            )
-        except ValueError as exc:
-            raise DecodeFailure(str(exc)) from exc
+        return cls(*read_lldpdu(data))
+
+
+_PORT_ID_HEAD = _tlv(_TLV_PORT_ID, b"\0\0")[:2]
+
+
+def read_lldpdu(data: bytes) -> tuple[bytes, int]:
+    """(chassis id, port id) of an LLDPDU, read at the offsets of its TLVs.
+
+    Accepts a Chassis ID TLV of 1..64 bytes, a 2-byte Port ID TLV and an End
+    TLV whose value, of any length, runs to the last byte; raises
+    DecodeFailure on anything else.
+    """
+    size = len(data)
+    chassis_len = (data[0] << 8 | data[1]) - (_TLV_CHASSIS_ID << 9) if size > 1 else 0
+    port_at = 2 + chassis_len  # the Port ID TLV's offset
+    if not 0 < chassis_len <= 64 or size < port_at + 6:
+        raise DecodeFailure("LLDPDU needs a Chassis ID TLV of 1..64 bytes, then Port ID and End TLVs")
+    end_len = data[port_at + 4] << 8 | data[port_at + 5]  # an End TLV's header is its length
+    if data[port_at : port_at + 2] != _PORT_ID_HEAD or end_len != size - port_at - 6 or end_len > 0x1FF:
+        raise DecodeFailure("LLDPDU needs a 2-byte Port ID TLV, then an End TLV that ends it")
+    return data[2:port_at], data[port_at + 2] << 8 | data[port_at + 3]
 
 
 def parse_frame(data: bytes) -> Frame:

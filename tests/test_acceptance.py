@@ -330,11 +330,11 @@ def test_criterion_8_crypto_oracle_equivalence():
             pdu = Lldpdu(
                 chassis_id=bytes([0x61 + rng.randrange(26)]) * rng.randrange(1, 30),
                 port_id=rng.randrange(0, 65536),
-            )
+            ).encode()
             sealed = lldp_seal(
                 key, nonce, seq, pdu, src=bytes([0x02]) + rng.randbytes(5), dst=LLDP_MULTICAST
             )
-            ct, tag = gcm_oracle.gcm_encrypt(key.key, nonce, pdu.encode(), struct.pack(">I", seq))
+            ct, tag = gcm_oracle.gcm_encrypt(key.key, nonce, pdu, struct.pack(">I", seq))
             assert sealed[30:] == ct + tag
 
 

@@ -26,6 +26,7 @@ from macsecsim.wire import (
     MacsecFrame,
     make_sci,
     parse_frame,
+    read_lldpdu,
 )
 
 KEY = Sak(bytes(range(16)))
@@ -190,7 +191,7 @@ def test_sak_builds_its_cipher_once_and_deep_copies_to_itself():
 
 
 def pdu(chassis=b"s1", port=3):
-    return Lldpdu(chassis_id=chassis, port_id=port)
+    return Lldpdu(chassis_id=chassis, port_id=port).encode()
 
 
 def test_lldp_key_builds_its_cipher_once(monkeypatch):
@@ -216,7 +217,7 @@ def test_lldp_seal_open_round_trip():
 def test_lldp_seal_matches_independent_oracle():
     nonce = bytes(range(100, 112))
     data = lldp_seal(LKEY, nonce, 77, pdu(b"agg1", 9), src=b"\x02" * 6, dst=LLDP_MULTICAST)
-    ct, tag = gcm_oracle.gcm_encrypt(LKEY.key, nonce, pdu(b"agg1", 9).encode(), struct.pack(">I", 77))
+    ct, tag = gcm_oracle.gcm_encrypt(LKEY.key, nonce, pdu(b"agg1", 9), struct.pack(">I", 77))
     assert data[:30] == LLDP_MULTICAST + b"\x02" * 6 + b"\x88\xcc" + nonce + struct.pack(">I", 77)
     assert data[30:] == ct + tag
 
@@ -246,8 +247,9 @@ def test_lldp_rotated_out_key_fails():
 def test_lldp_open_decode_failure():
     ct, tag = gcm_oracle.gcm_encrypt(LKEY.key, b"\x0a" * 12, b"not a pdu", struct.pack(">I", 8))
     data = LLDP_MULTICAST + b"\x02" * 6 + b"\x88\xcc" + b"\x0a" * 12 + struct.pack(">I", 8) + ct + tag
+    assert lldp_open(LKEY, data) == (8, b"not a pdu")  # authentic, but no LLDPDU
     with pytest.raises(DecodeFailure):
-        lldp_open(LKEY, data)
+        read_lldpdu(lldp_open(LKEY, data)[1])
 
 
 def test_lldp_open_rejects_a_frame_below_the_sealed_minimum():
@@ -273,8 +275,10 @@ def test_sak_fingerprint_is_stable_and_short():
 )
 def test_lldp_seal_open_property(key, nonce, seq, chassis, port):
     lkey = LldpKey(key=key, key_id=1)
-    pdu = Lldpdu(chassis_id=chassis, port_id=port)
-    data = lldp_seal(lkey, nonce, seq, pdu, src=b"\x02" * 6, dst=LLDP_MULTICAST)
-    assert lldp_open(lkey, data) == (seq, pdu)
+    plaintext = Lldpdu(chassis_id=chassis, port_id=port).encode()
+    data = lldp_seal(lkey, nonce, seq, plaintext, src=b"\x02" * 6, dst=LLDP_MULTICAST)
+    seq_opened, opened = lldp_open(lkey, data)
+    assert (seq_opened, opened) == (seq, plaintext)
+    assert read_lldpdu(opened) == (chassis, port)
     frame = parse_frame(data)  # the wire parser reads the same layout
     assert isinstance(frame, SecureLldpFrame) and (frame.nonce, frame.seq) == (nonce, seq)

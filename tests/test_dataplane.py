@@ -224,6 +224,15 @@ def test_deletes_are_idempotent():
     switch.delete_sa(5)
 
 
+@pytest.mark.parametrize("an", [-1, 4, 5])
+def test_delete_ig_sc_rejects_an_outside_0_to_3_before_touching_the_table(an):
+    switch = make_switch()
+    _, sci = install_ingress_sa(switch, PEER_MAC, 3, sai=8, an=1)
+    with pytest.raises(InvalidEntry):
+        switch.delete_ig_sc(sci, an)  # AN 5 once masked to 1 and deleted that row
+    assert switch.tables.ig_sc == {(sci, 1): 8}
+
+
 def test_sa_keyed_protection_uses_selected_sak():
     switch = make_switch()
     sak = install_egress_sa(switch, port=2, sai=7)

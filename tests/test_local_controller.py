@@ -1,5 +1,4 @@
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +12,8 @@ from macsecsim.dataplane import (
 )
 from macsecsim.local_controller import LocalController
 from macsecsim.messages import (
+    DeleteEgSc,
+    DeleteIgSc,
     DeleteSa,
     KeyInstall,
     LinkDelta,
@@ -75,7 +76,7 @@ class Harness:
     def probe_from_peer(self, port=2, *, seq, chassis=b"s2", remote_port=7, key=KEY, nonce=None):
         nonce = nonce if nonce is not None else random.Random(seq).randbytes(12)
         data = lldp_seal(
-            key, nonce, seq, Lldpdu(chassis_id=chassis, port_id=remote_port),
+            key, nonce, seq, Lldpdu(chassis_id=chassis, port_id=remote_port).encode(),
             src=PEER_MAC, dst=LLDP_MULTICAST,
         )
         self.ctl.handle_packet_in(PacketIn(port, data, "lldp_punt"))
@@ -245,8 +246,7 @@ def test_attacker_key_rejected():
 def test_sealed_probe_that_is_not_an_lldpdu_is_a_decode_failure():
     h = Harness()
     h.start()
-    not_a_pdu = SimpleNamespace(encode=lambda: b"\x00\x00 not an LLDPDU")
-    data = lldp_seal(KEY, b"\x01" * 12, 50, not_a_pdu, src=PEER_MAC, dst=LLDP_MULTICAST)
+    data = lldp_seal(KEY, b"\x01" * 12, 50, b"\x00\x00 not an LLDPDU", src=PEER_MAC, dst=LLDP_MULTICAST)
     h.ctl.handle_packet_in(PacketIn(2, data, "lldp_punt"))
     assert h.switch.counters.get("discovery.decode_failure") == 1
     assert h.ctl.local_view == {}
@@ -367,29 +367,66 @@ def test_sc_config_bad_batch_nacked_and_unapplied():
         WriteIgSc(sci=b"\x00" * 7, an=0, sai=1),
         WriteIgSc(sci=b"\x00" * 8, an=5, sai=1),
         SetPortFlag(port=99, flag=True),
+        DeleteIgSc(sci=b"\x00" * 8, an=5),
         object(),
     ],
-    ids=["eg_sc_port", "sa_an", "sa_sci", "ig_sc_sci", "ig_sc_an", "port_flag_port", "not_an_op"],
+    ids=[
+        "eg_sc_port", "sa_an", "sa_sci", "ig_sc_sci", "ig_sc_an", "port_flag_port", "del_ig_sc_an", "not_an_op",
+    ],
 )
 def test_sc_config_batch_is_all_or_nothing(bad_op):
+    h = _run_failing_batch(bad_op, batch_id=7)
+    acks = [m for m in h.sent if isinstance(m, ScAck)]
+    assert len(acks) == 1 and acks[0].ok is False
+
+
+def test_untracked_failing_batch_is_undone_and_sends_nothing():
+    h = _run_failing_batch(DeleteIgSc(sci=b"\x00" * 8, an=5), batch_id=None)
+    assert h.sent == []
+
+
+def _run_failing_batch(bad_op, *, batch_id):
+    """Writes, overwrites and deletes of existing rows, then `bad_op`: the
+    four tables must come back exactly as they were."""
     h = Harness()
+    old_sci = b"\x11" * 8
     h.switch.write_mac(MacTableEntry(mac=H1, port=2))
+    h.switch.write_mac(MacTableEntry(mac=H2, port=3, macsec_flag=True))
+    h.switch.write_sa(SaEntry(sai=9, sak=Sak(b"\x09" * 16), an=1, sci=old_sci))
+    h.switch.write_ig_sc(old_sci, 1, 9)
+    h.switch.write_eg_sc(3, 9)
     tables = h.switch.tables
     before = (dict(tables.mac), dict(tables.eg_sc), dict(tables.ig_sc), dict(tables.sa))
     cfg = ScConfig(
-        batch_id=7,
+        batch_id=batch_id,
         ops=[
             WriteSa(sai=1, an=0, sak=Sak(b"\x01" * 16), sci=b"\x00" * 8),
+            WriteIgSc(sci=old_sci, an=1, sai=1),  # overwrites a row, deleted below
             WriteEgSc(port=2, sai=1),
             SetPortFlag(port=2, flag=True),
+            DeleteIgSc(sci=old_sci, an=1),
+            DeleteEgSc(port=3),
+            SetPortFlag(port=3, flag=False),
+            DeleteSa(sai=9),
             bad_op,  # sinks the whole batch
         ],
     )
     h.ctl.deliver(cfg)
-    acks = [m for m in h.sent if isinstance(m, ScAck)]
-    assert len(acks) == 1 and acks[0].ok is False
     assert (tables.mac, tables.eg_sc, tables.ig_sc, tables.sa) == before
+    assert all(tables.mac[mac] is entry for mac, entry in before[0].items())
     assert h.switch.counters.get("sc_config.nack") == 1
+    assert h.switch.counters.get("sc_config.applied") == 0
+    return h
+
+
+def test_untracked_sc_config_applies_and_sends_nothing():
+    h = Harness()
+    h.ctl.deliver(_install_batch(port=2, sai=11))
+    h.sent.clear()
+    h.ctl.deliver(ScConfig(batch_id=None, ops=[DeleteEgSc(port=2), DeleteSa(sai=11)]))
+    assert h.switch.tables.eg_sc == {} and h.switch.tables.sa == {}
+    assert h.sent == []
+    assert h.switch.counters.get("sc_config.applied") == 2
 
 
 def test_sc_config_delete_after_write():

@@ -2,14 +2,18 @@ import random
 
 import pytest
 
-from macsecsim.audit import audit
+from macsecsim.audit import Violation, audit
+from macsecsim.central_controller import CentralController
 from macsecsim.crypto import LldpKey, lldp_seal, macsec_protect
 from macsecsim.errors import LivelockError, UnknownLink
 from macsecsim.local_controller import LocalController
+from macsecsim.messages import DeleteIgSc, ScAck, ScConfig
 from macsecsim.netsim import Simulation, build
 from macsecsim.topology import SwitchSpec, TopologySpec, chain_spec
 from macsecsim.trace import read_pcapng
-from macsecsim.wire import LLDP_MULTICAST, PN_OFFSET, SCI_OFFSET, SECURE_DATA_OFFSET, Lldpdu, mac_from_str
+from macsecsim.wire import (
+    LLDP_MULTICAST, PN_OFFSET, SCI_OFFSET, SECURE_DATA_OFFSET, Lldpdu, mac_from_str, sci_port,
+)
 
 WIRE_DROPS = ("link_down", "port_down", "random_loss")
 
@@ -123,7 +127,7 @@ def test_forged_lldp_rejected_no_fake_link():
         LldpKey(key=b"\x13" * 16, key_id=1),
         b"\x37" * 12,
         1,
-        Lldpdu(chassis_id=b"evil", port_id=1),
+        Lldpdu(chassis_id=b"evil", port_id=1).encode(),
         src=b"\x02\x66\x66\x66\x66\x66",
         dst=LLDP_MULTICAST,
     )
@@ -284,6 +288,70 @@ def test_ack_sent_during_a_partition_arrives_on_heal(monkeypatch):
     assert cut
     sim.quiesce()
     assert audit(sim) == []
+
+
+def _run_two_rekeys(monkeypatch, swallow_retire=False):
+    """chain_spec(3) rekeying every 2 s with a 1 s grace, through two rekeys
+    of every direction.  Returns the sim, the batches `_send_stage` sent, every
+    ScConfig and ScAck sent, and the batch the receiver swallowed, if any."""
+    stage_ids, configs, acks, swallowed = [], [], [], []
+    send_stage, to_local, to_central = (
+        CentralController._send_stage, Simulation._send_to_local, Simulation._send_to_central
+    )
+    deliver = LocalController.deliver
+
+    def counting_send_stage(self, *args, **kwargs):
+        send_stage(self, *args, **kwargs)
+        stage_ids.append(self._batch_seq)
+
+    def recording_to_local(self, chassis, msg):
+        if isinstance(msg, ScConfig):
+            configs.append(msg)
+        to_local(self, chassis, msg)
+
+    def recording_to_central(self, chassis, msg):
+        if isinstance(msg, ScAck):
+            acks.append(msg)
+        to_central(self, chassis, msg)
+
+    def swallowing_deliver(self, msg):
+        retire = isinstance(msg, ScConfig) and msg.batch_id is None and isinstance(msg.ops[0], DeleteIgSc)
+        if swallow_retire and retire and not swallowed:
+            swallowed.append((self.chassis_id, msg))
+            return
+        deliver(self, msg)
+
+    monkeypatch.setattr(CentralController, "_send_stage", counting_send_stage)
+    monkeypatch.setattr(Simulation, "_send_to_local", recording_to_local)
+    monkeypatch.setattr(Simulation, "_send_to_central", recording_to_central)
+    monkeypatch.setattr(LocalController, "deliver", swallowing_deliver)
+    sim = build(chain_spec(3).with_params(rekey_interval=2, grace=1), seed=1)
+    sim.quiesce()
+    sim.run_until(sim.now_s() + 5)
+    sim.quiesce()
+    directions = [d for r in sim.central.sc_records.values() for d in r.directions.values()]
+    assert len(directions) == 4 and all(d.rekey_count >= 2 for d in directions)
+    return sim, stage_ids, configs, acks, swallowed
+
+
+def test_only_stage_batches_are_acked(monkeypatch):
+    sim, stage_ids, configs, acks, _ = _run_two_rekeys(monkeypatch)
+    untracked = [cfg for cfg in configs if cfg.batch_id is None]
+    assert len(untracked) >= 16  # two retires, each one batch per end, for each of 4 directions
+    assert sorted(ack.batch_id for ack in acks) == sorted(stage_ids)
+    assert all(ack.ok for ack in acks)
+    assert audit(sim) == []
+
+
+def test_a_lost_retire_shows_as_a_stray_row(monkeypatch):
+    sim, _, _, _, swallowed = _run_two_rekeys(monkeypatch, swallow_retire=True)
+    [(receiver, cfg)] = swallowed
+    sci = cfg.ops[0].sci
+    sender = next(name for name, sw in sim.switches.items() if sw.mac == sci[:6])
+    link = sim.central._link_at[(sender, sci_port(sci))].key
+    assert receiver in (link[0][0], link[1][0])
+    found = audit(sim)
+    assert found and set(found) == {Violation("stray_row", link)}
 
 
 def test_partition_flap_and_heal_converges():

@@ -19,6 +19,7 @@ from macsecsim.wire import (
     mac_to_str,
     make_sci,
     parse_frame,
+    read_lldpdu,
 )
 
 macs = st.binary(min_size=6, max_size=6)
@@ -132,6 +133,92 @@ def test_lldpdu_rejects_garbage():
     bad = struct.pack(">H", (2 << 9) | 2) + b"\x00\x01"
     with pytest.raises(DecodeFailure):
         Lldpdu.decode(bad)
+
+
+def reference_read_lldpdu(data: bytes) -> tuple[bytes, int]:
+    """The TLV walk `Lldpdu.decode` ran before `read_lldpdu`: each TLV's
+    header, type and length checked in turn, then the fields' sizes."""
+    fields = {}
+    offset = 0
+    for expected in (1, 2, 0):  # Chassis ID, Port ID, End
+        if len(data) < offset + 2:
+            raise DecodeFailure("LLDPDU ends mid-TLV")
+        header = struct.unpack(">H", data[offset : offset + 2])[0]
+        tlv_type, length = header >> 9, header & 0x1FF
+        offset += 2
+        if tlv_type != expected:
+            raise DecodeFailure(f"expected TLV {expected}, found {tlv_type}")
+        if len(data) < offset + length:
+            raise DecodeFailure("TLV value truncated")
+        fields[tlv_type] = data[offset : offset + length]
+        offset += length
+    if offset != len(data):
+        raise DecodeFailure("trailing bytes after End TLV")
+    if len(fields[2]) != 2:
+        raise DecodeFailure("Port ID TLV must be 2 bytes")
+    if not 0 < len(fields[1]) <= 64:
+        raise DecodeFailure("chassis id must be 1..64 bytes")
+    return fields[1], struct.unpack(">H", fields[2])[0]
+
+
+def _outcome(read, data):
+    try:
+        return read(data)
+    except DecodeFailure:
+        return DecodeFailure
+
+
+def _tlv(tlv_type, value):
+    return struct.pack(">H", (tlv_type << 9) | len(value)) + value
+
+
+@st.composite
+def lldpdu_like(draw):
+    """Near-LLDPDUs: chassis IDs around the 1..64 bounds, Port ID values of
+    0..3 bytes, End TLVs with a value, wrong TLV types, then a mutation."""
+    types = draw(st.sampled_from([(1, 2, 0)] * 4 + [(2, 1, 0), (1, 2, 1), (0, 2, 0), (1, 3, 0), (65, 2, 0)]))
+    chassis = draw(st.one_of(st.sampled_from([0, 1, 64, 65]), st.integers(0, 70)))
+    port = draw(st.sampled_from([2, 2, 2, 0, 1, 3]))
+    end = draw(st.sampled_from([0, 0, 0, 1, 2, 511]))
+    data = b"".join(
+        _tlv(t, draw(st.binary(min_size=n, max_size=n))) for t, n in zip(types, (chassis, port, end))
+    )
+    mutation = draw(st.sampled_from(["none", "flip", "truncate", "append"]))
+    if mutation == "flip" and data:
+        pos, bit = draw(st.integers(0, len(data) - 1)), draw(st.integers(0, 7))
+        data = data[:pos] + bytes([data[pos] ^ 1 << bit]) + data[pos + 1 :]
+    elif mutation == "truncate":
+        data = data[: draw(st.integers(0, len(data)))]
+    elif mutation == "append":
+        data += draw(st.binary(min_size=1, max_size=4))
+    return data
+
+
+@given(data=st.one_of(lldpdu_like(), st.binary(max_size=80)))
+def test_read_lldpdu_agrees_with_the_tlv_walk(data):
+    expected = _outcome(reference_read_lldpdu, data)
+    assert _outcome(read_lldpdu, data) == expected  # raises nothing but DecodeFailure
+    if expected is not DecodeFailure:
+        assert Lldpdu.decode(data) == Lldpdu(*expected)
+
+
+def test_read_lldpdu_accepts_an_end_tlv_with_a_value():
+    data = Lldpdu(chassis_id=b"s1", port_id=3).encode()[:-2] + _tlv(0, b"xyz")
+    assert read_lldpdu(data) == reference_read_lldpdu(data) == (b"s1", 3)
+    with pytest.raises(DecodeFailure):
+        read_lldpdu(data[:-1])
+    with pytest.raises(DecodeFailure):
+        read_lldpdu(data + b"\x00")
+    # A header of 512 is a type-1 TLV of length 0, not an End TLV of length 512.
+    typed = data[:-5] + struct.pack(">H", 1 << 9) + bytes(512)
+    assert _outcome(read_lldpdu, typed) == _outcome(reference_read_lldpdu, typed) == DecodeFailure
+
+
+@pytest.mark.parametrize("chassis_len, ok", [(0, False), (1, True), (64, True), (65, False)])
+def test_read_lldpdu_bounds_the_chassis_id(chassis_len, ok):
+    data = _tlv(1, b"c" * chassis_len) + _tlv(2, b"\x00\x07") + _tlv(0, b"")
+    assert _outcome(read_lldpdu, data) == ((b"c" * chassis_len, 7) if ok else DecodeFailure)
+    assert _outcome(reference_read_lldpdu, data) == _outcome(read_lldpdu, data)
 
 
 def _field_values(frame):
