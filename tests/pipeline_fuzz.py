@@ -12,7 +12,6 @@ from macsecsim.dataplane import (
     FLOOD,
     FORWARD,
     PACKET_IN,
-    MacTableEntry,
     SaEntry,
     Switch,
     SwitchTables,
@@ -55,13 +54,14 @@ def random_state(rng: random.Random):
     if rng.random() > 0.8:
         # Stale IG row pointing at a SAI that no longer exists.
         tables.ig_sc[(rng.randbytes(8), rng.randrange(4))] = 99
+    if rng.random() > 0.8:
+        # Stale EG row: the port is secured, but its SA is gone.
+        tables.eg_sc[rng.randrange(1, n_ports + 1)] = 99
 
     known_macs = []
     for _ in range(rng.randrange(0, 6)):
         mac = _mac(rng)
-        port = rng.randrange(1, n_ports + 1)
-        flag = rng.random() > 0.5  # sometimes set without an EG-SC behind it
-        tables.mac[mac] = MacTableEntry(mac=mac, port=port, macsec_flag=flag)
+        tables.mac[mac] = rng.randrange(1, n_ports + 1)
         known_macs.append(mac)
 
     pn_ceiling = rng.choice([2**32 - 1, 2**32 - 1, 2**32 - 1, rng.randrange(1, 50)])

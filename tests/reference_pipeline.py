@@ -87,15 +87,15 @@ def _mac_stage(tables, ingress_port, frame, pn_ceiling):
             "bytes": frame.to_bytes(),
             "port": ingress_port,
         }
-    entry = tables.mac[frame.dst]
-    if not entry.macsec_flag:
-        # Step 3b: plain forward.
-        return {"kind": "forward", "port": entry.port, "bytes": frame.to_bytes()}
+    port = tables.mac[frame.dst]
+    if port not in tables.eg_sc:
+        # Step 3b: plain forward; a port without an EG-SC row is not secured.
+        return {"kind": "forward", "port": port, "bytes": frame.to_bytes()}
     # Steps 3d-3e: protect, then send out.
-    out = _reference_protect(tables, entry.port, frame, pn_ceiling)
+    out = _reference_protect(tables, port, frame, pn_ceiling)
     if isinstance(out, str):
         return {"kind": "drop", "reason": out}
-    return {"kind": "forward", "port": entry.port, "bytes": out}
+    return {"kind": "forward", "port": port, "bytes": out}
 
 
 def _reference_protect(tables, port, frame, pn_ceiling):
