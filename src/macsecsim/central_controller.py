@@ -34,7 +34,6 @@ from .messages import (
     PnExhausted,
     ScAck,
     ScConfig,
-    SetPortFlag,
     StartDiscovery,
     WriteEgSc,
     WriteIgSc,
@@ -250,11 +249,11 @@ class CentralController:
         """Write one direction's SA to the receiver's ingress ("ingress") or
         the sender's egress ("egress"), tracking the batch until it is acked.
 
-        A rekey writes the staged generation `d.next`; a first install also
-        turns on the sender port's MACsec flag.
+        A rekey writes the staged generation `d.next`.  The EG-SC row is what
+        secures the sender's port: from that write on, every frame leaving the
+        port is protected.
         """
-        staged = d.next is not None
-        sai, an, sak = d.next if staged else (d.sai, d.an, d.sak)
+        sai, an, sak = d.next if d.next is not None else (d.sai, d.an, d.sak)
         ops = [WriteSa(sai=sai, an=an, sak=sak, sci=d.sci, confidentiality=self.macsec_encrypt)]
         if stage == "ingress":
             chassis = d.receiver
@@ -262,8 +261,6 @@ class CentralController:
         else:
             chassis = d.sender
             ops.append(WriteEgSc(port=d.sender_port, sai=sai))
-            if not staged:
-                ops.append(SetPortFlag(port=d.sender_port, flag=True))
         self._batch_seq += 1
         self._pending[self._batch_seq] = (record, name)
         self._send(chassis, ScConfig(batch_id=self._batch_seq, ops=ops))
@@ -336,11 +333,7 @@ class CentralController:
             receiver_ops = [DeleteIgSc(sci=d.sci, an=an) for an in range(4)]
             receiver_ops += [DeleteSa(sai=s) for s in sais]
             self._send(d.receiver, ScConfig(batch_id=None, ops=receiver_ops))
-            sender_ops = [
-                DeleteEgSc(port=d.sender_port),
-                SetPortFlag(port=d.sender_port, flag=False),
-            ]
-            sender_ops += [DeleteSa(sai=s) for s in sais]
+            sender_ops = [DeleteEgSc(port=d.sender_port)] + [DeleteSa(sai=s) for s in sais]
             self._send(d.sender, ScConfig(batch_id=None, ops=sender_ops))
 
     # -- rekeying -------------------------------------------------------------------

@@ -42,10 +42,8 @@ def format_tables(sim: Simulation, chassis: str, *, unsafe_keys: bool = False) -
     t = switch.tables
     lines = [f"switch {chassis}", "mac:"]
     for mac in sorted(t.mac):
-        entry = t.mac[mac]
-        lines.append(
-            f"  {mac_to_str(mac)} port={entry.port} macsec={'on' if entry.macsec_flag else 'off'}"
-        )
+        port = t.mac[mac]
+        lines.append(f"  {mac_to_str(mac)} port={port} macsec={'on' if port in t.eg_sc else 'off'}")
     lines.append("eg_sc:")
     for port in sorted(t.eg_sc):
         lines.append(f"  port={port} sai={t.eg_sc[port]}")

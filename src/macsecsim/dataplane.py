@@ -4,11 +4,12 @@ A hop works on the frame's bytes from wire to wire; no frame object is
 built.  Ingress reads the EtherType (and a MACsec frame's AN, PN and SCI)
 at fixed offsets: sealed LLDP punts straight to the CPU port, MACsec frames
 are validated against the IG-SC/SA tables and re-enter as the inner frame's
-bytes, and everything else goes through MAC-table forwarding.  A MAC entry
-whose macsec_flag is set sends the frame to the switch's one egress path,
-`Switch.protect`.  A flood, whether the pipeline floods a group frame or the
-local controller floods a MAC miss, goes through `Switch.flood`, which
-protects per port; a controller packet-out is sent verbatim.
+bytes, and everything else goes through MAC-table forwarding.  The MAC
+table maps a MAC to its port.  A port is secured when it holds an EG-SC
+row, and every frame that leaves a secured port, forwarded or flooded, goes
+through the switch's one egress path, `Switch.protect`.  A flood, whether
+the pipeline floods a group frame or the local controller floods a MAC
+miss, goes through `Switch.flood`; a controller packet-out is sent verbatim.
 
 The tables are plain data.  The pipeline core, `run_pipeline`, is one pass
 over a switch: it reads the tables, counts each validation on the SA that
@@ -96,13 +97,6 @@ class CounterNames(dict):
 
 
 @dataclass
-class MacTableEntry:
-    mac: bytes
-    port: int
-    macsec_flag: bool = False
-
-
-@dataclass
 class SaEntry:
     """One secure association; PN counters are its only mutable fields."""
 
@@ -125,7 +119,7 @@ class SaEntry:
 class SwitchTables:
     """The four match-action tables that define data-plane behavior."""
 
-    mac: dict[bytes, MacTableEntry] = field(default_factory=dict)
+    mac: dict[bytes, int] = field(default_factory=dict)  # MAC -> port
     eg_sc: dict[int, int] = field(default_factory=dict)  # egress port -> SAI
     ig_sc: dict[tuple[bytes, int], int] = field(default_factory=dict)  # (SCI, AN) -> SAI
     sa: dict[int, SaEntry] = field(default_factory=dict)
@@ -154,9 +148,9 @@ def run_pipeline(sw: Switch, ingress_port: int, data: bytes) -> PipelineResult:
     """One ingress pass over the switch's tables, reading the received bytes in place.
 
     A MACsec frame's validation, passed or failed, is counted on its SA
-    here.  A MAC entry with its MACsec flag set sends the frame's bytes
-    through `sw.protect`; the tables are otherwise read-only apart from the
-    ingress PN floor.
+    here.  A known unicast frame whose destination's port holds an EG-SC
+    row (a secured port) leaves through `sw.protect`; the tables are
+    otherwise read-only apart from the ingress PN floor.
     """
     if len(data) < ETH_HEADER_LEN:
         return PipelineResult(kind=DROP, drop_reason=DROP_TRUNCATED)
@@ -193,16 +187,16 @@ def run_pipeline(sw: Switch, ingress_port: int, data: bytes) -> PipelineResult:
     if is_group_mac(dst):
         return PipelineResult(kind=FLOOD, bytes_out=data)
 
-    dst_entry = tables.mac.get(dst)
-    if data[6:12] not in tables.mac or dst_entry is None:
+    port = tables.mac.get(dst)
+    if data[6:12] not in tables.mac or port is None:
         return PipelineResult(kind=PACKET_IN, packet_in=PacketIn(ingress_port, data, REASON_MAC_MISS))
 
     out = data
-    if dst_entry.macsec_flag:
-        out, reason = sw.protect(dst_entry.port, data)
+    if port in tables.eg_sc:
+        out, reason = sw.protect(port, data)
         if out is None:
             return PipelineResult(kind=DROP, drop_reason=reason)
-    return PipelineResult(kind=FORWARD, egress_port=dst_entry.port, bytes_out=out)
+    return PipelineResult(kind=FORWARD, egress_port=port, bytes_out=out)
 
 
 class Switch:
@@ -315,12 +309,12 @@ class Switch:
 
     # -- table writes (each call is atomic wrt frame processing) -------------
 
-    def write_mac(self, entry: MacTableEntry) -> None:
-        if entry.port not in self.ports_up:
-            raise InvalidEntry(f"port {entry.port} not on switch {self.chassis_id}")
-        if len(entry.mac) != 6:
+    def write_mac(self, mac: bytes, port: int) -> None:
+        if port not in self.ports_up:
+            raise InvalidEntry(f"port {port} not on switch {self.chassis_id}")
+        if len(mac) != 6:
             raise InvalidEntry("MAC must be 6 bytes")
-        self.tables.mac[entry.mac] = entry
+        self.tables.mac[mac] = port
 
     def delete_mac(self, mac: bytes) -> None:
         self.tables.mac.pop(mac, None)
@@ -358,13 +352,6 @@ class Switch:
         if not 0 <= an <= 3:
             raise InvalidEntry("AN must be 0..3")
         self.tables.ig_sc.pop((sci, an), None)
-
-    def set_port_macsec_flag(self, port: int, flag: bool) -> None:
-        if port not in self.ports_up:
-            raise InvalidEntry(f"port {port} not on switch {self.chassis_id}")
-        for mac, entry in self.tables.mac.items():
-            if entry.port == port and entry.macsec_flag != flag:
-                self.tables.mac[mac] = MacTableEntry(mac=mac, port=port, macsec_flag=flag)
 
     # -- port state -----------------------------------------------------------
 

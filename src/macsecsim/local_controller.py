@@ -23,7 +23,7 @@ import logging
 from typing import Callable
 
 from .crypto import LldpKey, lldp_open, lldp_seal
-from .dataplane import REASON_LLDP_PUNT, REASON_MAC_MISS, MacTableEntry, PacketIn, SaEntry, Switch
+from .dataplane import REASON_LLDP_PUNT, REASON_MAC_MISS, PacketIn, SaEntry, Switch
 from .errors import DecodeFailure, IntegrityFailure, InvalidEntry
 from .messages import (
     DeleteEgSc,
@@ -34,7 +34,6 @@ from .messages import (
     PnExhausted,
     ScAck,
     ScConfig,
-    SetPortFlag,
     StartDiscovery,
     WriteEgSc,
     WriteIgSc,
@@ -115,9 +114,8 @@ class LocalController:
         if classify(data) != "ethernet":
             return
         src = data[6:12]
-        entry = sw.tables.mac.get(src)
-        if not is_group_mac(src) and (entry is None or entry.port != port):
-            sw.write_mac(MacTableEntry(mac=src, port=port, macsec_flag=port in sw.tables.eg_sc))
+        if not is_group_mac(src) and sw.tables.mac.get(src) != port:
+            sw.write_mac(src, port)
             self.counters.incr("learning.learned")
         sw.flood(port, data)
 
@@ -276,11 +274,6 @@ class LocalController:
         undo.append((eg_sc, op.port, eg_sc.get(op.port, _ABSENT)))
         self.switch.write_eg_sc(op.port, op.sai)
 
-    def _set_port_flag(self, op: SetPortFlag, undo: list) -> None:
-        mac = self.switch.tables.mac
-        undo += [(mac, addr, entry) for addr, entry in mac.items() if entry.port == op.port]
-        self.switch.set_port_macsec_flag(op.port, op.flag)
-
     def _delete_ig_sc(self, op: DeleteIgSc, undo: list) -> None:
         ig_sc = self.switch.tables.ig_sc
         undo.append((ig_sc, (op.sci, op.an), ig_sc.get((op.sci, op.an), _ABSENT)))
@@ -297,7 +290,7 @@ class LocalController:
         self.switch.delete_sa(op.sai)
 
     _OP_HANDLERS = {
-        WriteSa: _write_sa, WriteIgSc: _write_ig_sc, WriteEgSc: _write_eg_sc, SetPortFlag: _set_port_flag,
+        WriteSa: _write_sa, WriteIgSc: _write_ig_sc, WriteEgSc: _write_eg_sc,
         DeleteIgSc: _delete_ig_sc, DeleteEgSc: _delete_eg_sc, DeleteSa: _delete_sa,
     }
 

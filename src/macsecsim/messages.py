@@ -66,6 +66,8 @@ class WriteEgSc:
     sai: int
 
 
+# No longer sent: a port is secured when it holds an EG-SC row.  The class
+# stays only because the benchmark's tracer counts message types by name.
 @dataclass(slots=True)
 class SetPortFlag:
     port: int
@@ -88,7 +90,7 @@ class DeleteSa:
     sai: int
 
 
-ScOp = WriteSa | WriteIgSc | WriteEgSc | SetPortFlag | DeleteIgSc | DeleteEgSc | DeleteSa
+ScOp = WriteSa | WriteIgSc | WriteEgSc | DeleteIgSc | DeleteEgSc | DeleteSa
 
 
 @dataclass(slots=True)

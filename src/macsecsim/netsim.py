@@ -39,7 +39,7 @@ from .dataplane import DROP, Switch
 from .errors import LivelockError, TruncatedFrame, UnknownLink, UnknownSwitch
 from .local_controller import LocalController
 from .randomness import IvUniquenessRegistry, RandomSource
-from .topology import TopologySpec
+from .topology import TopologySpec, to_us
 from .trace import Trace, write_pcapng
 from .wire import EthernetFrame, parse_frame
 
@@ -72,11 +72,6 @@ class Host:
     mac: bytes
     link: Optional[Link] = None  # the host is its link's b end
     received: list[tuple[int, EthernetFrame]] = field(default_factory=list)
-
-
-def to_us(seconds: float) -> int:
-    """Seconds of virtual time as whole microseconds, rounded to nearest."""
-    return round(seconds * 1_000_000)
 
 
 class Simulation:

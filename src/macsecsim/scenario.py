@@ -23,8 +23,8 @@ from pathlib import Path
 from .audit import audit
 from .central_controller import LinkKey, link_key, link_name
 from .errors import ScriptError, UnknownLink
-from .netsim import Simulation, to_us
-from .topology import TopologySpec
+from .netsim import Simulation
+from .topology import TopologySpec, to_us
 from .wire import mac_from_str
 
 ASSERTIONS = {

@@ -42,8 +42,18 @@ class LinkSpec:
 
 # Spec durations, in seconds of virtual time; each is finite and none negative.
 _DURATIONS = ("discovery_interval", "rekey_interval", "lldp_key_rotation", "grace", "link_latency", "latency_jitter")
+# The durations that re-arm a timer; each must be at least 1 µs once rounded.
+_PERIODS = ("discovery_interval", "rekey_interval", "lldp_key_rotation")
 # The value types each annotation admits; a bool is not a number here.
 _TYPES = {"float": (int, float), "float | None": (int, float, type(None)), "int": (int,), "bool": (bool,)}
+
+
+def to_us(seconds: float) -> int:
+    """Seconds of virtual time as whole microseconds, rounded to nearest.
+    A time that is not finite is a ValueError."""
+    if not math.isfinite(seconds):
+        raise ValueError(f"time {seconds} s is not finite")
+    return round(seconds * 1_000_000)
 
 
 @dataclass
@@ -75,6 +85,9 @@ class SimParams:
             value = getattr(self, name)
             if value is not None and not 0 <= value < math.inf:
                 raise SpecError(f"{name} must be >= 0 and finite")
+        for name in _PERIODS:
+            if to_us(getattr(self, name)) == 0:
+                raise SpecError(f"{name} must round to at least 1 us, or its timer never advances")
 
 
 _PARAM_FIELDS = set(SimParams.__dataclass_fields__)

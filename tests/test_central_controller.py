@@ -131,13 +131,15 @@ def test_remove_demotes_and_tears_down():
     h = Harness()
     h.register_all("s1", "s2")
     h.confirm_link()
+    install_ops = [type(op) for _, cfg in h.configs() for op in cfg.ops]
     h.outbox.clear()
     h.central.handle_link_delta(LinkDelta(chassis_id="s1", removes=[2]))
     assert KEY_12 not in h.central.sc_records
     assert h.central.link_map[KEY_12].status == "reported"
     revoke_ops = [type(op) for _, cfg in h.configs() for op in cfg.ops]
     assert DeleteEgSc in revoke_ops and DeleteIgSc in revoke_ops and DeleteSa in revoke_ops
-    assert SetPortFlag in revoke_ops
+    # The EG-SC row alone secures a port; no op flags it.
+    assert WriteEgSc in install_ops and SetPortFlag not in install_ops + revoke_ops
     h.central.handle_link_delta(LinkDelta(chassis_id="s2", removes=[4]))
     assert KEY_12 not in h.central.link_map
 

@@ -14,7 +14,6 @@ from macsecsim.dataplane import (
     PACKET_IN,
     REASON_LLDP_PUNT,
     REASON_MAC_MISS,
-    MacTableEntry,
     SaEntry,
     Switch,
 )
@@ -61,8 +60,8 @@ def install_ingress_sa(switch, peer_mac, peer_port, sai=8, an=0):
 
 def test_known_pair_forwards_unchanged():
     switch = make_switch()
-    switch.write_mac(MacTableEntry(mac=H1, port=1))
-    switch.write_mac(MacTableEntry(mac=H2, port=2))
+    switch.write_mac(H1, 1)
+    switch.write_mac(H2, 2)
     result = switch.process_ingress(1, ether().to_bytes())
     assert result.kind == FORWARD
     assert result.egress_port == 2
@@ -72,8 +71,8 @@ def test_known_pair_forwards_unchanged():
 def test_sc_flagged_entry_protects_on_forward():
     switch = make_switch()
     sak = install_egress_sa(switch, port=2)
-    switch.write_mac(MacTableEntry(mac=H1, port=1))
-    switch.write_mac(MacTableEntry(mac=H2, port=2, macsec_flag=True))
+    switch.write_mac(H1, 1)
+    switch.write_mac(H2, 2)
     result = switch.process_ingress(1, ether().to_bytes())
     assert result.kind == FORWARD and result.egress_port == 2
     protected = parse_frame(result.bytes_out)
@@ -201,8 +200,8 @@ def test_packet_out_to_down_port_counts_drop():
 
 def test_table_write_direct_effect():
     switch = make_switch()
-    switch.write_mac(MacTableEntry(mac=H1, port=1))
-    switch.write_mac(MacTableEntry(mac=H2, port=1))
+    switch.write_mac(H1, 1)
+    switch.write_mac(H2, 1)
     assert switch.process_ingress(2, ether(dst=H1, src=H2).to_bytes()).egress_port == 1
 
 
@@ -213,7 +212,10 @@ def test_write_eg_sc_missing_sai_rejected():
     with pytest.raises(InvalidEntry):
         switch.write_ig_sc(b"\x00" * 8, 0, 99)
     with pytest.raises(InvalidEntry):
-        switch.write_mac(MacTableEntry(mac=H1, port=77))
+        switch.write_mac(H1, 77)
+    with pytest.raises(InvalidEntry):
+        switch.write_mac(H1[:5], 1)
+    assert switch.tables.mac == {}
 
 
 def test_deletes_are_idempotent():
@@ -236,8 +238,8 @@ def test_delete_ig_sc_rejects_an_outside_0_to_3_before_touching_the_table(an):
 def test_sa_keyed_protection_uses_selected_sak():
     switch = make_switch()
     sak = install_egress_sa(switch, port=2, sai=7)
-    switch.write_mac(MacTableEntry(mac=H1, port=1))
-    switch.write_mac(MacTableEntry(mac=H2, port=2, macsec_flag=True))
+    switch.write_mac(H1, 1)
+    switch.write_mac(H2, 2)
     out = switch.process_ingress(1, ether().to_bytes())
     assert macsec_validate(sak, out.bytes_out) == ether().to_bytes()
     assert switch.counters.get("sa.7.protected") == 1
@@ -256,8 +258,8 @@ def test_port_events_are_edge_triggered():
 def test_egress_pn_strictly_monotonic():
     switch = make_switch()
     install_egress_sa(switch, port=2, sai=3)
-    switch.write_mac(MacTableEntry(mac=H1, port=1))
-    switch.write_mac(MacTableEntry(mac=H2, port=2, macsec_flag=True))
+    switch.write_mac(H1, 1)
+    switch.write_mac(H2, 2)
     pns = []
     for _ in range(5):
         out = switch.process_ingress(1, ether().to_bytes())
@@ -293,8 +295,8 @@ def egress_switch(**kwargs):
     switch = make_switch(num_ports=2, **kwargs)
     attach_controller(switch)
     install_egress_sa(switch, port=2, sai=3)
-    switch.write_mac(MacTableEntry(mac=H1, port=1))
-    switch.write_mac(MacTableEntry(mac=H2, port=2, macsec_flag=True))
+    switch.write_mac(H1, 1)
+    switch.write_mac(H2, 2)
     return switch
 
 
@@ -323,25 +325,6 @@ def test_eg_sc_row_without_sa_fails_closed(route):
     assert EGRESS_ROUTES[route](switch) == []
     assert switch.counters.get("drop.no_egress_sc") == 1
     assert switch.counters.get("macsec.protected") == 0
-
-
-def test_flag_without_eg_sc_fails_closed():
-    switch = make_switch()
-    switch.write_mac(MacTableEntry(mac=H1, port=1))
-    switch.write_mac(MacTableEntry(mac=H2, port=2, macsec_flag=True))
-    result = switch.process_ingress(1, ether().to_bytes())
-    assert result.kind == DROP and result.drop_reason == "no_egress_sc"
-
-
-def test_set_port_macsec_flag_rewrites_entries():
-    switch = make_switch()
-    switch.write_mac(MacTableEntry(mac=H1, port=2))
-    switch.write_mac(MacTableEntry(mac=H2, port=3))
-    switch.set_port_macsec_flag(2, True)
-    assert switch.tables.mac[H1].macsec_flag is True
-    assert switch.tables.mac[H2].macsec_flag is False
-    switch.set_port_macsec_flag(2, False)
-    assert switch.tables.mac[H1].macsec_flag is False
 
 
 def test_pipeline_equivalence_sample():
@@ -374,8 +357,8 @@ def test_minimum_length_boundary(kind):
 def test_validated_frame_with_inner_lldp_punts():
     switch = make_switch()
     sak, sci = install_ingress_sa(switch, PEER_MAC, 1)
-    switch.write_mac(MacTableEntry(mac=H1, port=1))
-    switch.write_mac(MacTableEntry(mac=H2, port=2))
+    switch.write_mac(H1, 1)
+    switch.write_mac(H2, 2)
     inner = EthernetFrame(dst=H2, src=H1, ether_type=0x88CC, payload=b"short")
     result = switch.process_ingress(3, macsec_protect(sak, sci, 1, inner.to_bytes()))
     assert result.kind == PACKET_IN and result.packet_in.reason == REASON_LLDP_PUNT

@@ -1,11 +1,11 @@
 import random
+import typing
 
 import pytest
 
-from macsecsim.crypto import LldpKey, Sak, lldp_seal, macsec_protect
+from macsecsim.crypto import LldpKey, Sak, lldp_seal, macsec_protect, macsec_validate
 from macsecsim.dataplane import (
     REASON_MAC_MISS,
-    MacTableEntry,
     PacketIn,
     SaEntry,
     Switch,
@@ -19,7 +19,7 @@ from macsecsim.messages import (
     LinkDelta,
     ScAck,
     ScConfig,
-    SetPortFlag,
+    ScOp,
     StartDiscovery,
     WriteEgSc,
     WriteIgSc,
@@ -43,6 +43,7 @@ SW_MAC = mac_from_str("02:00:00:00:00:01")
 PEER_MAC = mac_from_str("02:00:00:00:00:02")
 H1 = mac_from_str("02:00:00:00:10:01")
 H2 = mac_from_str("02:00:00:00:10:02")
+H3 = mac_from_str("02:00:00:00:10:03")
 
 KEY = LldpKey(key=bytes(range(16)), key_id=1)
 
@@ -96,16 +97,24 @@ def mac_miss(src=H1, dst=H2, port=1, payload=b"x"):
 def test_first_miss_learns_and_floods():
     h = Harness()
     h.ctl.handle_packet_in(mac_miss(src=H1, port=1))
-    assert h.switch.tables.mac[H1].port == 1
+    assert h.switch.tables.mac[H1] == 1
     assert [port for port, _ in h.transmitted] == [2, 3, 4]
 
 
-def test_duplicate_miss_does_not_rewrite():
+def test_duplicate_miss_does_not_rewrite(monkeypatch):
     h = Harness()
+    writes = []
+    write_mac = h.switch.write_mac
+
+    def counting_write_mac(mac, port):
+        writes.append((mac, port))
+        write_mac(mac, port)
+
+    monkeypatch.setattr(h.switch, "write_mac", counting_write_mac)
     h.ctl.handle_packet_in(mac_miss(src=H1, port=1))
-    entry = h.switch.tables.mac[H1]
     h.ctl.handle_packet_in(mac_miss(src=H1, port=1))
-    assert h.switch.tables.mac[H1] is entry
+    assert writes == [(H1, 1)]
+    assert h.switch.tables.mac == {H1: 1}
     assert h.switch.counters.get("learning.learned") == 1
 
 
@@ -113,17 +122,36 @@ def test_station_move_updates_entry():
     h = Harness()
     h.ctl.handle_packet_in(mac_miss(src=H1, port=1))
     h.ctl.handle_packet_in(mac_miss(src=H1, port=2))
-    assert h.switch.tables.mac[H1].port == 2
+    assert h.switch.tables.mac[H1] == 2
 
 
-def test_learned_flag_follows_egress_channel():
+def test_forwarding_follows_the_egress_channel():
+    """A port is secured exactly while it holds an EG-SC row, so a host
+    learned before the install or after it needs no rewrite of its entry."""
     h = Harness()
-    h.switch.write_sa(SaEntry(sai=1, sak=Sak(b"\x01" * 16), an=0, sci=b"\x00" * 8))
-    h.switch.write_eg_sc(1, 1)
-    h.ctl.handle_packet_in(mac_miss(src=H1, port=1))
-    h.ctl.handle_packet_in(mac_miss(src=H2, port=2))
-    assert h.switch.tables.mac[H1].macsec_flag is True
-    assert h.switch.tables.mac[H2].macsec_flag is False
+    h.ctl.handle_packet_in(mac_miss(src=H1, dst=H2, port=1))
+    h.ctl.handle_packet_in(mac_miss(src=H2, dst=H1, port=2))
+
+    def send(dst):
+        plain = EthernetFrame(dst=dst, src=H1, ether_type=0x0800, payload=b"data").to_bytes()
+        h.transmitted.clear()
+        h.switch.handle_frame(1, plain)
+        [(port, data)] = h.transmitted
+        assert port == 2
+        return plain, data
+
+    plain, data = send(H2)
+    assert data == plain
+    h.ctl.deliver(_install_batch(port=2, sai=11))
+    h.ctl.handle_packet_in(mac_miss(src=H3, dst=H1, port=2))  # learned on a secured port
+    for dst in (H2, H3):
+        plain, data = send(dst)
+        assert data[12:14] == b"\x88\xe5" and macsec_validate(Sak(b"\x09" * 16), data) == plain
+    h.ctl.deliver(ScConfig(batch_id=None, ops=[DeleteEgSc(port=2), DeleteSa(sai=11)]))
+    for dst in (H2, H3):
+        plain, data = send(dst)
+        assert data == plain
+    assert h.switch.tables.mac == {H1: 1, H2: 2, H3: 2}
 
 
 def test_mlf_matches_reference_learning_switch():
@@ -136,7 +164,7 @@ def test_mlf_matches_reference_learning_switch():
         port = rng.randrange(1, 6)
         h.ctl.handle_packet_in(mac_miss(src=src, dst=dst, port=port))
         reference[src] = port
-        assert {m: e.port for m, e in h.switch.tables.mac.items()} == reference
+        assert h.switch.tables.mac == reference
 
 
 def test_mac_miss_of_a_macsec_typed_inner_frame_learns_and_floods_nothing():
@@ -161,12 +189,12 @@ def test_deleted_mac_entry_is_learned_again():
     sim.host_send("h2", h1, 0x0800, b"pong")
     sim.quiesce()
     assert s1.counters.get("learning.learned") == 2
-    port = s1.tables.mac[h1].port
+    port = s1.tables.mac[h1]
     s1.delete_mac(h1)
     for _ in range(3):
         sim.host_send("h1", h2, 0x0800, b"again")
         sim.quiesce()
-    assert s1.tables.mac[h1].port == port
+    assert s1.tables.mac[h1] == port
     assert s1.counters.get("learning.learned") == 3
     assert len(sim.host_recv("h2")) == 4
 
@@ -327,6 +355,10 @@ def test_stale_view_entries_expire_after_three_intervals():
 # -- MACsec table agent -----------------------------------------------------------
 
 
+def test_every_op_has_a_handler_and_every_handler_an_op():
+    assert set(typing.get_args(ScOp)) == set(LocalController._OP_HANDLERS)
+
+
 def _install_batch(port=2, sai=11, an=0):
     sci = b"\x02\x00\x00\x00\x00\x02\x00\x07"
     return ScConfig(
@@ -334,17 +366,14 @@ def _install_batch(port=2, sai=11, an=0):
         ops=[
             WriteSa(sai=sai, an=an, sak=Sak(b"\x09" * 16), sci=sci),
             WriteEgSc(port=port, sai=sai),
-            SetPortFlag(port=port, flag=True),
         ],
     )
 
 
 def test_sc_config_applies_and_acks():
     h = Harness()
-    h.switch.write_mac(MacTableEntry(mac=H1, port=2))
     h.ctl.deliver(_install_batch(port=2, sai=11))
     assert h.switch.tables.eg_sc[2] == 11
-    assert h.switch.tables.mac[H1].macsec_flag is True
     acks = [m for m in h.sent if isinstance(m, ScAck)]
     assert acks == [ScAck("s1", 5, True)]
 
@@ -366,12 +395,11 @@ def test_sc_config_bad_batch_nacked_and_unapplied():
         WriteSa(sai=2, an=0, sak=Sak(b"\x02" * 16), sci=b"\x00" * 7),
         WriteIgSc(sci=b"\x00" * 7, an=0, sai=1),
         WriteIgSc(sci=b"\x00" * 8, an=5, sai=1),
-        SetPortFlag(port=99, flag=True),
         DeleteIgSc(sci=b"\x00" * 8, an=5),
         object(),
     ],
     ids=[
-        "eg_sc_port", "sa_an", "sa_sci", "ig_sc_sci", "ig_sc_an", "port_flag_port", "del_ig_sc_an", "not_an_op",
+        "eg_sc_port", "sa_an", "sa_sci", "ig_sc_sci", "ig_sc_an", "del_ig_sc_an", "not_an_op",
     ],
 )
 def test_sc_config_batch_is_all_or_nothing(bad_op):
@@ -390,8 +418,8 @@ def _run_failing_batch(bad_op, *, batch_id):
     four tables must come back exactly as they were."""
     h = Harness()
     old_sci = b"\x11" * 8
-    h.switch.write_mac(MacTableEntry(mac=H1, port=2))
-    h.switch.write_mac(MacTableEntry(mac=H2, port=3, macsec_flag=True))
+    h.switch.write_mac(H1, 2)
+    h.switch.write_mac(H2, 3)
     h.switch.write_sa(SaEntry(sai=9, sak=Sak(b"\x09" * 16), an=1, sci=old_sci))
     h.switch.write_ig_sc(old_sci, 1, 9)
     h.switch.write_eg_sc(3, 9)
@@ -403,17 +431,14 @@ def _run_failing_batch(bad_op, *, batch_id):
             WriteSa(sai=1, an=0, sak=Sak(b"\x01" * 16), sci=b"\x00" * 8),
             WriteIgSc(sci=old_sci, an=1, sai=1),  # overwrites a row, deleted below
             WriteEgSc(port=2, sai=1),
-            SetPortFlag(port=2, flag=True),
             DeleteIgSc(sci=old_sci, an=1),
             DeleteEgSc(port=3),
-            SetPortFlag(port=3, flag=False),
             DeleteSa(sai=9),
             bad_op,  # sinks the whole batch
         ],
     )
     h.ctl.deliver(cfg)
     assert (tables.mac, tables.eg_sc, tables.ig_sc, tables.sa) == before
-    assert all(tables.mac[mac] is entry for mac, entry in before[0].items())
     assert h.switch.counters.get("sc_config.nack") == 1
     assert h.switch.counters.get("sc_config.applied") == 0
     return h

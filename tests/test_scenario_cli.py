@@ -2,14 +2,15 @@ import filecmp
 
 import pytest
 
-from macsecsim.cli import main
+from macsecsim.cli import format_tables, main
 from macsecsim.errors import ScriptError
 from macsecsim.central_controller import link_key
 from macsecsim.crypto import Sak
 from macsecsim.dataplane import SaEntry
+from macsecsim.netsim import build
 from macsecsim.scenario import ScenarioRunner, parse_script, run_scenario
-from macsecsim.topology import TopologySpec
-from macsecsim.wire import make_sci
+from macsecsim.topology import TopologySpec, chain_spec
+from macsecsim.wire import mac_to_str, make_sci
 from conftest import SCENARIOS
 
 SPEC = str(SCENARIOS / "hierarchical.yaml")
@@ -191,6 +192,21 @@ def test_cli_error_exit_two(tmp_path, capsys):
     assert "ScriptError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["run_until inf", "run_until +inf", "run_until nan", "expect all_interswitch_frames_protected * inf"],
+)
+def test_cli_non_finite_time_is_a_script_error(line, tmp_path, capsys):
+    script = tmp_path / "bad.txt"
+    script.write_text(f"quiesce\n{line}\n")
+    code = main(
+        ["run", "--spec", SPEC, "--script", str(script), "--seed", "7", "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "ScriptError" in err and "line 2" in err
+
+
 def test_cli_identical_runs_are_byte_identical(tmp_path):
     for out in ("a", "b"):
         assert (
@@ -232,6 +248,23 @@ def test_cli_inspect_tables_redacts_keys(capsys):
     out = capsys.readouterr().out
     saks = [part.split()[0] for part in out.split("sak=")[1:]]
     assert saks and all(len(s) == 32 for s in saks)
+
+
+def test_tables_macsec_column_reads_the_egress_channel():
+    """`macsec=on` marks a MAC learned on a port that holds an EG-SC row."""
+    sim = build(chain_spec(3), seed=1)
+    sim.quiesce()
+    h1, h2 = sim.hosts["h1"].mac, sim.hosts["h2"].mac
+    sim.host_send("h1", h2, 0x0800, b"ping")
+    sim.host_send("h2", h1, 0x0800, b"pong")
+    sim.quiesce()
+
+    def column(chassis):
+        rows = [line.split() for line in format_tables(sim, chassis).splitlines() if "macsec=" in line]
+        return {mac: flag for mac, _port, flag in rows}
+
+    assert column("s2") == {mac_to_str(h1): "macsec=on", mac_to_str(h2): "macsec=on"}
+    assert column("s1") == {mac_to_str(h1): "macsec=off", mac_to_str(h2): "macsec=on"}
 
 
 def test_cli_inspect_counters_and_unknown_switch(capsys):

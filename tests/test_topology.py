@@ -97,6 +97,12 @@ BAD_INPUT = [
     ("wide-pn-ceiling", {"params": {"pn_ceiling": 2**32}}, "pn_ceiling must be in"),
     ("inf-duration", {"params": {"link_latency": float("inf")}}, "link_latency must be >= 0 and finite"),
     ("nan-duration", {"params": {"grace": float("nan")}}, "grace must be >= 0 and finite"),
+    # A period that rounds to 0 us re-arms its timer at +0 forever.
+    *[
+        (f"zero-{name}", {"params": {name: 0.0}}, f"{name} must round to at least 1 us")
+        for name in ("discovery_interval", "rekey_interval", "lldp_key_rotation")
+    ],
+    ("sub-us-rekey_interval", {"params": {"rekey_interval": 4e-7}}, "rekey_interval must round to at least 1 us"),
 ]
 
 
@@ -144,3 +150,9 @@ def test_with_params_override():
     assert spec.params.rekey_interval == 5.0
     assert spec.params.seed == 11
     assert chain_spec(2).params.rekey_interval == SimParams().rekey_interval
+
+
+def test_one_us_periods_and_zero_delays_are_valid():
+    periods = {name: 6e-7 for name in ("discovery_interval", "rekey_interval", "lldp_key_rotation")}
+    spec = chain_spec(2).with_params(**periods, grace=0.0, link_latency=0.0, latency_jitter=0.0)
+    assert spec.params.discovery_interval == 6e-7  # rounds to 1 us
