@@ -327,6 +327,28 @@ def test_eg_sc_row_without_sa_fails_closed(route):
     assert switch.counters.get("macsec.protected") == 0
 
 
+def test_set_port_macsec_flag_rewrites_entries():
+    """A port's MACsec flag is its EG-SC row: writing or deleting the row
+    switches every MAC entry on that port, and only that port, without
+    touching the MAC table."""
+    switch = make_switch()
+    switch.write_mac(H1, 2)
+    switch.write_mac(H2, 3)
+    switch.write_mac(H3, 1)
+
+    def forwarded(dst):
+        result = switch.process_ingress(1, ether(dst=dst, src=H3).to_bytes())
+        assert result.kind == FORWARD
+        return result.bytes_out
+
+    sak = install_egress_sa(switch, port=2)
+    assert macsec_validate(sak, forwarded(H1)) == ether(dst=H1, src=H3).to_bytes()
+    assert forwarded(H2) == ether(dst=H2, src=H3).to_bytes()
+    switch.delete_eg_sc(2)
+    assert forwarded(H1) == ether(dst=H1, src=H3).to_bytes()
+    assert switch.tables.mac == {H1: 2, H2: 3, H3: 1}
+
+
 def test_pipeline_equivalence_sample():
     rng = random.Random(0xDA7A)
     for _ in range(500):

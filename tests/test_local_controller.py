@@ -125,6 +125,27 @@ def test_station_move_updates_entry():
     assert h.switch.tables.mac[H1] == 2
 
 
+def test_learned_flag_follows_egress_channel():
+    """A host learned on a port with an EG-SC row is sent protected; one
+    learned on a port without is sent in the clear."""
+    h = Harness()
+    sak = Sak(b"\x01" * 16)
+    h.switch.write_sa(SaEntry(sai=1, sak=sak, an=0, sci=b"\x00" * 8))
+    h.switch.write_eg_sc(1, 1)
+    h.ctl.handle_packet_in(mac_miss(src=H1, port=1))
+    h.ctl.handle_packet_in(mac_miss(src=H2, port=2))
+    assert h.switch.tables.mac == {H1: 1, H2: 2}
+    for src, dst, port in ((H2, H1, 2), (H1, H2, 1)):
+        plain = EthernetFrame(dst=dst, src=src, ether_type=0x0800, payload=b"data").to_bytes()
+        h.transmitted.clear()
+        h.switch.handle_frame(port, plain)
+        [(_, data)] = h.transmitted
+        if dst == H1:
+            assert macsec_validate(sak, data) == plain
+        else:
+            assert data == plain
+
+
 def test_forwarding_follows_the_egress_channel():
     """A port is secured exactly while it holds an EG-SC row, so a host
     learned before the install or after it needs no rewrite of its entry."""
