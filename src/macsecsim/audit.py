@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .central_controller import LinkKey, link_key
+from .central_controller import LinkKey
 from .wire import sci_port
 
 # missing_link: wired, not confirmed.  excess_link: confirmed, not wired.
@@ -62,10 +62,7 @@ def audit(sim) -> list[Violation]:
         actual.update({(chassis, "sa", sai, (e.sak.key, e.an, e.sci)): sender(e.sci) for sai, e in t.sa.items()})
         actual.update({(chassis, "eg_sc", port, sai): (chassis, port) for port, sai in t.eg_sc.items()})
         actual.update({(chassis, "ig_sc", k, sai): sender(k[0]) for k, sai in t.ig_sc.items()})
-    ends = {}
-    for link in sim.links.values():
-        a, b = (link.a.name, link.a.port), (link.b.name, link.b.port)
-        ends[a] = ends[b] = link_key(a, b)
+    ends = {end: link.key for link in sim.links.values() for end in link.key}
     found += [Violation("missing_row", link) for row, link in expected.items() if row not in actual]
     found += [Violation("stray_row", ends.get(e, (e, e))) for row, e in actual.items() if row not in expected]
     found += [Violation("pending_batch", record.key) for record, _ in central._pending.values()]

@@ -295,7 +295,7 @@ class CentralController:
             self._schedule(self.grace_us, self._retire_old_sa, key, direction, old_sai, old_an)
         d.phase = "active"
         self._schedule(
-            self.rekey_interval_us, self._rekey_due, key, direction, d.rekey_count, housekeeping=True
+            self.rekey_interval_us, self._rekey_due, key, direction, d.sai, housekeeping=True
         )
         if record.state == "installing" and all(
             x.phase == "active" for x in record.directions.values()
@@ -338,14 +338,15 @@ class CentralController:
 
     # -- rekeying -------------------------------------------------------------------
 
-    def _rekey_due(self, key: LinkKey, direction: str, generation: int) -> None:
-        """Fired one rekey interval after the generation's activation; a
-        timer of an older generation finds the count moved on."""
+    def _rekey_due(self, key: LinkKey, direction: str, sai: int) -> None:
+        """Fired one rekey interval after the generation with SA `sai` went
+        active.  SAIs are never reused, so the timer of an older generation,
+        or of a record torn down and redeployed since, finds another SAI."""
         record = self.sc_records.get(key)
         if record is None or record.state == "quarantined":
             return
         d = record.directions[direction]
-        if d.rekey_count == generation and d.phase == "active":
+        if d.sai == sai and d.phase == "active":
             self._start_rekey(record, direction, d)
 
     def _start_rekey(self, record: ScRecord, direction: str, d: ScDirection) -> None:

@@ -14,7 +14,8 @@ miss, goes through `Switch.flood`; a controller packet-out is sent verbatim.
 The tables are plain data.  The pipeline core, `run_pipeline`, is one pass
 over a switch: it reads the tables, counts each validation on the SA that
 checked it and protects through `Switch.protect`.  The `Switch` adds ports,
-counters and the CPU/notification hooks; the pipeline oracle diffs
+counters, the CPU/notification hooks and the table writes, each checked and
+each returning its undo entry; the pipeline oracle diffs
 `Switch.process_ingress` against an independent interpreter.
 """
 
@@ -142,6 +143,18 @@ class PipelineResult:
 
 
 ProtectHook = Callable[[bytes, bytes], None]  # (sak key, 12-byte IV)
+# (table, key, old value); no table holds None, so None means the row was absent
+UndoEntry = tuple[dict, object, object]
+
+
+def _put(table: dict, key, value) -> UndoEntry:
+    entry = (table, key, table.get(key))
+    table[key] = value
+    return entry
+
+
+def _pop(table: dict, key) -> UndoEntry:
+    return table, key, table.pop(key, None)
 
 
 def run_pipeline(sw: Switch, ingress_port: int, data: bytes) -> PipelineResult:
@@ -203,7 +216,8 @@ class Switch:
     """Data plane of one software switch: tables, ports, counters, CPU port.
 
     Every frame the switch protects goes through `protect`, whether the
-    pipeline forwards it or `flood` fans it out.
+    pipeline forwards it or `flood` fans it out.  Each table write returns
+    its undo entry, and `restore` rolls a batch of them back.
 
     The embedding (simulator or test) wires the hooks:
 
@@ -307,51 +321,61 @@ class Switch:
         if self.on_transmit is not None:
             self.on_transmit(port, data)
 
-    # -- table writes (each call is atomic wrt frame processing) -------------
+    # -- table writes ---------------------------------------------------------
+    # Each write checks its entry before it touches a table, so one that
+    # raises has changed nothing; one that succeeds returns its undo entry.
 
-    def write_mac(self, mac: bytes, port: int) -> None:
+    def write_mac(self, mac: bytes, port: int) -> UndoEntry:
         if port not in self.ports_up:
             raise InvalidEntry(f"port {port} not on switch {self.chassis_id}")
         if len(mac) != 6:
             raise InvalidEntry("MAC must be 6 bytes")
-        self.tables.mac[mac] = port
+        return _put(self.tables.mac, mac, port)
 
-    def delete_mac(self, mac: bytes) -> None:
-        self.tables.mac.pop(mac, None)
+    def delete_mac(self, mac: bytes) -> UndoEntry:
+        return _pop(self.tables.mac, mac)
 
-    def write_sa(self, entry: SaEntry) -> None:
-        self.tables.sa[entry.sai] = entry
+    def write_sa(self, entry: SaEntry) -> UndoEntry:
+        return _put(self.tables.sa, entry.sai, entry)
 
-    def delete_sa(self, sai: int) -> None:
+    def delete_sa(self, sai: int) -> UndoEntry:
         # SAIs are never reused, so a deleted SA's cached counter names are
-        # dropped with it.
-        self.tables.sa.pop(sai, None)
+        # dropped with it; a restored SA builds them again on first use.
         for template in (SA_VALIDATED, SA_FAILED, SA_PROTECTED):
             self._names.pop((template, sai), None)
+        return _pop(self.tables.sa, sai)
 
-    def write_eg_sc(self, port: int, sai: int) -> None:
+    def write_eg_sc(self, port: int, sai: int) -> UndoEntry:
         if port not in self.ports_up:
             raise InvalidEntry(f"port {port} not on switch {self.chassis_id}")
         if sai not in self.tables.sa:
             raise InvalidEntry(f"EG-SC references missing SAI {sai}")
-        self.tables.eg_sc[port] = sai
+        return _put(self.tables.eg_sc, port, sai)
 
-    def delete_eg_sc(self, port: int) -> None:
-        self.tables.eg_sc.pop(port, None)
+    def delete_eg_sc(self, port: int) -> UndoEntry:
+        return _pop(self.tables.eg_sc, port)
 
-    def write_ig_sc(self, sci: bytes, an: int, sai: int) -> None:
+    def write_ig_sc(self, sci: bytes, an: int, sai: int) -> UndoEntry:
         if sai not in self.tables.sa:
             raise InvalidEntry(f"IG-SC references missing SAI {sai}")
         if len(sci) != 8:
             raise InvalidEntry("SCI must be 8 bytes")
         if not 0 <= an <= 3:
             raise InvalidEntry("AN must be 0..3")
-        self.tables.ig_sc[(sci, an)] = sai
+        return _put(self.tables.ig_sc, (sci, an), sai)
 
-    def delete_ig_sc(self, sci: bytes, an: int) -> None:
+    def delete_ig_sc(self, sci: bytes, an: int) -> UndoEntry:
         if not 0 <= an <= 3:
             raise InvalidEntry("AN must be 0..3")
-        self.tables.ig_sc.pop((sci, an), None)
+        return _pop(self.tables.ig_sc, (sci, an))
+
+    def restore(self, undo: list[UndoEntry]) -> None:
+        """Undo the writes that returned `undo`, newest first."""
+        for table, key, old in reversed(undo):
+            if old is None:
+                table.pop(key, None)
+            else:
+                table[key] = old
 
     # -- port state -----------------------------------------------------------
 

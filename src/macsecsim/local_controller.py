@@ -11,10 +11,11 @@ by raw packet-out.  Each port's LLDPDU is encoded once; a punted probe is
 opened from its bytes and its TLVs are read at their offsets.
 
 The table agent applies a config batch through the switch's table writes,
-the one place an entry is checked.  Before each write it logs the rows the
-write may change with their old values.  If a write fails, the log is
-replayed in reverse and the batch fails: a batch with an id is nacked, one
-without (a retire or teardown) sends nothing, as on success.
+the one place an entry is checked.  Each write returns its undo entry, and
+the agent collects them.  If a write fails, the agent hands them back to
+`Switch.restore`, which undoes the batch, and the batch fails: a batch with
+an id is nacked, one without (a retire or teardown) sends nothing, as on
+success.
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ log = logging.getLogger(__name__)
 
 # A discovered link expires after this many discovery intervals unheard.
 LINK_EXPIRY_INTERVALS = 3
-
-_ABSENT = object()  # the undo log's old value of a row that a batch adds
 
 
 class LocalController:
@@ -242,13 +241,9 @@ class LocalController:
                 handler = self._OP_HANDLERS.get(type(op))
                 if handler is None:
                     raise InvalidEntry(f"unknown op {type(op).__name__}")
-                handler(self, op, undo)
+                undo.append(handler(self.switch, op))
         except InvalidEntry as exc:
-            for table, key, old in reversed(undo):
-                if old is _ABSENT:
-                    table.pop(key, None)
-                else:
-                    table[key] = old
+            self.switch.restore(undo)
             self.counters.incr("sc_config.nack")
             if cfg.batch_id is not None:
                 self._send(ScAck(self.chassis_id, cfg.batch_id, ok=False, detail=str(exc)))
@@ -257,41 +252,14 @@ class LocalController:
         if cfg.batch_id is not None:
             self._send(ScAck(self.chassis_id, cfg.batch_id, ok=True))
 
-    # Each op handler logs the rows its write may change, then writes.
-
-    def _write_sa(self, op: WriteSa, undo: list) -> None:
-        sa = self.switch.tables.sa
-        undo.append((sa, op.sai, sa.get(op.sai, _ABSENT)))
-        self.switch.write_sa(SaEntry(op.sai, op.sak, op.an, op.sci, op.confidentiality))
-
-    def _write_ig_sc(self, op: WriteIgSc, undo: list) -> None:
-        ig_sc = self.switch.tables.ig_sc
-        undo.append((ig_sc, (op.sci, op.an), ig_sc.get((op.sci, op.an), _ABSENT)))
-        self.switch.write_ig_sc(op.sci, op.an, op.sai)
-
-    def _write_eg_sc(self, op: WriteEgSc, undo: list) -> None:
-        eg_sc = self.switch.tables.eg_sc
-        undo.append((eg_sc, op.port, eg_sc.get(op.port, _ABSENT)))
-        self.switch.write_eg_sc(op.port, op.sai)
-
-    def _delete_ig_sc(self, op: DeleteIgSc, undo: list) -> None:
-        ig_sc = self.switch.tables.ig_sc
-        undo.append((ig_sc, (op.sci, op.an), ig_sc.get((op.sci, op.an), _ABSENT)))
-        self.switch.delete_ig_sc(op.sci, op.an)
-
-    def _delete_eg_sc(self, op: DeleteEgSc, undo: list) -> None:
-        eg_sc = self.switch.tables.eg_sc
-        undo.append((eg_sc, op.port, eg_sc.get(op.port, _ABSENT)))
-        self.switch.delete_eg_sc(op.port)
-
-    def _delete_sa(self, op: DeleteSa, undo: list) -> None:
-        sa = self.switch.tables.sa
-        undo.append((sa, op.sai, sa.get(op.sai, _ABSENT)))
-        self.switch.delete_sa(op.sai)
-
+    # Each op is one switch write, which returns its undo entry.
     _OP_HANDLERS = {
-        WriteSa: _write_sa, WriteIgSc: _write_ig_sc, WriteEgSc: _write_eg_sc,
-        DeleteIgSc: _delete_ig_sc, DeleteEgSc: _delete_eg_sc, DeleteSa: _delete_sa,
+        WriteSa: lambda sw, op: sw.write_sa(SaEntry(op.sai, op.sak, op.an, op.sci, op.confidentiality)),
+        WriteIgSc: lambda sw, op: sw.write_ig_sc(op.sci, op.an, op.sai),
+        WriteEgSc: lambda sw, op: sw.write_eg_sc(op.port, op.sai),
+        DeleteIgSc: lambda sw, op: sw.delete_ig_sc(op.sci, op.an),
+        DeleteEgSc: lambda sw, op: sw.delete_eg_sc(op.port),
+        DeleteSa: lambda sw, op: sw.delete_sa(op.sai),
     }
 
     def handle_rekey_needed(self, sai: int, sci: bytes) -> None:

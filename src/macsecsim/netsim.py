@@ -60,6 +60,10 @@ class Link:
     b: LinkEnd
     latency_us: int
     up: bool = True
+    key: LinkKey = field(init=False)  # its central link-map key; a host end is (host, 0)
+
+    def __post_init__(self):
+        self.key = link_key((self.a.name, self.a.port), (self.b.name, self.b.port))
 
     def end(self, direction: str) -> LinkEnd:
         """Receiving end for a direction."""
@@ -334,11 +338,11 @@ class Simulation:
 
     def ground_truth_links(self) -> set[LinkKey]:
         """Up inter-switch links, in global-link-map key form."""
-        truth = set()
-        for link in self.links.values():
-            if link.up and link.a.kind == "switch" and link.b.kind == "switch":
-                truth.add(link_key((link.a.name, link.a.port), (link.b.name, link.b.port)))
-        return truth
+        return {
+            link.key
+            for link in self.links.values()
+            if link.up and link.a.kind == "switch" and link.b.kind == "switch"
+        }
 
     def interswitch_link_names(self) -> list[str]:
         return [

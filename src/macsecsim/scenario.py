@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .audit import audit
-from .central_controller import LinkKey, link_key, link_name
+from .central_controller import LinkKey, link_name
 from .errors import ScriptError, UnknownLink
 from .netsim import Simulation
 from .topology import TopologySpec, to_us
@@ -194,6 +194,8 @@ class ScenarioRunner:
                 raise ScriptError(f"line {d.line_no}: bad destination {dst!r}") from exc
         try:
             etype = int(ether_type, 0)
+            if not 0 <= etype <= 0xFFFF:
+                raise ValueError("ether_type out of range")
         except ValueError as exc:
             raise ScriptError(f"line {d.line_no}: bad ether_type {ether_type!r}") from exc
         self.sim.host_send(host, dst_mac, etype, _parse_payload(payload, d.line_no))
@@ -209,7 +211,7 @@ class ScenarioRunner:
         link = self.sim.links.get(name)
         if link is None or link.a.kind != "switch" or link.b.kind != "switch":
             raise ScriptError(f"line {line_no}: {name!r} is not an inter-switch link")
-        return link_key((link.a.name, link.a.port), (link.b.name, link.b.port))
+        return link.key
 
     def _assert_link_map_matches_spec(self, args, line_no):
         found = audit(self.sim)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macsecsim.crypto import Sak, macsec_protect, macsec_validate
 from macsecsim.dataplane import (
@@ -224,6 +226,77 @@ def test_deletes_are_idempotent():
     switch.delete_eg_sc(2)
     switch.delete_ig_sc(b"\x00" * 8, 1)
     switch.delete_sa(5)
+
+
+# Small key spaces, so a sequence often rewrites or deletes the same row;
+# the 7-byte SCI, 5-byte MAC, AN -1 and 4, ports 0 and 5 and SAIs with no SA
+# make writes that must be refused.
+SCIS = [make_sci(PEER_MAC, 1), make_sci(PEER_MAC, 2), b"\x00" * 7]
+MACS = [H1, H2, H1[:5]]
+SAIS, ANS, PORTS = st.integers(1, 5), st.integers(-1, 4), st.integers(0, 5)
+TABLE_OPS = st.one_of(
+    st.tuples(st.just("write_sa"), SAIS, ANS, st.sampled_from(SCIS)),
+    st.tuples(st.just("delete_sa"), SAIS),
+    st.tuples(st.just("write_eg_sc"), PORTS, SAIS),
+    st.tuples(st.just("delete_eg_sc"), PORTS),
+    st.tuples(st.just("write_ig_sc"), st.sampled_from(SCIS), ANS, SAIS),
+    st.tuples(st.just("delete_ig_sc"), st.sampled_from(SCIS), ANS),
+    st.tuples(st.just("write_mac"), st.sampled_from(MACS), PORTS),
+    st.tuples(st.just("delete_mac"), st.sampled_from(MACS)),
+)
+
+
+def apply_table_op(switch, op):
+    name, *args = op
+    if name == "write_sa":
+        sai, an, sci = args
+        return switch.write_sa(SaEntry(sai=sai, sak=Sak(bytes([sai]) * 16), an=an, sci=sci))
+    return getattr(switch, name)(*args)
+
+
+def table_op_is_valid(switch, op) -> bool:
+    name, *args = op
+    if name == "write_sa":
+        _, an, sci = args
+        return 0 <= an <= 3 and len(sci) == 8
+    if name == "write_eg_sc":
+        port, sai = args
+        return port in switch.ports_up and sai in switch.tables.sa
+    if name == "write_ig_sc":
+        sci, an, sai = args
+        return sai in switch.tables.sa and len(sci) == 8 and 0 <= an <= 3
+    if name == "delete_ig_sc":
+        return 0 <= args[1] <= 3
+    if name == "write_mac":
+        mac, port = args
+        return port in switch.ports_up and len(mac) == 6
+    return True
+
+
+def table_rows(switch) -> dict:
+    t = switch.tables
+    return {"mac": dict(t.mac), "eg_sc": dict(t.eg_sc), "ig_sc": dict(t.ig_sc), "sa": dict(t.sa)}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(TABLE_OPS, max_size=12), st.lists(TABLE_OPS, max_size=12))
+def test_restore_undoes_any_sequence_of_table_writes(setup_ops, ops):
+    switch = make_switch()
+    for op in setup_ops:
+        if table_op_is_valid(switch, op):
+            apply_table_op(switch, op)
+    start = table_rows(switch)
+    undo = []
+    for op in ops:
+        if table_op_is_valid(switch, op):
+            undo.append(apply_table_op(switch, op))
+        else:
+            before = table_rows(switch)
+            with pytest.raises(InvalidEntry):
+                apply_table_op(switch, op)
+            assert table_rows(switch) == before
+    switch.restore(undo)
+    assert table_rows(switch) == start
 
 
 @pytest.mark.parametrize("an", [-1, 4, 5])

@@ -473,6 +473,29 @@ def test_teardown_in_the_grace_window_still_retires_the_old_sa():
     assert audit(sim) == []  # no record, SA, EG-SC or IG-SC row is left
 
 
+def test_a_redeployed_channel_ignores_the_old_records_rekey_timer():
+    spec = chain_spec(2).with_params(discovery_interval=1.0, rekey_interval=60.0, grace=1.0)
+    sim = build(spec, seed=1)
+    sim.quiesce()  # activated at 0.001 s: its rekey timer is due at 60.001 s
+    sim.run_until(30)
+    sim.set_link_state("s1-s2", False)
+    sim.quiesce()
+    sim.run_until(31)
+    sim.set_link_state("s1-s2", True)
+    sim.quiesce()  # redeployed at 31.001 s, rekey_count back at 0
+    record = next(iter(sim.central.sc_records.values()))
+
+    def rekeys():
+        return [d.rekey_count for d in record.directions.values()]
+
+    sim.run_until(61)
+    assert rekeys() == [0, 0] and sim.central.counters.get("channels.rekey") == 0
+    sim.run_until(92)
+    assert rekeys() == [1, 1]
+    sim.quiesce()
+    assert audit(sim) == []
+
+
 def test_pn_exhaustion_triggers_automatic_rekey():
     spec = chain_spec(2).with_params(pn_ceiling=6, rekey_interval=1000.0)
     sim = Simulation(spec, seed=22)

@@ -4,7 +4,6 @@ import pytest
 
 from macsecsim.cli import format_tables, main
 from macsecsim.errors import ScriptError
-from macsecsim.central_controller import link_key
 from macsecsim.crypto import Sak
 from macsecsim.dataplane import SaEntry
 from macsecsim.netsim import build
@@ -127,9 +126,7 @@ def test_sc_exists_for_requires_the_records_own_rows():
     runner = _quiesced_runner()
     assert _expect(runner, "sc_exists_for agg1-core").ok
     link = runner.sim.links["agg1-core"]
-    d = runner.sim.central.sc_records[
-        link_key((link.a.name, link.a.port), (link.b.name, link.b.port))
-    ].directions["a2b"]
+    d = runner.sim.central.sc_records[link.key].directions["a2b"]
     receiver = runner.sim.switches[d.receiver]
     receiver.delete_ig_sc(d.sci, d.an)
     receiver.write_ig_sc(d.sci, (d.an + 1) % 4, d.sai)  # the SA's row under another AN
@@ -199,6 +196,18 @@ def test_cli_error_exit_two(tmp_path, capsys):
 def test_cli_non_finite_time_is_a_script_error(line, tmp_path, capsys):
     script = tmp_path / "bad.txt"
     script.write_text(f"quiesce\n{line}\n")
+    code = main(
+        ["run", "--spec", SPEC, "--script", str(script), "--seed", "7", "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "ScriptError" in err and "line 2" in err
+
+
+@pytest.mark.parametrize("ether_type", ["0x10000", "-1"])
+def test_cli_out_of_range_ether_type_is_a_script_error(ether_type, tmp_path, capsys):
+    script = tmp_path / "bad.txt"
+    script.write_text(f"quiesce\nsend h1 h12 {ether_type} text:hi\n")
     code = main(
         ["run", "--spec", SPEC, "--script", str(script), "--seed", "7", "--out", str(tmp_path / "o")]
     )
