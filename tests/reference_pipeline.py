@@ -67,6 +67,11 @@ def reference_process(tables, ingress_port, data, pn_ceiling):
         # Step 2b: continue with Ethernet forwarding on the inner frame.
         return _mac_stage(tables, ingress_port, inner, pn_ceiling)
 
+    # Step 3: a port with an EG-SC row is secured, and a secured port is a
+    # controlled port: it takes MACsec and LLDP-typed frames only.
+    if ingress_port in tables.eg_sc:
+        return {"kind": "drop", "reason": "untagged"}
+
     # Step 3a: all other EtherTypes go to the MAC table.
     try:
         frame = parse_frame(data)
