@@ -15,6 +15,10 @@ ignored.  The control channel delivers every message, late if it is cut,
 so the one failure is a nack, which quarantines the channel.  Retire and
 teardown batches carry no id and get no ack: a delete that failed or went
 missing leaves a row that the fabric audit reports as `stray_row`.
+
+An IG-SC op names only its SA, whose own (SCI, AN) keys the row, so a retire
+or teardown deletes the generations it names and the switch decides whether
+a row still belongs to one of them.
 """
 
 from __future__ import annotations
@@ -162,10 +166,10 @@ class CentralController:
             log.warning("delta from unregistered switch %s ignored", delta.chassis_id)
             self.counters.incr("linkmap.unknown_switch")
             return
-        for port in delta.removes:
-            self._remove_report(delta.chassis_id, port)
-        for port, remote in delta.adds.items():
-            self._add_report(delta.chassis_id, port, remote)
+        if delta.remote is None:
+            self._remove_report(delta.chassis_id, delta.port)
+        else:
+            self._add_report(delta.chassis_id, delta.port, delta.remote)
 
     def _forget(self, link: LinkState) -> None:
         del self.link_map[link.key]
@@ -257,7 +261,7 @@ class CentralController:
         ops = [WriteSa(sai=sai, an=an, sak=sak, sci=d.sci, confidentiality=self.macsec_encrypt)]
         if stage == "ingress":
             chassis = d.receiver
-            ops.append(WriteIgSc(sci=d.sci, an=an, sai=sai))
+            ops.append(WriteIgSc(sai=sai))
         else:
             chassis = d.sender
             ops.append(WriteEgSc(port=d.sender_port, sai=sai))
@@ -286,36 +290,25 @@ class CentralController:
 
     def _finish_activation(self, record: ScRecord, direction: str, d: ScDirection) -> None:
         # The timers capture no record, so a queued timer keeps no SAK alive.
-        key = record.key
         if d.next is not None:
-            old_sai, old_an = d.sai, d.an
+            self._schedule(self.grace_us, self._retire_old_sa, d.sender, d.receiver, d.sai)
             d.sai, d.an, d.sak = d.next
             d.next = None
             d.rekey_count += 1
-            self._schedule(self.grace_us, self._retire_old_sa, key, direction, old_sai, old_an)
         d.phase = "active"
         self._schedule(
-            self.rekey_interval_us, self._rekey_due, key, direction, d.sai, housekeeping=True
+            self.rekey_interval_us, self._rekey_due, record.key, direction, d.sai, housekeeping=True
         )
         if record.state == "installing" and all(
             x.phase == "active" for x in record.directions.values()
         ):
             record.state = "active"
 
-    def _retire_old_sa(self, key: LinkKey, direction: str, old_sai: int, old_an: int) -> None:
-        """Delete a replaced generation's SA at both ends, even if a teardown has
-        removed the record meanwhile; SAIs are never reused, so after a redeploy too."""
-        (a, _), (b, _) = key
-        sender, receiver = (a, b) if direction == "a2b" else (b, a)
-        receiver_ops: list = [DeleteSa(sai=old_sai)]
-        record = self.sc_records.get(key)
-        if record is not None:
-            d = record.directions[direction]
-            # The AN may have wrapped back onto old_an within the grace window,
-            # in which case the (SCI, AN) row now belongs to a live generation.
-            if old_an != d.an and (d.next is None or old_an != d.next[1]):
-                receiver_ops.insert(0, DeleteIgSc(sci=d.sci, an=old_an))
-        self._send(receiver, ScConfig(batch_id=None, ops=receiver_ops))
+    def _retire_old_sa(self, sender: str, receiver: str, old_sai: int) -> None:
+        """Delete a replaced generation's SA and IG-SC row, whatever became of the
+        record meanwhile.  SAIs are never reused and the receiver deletes the row
+        only while it names `old_sai`, so a newer generation under its AN keeps it."""
+        self._send(receiver, ScConfig(batch_id=None, ops=[DeleteIgSc(sai=old_sai), DeleteSa(sai=old_sai)]))
         self._send(sender, ScConfig(batch_id=None, ops=[DeleteSa(sai=old_sai)]))
 
     def _quarantine(self, record: ScRecord, detail: str) -> None:
@@ -325,13 +318,14 @@ class CentralController:
         log.error("link %s quarantined: %s", link_name(record.key), detail)
 
     def _teardown_sc(self, key: LinkKey) -> None:
+        """Delete each direction's current and staged generations at both ends; one
+        replaced within the grace window goes with its retire, at most one grace later."""
         record = self.sc_records.pop(key, None)
         if record is None:
             return
         for d in record.directions.values():
             sais = [d.sai] + ([d.next[0]] if d.next is not None else [])
-            receiver_ops = [DeleteIgSc(sci=d.sci, an=an) for an in range(4)]
-            receiver_ops += [DeleteSa(sai=s) for s in sais]
+            receiver_ops = [DeleteIgSc(sai=s) for s in sais] + [DeleteSa(sai=s) for s in sais]
             self._send(d.receiver, ScConfig(batch_id=None, ops=receiver_ops))
             sender_ops = [DeleteEgSc(port=d.sender_port)] + [DeleteSa(sai=s) for s in sais]
             self._send(d.sender, ScConfig(batch_id=None, ops=sender_ops))

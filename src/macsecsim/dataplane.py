@@ -6,8 +6,9 @@ at fixed offsets: sealed LLDP punts straight to the CPU port, MACsec frames
 are validated against the IG-SC/SA tables and re-enter as the inner frame's
 bytes, and everything else goes through MAC-table forwarding.  The MAC
 table maps a MAC to its port.  A port is secured when it holds an EG-SC
-row, and every frame that leaves a secured port, forwarded or flooded, goes
-through the switch's one egress path, `Switch.protect`.  A flood, whether
+row; it takes in MACsec and LLDP-typed frames only (a controlled port),
+and every frame that leaves it, forwarded or flooded, goes through the
+switch's one egress path, `Switch.protect`.  A flood, whether
 the pipeline floods a group frame or the local controller floods a MAC
 miss, goes through `Switch.flood`; a controller packet-out is sent verbatim.
 
@@ -57,6 +58,7 @@ DROP_REPLAY_PN = "replay_pn"
 DROP_PN_EXHAUSTED = "pn_exhausted"
 DROP_NO_EGRESS_SC = "no_egress_sc"
 DROP_PORT_DOWN = "port_down"
+DROP_UNTAGGED = "untagged"
 
 
 class Counters:
@@ -190,6 +192,9 @@ def run_pipeline(sw: Switch, ingress_port: int, data: bytes) -> PipelineResult:
         sw.counters.incr("macsec.validated")
         sw.counters.incr(sw._names[SA_VALIDATED, sai])
         ether_type = data[12] << 8 | data[13]
+    elif ingress_port in tables.eg_sc and ether_type != ETHERTYPE_LLDP:
+        # A secured port is a controlled port: MACsec and (sealed) LLDP only.
+        return PipelineResult(kind=DROP, drop_reason=DROP_UNTAGGED)
 
     # Discovery frames, sealed or nested in a validated frame, punt; they
     # are never forwarded or learned from.
@@ -324,6 +329,7 @@ class Switch:
     # -- table writes ---------------------------------------------------------
     # Each write checks its entry before it touches a table, so one that
     # raises has changed nothing; one that succeeds returns its undo entry.
+    # An IG-SC row is keyed by its SA's own (SCI, AN), so its writes name only the SAI.
 
     def write_mac(self, mac: bytes, port: int) -> UndoEntry:
         if port not in self.ports_up:
@@ -355,19 +361,20 @@ class Switch:
     def delete_eg_sc(self, port: int) -> UndoEntry:
         return _pop(self.tables.eg_sc, port)
 
-    def write_ig_sc(self, sci: bytes, an: int, sai: int) -> UndoEntry:
-        if sai not in self.tables.sa:
+    def write_ig_sc(self, sai: int) -> UndoEntry:
+        sa = self.tables.sa.get(sai)
+        if sa is None:
             raise InvalidEntry(f"IG-SC references missing SAI {sai}")
-        if len(sci) != 8:
-            raise InvalidEntry("SCI must be 8 bytes")
-        if not 0 <= an <= 3:
-            raise InvalidEntry("AN must be 0..3")
-        return _put(self.tables.ig_sc, (sci, an), sai)
+        return _put(self.tables.ig_sc, (sa.sci, sa.an), sai)
 
-    def delete_ig_sc(self, sci: bytes, an: int) -> UndoEntry:
-        if not 0 <= an <= 3:
-            raise InvalidEntry("AN must be 0..3")
-        return _pop(self.tables.ig_sc, (sci, an))
+    def delete_ig_sc(self, sai: int) -> UndoEntry:
+        # Only while the SA's (SCI, AN) row names it: a newer generation under
+        # that AN keeps its row, and without the SA nothing is deleted.
+        sa = self.tables.sa.get(sai)
+        key = (sa.sci, sa.an) if sa is not None else None
+        if self.tables.ig_sc.get(key) == sai:
+            return _pop(self.tables.ig_sc, key)
+        return self.tables.ig_sc, key, self.tables.ig_sc.get(key)
 
     def restore(self, undo: list[UndoEntry]) -> None:
         """Undo the writes that returned `undo`, newest first."""

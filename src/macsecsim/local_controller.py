@@ -201,7 +201,7 @@ class LocalController:
         if self.local_view.get(port) != remote:
             self.local_view[port] = remote
             log.debug("%s: link detected %s -> %s:%s", self.chassis_id, port, *remote)
-            self._report_delta(adds={port: remote})
+            self._send(LinkDelta(self.chassis_id, port, remote))
 
     def handle_port_event(self, port: int, up: bool) -> None:
         if up:
@@ -227,10 +227,7 @@ class LocalController:
         port with a link has a `last_seen_us` entry."""
         del self.local_view[port]
         self.last_seen_us.pop(port, None)
-        self._report_delta(removes=[port])
-
-    def _report_delta(self, adds=None, removes=None) -> None:
-        self._send(LinkDelta(chassis_id=self.chassis_id, adds=dict(adds or {}), removes=list(removes or [])))
+        self._send(LinkDelta(self.chassis_id, port, None))
 
     # -- MACsec table agent ------------------------------------------------------
 
@@ -255,9 +252,9 @@ class LocalController:
     # Each op is one switch write, which returns its undo entry.
     _OP_HANDLERS = {
         WriteSa: lambda sw, op: sw.write_sa(SaEntry(op.sai, op.sak, op.an, op.sci, op.confidentiality)),
-        WriteIgSc: lambda sw, op: sw.write_ig_sc(op.sci, op.an, op.sai),
+        WriteIgSc: lambda sw, op: sw.write_ig_sc(op.sai),
         WriteEgSc: lambda sw, op: sw.write_eg_sc(op.port, op.sai),
-        DeleteIgSc: lambda sw, op: sw.delete_ig_sc(op.sci, op.an),
+        DeleteIgSc: lambda sw, op: sw.delete_ig_sc(op.sai),
         DeleteEgSc: lambda sw, op: sw.delete_eg_sc(op.port),
         DeleteSa: lambda sw, op: sw.delete_sa(op.sai),
     }

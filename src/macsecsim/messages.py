@@ -6,7 +6,7 @@ exact semantic fields, no network serialization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .crypto import LldpKey, Sak
 
@@ -31,8 +31,8 @@ class StartDiscovery:
 @dataclass(slots=True)
 class LinkDelta:
     chassis_id: str
-    adds: dict[int, tuple[str, int]] = field(default_factory=dict)
-    removes: list[int] = field(default_factory=list)
+    port: int
+    remote: tuple[str, int] | None  # the end the port now sees; None once its link is gone
 
 
 @dataclass(slots=True)
@@ -55,8 +55,6 @@ class WriteSa:
 
 @dataclass(slots=True)
 class WriteIgSc:
-    sci: bytes
-    an: int
     sai: int
 
 
@@ -76,8 +74,7 @@ class SetPortFlag:
 
 @dataclass(slots=True)
 class DeleteIgSc:
-    sci: bytes
-    an: int
+    sai: int
 
 
 @dataclass(slots=True)

@@ -43,7 +43,7 @@ CORRUPTIONS = {
         UNWIRED,
     ),
     "unprotected": (lambda sim, r, d: setattr(d, "phase", "egress_pending"), S1_S2),
-    "missing_row": (lambda sim, r, d: sim.switches[d.receiver].delete_ig_sc(d.sci, d.an), S1_S2),
+    "missing_row": (lambda sim, r, d: sim.switches[d.receiver].delete_ig_sc(d.sai), S1_S2),
     "stray_row": (lambda sim, r, d: _stray_sa(sim, d), S1_S2),
     "pending_batch": (lambda sim, r, d: sim.central._pending.update({999: (r, "a2b")}), S1_S2),
 }
@@ -66,6 +66,6 @@ def test_a_row_that_differs_from_its_record_is_both_missing_and_stray():
     sim = quiesced(chain_spec(3))
     d = sim.central.sc_records[S1_S2].directions["b2a"]
     receiver = sim.switches[d.receiver]
-    receiver.delete_ig_sc(d.sci, d.an)
-    receiver.write_ig_sc(d.sci, (d.an + 1) % 4, d.sai)
+    receiver.delete_ig_sc(d.sai)
+    receiver.tables.ig_sc[(d.sci, (d.an + 1) % 4)] = d.sai  # no table write keys a row off its SA
     assert audit(sim) == [Violation("missing_row", S1_S2), Violation("stray_row", S1_S2)]

@@ -64,8 +64,8 @@ class Harness:
                     progress = True
 
     def confirm_link(self, a=("s1", 2), b=("s2", 4)):
-        self.central.handle_link_delta(LinkDelta(chassis_id=a[0], adds={a[1]: b}))
-        self.central.handle_link_delta(LinkDelta(chassis_id=b[0], adds={b[1]: a}))
+        self.central.handle_link_delta(LinkDelta(a[0], a[1], b))
+        self.central.handle_link_delta(LinkDelta(b[0], b[1], a))
         self.ack_all()
 
     def advance_to_rekey_timers(self):
@@ -93,7 +93,7 @@ def test_register_installs_key_then_starts_discovery():
 def test_one_way_report_stays_reported():
     h = Harness()
     h.register_all("s1", "s2")
-    h.central.handle_link_delta(LinkDelta(chassis_id="s1", adds={2: ("s2", 4)}))
+    h.central.handle_link_delta(LinkDelta("s1", 2, ("s2", 4)))
     assert h.central.link_map[KEY_12].status == "reported"
     assert h.central.confirmed_links() == set()
     assert h.configs() == []
@@ -102,8 +102,8 @@ def test_one_way_report_stays_reported():
 def test_bidirectional_reports_confirm_and_deploy():
     h = Harness()
     h.register_all("s1", "s2")
-    h.central.handle_link_delta(LinkDelta(chassis_id="s1", adds={2: ("s2", 4)}))
-    h.central.handle_link_delta(LinkDelta(chassis_id="s2", adds={4: ("s1", 2)}))
+    h.central.handle_link_delta(LinkDelta("s1", 2, ("s2", 4)))
+    h.central.handle_link_delta(LinkDelta("s2", 4, ("s1", 2)))
     assert h.central.confirmed_links() == {KEY_12}
     # Receiver-side ingress batches go out first, nothing egress yet.
     first_wave = h.configs()
@@ -133,14 +133,14 @@ def test_remove_demotes_and_tears_down():
     h.confirm_link()
     install_ops = [type(op) for _, cfg in h.configs() for op in cfg.ops]
     h.outbox.clear()
-    h.central.handle_link_delta(LinkDelta(chassis_id="s1", removes=[2]))
+    h.central.handle_link_delta(LinkDelta("s1", 2, None))
     assert KEY_12 not in h.central.sc_records
     assert h.central.link_map[KEY_12].status == "reported"
     revoke_ops = [type(op) for _, cfg in h.configs() for op in cfg.ops]
     assert DeleteEgSc in revoke_ops and DeleteIgSc in revoke_ops and DeleteSa in revoke_ops
     # The EG-SC row alone secures a port; no op flags it.
     assert WriteEgSc in install_ops and SetPortFlag not in install_ops + revoke_ops
-    h.central.handle_link_delta(LinkDelta(chassis_id="s2", removes=[4]))
+    h.central.handle_link_delta(LinkDelta("s2", 4, None))
     assert KEY_12 not in h.central.link_map
 
 
@@ -148,7 +148,7 @@ def test_conflicting_report_recables():
     h = Harness()
     h.register_all("s1", "s2", "s3")
     h.confirm_link()
-    h.central.handle_link_delta(LinkDelta(chassis_id="s1", adds={2: ("s3", 1)}))
+    h.central.handle_link_delta(LinkDelta("s1", 2, ("s3", 1)))
     assert KEY_12 not in h.central.link_map
     assert KEY_12 not in h.central.sc_records
     new_key = link_key(("s1", 2), ("s3", 1))
@@ -161,7 +161,7 @@ def test_removal_report_for_a_port_without_a_link_changes_nothing():
     h.confirm_link()
     record = h.central.sc_records[KEY_12]
     sent = len(h.outbox)
-    h.central.handle_link_delta(LinkDelta(chassis_id="s1", removes=[7]))
+    h.central.handle_link_delta(LinkDelta("s1", 7, None))
     assert list(h.central.link_map) == [KEY_12]
     assert h.central.link_map[KEY_12].reporters == {"s1", "s2"}
     assert h.central.sc_records == {KEY_12: record} and record.state == "active"
@@ -171,7 +171,7 @@ def test_removal_report_for_a_port_without_a_link_changes_nothing():
 def test_unknown_switch_delta_ignored():
     h = Harness()
     h.register_all("s1")
-    h.central.handle_link_delta(LinkDelta(chassis_id="ghost", adds={1: ("s1", 1)}))
+    h.central.handle_link_delta(LinkDelta("ghost", 1, ("s1", 1)))
     assert h.central.link_map == {}
     assert h.central.counters.get("linkmap.unknown_switch") == 1
 
@@ -181,8 +181,8 @@ def test_reconfirmed_link_gets_fresh_saks():
     h.register_all("s1", "s2")
     h.confirm_link()
     old = {d.sak.key for d in h.central.sc_records[KEY_12].directions.values()}
-    h.central.handle_link_delta(LinkDelta(chassis_id="s1", removes=[2]))
-    h.central.handle_link_delta(LinkDelta(chassis_id="s2", removes=[4]))
+    h.central.handle_link_delta(LinkDelta("s1", 2, None))
+    h.central.handle_link_delta(LinkDelta("s2", 4, None))
     h.confirm_link()
     new = {d.sak.key for d in h.central.sc_records[KEY_12].directions.values()}
     assert old.isdisjoint(new)
@@ -208,8 +208,26 @@ def test_rekey_increments_an_and_orders_ingress_first():
     assert d.an == 1
     assert d.sai != old_sai and d.sak.key != old_sak
     assert d.rekey_count == 1
-    # Old-generation cleanup waits for the grace timer.
+    # Old-generation cleanup waits for the grace timer, then names the old SA at both ends.
     assert any(not hk and delay_us == h.central.grace_us for delay_us, _fn, _args, hk in h.scheduled)
+    h.outbox.clear()
+    h.run_due_timers()
+    retires = [(ch, cfg.ops) for ch, cfg in h.configs() if cfg.batch_id is None]
+    assert (d.receiver, [DeleteIgSc(sai=old_sai), DeleteSa(sai=old_sai)]) in retires
+    assert (d.sender, [DeleteSa(sai=old_sai)]) in retires
+
+
+def test_teardown_names_the_current_and_the_staged_sa():
+    h = Harness()
+    h.register_all("s1", "s2")
+    h.confirm_link()
+    d = h.central.sc_records[KEY_12].directions["a2b"]
+    h.central.handle_pn_exhausted(PnExhausted(chassis_id="s1", sci=d.sci))  # stages a rekey, unacked
+    sais = [d.sai, d.next[0]]
+    h.outbox.clear()
+    h.central.handle_link_delta(LinkDelta("s1", 2, None))
+    receiver_ops = [DeleteIgSc(sai=s) for s in sais] + [DeleteSa(sai=s) for s in sais]
+    assert (d.receiver, ScConfig(batch_id=None, ops=receiver_ops)) in h.configs()
 
 
 def test_an_cycles_mod_four():
@@ -283,11 +301,11 @@ def test_pn_exhaustion_of_unknown_or_quarantined_channel_starts_no_rekey():
 def test_ack_of_a_torn_down_record_does_not_advance_its_successor():
     h = Harness()
     h.register_all("s1", "s2")
-    h.central.handle_link_delta(LinkDelta(chassis_id="s1", adds={2: ("s2", 4)}))
-    h.central.handle_link_delta(LinkDelta(chassis_id="s2", adds={4: ("s1", 2)}))
+    h.central.handle_link_delta(LinkDelta("s1", 2, ("s2", 4)))
+    h.central.handle_link_delta(LinkDelta("s2", 4, ("s1", 2)))
     old_batches = h.configs()
-    h.central.handle_link_delta(LinkDelta(chassis_id="s1", removes=[2]))
-    h.central.handle_link_delta(LinkDelta(chassis_id="s1", adds={2: ("s2", 4)}))
+    h.central.handle_link_delta(LinkDelta("s1", 2, None))
+    h.central.handle_link_delta(LinkDelta("s1", 2, ("s2", 4)))
     record = h.central.sc_records[KEY_12]
     sent = len(h.outbox)
     for chassis, cfg in old_batches:
@@ -301,8 +319,8 @@ def test_ack_of_a_torn_down_record_does_not_advance_its_successor():
 def test_nack_quarantines_the_channel():
     h = Harness()
     h.register_all("s1", "s2")
-    h.central.handle_link_delta(LinkDelta(chassis_id="s1", adds={2: ("s2", 4)}))
-    h.central.handle_link_delta(LinkDelta(chassis_id="s2", adds={4: ("s1", 2)}))
+    h.central.handle_link_delta(LinkDelta("s1", 2, ("s2", 4)))
+    h.central.handle_link_delta(LinkDelta("s2", 4, ("s1", 2)))
     chassis, cfg = h.configs()[0]
     h.central.handle_sc_ack(ScAck(chassis, cfg.batch_id, ok=False, detail="bad entry"))
     assert h.central.sc_records[KEY_12].state == "quarantined"
@@ -314,8 +332,8 @@ def test_nack_quarantines_the_channel():
 def test_egress_nack_names_the_sender_in_the_alert():
     h = Harness()
     h.register_all("s1", "s2")
-    h.central.handle_link_delta(LinkDelta(chassis_id="s1", adds={2: ("s2", 4)}))
-    h.central.handle_link_delta(LinkDelta(chassis_id="s2", adds={4: ("s1", 2)}))
+    h.central.handle_link_delta(LinkDelta("s1", 2, ("s2", 4)))
+    h.central.handle_link_delta(LinkDelta("s2", 4, ("s1", 2)))
     for chassis, cfg in h.configs():  # both receivers ack their ingress batch
         h.central.handle_sc_ack(ScAck(chassis, cfg.batch_id, ok=True))
     chassis, cfg = h.configs()[2]  # a2b's egress batch, sent to its sender

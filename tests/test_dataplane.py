@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from macsecsim.crypto import Sak, macsec_protect, macsec_validate
@@ -56,7 +56,7 @@ def install_ingress_sa(switch, peer_mac, peer_port, sai=8, an=0):
     sak = Sak(bytes([sai]) * 16)
     sci = make_sci(peer_mac, peer_port)
     switch.write_sa(SaEntry(sai=sai, sak=sak, an=an, sci=sci))
-    switch.write_ig_sc(sci, an, sai)
+    switch.write_ig_sc(sai)
     return sak, sci
 
 
@@ -212,7 +212,7 @@ def test_write_eg_sc_missing_sai_rejected():
     with pytest.raises(InvalidEntry):
         switch.write_eg_sc(2, 99)
     with pytest.raises(InvalidEntry):
-        switch.write_ig_sc(b"\x00" * 8, 0, 99)
+        switch.write_ig_sc(99)
     with pytest.raises(InvalidEntry):
         switch.write_mac(H1, 77)
     with pytest.raises(InvalidEntry):
@@ -224,7 +224,7 @@ def test_deletes_are_idempotent():
     switch = make_switch()
     switch.delete_mac(H1)
     switch.delete_eg_sc(2)
-    switch.delete_ig_sc(b"\x00" * 8, 1)
+    switch.delete_ig_sc(8)
     switch.delete_sa(5)
 
 
@@ -239,8 +239,8 @@ TABLE_OPS = st.one_of(
     st.tuples(st.just("delete_sa"), SAIS),
     st.tuples(st.just("write_eg_sc"), PORTS, SAIS),
     st.tuples(st.just("delete_eg_sc"), PORTS),
-    st.tuples(st.just("write_ig_sc"), st.sampled_from(SCIS), ANS, SAIS),
-    st.tuples(st.just("delete_ig_sc"), st.sampled_from(SCIS), ANS),
+    st.tuples(st.just("write_ig_sc"), SAIS),
+    st.tuples(st.just("delete_ig_sc"), SAIS),
     st.tuples(st.just("write_mac"), st.sampled_from(MACS), PORTS),
     st.tuples(st.just("delete_mac"), st.sampled_from(MACS)),
 )
@@ -263,10 +263,7 @@ def table_op_is_valid(switch, op) -> bool:
         port, sai = args
         return port in switch.ports_up and sai in switch.tables.sa
     if name == "write_ig_sc":
-        sci, an, sai = args
-        return sai in switch.tables.sa and len(sci) == 8 and 0 <= an <= 3
-    if name == "delete_ig_sc":
-        return 0 <= args[1] <= 3
+        return args[0] in switch.tables.sa
     if name == "write_mac":
         mac, port = args
         return port in switch.ports_up and len(mac) == 6
@@ -280,6 +277,8 @@ def table_rows(switch) -> dict:
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(st.lists(TABLE_OPS, max_size=12), st.lists(TABLE_OPS, max_size=12))
+# SA 1's delete finds its (SCI, AN) row naming SA 2, and keeps it.
+@example([("write_sa", 1, 0, SCIS[0]), ("write_sa", 2, 0, SCIS[0]), ("write_ig_sc", 2)], [("delete_ig_sc", 1)])
 def test_restore_undoes_any_sequence_of_table_writes(setup_ops, ops):
     switch = make_switch()
     for op in setup_ops:
@@ -299,13 +298,27 @@ def test_restore_undoes_any_sequence_of_table_writes(setup_ops, ops):
     assert table_rows(switch) == start
 
 
-@pytest.mark.parametrize("an", [-1, 4, 5])
-def test_delete_ig_sc_rejects_an_outside_0_to_3_before_touching_the_table(an):
+def test_delete_ig_sc_keeps_a_row_that_names_another_sai():
+    """An older generation's delete leaves the row a newer one wrote under the same (SCI, AN)."""
     switch = make_switch()
     _, sci = install_ingress_sa(switch, PEER_MAC, 3, sai=8, an=1)
-    with pytest.raises(InvalidEntry):
-        switch.delete_ig_sc(sci, an)  # AN 5 once masked to 1 and deleted that row
+    install_ingress_sa(switch, PEER_MAC, 3, sai=12, an=1)
+    undo = switch.delete_ig_sc(8)
+    assert switch.tables.ig_sc == {(sci, 1): 12}
+    switch.restore([undo])
+    assert switch.tables.ig_sc == {(sci, 1): 12}
+    switch.delete_ig_sc(12)
+    assert switch.tables.ig_sc == {}
+
+
+def test_delete_ig_sc_of_a_missing_sa_deletes_nothing():
+    switch = make_switch()
+    _, sci = install_ingress_sa(switch, PEER_MAC, 3, sai=8, an=1)
+    switch.delete_sa(8)  # the row now names an absent SA
+    undo = switch.delete_ig_sc(8)
     assert switch.tables.ig_sc == {(sci, 1): 8}
+    switch.restore([undo])
+    assert switch.tables.ig_sc == {(sci, 1): 8} and switch.tables.sa == {}
 
 
 def test_sa_keyed_protection_uses_selected_sak():

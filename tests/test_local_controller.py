@@ -127,23 +127,26 @@ def test_station_move_updates_entry():
 
 def test_learned_flag_follows_egress_channel():
     """A host learned on a port with an EG-SC row is sent protected; one
-    learned on a port without is sent in the clear."""
+    learned on a port without is sent in the clear.  The secured port itself
+    takes no cleartext in."""
     h = Harness()
     sak = Sak(b"\x01" * 16)
     h.switch.write_sa(SaEntry(sai=1, sak=sak, an=0, sci=b"\x00" * 8))
     h.switch.write_eg_sc(1, 1)
-    h.ctl.handle_packet_in(mac_miss(src=H1, port=1))
-    h.ctl.handle_packet_in(mac_miss(src=H2, port=2))
-    assert h.switch.tables.mac == {H1: 1, H2: 2}
-    for src, dst, port in ((H2, H1, 2), (H1, H2, 1)):
+    for src, port in ((H1, 1), (H2, 2), (H3, 3)):
+        h.ctl.handle_packet_in(mac_miss(src=src, port=port))
+    assert h.switch.tables.mac == {H1: 1, H2: 2, H3: 3}
+    for src, dst, port in ((H2, H1, 2), (H3, H2, 3), (H1, H2, 1)):
         plain = EthernetFrame(dst=dst, src=src, ether_type=0x0800, payload=b"data").to_bytes()
         h.transmitted.clear()
         h.switch.handle_frame(port, plain)
-        [(_, data)] = h.transmitted
-        if dst == H1:
+        if port == 1:
+            assert h.transmitted == [] and h.switch.counters.get("drop.untagged") == 1
+        elif dst == H1:
+            [(_, data)] = h.transmitted
             assert macsec_validate(sak, data) == plain
         else:
-            assert data == plain
+            assert h.transmitted == [(2, plain)]
 
 
 def test_forwarding_follows_the_egress_channel():
@@ -192,7 +195,7 @@ def test_mac_miss_of_a_macsec_typed_inner_frame_learns_and_floods_nothing():
     h = Harness()
     sak, sci = Sak(b"\x05" * 16), PEER_MAC + b"\x00\x07"
     h.switch.write_sa(SaEntry(sai=1, sak=sak, an=0, sci=sci))
-    h.switch.write_ig_sc(sci, 0, 1)
+    h.switch.write_ig_sc(1)
     inner = EthernetFrame(dst=H2, src=H1, ether_type=ETHERTYPE_MACSEC, payload=bytes(40))
     result = h.switch.handle_frame(2, macsec_protect(sak, sci, 1, inner))
     assert result.packet_in.reason == REASON_MAC_MISS  # validated, then an unknown unicast destination
@@ -267,7 +270,7 @@ def test_accept_updates_view_and_reports_once():
     h.probe_from_peer(port=2, seq=50)
     assert h.ctl.local_view[2] == ("s2", 7)
     deltas = h.deltas()
-    assert len(deltas) == 1 and deltas[0].adds == {2: ("s2", 7)}
+    assert deltas == [LinkDelta("s1", 2, ("s2", 7))]
     # refresh with a higher seq: view unchanged, no second delta
     h.probe_from_peer(port=2, seq=51)
     assert len(h.deltas()) == 1
@@ -341,7 +344,7 @@ def test_port_down_invalidates_and_reports():
     h.switch.set_port_state(2, False)
     assert 2 not in h.ctl.local_view
     assert 2 not in h.ctl.rx_seq
-    assert h.deltas()[-1].removes == [2]
+    assert h.deltas()[-1] == LinkDelta("s1", 2, None)
 
 
 def test_port_down_on_undiscovered_port_is_silent():
@@ -369,7 +372,7 @@ def test_stale_view_entries_expire_after_three_intervals():
     h.time_us = 91_000_000  # just past 3 * 30 s
     h.ctl.discovery_round()
     assert 2 not in h.ctl.local_view
-    assert h.deltas()[-1].removes == [2]
+    assert h.deltas()[-1] == LinkDelta("s1", 2, None)
     assert h.switch.counters.get("discovery.expired") == 1
 
 
@@ -414,14 +417,11 @@ def test_sc_config_bad_batch_nacked_and_unapplied():
         WriteEgSc(port=99, sai=1),
         WriteSa(sai=2, an=7, sak=Sak(b"\x02" * 16), sci=b"\x00" * 8),
         WriteSa(sai=2, an=0, sak=Sak(b"\x02" * 16), sci=b"\x00" * 7),
-        WriteIgSc(sci=b"\x00" * 7, an=0, sai=1),
-        WriteIgSc(sci=b"\x00" * 8, an=5, sai=1),
-        DeleteIgSc(sci=b"\x00" * 8, an=5),
+        WriteIgSc(sai=99),
+        WriteIgSc(sai=9),  # its SA was deleted earlier in the batch
         object(),
     ],
-    ids=[
-        "eg_sc_port", "sa_an", "sa_sci", "ig_sc_sci", "ig_sc_an", "del_ig_sc_an", "not_an_op",
-    ],
+    ids=["eg_sc_port", "sa_an", "sa_sci", "ig_sc_missing_sa", "ig_sc_deleted_sa", "not_an_op"],
 )
 def test_sc_config_batch_is_all_or_nothing(bad_op):
     h = _run_failing_batch(bad_op, batch_id=7)
@@ -430,7 +430,7 @@ def test_sc_config_batch_is_all_or_nothing(bad_op):
 
 
 def test_untracked_failing_batch_is_undone_and_sends_nothing():
-    h = _run_failing_batch(DeleteIgSc(sci=b"\x00" * 8, an=5), batch_id=None)
+    h = _run_failing_batch(WriteEgSc(port=99, sai=1), batch_id=None)
     assert h.sent == []
 
 
@@ -442,17 +442,18 @@ def _run_failing_batch(bad_op, *, batch_id):
     h.switch.write_mac(H1, 2)
     h.switch.write_mac(H2, 3)
     h.switch.write_sa(SaEntry(sai=9, sak=Sak(b"\x09" * 16), an=1, sci=old_sci))
-    h.switch.write_ig_sc(old_sci, 1, 9)
+    h.switch.write_ig_sc(9)
     h.switch.write_eg_sc(3, 9)
     tables = h.switch.tables
     before = (dict(tables.mac), dict(tables.eg_sc), dict(tables.ig_sc), dict(tables.sa))
     cfg = ScConfig(
         batch_id=batch_id,
         ops=[
-            WriteSa(sai=1, an=0, sak=Sak(b"\x01" * 16), sci=b"\x00" * 8),
-            WriteIgSc(sci=old_sci, an=1, sai=1),  # overwrites a row, deleted below
+            WriteSa(sai=1, an=1, sak=Sak(b"\x01" * 16), sci=old_sci),
+            WriteIgSc(sai=1),  # overwrites SA 9's row, deleted below
             WriteEgSc(port=2, sai=1),
-            DeleteIgSc(sci=old_sci, an=1),
+            DeleteIgSc(sai=9),  # keeps the row, which now names SA 1
+            DeleteIgSc(sai=1),
             DeleteEgSc(port=3),
             DeleteSa(sai=9),
             bad_op,  # sinks the whole batch
@@ -488,7 +489,7 @@ def test_ig_write_referencing_batch_local_sa():
         batch_id=9,
         ops=[
             WriteSa(sai=2, an=1, sak=Sak(b"\x02" * 16), sci=b"\x11" * 8),
-            WriteIgSc(sci=b"\x11" * 8, an=1, sai=2),
+            WriteIgSc(sai=2),
         ],
     )
     h.ctl.deliver(cfg)

@@ -5,14 +5,15 @@ import pytest
 from macsecsim.audit import Violation, audit
 from macsecsim.central_controller import CentralController
 from macsecsim.crypto import LldpKey, lldp_seal, macsec_protect
-from macsecsim.errors import LivelockError, UnknownLink
+from macsecsim.errors import InvalidEntry, LivelockError, UnknownLink
 from macsecsim.local_controller import LocalController
 from macsecsim.messages import DeleteIgSc, ScAck, ScConfig
 from macsecsim.netsim import Simulation, build
 from macsecsim.topology import SwitchSpec, TopologySpec, chain_spec
 from macsecsim.trace import read_pcapng
 from macsecsim.wire import (
-    LLDP_MULTICAST, PN_OFFSET, SCI_OFFSET, SECURE_DATA_OFFSET, Lldpdu, mac_from_str, sci_port,
+    LLDP_MULTICAST, PN_OFFSET, SCI_OFFSET, SECURE_DATA_OFFSET, EthernetFrame, Lldpdu, mac_from_str,
+    sci_port,
 )
 
 WIRE_DROPS = ("link_down", "port_down", "random_loss")
@@ -149,6 +150,33 @@ def test_replayed_capture_rejected():
     sim.quiesce()
     assert sim.switches[receiver].counters.get("discovery.replayed_seq") == before + 1
     assert sim.controllers[receiver].local_view == view_before
+
+
+def _cleartext(src, dst):
+    return EthernetFrame(dst=dst, src=src, ether_type=0x0800, payload=b"forged").to_bytes()
+
+
+def test_cleartext_injected_on_a_secured_port_reaches_no_host():
+    sim = build(chain_spec(3), seed=1)
+    sim.quiesce()
+    sim.inject_frame("s1-s2", "a2b", _cleartext(sim.hosts["h1"].mac, sim.hosts["h2"].mac))
+    sim.quiesce()
+    assert sim.host_recv("h2") == []
+    assert sim.switches["s2"].counters.get("drop.untagged") == 1
+
+
+def test_cleartext_from_a_hosts_mac_on_a_secured_port_does_not_move_the_host():
+    sim = build(chain_spec(3), seed=1)
+    sim.quiesce()
+    h1, h2 = sim.hosts["h1"].mac, sim.hosts["h2"].mac
+    sim.host_send("h2", h1, 0x0800, b"pong")
+    sim.quiesce()
+    s2 = sim.switches["s2"]
+    assert s2.tables.mac[h2] == 2  # toward s3, where h2 sits
+    sim.inject_frame("s1-s2", "a2b", _cleartext(h2, b"\x02\x99\x99\x99\x99\x99"))
+    sim.quiesce()
+    assert s2.tables.mac[h2] == 2
+    assert s2.counters.get("drop.untagged") == 1
 
 
 def test_unknown_link_raises():
@@ -346,7 +374,7 @@ def test_only_stage_batches_are_acked(monkeypatch):
 def test_a_lost_retire_shows_as_a_stray_row(monkeypatch):
     sim, _, _, _, swallowed = _run_two_rekeys(monkeypatch, swallow_retire=True)
     [(receiver, cfg)] = swallowed
-    sci = cfg.ops[0].sci
+    sci = sim.switches[receiver].tables.sa[cfg.ops[0].sai].sci
     sender = next(name for name, sw in sim.switches.items() if sw.mac == sci[:6])
     link = sim.central._link_at[(sender, sci_port(sci))].key
     assert receiver in (link[0][0], link[1][0])
@@ -494,6 +522,41 @@ def test_a_redeployed_channel_ignores_the_old_records_rekey_timer():
     assert rekeys() == [1, 1]
     sim.quiesce()
     assert audit(sim) == []
+
+
+def test_a_retire_after_a_redeploy_keeps_the_new_generations_row():
+    spec = chain_spec(2).with_params(discovery_interval=1, rekey_interval=6, grace=5)
+    sim = build(spec, seed=1)
+    sim.quiesce()
+    sim.run_until(6.5)  # rekeyed from AN 0 to AN 1; the AN 0 generation retires at 11.001 s
+    sim.set_link_state("s1-s2", False)
+    sim.run_until(7)
+    sim.set_link_state("s1-s2", True)
+    sim.run_until(8)  # redeployed under AN 0
+    sim.quiesce()
+    assert audit(sim) == []
+
+
+def test_teardown_of_a_channel_quarantined_at_ingress_applies_cleanly(monkeypatch):
+    """The receiver of a nacked ingress holds no SA, so the teardown's IG-SC
+    delete finds none and deletes nothing."""
+    sim = build(chain_spec(2), seed=1)
+    s1, s2 = sim.switches["s1"], sim.switches["s2"]
+
+    def refuse(sai):
+        raise InvalidEntry("refused")
+
+    monkeypatch.setattr(s2, "write_ig_sc", refuse)
+    sim.quiesce()
+    [record] = sim.central.sc_records.values()
+    assert record.state == "quarantined" and s2.counters.get("sc_config.nack") == 1
+    monkeypatch.undo()
+    sim.set_link_state("s1-s2", False)
+    sim.quiesce()
+    assert (s1.counters.get("sc_config.nack"), s2.counters.get("sc_config.nack")) == (0, 1)
+    assert sim.central.sc_records == {}
+    for sw in (s1, s2):
+        assert (sw.tables.sa, sw.tables.eg_sc, sw.tables.ig_sc) == ({}, {}, {})
 
 
 def test_pn_exhaustion_triggers_automatic_rekey():

@@ -128,8 +128,8 @@ def test_sc_exists_for_requires_the_records_own_rows():
     link = runner.sim.links["agg1-core"]
     d = runner.sim.central.sc_records[link.key].directions["a2b"]
     receiver = runner.sim.switches[d.receiver]
-    receiver.delete_ig_sc(d.sci, d.an)
-    receiver.write_ig_sc(d.sci, (d.an + 1) % 4, d.sai)  # the SA's row under another AN
+    receiver.delete_ig_sc(d.sai)
+    receiver.tables.ig_sc[(d.sci, (d.an + 1) % 4)] = d.sai  # the SA's row under another AN
     result = _expect(runner, "sc_exists_for agg1-core")
     assert not result.ok and result.detail == "record=True state=active table_rows=False"
 
