@@ -311,6 +311,17 @@ def test_delete_ig_sc_keeps_a_row_that_names_another_sai():
     assert switch.tables.ig_sc == {}
 
 
+@pytest.mark.parametrize("an", [-1, 4, 5])
+def test_delete_ig_sc_rejects_an_outside_0_to_3_before_touching_the_table(an):
+    """delete_ig_sc reads its AN from the SA, and an SA with an AN outside 0..3 is never built."""
+    switch = make_switch()
+    _, sci = install_ingress_sa(switch, PEER_MAC, 3, sai=8, an=an & 3)
+    with pytest.raises(InvalidEntry):
+        switch.write_sa(SaEntry(sai=9, sak=Sak(b"\x09" * 16), an=an, sci=sci))
+    switch.delete_ig_sc(9)  # AN 5 once masked to 1 and deleted that row
+    assert switch.tables.ig_sc == {(sci, an & 3): 8}
+
+
 def test_delete_ig_sc_of_a_missing_sa_deletes_nothing():
     switch = make_switch()
     _, sci = install_ingress_sa(switch, PEER_MAC, 3, sai=8, an=1)
