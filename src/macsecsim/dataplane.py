@@ -18,12 +18,18 @@ checked it and protects through `Switch.protect`.  The `Switch` adds ports,
 counters, the CPU/notification hooks and the table writes, each checked and
 each returning its undo entry; the pipeline oracle diffs
 `Switch.process_ingress` against an independent interpreter.
+
+A forwarded hop counts in plain integers on the objects it touches: the
+switch's per-port `rx`/`tx` lists and its `validated`/`protected` totals,
+and each `SaEntry`'s `validated`/`failed`/`protected`.  Counter names
+(`port.N.rx`, `sa.N.protected`, ...) are built only when `Counters` is
+read; an SA that leaves the table folds its counts into the named ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .crypto import Sak, macsec_protect, macsec_validate
 from .errors import IntegrityFailure, InvalidEntry
@@ -62,46 +68,44 @@ DROP_UNTAGGED = "untagged"
 
 
 class Counters:
-    """Named monotonic counters; first-class observable switch state."""
+    """Named monotonic counters; first-class observable switch state.
 
-    def __init__(self):
+    `incr` keeps a named count.  The hot counts of a switch live as plain
+    integers on its ports and SAs; `live` yields the non-zero ones as
+    (name, count) pairs, and every read adds them in.  A name appears
+    once its count is non-zero, whichever of the two holds it.
+    """
+
+    def __init__(self, live: Callable[[], Iterator[tuple[str, int]]] | None = None):
         self._values: dict[str, int] = {}
+        self._live = live
 
     def incr(self, name: str, amount: int = 1) -> None:
         self._values[name] = self._values.get(name, 0) + amount
 
     def get(self, name: str) -> int:
-        return self._values.get(name, 0)
+        return self._merged().get(name, 0)
 
     def total(self, prefix: str) -> int:
         """Sum of the counter `prefix` itself plus every `prefix.*` counter."""
         dotted = prefix + "."
-        return sum(v for k, v in self._values.items() if k == prefix or k.startswith(dotted))
+        return sum(v for k, v in self._merged().items() if k == prefix or k.startswith(dotted))
 
     def as_dict(self) -> dict[str, int]:
-        return dict(sorted(self._values.items()))
+        return dict(sorted(self._merged().items()))
+
+    def _merged(self) -> dict[str, int]:
+        if self._live is None:
+            return self._values
+        values = dict(self._values)
+        for name, count in self._live():
+            values[name] = values.get(name, 0) + count
+        return values
 
 
-# Per-port and per-SA counter names, as templates for `CounterNames`.
-PORT_RX = "port.{}.rx"
-PORT_TX = "port.{}.tx"
-SA_VALIDATED = "sa.{}.validated"
-SA_FAILED = "sa.{}.failed"
-SA_PROTECTED = "sa.{}.protected"
-
-
-class CounterNames(dict):
-    """Counter names keyed by (template, port or SAI), each built on first use."""
-
-    def __missing__(self, key: tuple[str, int]) -> str:
-        template, number = key
-        name = self[key] = template.format(number)
-        return name
-
-
-@dataclass
+@dataclass(slots=True)
 class SaEntry:
-    """One secure association; PN counters are its only mutable fields."""
+    """One secure association; its PNs and its counts are its only mutable fields."""
 
     sai: int
     sak: Sak
@@ -110,6 +114,9 @@ class SaEntry:
     confidentiality: bool = True
     next_pn: int = 1
     lowest_acceptable_pn: int = 1
+    validated: int = 0
+    failed: int = 0
+    protected: int = 0
 
     def __post_init__(self):
         if not 0 <= self.an <= 3:
@@ -135,13 +142,22 @@ class PacketIn:
     reason: str
 
 
-@dataclass
-class PipelineResult:
+class PipelineResult(NamedTuple):
     kind: str
-    egress_port: Optional[int] = None
-    bytes_out: Optional[bytes] = None
-    packet_in: Optional[PacketIn] = None
-    drop_reason: Optional[str] = None
+    egress_port: Optional[int]
+    bytes_out: Optional[bytes]
+    packet_in: Optional[PacketIn]
+    drop_reason: Optional[str]
+
+
+# One shared result per reason `run_pipeline` drops for; a result is never mutated.
+_DROPS = {
+    reason: PipelineResult(DROP, None, None, None, reason)
+    for reason in (
+        DROP_TRUNCATED, DROP_UNKNOWN_SCI, DROP_INTEGRITY, DROP_REPLAY_PN,
+        DROP_PN_EXHAUSTED, DROP_NO_EGRESS_SC, DROP_UNTAGGED,
+    )
+}
 
 
 ProtectHook = Callable[[bytes, bytes], None]  # (sak key, 12-byte IV)
@@ -159,6 +175,12 @@ def _pop(table: dict, key) -> UndoEntry:
     return table, key, table.pop(key, None)
 
 
+def _sa_counts(sai: int, sa: SaEntry) -> Iterator[tuple[str, int]]:
+    for kind, count in (("validated", sa.validated), ("failed", sa.failed), ("protected", sa.protected)):
+        if count:
+            yield f"sa.{sai}.{kind}", count
+
+
 def run_pipeline(sw: Switch, ingress_port: int, data: bytes) -> PipelineResult:
     """One ingress pass over the switch's tables, reading the received bytes in place.
 
@@ -168,53 +190,53 @@ def run_pipeline(sw: Switch, ingress_port: int, data: bytes) -> PipelineResult:
     otherwise read-only apart from the ingress PN floor.
     """
     if len(data) < ETH_HEADER_LEN:
-        return PipelineResult(kind=DROP, drop_reason=DROP_TRUNCATED)
+        return _DROPS[DROP_TRUNCATED]
     ether_type = data[12] << 8 | data[13]  # big-endian, at offset 12
     if len(data) < MIN_FRAME_LEN.get(ether_type, ETH_HEADER_LEN):
-        return PipelineResult(kind=DROP, drop_reason=DROP_TRUNCATED)
+        return _DROPS[DROP_TRUNCATED]
 
     tables = sw.tables
     if ether_type == ETHERTYPE_MACSEC:
         sai = tables.ig_sc.get((data[SCI_OFFSET:SECURE_DATA_OFFSET], data[ETH_HEADER_LEN] & 0x03))
         sa = tables.sa.get(sai) if sai is not None else None
         if sa is None:
-            return PipelineResult(kind=DROP, drop_reason=DROP_UNKNOWN_SCI)
+            return _DROPS[DROP_UNKNOWN_SCI]
         pn = int.from_bytes(data[PN_OFFSET:SCI_OFFSET], "big")
         if pn < sa.lowest_acceptable_pn:
-            return PipelineResult(kind=DROP, drop_reason=DROP_REPLAY_PN)
+            return _DROPS[DROP_REPLAY_PN]
         try:
             data = macsec_validate(sa.sak, data, confidentiality=sa.confidentiality)
         except IntegrityFailure:
             sw.counters.incr("macsec.validate_failed")
-            sw.counters.incr(sw._names[SA_FAILED, sai])
-            return PipelineResult(kind=DROP, drop_reason=DROP_INTEGRITY)
+            sa.failed += 1
+            return _DROPS[DROP_INTEGRITY]
         sa.lowest_acceptable_pn = pn + 1
-        sw.counters.incr("macsec.validated")
-        sw.counters.incr(sw._names[SA_VALIDATED, sai])
+        sw.validated += 1
+        sa.validated += 1
         ether_type = data[12] << 8 | data[13]
     elif ingress_port in tables.eg_sc and ether_type != ETHERTYPE_LLDP:
         # A secured port is a controlled port: MACsec and (sealed) LLDP only.
-        return PipelineResult(kind=DROP, drop_reason=DROP_UNTAGGED)
+        return _DROPS[DROP_UNTAGGED]
 
     # Discovery frames, sealed or nested in a validated frame, punt; they
     # are never forwarded or learned from.
     if ether_type == ETHERTYPE_LLDP:
-        return PipelineResult(kind=PACKET_IN, packet_in=PacketIn(ingress_port, data, REASON_LLDP_PUNT))
+        return PipelineResult(PACKET_IN, None, None, PacketIn(ingress_port, data, REASON_LLDP_PUNT), None)
 
     dst = data[:6]
     if is_group_mac(dst):
-        return PipelineResult(kind=FLOOD, bytes_out=data)
+        return PipelineResult(FLOOD, None, data, None, None)
 
     port = tables.mac.get(dst)
     if data[6:12] not in tables.mac or port is None:
-        return PipelineResult(kind=PACKET_IN, packet_in=PacketIn(ingress_port, data, REASON_MAC_MISS))
+        return PipelineResult(PACKET_IN, None, None, PacketIn(ingress_port, data, REASON_MAC_MISS), None)
 
     out = data
     if port in tables.eg_sc:
         out, reason = sw.protect(port, data)
         if out is None:
-            return PipelineResult(kind=DROP, drop_reason=reason)
-    return PipelineResult(kind=FORWARD, egress_port=port, bytes_out=out)
+            return _DROPS[reason]
+    return PipelineResult(FORWARD, port, out, None, None)
 
 
 class Switch:
@@ -223,6 +245,9 @@ class Switch:
     Every frame the switch protects goes through `protect`, whether the
     pipeline forwards it or `flood` fans it out.  Each table write returns
     its undo entry, and `restore` rolls a batch of them back.
+
+    `rx[port]`, `tx[port]`, `validated` and `protected` are the switch's
+    hot counts; `counters` reads them, and its SAs' counts, by name.
 
     The embedding (simulator or test) wires the hooks:
 
@@ -238,14 +263,17 @@ class Switch:
         self.mac = mac
         self.ports_up: dict[int, bool] = {p: True for p in range(1, num_ports + 1)}
         self.tables = SwitchTables()
-        self.counters = Counters()
+        self.rx = [0] * (num_ports + 1)  # indexed by port
+        self.tx = [0] * (num_ports + 1)
+        self.validated = 0
+        self.protected = 0
+        self.counters = Counters(self._live_counts)
         self.pn_ceiling = pn_ceiling
         self.on_transmit: Callable[[int, bytes], None] | None = None
         self.on_packet_in: Callable[[PacketIn], None] | None = None
         self.on_port_event: Callable[[int, bool], None] | None = None
         self.on_rekey_needed: Callable[[int, bytes], None] | None = None
         self.on_protect: ProtectHook | None = None
-        self._names = CounterNames()
 
     # -- frame path ---------------------------------------------------------
 
@@ -275,15 +303,15 @@ class Switch:
         if self.on_protect is not None:
             self.on_protect(sa.sak.key, sa.sci + pn.to_bytes(4, "big"))
         protected = macsec_protect(sa.sak, sa.sci, pn, data, an=sa.an, confidentiality=sa.confidentiality)
-        self.counters.incr("macsec.protected")
-        self.counters.incr(self._names[SA_PROTECTED, sai])
+        self.protected += 1
+        sa.protected += 1
         if sa.next_pn > self.pn_ceiling and self.on_rekey_needed is not None:
             self.on_rekey_needed(sai, sa.sci)
         return protected, None
 
     def handle_frame(self, port: int, data: bytes) -> PipelineResult:
         """Full ingress treatment of one frame delivered by the wire."""
-        self.counters.incr(self._names[PORT_RX, port])
+        self.rx[port] += 1
         result = self.process_ingress(port, data)
         if result.kind == FORWARD:
             self._transmit(result.egress_port, result.bytes_out)
@@ -322,7 +350,7 @@ class Switch:
         if not self.ports_up.get(port, False):
             self.counters.incr(f"drop.{DROP_PORT_DOWN}")
             return
-        self.counters.incr(self._names[PORT_TX, port])
+        self.tx[port] += 1
         if self.on_transmit is not None:
             self.on_transmit(port, data)
 
@@ -342,13 +370,11 @@ class Switch:
         return _pop(self.tables.mac, mac)
 
     def write_sa(self, entry: SaEntry) -> UndoEntry:
+        self._fold_sa_counts(entry.sai)
         return _put(self.tables.sa, entry.sai, entry)
 
     def delete_sa(self, sai: int) -> UndoEntry:
-        # SAIs are never reused, so a deleted SA's cached counter names are
-        # dropped with it; a restored SA builds them again on first use.
-        for template in (SA_VALIDATED, SA_FAILED, SA_PROTECTED):
-            self._names.pop((template, sai), None)
+        self._fold_sa_counts(sai)
         return _pop(self.tables.sa, sai)
 
     def write_eg_sc(self, port: int, sai: int) -> UndoEntry:
@@ -379,10 +405,40 @@ class Switch:
     def restore(self, undo: list[UndoEntry]) -> None:
         """Undo the writes that returned `undo`, newest first."""
         for table, key, old in reversed(undo):
+            if table is self.tables.sa:
+                self._fold_sa_counts(key)
             if old is None:
                 table.pop(key, None)
             else:
                 table[key] = old
+
+    # -- counts -----------------------------------------------------------------
+
+    def _fold_sa_counts(self, sai: int) -> None:
+        """Move the counts of the SA leaving row `sai` into the named counters.
+
+        The entry's integers are zeroed, so an undo that puts it back
+        neither loses nor counts them twice."""
+        sa = self.tables.sa.get(sai)
+        if sa is None:
+            return
+        for name, count in _sa_counts(sai, sa):
+            self.counters.incr(name, count)
+        sa.validated = sa.failed = sa.protected = 0
+
+    def _live_counts(self) -> Iterator[tuple[str, int]]:
+        """The non-zero integer counts, under their counter names."""
+        if self.validated:
+            yield "macsec.validated", self.validated
+        if self.protected:
+            yield "macsec.protected", self.protected
+        for port, (rx, tx) in enumerate(zip(self.rx, self.tx)):
+            if rx:
+                yield f"port.{port}.rx", rx
+            if tx:
+                yield f"port.{port}.tx", tx
+        for sai, sa in self.tables.sa.items():
+            yield from _sa_counts(sai, sa)
 
     # -- port state -----------------------------------------------------------
 

@@ -98,8 +98,8 @@ class Simulation:
         self.controllers: dict[str, LocalController] = {}
         self.hosts: dict[str, Host] = {}
         self.links: dict[str, Link] = {}
-        # (chassis, port) -> (link, direction a frame sent from that port takes)
-        self._port_map: dict[tuple[str, int], tuple[Link, str]] = {}
+        # chassis -> port -> (link, direction a frame sent from that port takes)
+        self._attachments: dict[str, dict[int, tuple[Link, str]]] = {}
         # chassis -> (deliver, msg) held while its control channel is cut
         self._held: dict[str, list[tuple[Callable[[object], None], object]]] = {}
 
@@ -122,6 +122,8 @@ class Simulation:
     def _build(self) -> None:
         latency_us = to_us(self.params.link_latency)
         discovery_interval_us = to_us(self.params.discovery_interval)
+        # One bound method each, shared by every switch and controller.
+        now_us, schedule, observe = self.now_us, self.schedule, self.iv_registry.observe
         for sw_spec in self.spec.switches:
             switch = Switch(
                 sw_spec.chassis_id,
@@ -129,12 +131,13 @@ class Simulation:
                 sw_spec.num_ports,
                 pn_ceiling=self.params.pn_ceiling,
             )
-            switch.on_transmit = partial(self._switch_transmit, sw_spec.chassis_id)
-            switch.on_protect = self.iv_registry.observe
+            attachments = self._attachments[sw_spec.chassis_id] = {}
+            switch.on_transmit = partial(self._switch_transmit, attachments)
+            switch.on_protect = observe
             controller = LocalController(
                 switch,
-                now=self.now_us,
-                schedule=self.schedule,
+                now=now_us,
+                schedule=schedule,
                 send_to_central=partial(self._send_to_central, sw_spec.chassis_id),
                 rng=self.rng,
                 discovery_interval_us=discovery_interval_us,
@@ -150,8 +153,8 @@ class Simulation:
                 latency_us=latency_us,
             )
             self.links[link.name] = link
-            self._port_map[link_spec.a] = (link, "a2b")
-            self._port_map[link_spec.b] = (link, "b2a")
+            self._attachments[link_spec.a[0]][link_spec.a[1]] = (link, "a2b")
+            self._attachments[link_spec.b[0]][link_spec.b[1]] = (link, "b2a")
 
         for host_spec in self.spec.hosts:
             host = Host(name=host_spec.name, mac=host_spec.mac)
@@ -164,12 +167,12 @@ class Simulation:
             host.link = link
             self.hosts[host.name] = host
             self.links[link.name] = link
-            self._port_map[(host_spec.switch, host_spec.port)] = (link, "a2b")
+            self._attachments[host_spec.switch][host_spec.port] = (link, "a2b")
 
         # Ports with no cable attached have no carrier.
         for chassis, switch in self.switches.items():
             for port in switch.ports_up:
-                if (chassis, port) not in self._port_map:
+                if port not in self._attachments[chassis]:
                     switch.ports_up[port] = False
 
         for sw_spec in self.spec.switches:
@@ -252,8 +255,8 @@ class Simulation:
 
     # -- wire ---------------------------------------------------------------------------
 
-    def _switch_transmit(self, chassis: str, port: int, data: bytes) -> None:
-        attachment = self._port_map.get((chassis, port))
+    def _switch_transmit(self, attachments: dict[int, tuple[Link, str]], port: int, data: bytes) -> None:
+        attachment = attachments.get(port)
         if attachment is None:
             return
         self._transmit_on_link(*attachment, data)
@@ -276,7 +279,7 @@ class Simulation:
         if not link.up:
             self.trace.drop(index, "link_down")
             return
-        end = link.end(direction)
+        end = link.b if direction == "a2b" else link.a
         if end.kind == "switch":
             switch = self.switches[end.name]
             if not switch.ports_up.get(end.port, False):

@@ -34,7 +34,7 @@ class Harness:
         self.central = CentralController(
             now=lambda: self.time_us,
             schedule=lambda delay_us, fn, *args, housekeeping=False: self.scheduled.append(
-                [delay_us, fn, args, housekeeping]
+                [self.time_us + delay_us, fn, args, housekeeping]
             ),
             send_to_local=self._send,
             rng=RandomSource(7),
@@ -69,15 +69,14 @@ class Harness:
         self.ack_all()
 
     def advance_to_rekey_timers(self):
-        """Move the clock on by the delay of the queued rekey timers, the only housekeeping ones."""
-        [delay_us] = {delay_us for delay_us, _fn, _args, hk in self.scheduled if hk}
-        self.time_us += delay_us
+        """Move the clock to the deadline of the queued rekey timers, the only housekeeping ones."""
+        [self.time_us] = {deadline_us for deadline_us, _fn, _args, hk in self.scheduled if hk}
 
     def run_due_timers(self):
-        """Fire scheduled callbacks whose deadline has passed (one sweep)."""
+        """Fire the scheduled callbacks whose deadline has come (one sweep)."""
         for entry in list(self.scheduled):
-            delay_us, fn, args, _hk = entry
-            if delay_us <= self.time_us:
+            deadline_us, fn, args, _hk = entry
+            if deadline_us <= self.time_us:
                 self.scheduled.remove(entry)
                 fn(*args)
 
@@ -209,12 +208,19 @@ def test_rekey_increments_an_and_orders_ingress_first():
     assert d.sai != old_sai and d.sak.key != old_sak
     assert d.rekey_count == 1
     # Old-generation cleanup waits for the grace timer, then names the old SA at both ends.
-    assert any(not hk and delay_us == h.central.grace_us for delay_us, _fn, _args, hk in h.scheduled)
+    retire_at = h.time_us + h.central.grace_us
+    assert any(not hk and deadline_us == retire_at for deadline_us, _fn, _args, hk in h.scheduled)
     h.outbox.clear()
     h.run_due_timers()
-    retires = [(ch, cfg.ops) for ch, cfg in h.configs() if cfg.batch_id is None]
-    assert (d.receiver, [DeleteIgSc(sai=old_sai), DeleteSa(sai=old_sai)]) in retires
-    assert (d.sender, [DeleteSa(sai=old_sai)]) in retires
+    assert h.configs() == []  # nothing is due before the grace deadline
+    h.time_us = retire_at
+    h.run_due_timers()
+    # The sweep sends each direction's two retire batches and nothing else: no second rekey.
+    sent = [(ch, cfg.ops) for ch, cfg in h.configs()]
+    assert all(cfg.batch_id is None for _, cfg in h.configs()) and len(sent) == 4
+    assert (d.receiver, [DeleteIgSc(sai=old_sai), DeleteSa(sai=old_sai)]) in sent
+    assert (d.sender, [DeleteSa(sai=old_sai)]) in sent
+    assert not any(isinstance(op, WriteSa) for _, ops in sent for op in ops)
 
 
 def test_teardown_names_the_current_and_the_staged_sa():

@@ -21,6 +21,7 @@ from macsecsim.dataplane import (
 )
 from macsecsim.errors import InvalidEntry
 from macsecsim.local_controller import LocalController
+from macsecsim.messages import DeleteSa, ScConfig, WriteEgSc
 from macsecsim.randomness import RandomSource
 from macsecsim.wire import (
     EthernetFrame,
@@ -168,7 +169,7 @@ def test_packet_out_raw_is_verbatim():
 
 def attach_controller(switch):
     """Run a local controller next to `switch`; its timers and messages are discarded."""
-    LocalController(
+    return LocalController(
         switch,
         now=lambda: 0,
         schedule=lambda *args, **kwargs: None,
@@ -512,3 +513,75 @@ def test_an_exhausted_sa_signals_rekey_only_once():
         assert _forward(switch) == []
     assert switch.counters.get("drop.pn_exhausted") == 3
     assert rekeys == [3]
+
+
+def sa_counts(switch, sai):
+    counts = switch.counters.as_dict()
+    return {kind: counts.get(f"sa.{sai}.{kind}", 0) for kind in ("validated", "failed", "protected")}
+
+
+def _receive(switch, sak, sci, pn, corrupt=False):
+    raw = bytearray(macsec_protect(sak, sci, pn, ether().to_bytes()))
+    if corrupt:
+        raw[30] ^= 0x01
+    return switch.process_ingress(3, bytes(raw))
+
+
+def test_a_deleted_sas_counts_stay_under_its_names():
+    switch = egress_switch()  # egress SA 3 on port 2
+    sak, sci = install_ingress_sa(switch, PEER_MAC, 1, sai=8)
+    for pn in (1, 2):
+        assert _forward(switch)
+        assert _receive(switch, sak, sci, pn).kind == FORWARD  # validated, then protected to H2
+    _receive(switch, sak, sci, 3, corrupt=True)
+    switch.delete_sa(3)
+    switch.delete_sa(8)
+    counts = switch.counters.as_dict()
+    assert {k: v for k, v in counts.items() if k.startswith(("sa.", "macsec."))} == {
+        "macsec.protected": 4,
+        "macsec.validate_failed": 1,
+        "macsec.validated": 2,
+        "sa.3.protected": 4,
+        "sa.8.failed": 1,
+        "sa.8.validated": 2,
+    }
+    switch.delete_sa(3)  # deleting again moves nothing twice
+    assert switch.counters.as_dict() == counts
+
+
+def test_a_rolled_back_sa_delete_neither_loses_nor_double_counts():
+    switch = egress_switch()
+    controller = attach_controller(switch)
+    for _ in range(2):
+        assert _forward(switch)
+    # The batch deletes SA 3, then fails on its EG-SC write; the switch rolls it back.
+    controller.handle_sc_config(ScConfig(batch_id=None, ops=[DeleteSa(sai=3), WriteEgSc(port=2, sai=99)]))
+    assert switch.counters.get("sc_config.nack") == 1 and 3 in switch.tables.sa
+    assert sa_counts(switch, 3)["protected"] == 2
+    assert _forward(switch)
+    assert sa_counts(switch, 3)["protected"] == 3
+    assert switch.counters.get("macsec.protected") == 3
+    assert parse_frame(_forward(switch)[0][1]).sec_tag.packet_number == 4
+
+
+def test_write_sa_over_an_existing_sai_keeps_the_old_entrys_counts():
+    switch = egress_switch()
+    for _ in range(2):
+        assert _forward(switch)
+    old = switch.tables.sa[3]
+    switch.write_sa(SaEntry(sai=3, sak=Sak(b"\x33" * 16), an=1, sci=old.sci))
+    assert sa_counts(switch, 3)["protected"] == 2
+    assert _forward(switch)
+    assert sa_counts(switch, 3)["protected"] == 3
+    assert switch.counters.get("macsec.protected") == 3
+
+
+def test_undoing_an_sa_write_keeps_the_counts_made_meanwhile():
+    switch = egress_switch()
+    old = switch.tables.sa[3]
+    undo = switch.write_sa(SaEntry(sai=3, sak=Sak(b"\x33" * 16), an=1, sci=old.sci))
+    assert _forward(switch)
+    switch.restore([undo])
+    assert switch.tables.sa[3] is old
+    assert _forward(switch)
+    assert sa_counts(switch, 3)["protected"] == 2

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 
 from macsecsim.audit import Violation, audit
 from macsecsim.central_controller import CentralController
 from macsecsim.crypto import LldpKey, lldp_seal, macsec_protect
+from macsecsim.dataplane import Counters
 from macsecsim.errors import InvalidEntry, LivelockError, UnknownLink
 from macsecsim.local_controller import LocalController
 from macsecsim.messages import DeleteIgSc, ScAck, ScConfig
@@ -870,3 +872,47 @@ def test_validated_frame_with_a_short_lldp_typed_inner_frame_fails_closed():
     sim.quiesce()
     assert s2.counters.get("macsec.validated") == validated + 1
     assert s2.counters.get("discovery.decode_failure") == 1
+
+
+def test_forwarded_hops_count_without_named_counters(monkeypatch):
+    """Known unicast through a chain counts on ports and SAs only, and the
+    counts still match the trace: a switch port's tx and rx are the rows it
+    sent and received, and a switch's protected counts its MACsec rows."""
+    sim = build(chain_spec(3), seed=1)
+    sim.quiesce()
+    h1, h2 = sim.hosts["h1"].mac, sim.hosts["h2"].mac
+    for _ in range(2):  # every switch learns both hosts
+        sim.host_send("h1", h2, 0x0800, b"learn")
+        sim.host_send("h2", h1, 0x0800, b"learn")
+        sim.quiesce()
+    incr, named = Counters.incr, []
+
+    def counting_incr(self, name, amount=1):
+        named.append(name)
+        incr(self, name, amount)
+
+    monkeypatch.setattr(Counters, "incr", counting_incr)
+    for i in range(10):
+        sim.host_send("h1", h2, 0x0800, b"a%d" % i)
+        sim.host_send("h2", h1, 0x0800, b"b%d" % i)
+    sim.quiesce()
+    assert named == []
+    assert len(sim.host_recv("h1")) == len(sim.host_recv("h2")) == 12
+
+    rows = Counter()
+    for rec in sim.trace.records:
+        link = sim.links[rec.link]
+        sender, receiver = (link.a, link.b) if rec.direction == "a2b" else (link.b, link.a)
+        if sender.kind == "switch":
+            rows[f"{sender.name}:port.{sender.port}.tx"] += 1
+            rows[f"{sender.name}:protected"] += rec.classification == "macsec"
+        if receiver.kind == "switch" and rec.dropped not in WIRE_DROPS:
+            rows[f"{receiver.name}:port.{receiver.port}.rx"] += 1
+    counts = Counter()
+    for chassis, dump in sim.counters_dump().items():
+        for name, n in dump.items():
+            if name.startswith("port."):
+                counts[f"{chassis}:{name}"] = n
+            elif name.startswith("sa.") and name.endswith(".protected"):
+                counts[f"{chassis}:protected"] += n
+    assert +counts == +rows
