@@ -1,20 +1,22 @@
 """Central controller: global link map and secure-channel lifecycle.
 
-Links become Confirmed only once both endpoint switches have reported
-them; every transition to or from Confirmed drives secure-channel
-reconciliation.  Channel installs are ordered receiver-ingress before
-sender-egress (at setup and rekey) so no in-flight frame ever meets a
-receiver that cannot validate it.
+The link map is each port's latest report: `reports` maps a port to the far
+end its latest `LinkDelta` names.  A link is confirmed while each of its
+ends reports the other, and each transition to or from confirmed deploys or
+tears down its secure channels; a report replaces only its own port's, so it
+never unseats a link between two other ports.  Channel installs are ordered
+receiver-ingress before sender-egress (at setup and rekey) so no in-flight
+frame ever meets a receiver that cannot validate it.
 
-Each link is indexed under both of its endpoints.  Only a stage batch (an
-install or rekey of one direction's ingress or egress) carries a batch id
-and is acked.  In flight it holds the channel record and direction it was
-sent for; the direction's phase names the stage it installs.  Once teardown
-removes or replaces that record, the batch is stale, and its ack is
-ignored.  The control channel delivers every message, late if it is cut,
-so the one failure is a nack, which quarantines the channel.  Retire and
-teardown batches carry no id and get no ack: a delete that failed or went
-missing leaves a row that the fabric audit reports as `stray_row`.
+Only a stage batch (an install or rekey of one direction's ingress or
+egress) carries a batch id and is acked.  In flight it holds the channel
+record and direction it was sent for; the direction's phase names the stage
+it installs.  Once teardown removes or replaces that record, the batch is
+stale, and its ack is ignored.  The control channel delivers every message,
+late if it is cut, so the one failure is a nack, which quarantines the
+channel.  Retire and teardown batches carry no id and get no ack: a delete
+that failed or went missing leaves a row that the fabric audit reports as
+`stray_row`.
 
 An IG-SC op names only its SA, whose own (SCI, AN) keys the row, so a retire
 or teardown deletes the generations it names and the switch decides whether
@@ -24,7 +26,7 @@ a row still belongs to one of them.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .crypto import LldpKey, Sak
@@ -58,20 +60,6 @@ def link_key(a: Endpoint, b: Endpoint) -> LinkKey:
 def link_name(key: LinkKey) -> str:
     (ca, pa), (cb, pb) = key
     return f"{ca}:{pa}-{cb}:{pb}"
-
-
-@dataclass
-class LinkState:
-    key: LinkKey
-    reporters: set[str] = field(default_factory=set)
-
-    @property
-    def confirmed(self) -> bool:
-        return len(self.reporters) == 2
-
-    @property
-    def status(self) -> str:
-        return "confirmed" if self.confirmed else "reported"
 
 
 @dataclass
@@ -126,8 +114,7 @@ class CentralController:
 
         self.counters = Counters()
         self.switch_macs: dict[str, bytes] = {}
-        self.link_map: dict[LinkKey, LinkState] = {}
-        self._link_at: dict[Endpoint, LinkState] = {}
+        self.reports: dict[Endpoint, Endpoint] = {}  # port -> the far end its latest report names
         self.sc_records: dict[LinkKey, ScRecord] = {}
         self.alerts: list[str] = []  # one line per quarantine
         self.sak_log: list[bytes] = []
@@ -166,51 +153,25 @@ class CentralController:
             log.warning("delta from unregistered switch %s ignored", delta.chassis_id)
             self.counters.incr("linkmap.unknown_switch")
             return
-        if delta.remote is None:
-            self._remove_report(delta.chassis_id, delta.port)
-        else:
-            self._add_report(delta.chassis_id, delta.port, delta.remote)
-
-    def _forget(self, link: LinkState) -> None:
-        del self.link_map[link.key]
-        for endpoint in link.key:
-            del self._link_at[endpoint]
-
-    def _remove_report(self, chassis: str, port: int) -> None:
-        link = self._link_at.get((chassis, port))
-        if link is None:
+        reports, end, remote = self.reports, (delta.chassis_id, delta.port), delta.remote
+        if reports.get(end) == remote:
             return
-        was_confirmed = link.confirmed
-        link.reporters.discard(chassis)
-        if was_confirmed and not link.confirmed:
-            self._teardown_sc(link.key)
-        if not link.reporters:
-            self._forget(link)
+        old = reports.pop(end, None)
+        if old is not None and reports.get(old) == end:
+            self._teardown_sc(link_key(end, old))
+        if remote is not None:
+            reports[end] = remote
+            if reports.get(remote) == end:
+                self._deploy_sc(link_key(end, remote))
 
-    def _add_report(self, chassis: str, port: int, remote: tuple[str, int]) -> None:
-        endpoint = (chassis, port)
-        key = link_key(endpoint, remote)
-        # A conflicting earlier link on either endpoint is deleted outright;
-        # the replacement starts over as a one-way report.
-        for ep in key:
-            stale = self._link_at.get(ep)
-            if stale is not None and stale.key != key:
-                if stale.confirmed:
-                    self._teardown_sc(stale.key)
-                self._forget(stale)
-        link = self.link_map.get(key)
-        if link is None:
-            link = LinkState(key=key)
-            self.link_map[key] = link
-            for ep in key:
-                self._link_at[ep] = link
-        was_confirmed = link.confirmed
-        link.reporters.add(chassis)
-        if link.confirmed and not was_confirmed:
-            self._deploy_sc(key)
+    @property
+    def link_map(self) -> dict[LinkKey, str]:
+        """Each reported link: "confirmed" while both its ends report each other, else "reported"."""
+        reports = self.reports
+        return {link_key(a, b): "confirmed" if reports.get(b) == a else "reported" for a, b in reports.items()}
 
     def confirmed_links(self) -> set[LinkKey]:
-        return {k for k, v in self.link_map.items() if v.confirmed}
+        return {key for key, status in self.link_map.items() if status == "confirmed"}
 
     # -- secure-channel lifecycle ---------------------------------------------------
 
@@ -227,8 +188,6 @@ class CentralController:
         return sak
 
     def _deploy_sc(self, key: LinkKey) -> None:
-        if key in self.sc_records:
-            return
         (ca, pa), (cb, pb) = key
         directions = {}
         for name, (sender, s_port, receiver, r_port) in (
@@ -351,8 +310,9 @@ class CentralController:
 
     def handle_pn_exhausted(self, msg: PnExhausted) -> None:
         self.counters.incr("channels.pn_exhausted")
-        link = self._link_at.get((msg.chassis_id, sci_port(msg.sci)))
-        record = self.sc_records.get(link.key) if link is not None else None
+        end = (msg.chassis_id, sci_port(msg.sci))
+        remote = self.reports.get(end)
+        record = self.sc_records.get(link_key(end, remote)) if remote is not None else None
         if record is None or record.state == "quarantined":
             return
         for name, d in record.directions.items():
@@ -374,10 +334,7 @@ class CentralController:
     # -- read-only query surface ---------------------------------------------------------
 
     def dump_link_map(self) -> list[str]:
-        lines = []
-        for key in sorted(self.link_map):
-            lines.append(f"{self.link_map[key].status.upper():9s} {link_name(key)}")
-        return lines
+        return [f"{status.upper():9s} {link_name(key)}" for key, status in sorted(self.link_map.items())]
 
     def dump_sc_records(self, *, unsafe_keys: bool = False) -> list[str]:
         lines = []

@@ -78,7 +78,8 @@ class LocalController:
         self.prev_key_expiry_us = 0
         self.discovery_started = False
         self.tx_seq = rng.boot_seq()
-        self.rx_seq: dict[int, int] = {}
+        # Replay floor: port -> sender chassis -> the last seq accepted from it.
+        self.rx_seq: dict[int, dict[str, int]] = {}
         self.local_view: dict[int, tuple[str, int]] = {}
         self.last_seen_us: dict[int, int] = {}
         self._lldpdus: dict[int, bytes] = {}  # port -> its encoded LLDPDU
@@ -190,11 +191,14 @@ class LocalController:
             self.counters.incr("discovery.reflected")
             return
         port = pi.ingress_port
-        last = self.rx_seq.get(port)
+        floors = self.rx_seq.get(port)
+        if floors is None:
+            floors = self.rx_seq[port] = {}
+        last = floors.get(remote_chassis)
         if last is not None and seq <= last:
             self.counters.incr("discovery.replayed_seq")
             return
-        self.rx_seq[port] = seq
+        floors[remote_chassis] = seq
         self.last_seen_us[port] = self._now()
         self.counters.incr("discovery.accepted")
         remote = (remote_chassis, remote_port)

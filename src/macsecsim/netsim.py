@@ -104,7 +104,6 @@ class Simulation:
         self._held: dict[str, list[tuple[Callable[[object], None], object]]] = {}
 
         self._jitter_us = to_us(self.params.latency_jitter)
-        grace = self.params.discovery_interval if self.params.grace is None else self.params.grace
         self.central = CentralController(
             now=self.now_us,
             schedule=self.schedule,
@@ -112,7 +111,7 @@ class Simulation:
             rng=self.rng,
             rekey_interval_us=to_us(self.params.rekey_interval),
             lldp_rotation_us=to_us(self.params.lldp_key_rotation),
-            grace_us=to_us(grace),
+            grace_us=to_us(self.params.effective_grace),
             macsec_encrypt=self.params.macsec_encrypt,
         )
         self._build()

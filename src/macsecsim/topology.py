@@ -88,6 +88,14 @@ class SimParams:
         for name in _PERIODS:
             if to_us(getattr(self, name)) == 0:
                 raise SpecError(f"{name} must round to at least 1 us, or its timer never advances")
+        if to_us(self.effective_grace) < to_us(self.link_latency) + to_us(self.latency_jitter):
+            # The retire one grace after an egress write would delete the old
+            # SA while frames sealed under it are still on the wire.
+            raise SpecError("grace (default discovery_interval) must be >= link_latency + latency_jitter")
+
+    @property
+    def effective_grace(self) -> float:
+        return self.discovery_interval if self.grace is None else self.grace
 
 
 _PARAM_FIELDS = set(SimParams.__dataclass_fields__)

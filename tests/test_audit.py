@@ -4,7 +4,7 @@ of the corrupted kind on the corrupted link, for each targeted corruption."""
 import pytest
 
 from macsecsim.audit import KINDS, Violation, audit
-from macsecsim.central_controller import LinkState, link_key
+from macsecsim.central_controller import link_key
 from macsecsim.crypto import Sak
 from macsecsim.dataplane import SaEntry
 from macsecsim.netsim import build
@@ -36,10 +36,10 @@ def _stray_sa(sim, d):
 
 # kind -> (corruption of s1-s2's record `r` and its a2b direction `d`, link it names)
 CORRUPTIONS = {
-    "missing_link": (lambda sim, r, d: sim.central.link_map[S1_S2].reporters.discard("s2"), S1_S2),
+    "missing_link": (lambda sim, r, d: sim.central.reports.pop(("s2", 1)), S1_S2),
     "excess_link": (lambda sim, r, d: setattr(sim.links["s1-s2"], "up", False), S1_S2),
     "unconfirmed_link": (
-        lambda sim, r, d: sim.central.link_map.update({UNWIRED: LinkState(UNWIRED, {"s1"})}),
+        lambda sim, r, d: sim.central.reports.update({("s1", 3): ("s3", 3)}),
         UNWIRED,
     ),
     "unprotected": (lambda sim, r, d: setattr(d, "phase", "egress_pending"), S1_S2),

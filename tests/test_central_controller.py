@@ -93,7 +93,7 @@ def test_one_way_report_stays_reported():
     h = Harness()
     h.register_all("s1", "s2")
     h.central.handle_link_delta(LinkDelta("s1", 2, ("s2", 4)))
-    assert h.central.link_map[KEY_12].status == "reported"
+    assert h.central.link_map[KEY_12] == "reported"
     assert h.central.confirmed_links() == set()
     assert h.configs() == []
 
@@ -134,7 +134,7 @@ def test_remove_demotes_and_tears_down():
     h.outbox.clear()
     h.central.handle_link_delta(LinkDelta("s1", 2, None))
     assert KEY_12 not in h.central.sc_records
-    assert h.central.link_map[KEY_12].status == "reported"
+    assert h.central.link_map[KEY_12] == "reported"
     revoke_ops = [type(op) for _, cfg in h.configs() for op in cfg.ops]
     assert DeleteEgSc in revoke_ops and DeleteIgSc in revoke_ops and DeleteSa in revoke_ops
     # The EG-SC row alone secures a port; no op flags it.
@@ -148,10 +148,39 @@ def test_conflicting_report_recables():
     h.register_all("s1", "s2", "s3")
     h.confirm_link()
     h.central.handle_link_delta(LinkDelta("s1", 2, ("s3", 1)))
-    assert KEY_12 not in h.central.link_map
+    # s1's report replaces only its own: s2's report of s1:2 stands until s2 changes it.
+    assert h.central.link_map[KEY_12] == "reported"
     assert KEY_12 not in h.central.sc_records
     new_key = link_key(("s1", 2), ("s3", 1))
-    assert h.central.link_map[new_key].status == "reported"
+    assert h.central.link_map[new_key] == "reported"
+
+
+def test_a_report_never_unseats_a_link_between_two_other_ports():
+    h = Harness()
+    h.register_all("s1", "s2", "s3")
+    key_23 = link_key(("s2", 5), ("s3", 1))
+    h.confirm_link(("s2", 5), ("s3", 1))
+    record = h.central.sc_records[key_23]
+    sent = len(h.outbox)
+    h.central.handle_link_delta(LinkDelta("s1", 2, ("s3", 1)))  # e.g. a probe of s3:1 replayed to s1:2
+    assert h.central.sc_records == {key_23: record} and record.state == "active"
+    assert h.central.link_map == {key_23: "confirmed", link_key(("s1", 2), ("s3", 1)): "reported"}
+    assert h.outbox[sent:] == []
+
+
+def test_a_repeated_report_changes_nothing():
+    h = Harness()
+    h.register_all("s1", "s2", "s3")
+    h.confirm_link()
+    h.central.handle_link_delta(LinkDelta("s1", 3, ("s3", 2)))
+    record = h.central.sc_records[KEY_12]
+    reports = dict(h.central.reports)
+    sent = len(h.outbox)
+    for delta in (LinkDelta("s1", 2, ("s2", 4)), LinkDelta("s2", 4, ("s1", 2)), LinkDelta("s1", 3, ("s3", 2))):
+        h.central.handle_link_delta(delta)
+    assert h.central.reports == reports
+    assert h.central.sc_records == {KEY_12: record} and record.state == "active"
+    assert h.outbox[sent:] == []
 
 
 def test_removal_report_for_a_port_without_a_link_changes_nothing():
@@ -162,7 +191,7 @@ def test_removal_report_for_a_port_without_a_link_changes_nothing():
     sent = len(h.outbox)
     h.central.handle_link_delta(LinkDelta("s1", 7, None))
     assert list(h.central.link_map) == [KEY_12]
-    assert h.central.link_map[KEY_12].reporters == {"s1", "s2"}
+    assert h.central.reports == {("s1", 2): ("s2", 4), ("s2", 4): ("s1", 2)}
     assert h.central.sc_records == {KEY_12: record} and record.state == "active"
     assert len(h.outbox) == sent
 

@@ -286,6 +286,21 @@ def test_replayed_seq_rejected():
     assert len(h.deltas()) == 1
 
 
+def test_the_replay_floor_is_per_sender():
+    """Each switch numbers its probes from its own boot_seq, so an accepted
+    probe from another switch must not lock out the neighbour's lower seqs."""
+    h = Harness()
+    h.start()
+    h.probe_from_peer(port=2, seq=500, chassis=b"s3", remote_port=1)  # e.g. replayed from another link
+    h.probe_from_peer(port=2, seq=60)
+    assert h.ctl.local_view[2] == ("s2", 7)
+    assert h.switch.counters.get("discovery.replayed_seq") == 0
+    h.probe_from_peer(port=2, seq=500, chassis=b"s3", remote_port=1)
+    assert h.switch.counters.get("discovery.replayed_seq") == 1
+    assert h.ctl.local_view[2] == ("s2", 7)
+    assert h.deltas() == [LinkDelta("s1", 2, ("s3", 1)), LinkDelta("s1", 2, ("s2", 7))]
+
+
 def test_attacker_key_rejected():
     h = Harness()
     h.start()

@@ -4,10 +4,10 @@ from collections import Counter
 import pytest
 
 from macsecsim.audit import Violation, audit
-from macsecsim.central_controller import CentralController
+from macsecsim.central_controller import CentralController, link_key
 from macsecsim.crypto import LldpKey, lldp_seal, macsec_protect
 from macsecsim.dataplane import Counters
-from macsecsim.errors import InvalidEntry, LivelockError, UnknownLink
+from macsecsim.errors import InvalidEntry, LivelockError, SpecError, UnknownLink
 from macsecsim.local_controller import LocalController
 from macsecsim.messages import DeleteIgSc, ScAck, ScConfig
 from macsecsim.netsim import Simulation, build
@@ -378,10 +378,26 @@ def test_a_lost_retire_shows_as_a_stray_row(monkeypatch):
     [(receiver, cfg)] = swallowed
     sci = sim.switches[receiver].tables.sa[cfg.ops[0].sai].sci
     sender = next(name for name, sw in sim.switches.items() if sw.mac == sci[:6])
-    link = sim.central._link_at[(sender, sci_port(sci))].key
+    end = (sender, sci_port(sci))
+    link = link_key(end, sim.central.reports[end])
     assert receiver in (link[0][0], link[1][0])
     found = audit(sim)
     assert found and set(found) == {Violation("stray_row", link)}
+
+
+def test_a_probe_replayed_onto_another_link_costs_only_that_link():
+    """s3's latest probe on s3-s4, replayed onto s1-s2 toward s1, changes s1's
+    report of its port alone: s1-s2 comes back on s2's next probe, and s3-s4,
+    of which s1 is no end, keeps its channel."""
+    sim = build(chain_spec(5).with_params(discovery_interval=1), seed=1)
+    sim.quiesce()
+    record = sim.central.sc_records[sim.links["s3-s4"].key]
+    probe = sim.trace_query(link="s3-s4", direction="a2b", classification="secure_lldp")[-1]
+    sim.inject_frame("s1-s2", "b2a", probe.data)
+    sim.run_until(sim.now_s() + 2)
+    sim.quiesce()
+    assert audit(sim) == []
+    assert sim.central.sc_records[sim.links["s3-s4"].key] is record
 
 
 def test_partition_flap_and_heal_converges():
@@ -501,6 +517,34 @@ def test_teardown_in_the_grace_window_still_retires_the_old_sa():
     sim.set_link_state("s1-s2", False)
     sim.run_until(10)
     assert audit(sim) == []  # no record, SA, EG-SC or IG-SC row is left
+
+
+WIRE_SPEC = chain_spec(3).with_params(discovery_interval=1, rekey_interval=3, link_latency=0.001)
+
+
+def test_a_grace_shorter_than_the_wire_time_is_a_spec_error():
+    """A retire one grace after the egress write would delete the old SA
+    while frames sealed under it are still on the wire."""
+    with pytest.raises(SpecError, match="must be >= link_latency"):
+        WIRE_SPEC.with_params(grace=0.0005)
+
+
+def test_a_grace_equal_to_the_wire_time_loses_no_frame_across_a_rekey():
+    sim = build(WIRE_SPEC.with_params(grace=0.001), seed=1)
+    sim.quiesce()
+    [rekey_us] = {at_us for at_us, _seq, _hk, fn, _args in sim._queue if fn.__name__ == "_rekey_due"}
+    sent = {"h1": [], "h2": []}
+    for t_us in range(rekey_us - 10_000, rekey_us + 10_000, 100):  # every 100 us around the rekey and its retire
+        sim.run_until(t_us / 1_000_000)
+        for src, dst in (("h1", "h2"), ("h2", "h1")):
+            payload = f"{src} {t_us}".encode()
+            sim.host_send(src, sim.hosts[dst].mac, 0x0800, payload)
+            sent[dst].append(payload)
+    sim.quiesce()
+    directions = [d for r in sim.central.sc_records.values() for d in r.directions.values()]
+    assert len(directions) == 4 and all(d.rekey_count == 1 for d in directions)
+    for host in ("h1", "h2"):
+        assert [f.payload for f in sim.host_recv(host)] == sent[host]
 
 
 def test_a_redeployed_channel_ignores_the_old_records_rekey_timer():

@@ -103,6 +103,10 @@ BAD_INPUT = [
         for name in ("discovery_interval", "rekey_interval", "lldp_key_rotation")
     ],
     ("sub-us-rekey_interval", {"params": {"rekey_interval": 4e-7}}, "rekey_interval must round to at least 1 us"),
+    # A grace shorter than the wire time retires an SA while frames sealed under it are in flight.
+    ("short-grace", {"params": {"grace": 0.0005}}, "grace .* must be >= link_latency"),
+    ("short-default-grace", {"params": {"discovery_interval": 0.0005}}, "grace .* must be >= link_latency"),
+    ("grace-under-jitter", {"params": {"grace": 0.002, "latency_jitter": 0.0015}}, "grace .* must be >= link_latency"),
 ]
 
 
