@@ -71,12 +71,13 @@ class Counters:
     """Named monotonic counters; first-class observable switch state.
 
     `incr` keeps a named count.  The hot counts of a switch live as plain
-    integers on its ports and SAs; `live` yields the non-zero ones as
-    (name, count) pairs, and every read adds them in.  A name appears
+    integers on its ports and SAs, and every read adds them in: `live` is
+    the switch, whose `live_counts()` yields the non-zero ones as (name,
+    count) pairs and whose `live_count(name)` reads one.  A name appears
     once its count is non-zero, whichever of the two holds it.
     """
 
-    def __init__(self, live: Callable[[], Iterator[tuple[str, int]]] | None = None):
+    def __init__(self, live: Switch | None = None):
         self._values: dict[str, int] = {}
         self._live = live
 
@@ -84,7 +85,8 @@ class Counters:
         self._values[name] = self._values.get(name, 0) + amount
 
     def get(self, name: str) -> int:
-        return self._merged().get(name, 0)
+        count = self._values.get(name, 0)
+        return count if self._live is None else count + self._live.live_count(name)
 
     def total(self, prefix: str) -> int:
         """Sum of the counter `prefix` itself plus every `prefix.*` counter."""
@@ -98,7 +100,7 @@ class Counters:
         if self._live is None:
             return self._values
         values = dict(self._values)
-        for name, count in self._live():
+        for name, count in self._live.live_counts():
             values[name] = values.get(name, 0) + count
         return values
 
@@ -175,10 +177,23 @@ def _pop(table: dict, key) -> UndoEntry:
     return table, key, table.pop(key, None)
 
 
+_SA_COUNTS = ("validated", "failed", "protected")  # the SaEntry fields counted as `sa.<sai>.<field>`
+
+
 def _sa_counts(sai: int, sa: SaEntry) -> Iterator[tuple[str, int]]:
-    for kind, count in (("validated", sa.validated), ("failed", sa.failed), ("protected", sa.protected)):
+    for kind in _SA_COUNTS:
+        count = getattr(sa, kind)
         if count:
             yield f"sa.{sai}.{kind}", count
+
+
+def _index(text: str) -> int | None:
+    """The integer that prints as `text`, or None."""
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return value if str(value) == text else None
 
 
 def run_pipeline(sw: Switch, ingress_port: int, data: bytes) -> PipelineResult:
@@ -267,7 +282,7 @@ class Switch:
         self.tx = [0] * (num_ports + 1)
         self.validated = 0
         self.protected = 0
-        self.counters = Counters(self._live_counts)
+        self.counters = Counters(self)
         self.pn_ceiling = pn_ceiling
         self.on_transmit: Callable[[int, bytes], None] | None = None
         self.on_packet_in: Callable[[PacketIn], None] | None = None
@@ -426,7 +441,7 @@ class Switch:
             self.counters.incr(name, count)
         sa.validated = sa.failed = sa.protected = 0
 
-    def _live_counts(self) -> Iterator[tuple[str, int]]:
+    def live_counts(self) -> Iterator[tuple[str, int]]:
         """The non-zero integer counts, under their counter names."""
         if self.validated:
             yield "macsec.validated", self.validated
@@ -439,6 +454,24 @@ class Switch:
                 yield f"port.{port}.tx", tx
         for sai, sa in self.tables.sa.items():
             yield from _sa_counts(sai, sa)
+
+    def live_count(self, name: str) -> int:
+        """The integer count that `live_counts` names `name`, or 0."""
+        if name == "macsec.validated":
+            return self.validated
+        if name == "macsec.protected":
+            return self.protected
+        table, _, rest = name.partition(".")
+        key, _, kind = rest.partition(".")
+        if table == "port" and kind in ("rx", "tx"):
+            port = _index(key)
+            if port is not None and 0 <= port < len(self.rx):
+                return (self.rx if kind == "rx" else self.tx)[port]
+        elif table == "sa" and kind in _SA_COUNTS:
+            sa = self.tables.sa.get(_index(key))
+            if sa is not None:
+                return getattr(sa, kind)
+        return 0
 
     # -- port state -----------------------------------------------------------
 

@@ -10,9 +10,15 @@ A queue entry is the tuple ``(at_us, seq, housekeeping, fn, args)``; the
 loop runs ``fn(*args)``, so queueing a frame, a control message or a timer
 builds no closure.  `seq` breaks ties, so events due at the same
 microsecond run in the order they were queued.  `Simulation.schedule`,
-which takes an integer delay in microseconds, is the one push onto the
-queue.  The spec's durations are in seconds; `to_us` rounds each to the
-microsecond once, when the simulation is built.
+which takes an integer delay in microseconds, queues every event.  The
+spec's durations are in seconds; `to_us` rounds each to the microsecond
+once, when the simulation is built.
+
+The queue is a heap plus a FIFO lane for zero-delay events.  An event
+queued at delay 0 is due at the current clock and has the highest `seq`
+yet, so the lane is always in ``(at_us, seq)`` order; the loop runs the
+lane's head unless the heap's head is smaller.  `Simulation.pending`
+lists both in run order.
 
 Periodic timers (discovery rounds, rekey deadlines, key rotation) are
 flagged as housekeeping; `quiesce` runs the queue in time order until only
@@ -29,6 +35,7 @@ message is ever lost.
 from __future__ import annotations
 
 import logging
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappop, heappush
@@ -44,6 +51,8 @@ from .trace import Trace, write_pcapng
 from .wire import EthernetFrame, parse_frame
 
 log = logging.getLogger(__name__)
+
+QueueEntry = tuple[int, int, bool, Callable[..., None], tuple]  # (at_us, seq, housekeeping, fn, args)
 
 
 @dataclass
@@ -90,7 +99,8 @@ class Simulation:
 
         self._clock_us = 0
         self._seq = 0
-        self._queue: list[tuple[int, int, bool, Callable[..., None], tuple]] = []
+        self._queue: list[QueueEntry] = []  # a heap
+        self._lane: deque[QueueEntry] = deque()  # zero-delay entries, in run order
         self._actionable = 0
         self.events_processed = 0
 
@@ -193,7 +203,14 @@ class Simulation:
         self._seq += 1
         if not housekeeping:
             self._actionable += 1
-        heappush(self._queue, (self._clock_us + delay_us, self._seq, housekeeping, fn, args))
+        if delay_us:
+            heappush(self._queue, (self._clock_us + delay_us, self._seq, housekeeping, fn, args))
+        else:
+            self._lane.append((self._clock_us, self._seq, housekeeping, fn, args))
+
+    def pending(self) -> list[QueueEntry]:
+        """Every queued entry, heap and lane, in run order."""
+        return sorted([*self._queue, *self._lane])
 
     def run_until(self, t_s: float) -> None:
         """Execute every event with time <= t_s, then advance the clock to t_s."""
@@ -209,12 +226,17 @@ class Simulation:
 
     def _run(self, target_us: int | None, caller: str) -> None:
         """Pop and run events in (time, seq) order: those due by `target_us`,
-        or, without a target, until no actionable event is left."""
-        queue = self._queue
+        or, without a target, until no actionable event is left.  A lane
+        entry is always due: its time is at most the clock."""
+        queue, lane = self._queue, self._lane
+        popleft = lane.popleft
         limit = self.params.max_events
         ran = 0
-        while (queue and queue[0][0] <= target_us) if target_us is not None else self._actionable > 0:
-            at_us, _, housekeeping, fn, args = heappop(queue)
+        while ((queue and queue[0][0] <= target_us) or lane) if target_us is not None else self._actionable > 0:
+            if lane and not (queue and queue[0] < lane[0]):
+                at_us, _, housekeeping, fn, args = popleft()
+            else:
+                at_us, _, housekeeping, fn, args = heappop(queue)
             if at_us < self._clock_us:
                 raise AssertionError("virtual clock moved backward")
             self._clock_us = at_us

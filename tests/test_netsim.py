@@ -532,7 +532,7 @@ def test_a_grace_shorter_than_the_wire_time_is_a_spec_error():
 def test_a_grace_equal_to_the_wire_time_loses_no_frame_across_a_rekey():
     sim = build(WIRE_SPEC.with_params(grace=0.001), seed=1)
     sim.quiesce()
-    [rekey_us] = {at_us for at_us, _seq, _hk, fn, _args in sim._queue if fn.__name__ == "_rekey_due"}
+    [rekey_us] = {at_us for at_us, _seq, _hk, fn, _args in sim.pending() if fn.__name__ == "_rekey_due"}
     sent = {"h1": [], "h2": []}
     for t_us in range(rekey_us - 10_000, rekey_us + 10_000, 100):  # every 100 us around the rekey and its retire
         sim.run_until(t_us / 1_000_000)
@@ -891,13 +891,38 @@ def test_every_queue_push_goes_through_schedule(monkeypatch, jitter_s):
     seq = sim._seq
     sim.set_control_state("s2", True)
     assert pushes[-len(held):] == [(0, "deliver")] * len(held)
-    assert [args[0] for _at, s, _hk, _fn, args in sorted(sim._queue) if s > seq] == held
+    assert [args[0] for _at, s, _hk, _fn, args in sim.pending() if s > seq] == held
     sim.run_until(8.0)
     assert {"_deliver", "_retire_old_sa"} <= {name for _, name in pushes}
-    assert len(pushes) == sim.events_processed + len(sim._queue)
+    assert len(pushes) == sim.events_processed + len(sim.pending())
     assert all(type(delay_us) is int for delay_us, _ in pushes)
-    assert all(type(at_us) is int for at_us, *_ in sim._queue)
+    assert all(type(at_us) is int for at_us, *_ in sim.pending())
     assert "<lambda>" not in {name for _, name in pushes}
+
+
+def test_a_counter_read_by_name_agrees_with_the_dump():
+    """`get` reads one name, live or named, and returns 0 for a name that
+    no count goes by, exactly as a lookup in `as_dict` would."""
+    sim = build(chain_spec(3).with_params(discovery_interval=1, rekey_interval=2, grace=1), seed=1)
+    sim.quiesce()
+    for i in range(3):  # traffic across two rekeys: retired SAs' counts move to named counters
+        sim.run_until(sim.now_s() + 1.5)
+        sim.host_send("h1", sim.hosts["h2"].mac, 0x0800, b"a%d" % i)
+        sim.host_send("h2", sim.hosts["h1"].mac, 0x0800, b"b%d" % i)
+    sim.inject_frame("s1-s2", "a2b", b"\x00" * 10)  # a truncated frame: a drop count
+    sim.quiesce()
+    absent = [
+        "", "drop.none", "macsec.validated.x", "port.1", "port.1.rx.x", "port.01.rx", "port.+1.rx",
+        "port. 1.rx", "port.-1.rx", "port.-2.rx", "port.4.tx", "port.1.bytes", "sa.x.validated", "sa.999.failed",
+    ]
+    for switch in sim.switches.values():
+        counts = switch.counters.as_dict()
+        assert {"port", "sa", "macsec"} <= {name.split(".")[0] for name in counts}, switch.chassis_id
+        names = [*counts, *absent] + [
+            f"sa.{sai}.{kind}" for sai in switch.tables.sa for kind in ("validated", "failed", "protected")
+        ]
+        assert {n: switch.counters.get(n) for n in names} == {n: counts.get(n, 0) for n in names}
+    assert sim.switches["s2"].counters.get("drop.truncated") == 1
 
 
 def test_validated_frame_with_a_short_lldp_typed_inner_frame_fails_closed():
