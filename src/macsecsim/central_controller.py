@@ -279,10 +279,7 @@ class CentralController:
     def _teardown_sc(self, key: LinkKey) -> None:
         """Delete each direction's current and staged generations at both ends; one
         replaced within the grace window goes with its retire, at most one grace later."""
-        record = self.sc_records.pop(key, None)
-        if record is None:
-            return
-        for d in record.directions.values():
+        for d in self.sc_records.pop(key).directions.values():
             sais = [d.sai] + ([d.next[0]] if d.next is not None else [])
             receiver_ops = [DeleteIgSc(sai=s) for s in sais] + [DeleteSa(sai=s) for s in sais]
             self._send(d.receiver, ScConfig(batch_id=None, ops=receiver_ops))

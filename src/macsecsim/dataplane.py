@@ -73,8 +73,10 @@ class Counters:
     `incr` keeps a named count.  The hot counts of a switch live as plain
     integers on its ports and SAs, and every read adds them in: `live` is
     the switch, whose `live_counts()` yields the non-zero ones as (name,
-    count) pairs and whose `live_count(name)` reads one.  A name appears
-    once its count is non-zero, whichever of the two holds it.
+    count) pairs and whose `live_count(name)` reads one.  `get` of a total
+    or of a name kept here reads no port or SA; a `port.`/`sa.` name is read
+    through the same enumeration as `as_dict`.  A name appears once its
+    count is non-zero, whichever of the two holds it.
     """
 
     def __init__(self, live: Switch | None = None):
@@ -162,7 +164,7 @@ _DROPS = {
 }
 
 
-ProtectHook = Callable[[bytes, bytes], None]  # (sak key, 12-byte IV)
+ProtectHook = Callable[[bytes, bytes, int], None]  # (sak key, SCI, PN)
 # (table, key, old value); no table holds None, so None means the row was absent
 UndoEntry = tuple[dict, object, object]
 
@@ -177,23 +179,11 @@ def _pop(table: dict, key) -> UndoEntry:
     return table, key, table.pop(key, None)
 
 
-_SA_COUNTS = ("validated", "failed", "protected")  # the SaEntry fields counted as `sa.<sai>.<field>`
-
-
 def _sa_counts(sai: int, sa: SaEntry) -> Iterator[tuple[str, int]]:
-    for kind in _SA_COUNTS:
+    for kind in ("validated", "failed", "protected"):  # the SaEntry fields counted as `sa.<sai>.<kind>`
         count = getattr(sa, kind)
         if count:
             yield f"sa.{sai}.{kind}", count
-
-
-def _index(text: str) -> int | None:
-    """The integer that prints as `text`, or None."""
-    try:
-        value = int(text)
-    except ValueError:
-        return None
-    return value if str(value) == text else None
 
 
 def run_pipeline(sw: Switch, ingress_port: int, data: bytes) -> PipelineResult:
@@ -213,7 +203,7 @@ def run_pipeline(sw: Switch, ingress_port: int, data: bytes) -> PipelineResult:
     tables = sw.tables
     if ether_type == ETHERTYPE_MACSEC:
         sai = tables.ig_sc.get((data[SCI_OFFSET:SECURE_DATA_OFFSET], data[ETH_HEADER_LEN] & 0x03))
-        sa = tables.sa.get(sai) if sai is not None else None
+        sa = tables.sa.get(sai)
         if sa is None:
             return _DROPS[DROP_UNKNOWN_SCI]
         pn = int.from_bytes(data[PN_OFFSET:SCI_OFFSET], "big")
@@ -270,7 +260,7 @@ class Switch:
     * ``on_packet_in(PacketIn)``     CPU-port message to the local controller
     * ``on_port_event(port, up)``    edge-triggered port status change
     * ``on_rekey_needed(sai, sci)``  egress SA ran out of packet numbers
-    * ``on_protect(sak_key, iv)``    observation point for IV uniqueness
+    * ``on_protect(sak_key, sci, pn)``  observation point for IV uniqueness
     """
 
     def __init__(self, chassis_id: str, mac: bytes, num_ports: int, *, pn_ceiling: int = MAX_PN):
@@ -308,7 +298,7 @@ class Switch:
         SA starts at PN 1 and the ceiling is at least 1, so that is once.
         """
         sai = self.tables.eg_sc.get(port)
-        sa = self.tables.sa.get(sai) if sai is not None else None
+        sa = self.tables.sa.get(sai)
         if sa is None:
             return None, DROP_NO_EGRESS_SC
         if sa.next_pn > self.pn_ceiling:
@@ -316,7 +306,7 @@ class Switch:
         pn = sa.next_pn
         sa.next_pn = pn + 1
         if self.on_protect is not None:
-            self.on_protect(sa.sak.key, sa.sci + pn.to_bytes(4, "big"))
+            self.on_protect(sa.sak.key, sa.sci, pn)
         protected = macsec_protect(sa.sak, sa.sci, pn, data, an=sa.an, confidentiality=sa.confidentiality)
         self.protected += 1
         sa.protected += 1
@@ -456,21 +446,16 @@ class Switch:
             yield from _sa_counts(sai, sa)
 
     def live_count(self, name: str) -> int:
-        """The integer count that `live_counts` names `name`, or 0."""
+        """The integer count that `live_counts` names `name`, or 0.
+
+        The totals are read directly, and a `port.`/`sa.` name is looked
+        up in the same enumeration as the dump."""
         if name == "macsec.validated":
             return self.validated
         if name == "macsec.protected":
             return self.protected
-        table, _, rest = name.partition(".")
-        key, _, kind = rest.partition(".")
-        if table == "port" and kind in ("rx", "tx"):
-            port = _index(key)
-            if port is not None and 0 <= port < len(self.rx):
-                return (self.rx if kind == "rx" else self.tx)[port]
-        elif table == "sa" and kind in _SA_COUNTS:
-            sa = self.tables.sa.get(_index(key))
-            if sa is not None:
-                return getattr(sa, kind)
+        if name.startswith(("port.", "sa.")):
+            return dict(self.live_counts()).get(name, 0)
         return 0
 
     # -- port state -----------------------------------------------------------

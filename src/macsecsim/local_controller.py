@@ -221,8 +221,7 @@ class LocalController:
         horizon = LINK_EXPIRY_INTERVALS * self.discovery_interval_us
         now = self._now()
         for port in list(self.local_view):
-            seen = self.last_seen_us.get(port)
-            if seen is None or now - seen > horizon:
+            if now - self.last_seen_us[port] > horizon:
                 self.counters.incr("discovery.expired")
                 self._forget_link(port)
 

@@ -7,8 +7,6 @@ from __future__ import annotations
 
 import random
 
-from .wire import SCI_LEN
-
 
 class RandomSource:
     def __init__(self, seed: int | None = None):
@@ -41,16 +39,17 @@ class RandomSource:
 class IvUniquenessRegistry:
     """Runtime assertion that no (key, IV) pair is ever used twice.
 
-    The IV is SCI + big-endian PN, so under one SCI IVs order as their PNs
-    do.  Keeping the highest IV per (key, SCI) and rejecting one that does
-    not exceed it catches every reuse in one entry per SA.
+    The IV is a fixed prefix (the SCI) followed by a counter (the PN).  A
+    channel is one (key, SCI) pair, and its PNs must strictly increase:
+    keeping the highest PN per channel and rejecting one that does not
+    exceed it catches every reuse in one entry per SA.
     """
 
     def __init__(self):
-        self._seen: dict[tuple[bytes, bytes], bytes] = {}
+        self._seen: dict[tuple[bytes, bytes], int] = {}
 
-    def observe(self, key: bytes, iv: bytes) -> None:
-        channel = (key, iv[:SCI_LEN])
-        if iv <= self._seen.get(channel, b""):
-            raise AssertionError(f"(SAK, IV) reuse or PN regression: iv={iv.hex()}")
-        self._seen[channel] = iv
+    def observe(self, key: bytes, sci: bytes, pn: int) -> None:
+        channel = (key, sci)
+        if pn <= self._seen.get(channel, 0):
+            raise AssertionError(f"(SAK, IV) reuse or PN regression: sci={sci.hex()} pn={pn}")
+        self._seen[channel] = pn

@@ -6,7 +6,7 @@ import pytest
 from macsecsim.audit import Violation, audit
 from macsecsim.central_controller import CentralController, link_key
 from macsecsim.crypto import LldpKey, lldp_seal, macsec_protect
-from macsecsim.dataplane import Counters
+from macsecsim.dataplane import Counters, SaEntry, Switch
 from macsecsim.errors import InvalidEntry, LivelockError, SpecError, UnknownLink
 from macsecsim.local_controller import LocalController
 from macsecsim.messages import DeleteIgSc, ScAck, ScConfig
@@ -985,3 +985,40 @@ def test_forwarded_hops_count_without_named_counters(monkeypatch):
             elif name.startswith("sa.") and name.endswith(".protected"):
                 counts[f"{chassis}:protected"] += n
     assert +counts == +rows
+
+
+def test_an_egress_sa_whose_pn_goes_back_fails_the_iv_check():
+    """Every protected frame reaches the simulation's IV registry: an egress
+    SA rewritten under the same SAI and SAK restarts at PN 1, and its next
+    frame is a (SAK, IV) reuse."""
+    sim = build(chain_spec(2), seed=1)
+    sim.quiesce()
+    sim.host_send("h1", b"\xff" * 6, 0x0800, b"first")
+    sim.quiesce()
+    s1 = sim.switches["s1"]
+    [sai] = s1.tables.eg_sc.values()
+    sa = s1.tables.sa[sai]
+    assert sa.next_pn > 1
+    s1.write_sa(SaEntry(sai=sai, sak=sa.sak, an=sa.an, sci=sa.sci, confidentiality=sa.confidentiality))
+    sim.host_send("h1", b"\xff" * 6, 0x0800, b"again")
+    with pytest.raises(AssertionError, match="reuse"):
+        sim.quiesce()
+
+
+def test_reading_a_total_or_a_named_count_walks_no_live_count(monkeypatch):
+    """The benchmark's per-pass counter reads stay O(1) per switch: `get`
+    answers totals and names kept by `incr` without enumerating ports or SAs."""
+    sim = build(chain_spec(2), seed=1)
+    sim.quiesce()
+    sim.host_send("h1", sim.hosts["h2"].mac, 0x0800, b"payload")
+    sim.inject_frame("s1-s2", "a2b", b"\x00" * 10)
+    sim.quiesce()
+    names = ("drop.truncated", "discovery.sent", "macsec.validated", "macsec.protected", "macsec.validate_failed")
+    expected = {(chassis, n): dump.get(n, 0) for chassis, dump in sim.counters_dump().items() for n in names}
+
+    def walk(self):
+        raise AssertionError("live_counts walked")
+
+    monkeypatch.setattr(Switch, "live_counts", walk)
+    assert {(c, n): sw.counters.get(n) for c, sw in sim.switches.items() for n in names} == expected
+    assert expected["s2", "drop.truncated"] == 1 and expected["s1", "macsec.protected"] > 0

@@ -23,25 +23,26 @@ def test_nonce_reuse_is_a_hard_error():
 
 def test_iv_registry_flags_reuse():
     reg = IvUniquenessRegistry()
-    reg.observe(b"k" * 16, b"i" * 12)
-    reg.observe(b"k" * 16, b"j" * 12)
+    sci = b"s" * 8
+    reg.observe(b"k" * 16, sci, 1)
+    reg.observe(b"k" * 16, sci, 2)
     with pytest.raises(AssertionError, match="reuse"):
-        reg.observe(b"k" * 16, b"i" * 12)
+        reg.observe(b"k" * 16, sci, 2)
 
 
 def test_iv_registry_rejects_a_pn_below_the_highest_seen():
     reg = IvUniquenessRegistry()
     sci = b"s" * 8
-    reg.observe(b"k" * 16, sci + (5).to_bytes(4, "big"))
+    reg.observe(b"k" * 16, sci, 5)
     with pytest.raises(AssertionError, match="PN regression"):
-        reg.observe(b"k" * 16, sci + (3).to_bytes(4, "big"))  # never used, but below 5
+        reg.observe(b"k" * 16, sci, 3)  # never used, but below 5
 
 
 def test_iv_registry_tracks_each_sci_under_a_key_on_its_own():
     reg = IvUniquenessRegistry()
-    reg.observe(b"k" * 16, b"a" * 8 + (5).to_bytes(4, "big"))
-    reg.observe(b"k" * 16, b"b" * 8 + (1).to_bytes(4, "big"))
-    reg.observe(b"k" * 16, b"b" * 8 + (2).to_bytes(4, "big"))
+    reg.observe(b"k" * 16, b"a" * 8, 5)
+    reg.observe(b"k" * 16, b"b" * 8, 1)
+    reg.observe(b"k" * 16, b"b" * 8, 2)
     with pytest.raises(AssertionError, match="reuse"):
-        reg.observe(b"k" * 16, b"b" * 8 + (2).to_bytes(4, "big"))
+        reg.observe(b"k" * 16, b"b" * 8, 2)
     assert len(reg._seen) == 2
