@@ -124,6 +124,9 @@ class CentralController:
         self._sai_seq = 0
         self._batch_seq = 0
         self._pending: dict[int, tuple[ScRecord, str]] = {}  # batch id -> (record, direction)
+        # Bound once: every channel's rekey and retire timers queue these two objects.
+        self._rekey_due = self._rekey_due
+        self._retire_old_sa = self._retire_old_sa
 
     def start(self) -> None:
         """Arm the periodic LLDP key rotation."""

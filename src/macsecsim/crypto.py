@@ -39,7 +39,6 @@ from .wire import (
     TCI_E,
     TCI_SC,
     EthernetFrame,
-    short_length_for,
 )
 
 KEY_LEN = 16  # AES-GCM-128
@@ -117,9 +116,10 @@ def macsec_protect(
         raise TruncatedFrame(f"{len(frame)} bytes is below the 14-byte Ethernet minimum")
     plaintext = frame[12:]
     tci = TCI_SC | (TCI_E | TCI_C if confidentiality else 0) | (an & 0x03)
-    tag_head = _SECTAG_HEAD.pack(ETHERTYPE_MACSEC, tci, short_length_for(len(plaintext)), pn)
+    size = len(plaintext)  # the secure data: SL carries its length below 48 bytes, else 0
+    tag_head = _SECTAG_HEAD.pack(ETHERTYPE_MACSEC, tci, size if size < 48 else 0, pn)
     header = frame[:12] + tag_head + sci
-    iv = sci + header[PN_OFFSET:SCI_OFFSET]
+    iv = sci + tag_head[4:]  # SCI, then the PN as packed in the tag
     if confidentiality:
         return header + sak.cipher.encrypt(iv, plaintext, header)
     # GMAC-style: no encryption, the ICV additionally covers the cleartext.

@@ -14,7 +14,10 @@ miss, goes through `Switch.flood`; a controller packet-out is sent verbatim.
 
 The tables are plain data.  The pipeline core, `run_pipeline`, is one pass
 over a switch: it reads the tables, counts each validation on the SA that
-checked it and protects through `Switch.protect`.  The `Switch` adds ports,
+checked it and protects through `Switch.protect`.  It returns a
+`PipelineResult`, a NamedTuple of (kind, egress port, bytes out, packet-in,
+drop reason) built from one tuple by `tuple.__new__`, in C; each drop
+reason has one shared result.  The `Switch` adds ports,
 counters, the CPU/notification hooks and the table writes, each checked and
 each returning its undo entry; the pipeline oracle diffs
 `Switch.process_ingress` against an independent interpreter.
@@ -43,7 +46,6 @@ from .wire import (
     SCI_OFFSET,
     SECURE_DATA_OFFSET,
     classify,
-    is_group_mac,
 )
 
 # Pipeline outcomes
@@ -147,12 +149,18 @@ class PacketIn:
 
 
 class PipelineResult(NamedTuple):
+    """What one pass did with a frame.  `run_pipeline` builds each result
+    from one 5-tuple with `tuple.__new__`, in C: the NamedTuple's own
+    `__new__` is Python and would cost a call frame per hop."""
+
     kind: str
     egress_port: Optional[int]
     bytes_out: Optional[bytes]
     packet_in: Optional[PacketIn]
     drop_reason: Optional[str]
 
+
+_result = tuple.__new__  # _result(PipelineResult, (kind, egress_port, bytes_out, packet_in, drop_reason))
 
 # One shared result per reason `run_pipeline` drops for; a result is never mutated.
 _DROPS = {
@@ -194,10 +202,11 @@ def run_pipeline(sw: Switch, ingress_port: int, data: bytes) -> PipelineResult:
     row (a secured port) leaves through `sw.protect`; the tables are
     otherwise read-only apart from the ingress PN floor.
     """
-    if len(data) < ETH_HEADER_LEN:
+    size = len(data)
+    if size < ETH_HEADER_LEN:
         return _DROPS[DROP_TRUNCATED]
     ether_type = data[12] << 8 | data[13]  # big-endian, at offset 12
-    if len(data) < MIN_FRAME_LEN.get(ether_type, ETH_HEADER_LEN):
+    if size < MIN_FRAME_LEN.get(ether_type, ETH_HEADER_LEN):
         return _DROPS[DROP_TRUNCATED]
 
     tables = sw.tables
@@ -226,22 +235,23 @@ def run_pipeline(sw: Switch, ingress_port: int, data: bytes) -> PipelineResult:
     # Discovery frames, sealed or nested in a validated frame, punt; they
     # are never forwarded or learned from.
     if ether_type == ETHERTYPE_LLDP:
-        return PipelineResult(PACKET_IN, None, None, PacketIn(ingress_port, data, REASON_LLDP_PUNT), None)
+        punt = PacketIn(ingress_port, data, REASON_LLDP_PUNT)
+        return _result(PipelineResult, (PACKET_IN, None, None, punt, None))
 
-    dst = data[:6]
-    if is_group_mac(dst):
-        return PipelineResult(FLOOD, None, data, None, None)
+    if data[0] & 0x01:  # the I/G bit: a group (broadcast or multicast) destination
+        return _result(PipelineResult, (FLOOD, None, data, None, None))
 
-    port = tables.mac.get(dst)
+    port = tables.mac.get(data[:6])
     if data[6:12] not in tables.mac or port is None:
-        return PipelineResult(PACKET_IN, None, None, PacketIn(ingress_port, data, REASON_MAC_MISS), None)
+        miss = PacketIn(ingress_port, data, REASON_MAC_MISS)
+        return _result(PipelineResult, (PACKET_IN, None, None, miss, None))
 
     out = data
     if port in tables.eg_sc:
         out, reason = sw.protect(port, data)
         if out is None:
             return _DROPS[reason]
-    return PipelineResult(FORWARD, port, out, None, None)
+    return _result(PipelineResult, (FORWARD, port, out, None, None))
 
 
 class Switch:
@@ -297,32 +307,35 @@ class Switch:
         The call that consumes the SA's last allowed PN signals a rekey; an
         SA starts at PN 1 and the ceiling is at least 1, so that is once.
         """
-        sai = self.tables.eg_sc.get(port)
-        sa = self.tables.sa.get(sai)
+        tables = self.tables
+        sai = tables.eg_sc.get(port)
+        sa = tables.sa.get(sai)
         if sa is None:
             return None, DROP_NO_EGRESS_SC
-        if sa.next_pn > self.pn_ceiling:
-            return None, DROP_PN_EXHAUSTED
         pn = sa.next_pn
+        if pn > self.pn_ceiling:
+            return None, DROP_PN_EXHAUSTED
         sa.next_pn = pn + 1
+        sak, sci = sa.sak, sa.sci
         if self.on_protect is not None:
-            self.on_protect(sa.sak.key, sa.sci, pn)
-        protected = macsec_protect(sa.sak, sa.sci, pn, data, an=sa.an, confidentiality=sa.confidentiality)
+            self.on_protect(sak.key, sci, pn)
+        protected = macsec_protect(sak, sci, pn, data, an=sa.an, confidentiality=sa.confidentiality)
         self.protected += 1
         sa.protected += 1
-        if sa.next_pn > self.pn_ceiling and self.on_rekey_needed is not None:
-            self.on_rekey_needed(sai, sa.sci)
+        if pn == self.pn_ceiling and self.on_rekey_needed is not None:
+            self.on_rekey_needed(sai, sci)
         return protected, None
 
     def handle_frame(self, port: int, data: bytes) -> PipelineResult:
         """Full ingress treatment of one frame delivered by the wire."""
         self.rx[port] += 1
         result = self.process_ingress(port, data)
-        if result.kind == FORWARD:
+        kind = result.kind
+        if kind == FORWARD:
             self._transmit(result.egress_port, result.bytes_out)
-        elif result.kind == FLOOD:
+        elif kind == FLOOD:
             self.flood(port, result.bytes_out)
-        elif result.kind == PACKET_IN and self.on_packet_in is not None:
+        elif kind == PACKET_IN and self.on_packet_in is not None:
             self.on_packet_in(result.packet_in)
         return result
 
@@ -330,8 +343,8 @@ class Switch:
         """Per-port egress processing for a flood: protect where an EG-SC exists."""
         protectable = classify(data) == "ethernet"
         emissions = []
-        for port in sorted(self.ports_up):
-            if port == ingress_port or not self.ports_up[port]:
+        for port, up in self.ports_up.items():  # built in port order; no port is ever added
+            if port == ingress_port or not up:
                 continue
             out = data
             if protectable and port in self.tables.eg_sc:
@@ -469,4 +482,4 @@ class Switch:
             self.on_port_event(port, up)
 
     def up_ports(self) -> list[int]:
-        return sorted(p for p, up in self.ports_up.items() if up)
+        return [p for p, up in self.ports_up.items() if up]

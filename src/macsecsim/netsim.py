@@ -30,6 +30,16 @@ Control messages between a switch and the central controller are queued
 at zero delay.  While a switch's control channel is cut they are held, in
 both directions, and queued in the order sent when it heals; no control
 message is ever lost.
+
+The callbacks queued with every event are bound once: `_deliver` and the
+central controller's `deliver` per `Simulation`, the central controller's
+rekey and retire timers per `CentralController`.  A local controller's
+`deliver` is bound per message, so a switch adds no object of its own.
+
+Every frame reaches a wire through one body, `_transmit`: it records the
+frame, drops it on a down link or a loss draw, draws the jitter and queues
+the delivery.  A switch's `on_transmit` is a `partial` of it; `host_send`
+and `inject_frame` queue it at zero delay.
 """
 
 from __future__ import annotations
@@ -108,7 +118,8 @@ class Simulation:
         self.controllers: dict[str, LocalController] = {}
         self.hosts: dict[str, Host] = {}
         self.links: dict[str, Link] = {}
-        # chassis -> port -> (link, direction a frame sent from that port takes)
+        # switch or host -> port -> (link, direction a frame sent from that port
+        # takes); a host sends from port 0
         self._attachments: dict[str, dict[int, tuple[Link, str]]] = {}
         # chassis -> (deliver, msg) held while its control channel is cut
         self._held: dict[str, list[tuple[Callable[[object], None], object]]] = {}
@@ -124,6 +135,10 @@ class Simulation:
             grace_us=to_us(self.params.effective_grace),
             macsec_encrypt=self.params.macsec_encrypt,
         )
+        # Bound once: every frame delivery and every message to the central
+        # controller queues one of these two objects, not a bound method of its own.
+        self._deliver = self._deliver
+        self._deliver_to_central = self.central.deliver
         self._build()
 
     # -- construction ------------------------------------------------------------
@@ -141,7 +156,7 @@ class Simulation:
                 pn_ceiling=self.params.pn_ceiling,
             )
             attachments = self._attachments[sw_spec.chassis_id] = {}
-            switch.on_transmit = partial(self._switch_transmit, attachments)
+            switch.on_transmit = partial(self._transmit, attachments)
             switch.on_protect = observe
             controller = LocalController(
                 switch,
@@ -177,6 +192,7 @@ class Simulation:
             self.hosts[host.name] = host
             self.links[link.name] = link
             self._attachments[host_spec.switch][host_spec.port] = (link, "a2b")
+            self._attachments[host.name] = {0: (link, "b2a")}
 
         # Ports with no cable attached have no carrier.
         for chassis, switch in self.switches.items():
@@ -254,7 +270,7 @@ class Simulation:
         self._send(chassis, self.controllers[chassis].deliver, msg)
 
     def _send_to_central(self, chassis: str, msg) -> None:
-        self._send(chassis, self.central.deliver, msg)
+        self._send(chassis, self._deliver_to_central, msg)
 
     def _send(self, chassis: str, deliver: Callable[[object], None], msg) -> None:
         held = self._held.get(chassis)
@@ -276,19 +292,22 @@ class Simulation:
 
     # -- wire ---------------------------------------------------------------------------
 
-    def _switch_transmit(self, attachments: dict[int, tuple[Link, str]], port: int, data: bytes) -> None:
+    def _transmit(self, attachments: dict[int, tuple[Link, str]], port: int, data: bytes) -> None:
+        """Put a frame on the wire at `port`: record it, then drop it (link
+        down, or lost to the loss draw) or queue its delivery one latency,
+        plus the jitter draw, later.  A port with no cable sends nothing.
+        Every frame, whether a switch, a host or `inject_frame` sends it,
+        goes through here."""
         attachment = attachments.get(port)
         if attachment is None:
             return
-        self._transmit_on_link(*attachment, data)
-
-    def _transmit_on_link(self, link: Link, direction: str, data: bytes) -> None:
+        link, direction = attachment
         index = self.trace.record(self._clock_us, link.name, direction, data)
         if not link.up:
             self.trace.drop(index, "link_down")
             return
-        params = self.params
-        if params.loss_probability > 0 and self.rng.uniform() < params.loss_probability:
+        loss = self.params.loss_probability
+        if loss > 0 and self.rng.uniform() < loss:
             self.trace.drop(index, "random_loss")
             return
         delay_us = link.latency_us
@@ -341,7 +360,7 @@ class Simulation:
             raise UnknownLink(name)
         if direction not in ("a2b", "b2a"):
             raise ValueError(f"direction must be a2b or b2a, not {direction!r}")
-        self.schedule(0, self._transmit_on_link, link, direction, data)
+        self.schedule(0, self._transmit, {0: (link, direction)}, 0, data)
 
     # -- hosts --------------------------------------------------------------------------------
 
@@ -350,7 +369,7 @@ class Simulation:
         if host is None:
             raise UnknownSwitch(f"unknown host {host_name!r}")
         frame = EthernetFrame(dst=dst_mac, src=host.mac, ether_type=ether_type, payload=payload)
-        self.schedule(0, self._transmit_on_link, host.link, "b2a", frame.to_bytes())
+        self.schedule(0, self._transmit, self._attachments[host_name], 0, frame.to_bytes())
 
     def host_recv(self, host_name: str) -> list[EthernetFrame]:
         host = self.hosts.get(host_name)

@@ -130,11 +130,6 @@ class SecTag:
         return cls(tci_an=tci_an, short_length=sl, packet_number=pn, sci=data[6:14])
 
 
-def short_length_for(secure_data_len: int) -> int:
-    """SL field value: the secure-data length when below 48, else 0."""
-    return secure_data_len if secure_data_len < 48 else 0
-
-
 @dataclass(frozen=True)
 class MacsecFrame:
     dst: bytes

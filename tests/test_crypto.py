@@ -183,6 +183,18 @@ def test_protect_and_validate_agree_with_oracle(confidentiality):
         assert macsec_validate(sak, sealed, confidentiality=confidentiality) == frame.to_bytes()
 
 
+@pytest.mark.parametrize("confidentiality", [True, False])
+@pytest.mark.parametrize("secure_data_len, short_length", [(47, 47), (48, 0)])
+def test_short_length_carries_secure_data_below_48_bytes(secure_data_len, short_length, confidentiality):
+    """SL, the SecTAG's second byte, is the secure data's length (EtherType
+    plus payload) below 48 bytes and 0 from 48 on."""
+    frame = ether(payload=bytes(secure_data_len - 2))
+    protected = macsec_protect(KEY, SCI, 9, frame.to_bytes(), confidentiality=confidentiality)
+    assert protected[15] == short_length
+    assert parse_frame(protected).sec_tag.short_length == short_length
+    assert protected == _oracle_seal(KEY, SCI, 9, 0, frame, confidentiality)
+
+
 def test_sak_builds_its_cipher_once_and_deep_copies_to_itself():
     sak = Sak(b"\x21" * 16)
     assert sak.cipher is sak.cipher

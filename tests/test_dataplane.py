@@ -1,4 +1,6 @@
+import copy
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,7 +31,7 @@ from macsecsim.wire import (
     parse_frame,
 )
 
-from pipeline_fuzz import run_equivalence_case
+from pipeline_fuzz import random_frame, random_state, run_equivalence_case
 
 SW_MAC = b"\x02\x00\x00\x00\x00\x01"
 PEER_MAC = b"\x02\x00\x00\x00\x00\x02"
@@ -451,6 +453,61 @@ def test_pipeline_equivalence_sample():
     rng = random.Random(0xDA7A)
     for _ in range(500):
         run_equivalence_case(rng)
+
+
+def _fuzz_switch(tables, ports_up, pn_ceiling):
+    """A switch over copies of the fuzz state that records what its hooks see."""
+    switch = Switch("fuzz", b"\x02\x00\x00\x00\x00\xff", len(ports_up), pn_ceiling=pn_ceiling)
+    switch.tables = copy.deepcopy(tables)
+    switch.ports_up = dict(ports_up)
+    switch.seen = []
+    switch.on_transmit = lambda port, data: switch.seen.append(("transmit", port, data))
+    switch.on_packet_in = lambda packet_in: switch.seen.append(("packet_in", packet_in))
+    switch.on_protect = lambda key, sci, pn: switch.seen.append(("protect", key, sci, pn))
+    switch.on_rekey_needed = lambda sai, sci: switch.seen.append(("rekey", sai, sci))
+    return switch
+
+
+def test_handle_frame_does_what_process_ingress_and_expand_flood_say():
+    """`handle_frame` on one switch against `process_ingress` on a twin, over
+    the fuzz corpus: the same result, PN state and counters, plus the ingress
+    port's rx, and as emissions the forwarded frame or the flood's fan-out,
+    each counted as tx on an up port and as `drop.port_down` on a down one."""
+    rng = random.Random(0xF0E1)
+    kinds = Counter()
+    for _ in range(600):
+        tables, ports_up, known_macs, pn_ceiling = random_state(rng)
+        data = random_frame(rng, tables, known_macs)
+        ingress = rng.randrange(1, len(ports_up) + 1)
+        switch = _fuzz_switch(tables, ports_up, pn_ceiling)
+        twin = _fuzz_switch(tables, ports_up, pn_ceiling)
+
+        result = switch.handle_frame(ingress, data)
+        expected = twin.process_ingress(ingress, data)
+        assert result == expected, data.hex()
+        kinds[result.kind] += 1
+
+        counts = Counter({f"port.{ingress}.rx": 1})
+        emissions = []
+        if expected.kind == FORWARD:
+            emissions = [(expected.egress_port, expected.bytes_out)]
+        elif expected.kind == FLOOD:
+            emissions = twin.expand_flood(ingress, expected.bytes_out)
+        elif expected.kind == PACKET_IN:
+            twin.seen.append(("packet_in", expected.packet_in))
+        for port, out in emissions:
+            if ports_up[port]:
+                twin.seen.append(("transmit", port, out))
+                counts[f"port.{port}.tx"] += 1
+            else:
+                counts["drop.port_down"] += 1
+        counts.update(twin.counters.as_dict())
+        assert switch.counters.as_dict() == dict(counts), data.hex()
+        assert switch.seen == twin.seen, data.hex()
+        assert {k: (v.next_pn, v.lowest_acceptable_pn) for k, v in switch.tables.sa.items()} == {
+            k: (v.next_pn, v.lowest_acceptable_pn) for k, v in twin.tables.sa.items()
+        }
+    assert set(kinds) == {FORWARD, FLOOD, PACKET_IN, DROP}
 
 
 def _minimal_frame(kind, switch):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -704,6 +705,37 @@ def test_latency_jitter_can_reorder_but_loses_nothing():
     assert [f.payload for f in sim.host_recv("h2")] == [b"a"]
 
 
+# Computed before the transmit path last changed; a different value means the
+# wire draws its loss and jitter in another order, or more or fewer times.
+LOSSY_JITTERED_DIGEST = "989eba21ab7f03858a1f63b38277c1ce8c7d38e35829f207924462145ee33140"
+
+
+def test_a_lossy_jittered_wire_draws_in_a_pinned_order():
+    """The wire's `rng.uniform()` draws (loss, then jitter, per transmit)
+    decide which frames are lost and when the rest arrive; a run at a fixed
+    seed must reproduce every trace row, drop annotation and host inbox."""
+    spec = chain_spec(3).with_params(
+        loss_probability=0.2, latency_jitter=0.0003, grace=0.002, discovery_interval=0.5, rekey_interval=1.0,
+    )
+    sim = Simulation(spec, seed=5)
+    sim.run_until(1.0)
+    h1, h2 = sim.hosts["h1"], sim.hosts["h2"]
+    for i in range(100):
+        sim.host_send("h1", h2.mac, 0x0800, b"a%d" % i)
+        sim.host_send("h2", h1.mac, 0x0800, b"b%d" % i)
+        sim.run_until(sim.now_s() + 0.01)
+    sim.quiesce()
+    digest = hashlib.sha256()
+    for rec in sim.trace.records:
+        digest.update(repr((rec.time_us, rec.link, rec.direction, rec.data.hex(), rec.dropped)).encode())
+    for name, host in sorted(sim.hosts.items()):
+        for at_us, frame in host.received:
+            digest.update(repr((name, at_us, frame.to_bytes().hex())).encode())
+    assert {rec.dropped for rec in sim.trace.records} >= {None, "random_loss"}
+    assert 0 < len(h1.received) < 100 and 0 < len(h2.received) < 100
+    assert digest.hexdigest() == LOSSY_JITTERED_DIGEST
+
+
 def test_quiesce_event_count_regression(hierarchical_spec):
     # Frozen measurement: initial discovery + channel deployment on the
     # shipped 7-switch fabric. Re-measure deliberately when control-plane
@@ -898,6 +930,33 @@ def test_every_queue_push_goes_through_schedule(monkeypatch, jitter_s):
     assert all(type(delay_us) is int for delay_us, _ in pushes)
     assert all(type(at_us) is int for at_us, *_ in sim.pending())
     assert "<lambda>" not in {name for _, name in pushes}
+
+
+def test_the_callbacks_queued_per_event_are_bound_once(monkeypatch):
+    """Frame deliveries, messages to the central controller and the rekey and
+    retire timers each queue one callable object for the whole run."""
+    queued = []  # keeps every queued callable alive, so distinct objects stay distinct
+    schedule = Simulation.schedule
+
+    def recording(self, delay_us, fn, *args, housekeeping=False):
+        queued.append(fn)
+        schedule(self, delay_us, fn, *args, housekeeping=housekeeping)
+
+    monkeypatch.setattr(Simulation, "schedule", recording)
+    sim = build(chain_spec(3).with_params(rekey_interval=2.0, grace=1.0), seed=1)
+    sim.quiesce()
+    for i in range(3):  # traffic both ways across the rekey rounds
+        sim.host_send("h1", sim.hosts["h2"].mac, 0x0800, b"a%d" % i)
+        sim.host_send("h2", sim.hosts["h1"].mac, 0x0800, b"b%d" % i)
+        sim.run_until(sim.now_s() + 2.5)
+    sim.quiesce()
+
+    for name, owner in [
+        ("_deliver", sim), ("deliver", sim.central), ("_rekey_due", sim.central), ("_retire_old_sa", sim.central),
+    ]:
+        fns = [fn for fn in queued if fn.__name__ == name and fn.__self__ is owner]
+        assert len(fns) > 1, name
+        assert len({id(fn) for fn in fns}) == 1, name
 
 
 def test_a_counter_read_by_name_agrees_with_the_dump():
