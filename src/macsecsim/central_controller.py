@@ -45,11 +45,11 @@ from .messages import (
     WriteIgSc,
     WriteSa,
 )
+from .topology import Endpoint
 from .wire import make_sci, sci_port
 
 log = logging.getLogger(__name__)
 
-Endpoint = tuple[str, int]
 LinkKey = tuple[Endpoint, Endpoint]
 
 
@@ -81,6 +81,10 @@ class ScDirection:
 
 @dataclass
 class ScRecord:
+    """A link's two channels.  Its "a2b" runs from the sorted key's first end,
+    which need not be the spec's `a` end that a trace row's or an `inject`'s a2b
+    starts from: for link s9-s10, spec'd s9:2 -> s10:1, "s10" sorts first."""
+
     key: LinkKey
     directions: dict[str, ScDirection]  # "a2b" / "b2a" relative to the sorted key
     state: str = "installing"  # installing | active | quarantined
@@ -270,8 +274,16 @@ class CentralController:
         """Delete a replaced generation's SA and IG-SC row, whatever became of the
         record meanwhile.  SAIs are never reused and the receiver deletes the row
         only while it names `old_sai`, so a newer generation under its AN keeps it."""
-        self._send(receiver, ScConfig(batch_id=None, ops=[DeleteIgSc(sai=old_sai), DeleteSa(sai=old_sai)]))
-        self._send(sender, ScConfig(batch_id=None, ops=[DeleteSa(sai=old_sai)]))
+        self._send_deletes(sender, receiver, [old_sai])
+
+    def _send_deletes(self, sender: str, receiver: str, sais: list[int], *, eg_sc_port: int | None = None) -> None:
+        """Delete one direction's generations `sais`, unacked: the receiver's IG-SC
+        rows, then its SAs; at the sender, the EG-SC row of `eg_sc_port` if one is
+        named, then its SAs."""
+        receiver_ops = [DeleteIgSc(sai=s) for s in sais] + [DeleteSa(sai=s) for s in sais]
+        sender_ops = [] if eg_sc_port is None else [DeleteEgSc(port=eg_sc_port)]
+        self._send(receiver, ScConfig(batch_id=None, ops=receiver_ops))
+        self._send(sender, ScConfig(batch_id=None, ops=sender_ops + [DeleteSa(sai=s) for s in sais]))
 
     def _quarantine(self, record: ScRecord, detail: str) -> None:
         record.state = "quarantined"
@@ -284,10 +296,7 @@ class CentralController:
         replaced within the grace window goes with its retire, at most one grace later."""
         for d in self.sc_records.pop(key).directions.values():
             sais = [d.sai] + ([d.next[0]] if d.next is not None else [])
-            receiver_ops = [DeleteIgSc(sai=s) for s in sais] + [DeleteSa(sai=s) for s in sais]
-            self._send(d.receiver, ScConfig(batch_id=None, ops=receiver_ops))
-            sender_ops = [DeleteEgSc(port=d.sender_port)] + [DeleteSa(sai=s) for s in sais]
-            self._send(d.sender, ScConfig(batch_id=None, ops=sender_ops))
+            self._send_deletes(d.sender, d.receiver, sais, eg_sc_port=d.sender_port)
 
     # -- rekeying -------------------------------------------------------------------
 
@@ -337,6 +346,8 @@ class CentralController:
         return [f"{status.upper():9s} {link_name(key)}" for key, status in sorted(self.link_map.items())]
 
     def dump_sc_records(self, *, unsafe_keys: bool = False) -> list[str]:
+        """One line per record, then one per direction, named as in `ScRecord`:
+        relative to the sorted key, not to the spec's a and b ends."""
         lines = []
         for key in sorted(self.sc_records):
             record = self.sc_records[key]

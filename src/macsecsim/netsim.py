@@ -36,10 +36,17 @@ central controller's `deliver` per `Simulation`, the central controller's
 rekey and retire timers per `CentralController`.  A local controller's
 `deliver` is bound per message, so a switch adds no object of its own.
 
+A link is a pair of the spec's ``(node, port)`` endpoints; a host end is
+``(host, 0)``, and a node is a switch when its name is in `switches`.  The
+inter-switch links are listed once, in spec order, at build time.
+
 Every frame reaches a wire through one body, `_transmit`: it records the
 frame, drops it on a down link or a loss draw, draws the jitter and queues
 the delivery.  A switch's `on_transmit` is a `partial` of it; `host_send`
-and `inject_frame` queue it at zero delay.
+and `inject_frame` queue it at zero delay.  A delivery checks carrier once,
+on the link: `set_link_state` is the one writer of a cabled switch port's
+state and keeps it equal to the link's, and a port with no cable is down
+from build, so a switch never sends from it.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ from .dataplane import DROP, Switch
 from .errors import LivelockError, TruncatedFrame, UnknownLink, UnknownSwitch
 from .local_controller import LocalController
 from .randomness import IvUniquenessRegistry, RandomSource
-from .topology import TopologySpec, to_us
+from .topology import Endpoint, TopologySpec, to_us
 from .trace import Trace, write_pcapng
 from .wire import EthernetFrame, parse_frame
 
@@ -66,27 +73,16 @@ QueueEntry = tuple[int, int, bool, Callable[..., None], tuple]  # (at_us, seq, h
 
 
 @dataclass
-class LinkEnd:
-    kind: str  # "switch" | "host"
-    name: str
-    port: int = 0
-
-
-@dataclass
 class Link:
     name: str
-    a: LinkEnd
-    b: LinkEnd
+    a: Endpoint  # a host end is (host, 0)
+    b: Endpoint
     latency_us: int
     up: bool = True
-    key: LinkKey = field(init=False)  # its central link-map key; a host end is (host, 0)
+    key: LinkKey = field(init=False)  # its central link-map key
 
     def __post_init__(self):
-        self.key = link_key((self.a.name, self.a.port), (self.b.name, self.b.port))
-
-    def end(self, direction: str) -> LinkEnd:
-        """Receiving end for a direction."""
-        return self.b if direction == "a2b" else self.a
+        self.key = link_key(self.a, self.b)
 
 
 @dataclass
@@ -118,6 +114,7 @@ class Simulation:
         self.controllers: dict[str, LocalController] = {}
         self.hosts: dict[str, Host] = {}
         self.links: dict[str, Link] = {}
+        self.interswitch_links: list[Link] = []  # in spec order
         # switch or host -> port -> (link, direction a frame sent from that port
         # takes); a host sends from port 0
         self._attachments: dict[str, dict[int, tuple[Link, str]]] = {}
@@ -170,29 +167,19 @@ class Simulation:
             self.controllers[sw_spec.chassis_id] = controller
 
         for link_spec in self.spec.links:
-            link = Link(
-                name=link_spec.name,
-                a=LinkEnd("switch", link_spec.a[0], link_spec.a[1]),
-                b=LinkEnd("switch", link_spec.b[0], link_spec.b[1]),
-                latency_us=latency_us,
-            )
-            self.links[link.name] = link
-            self._attachments[link_spec.a[0]][link_spec.a[1]] = (link, "a2b")
-            self._attachments[link_spec.b[0]][link_spec.b[1]] = (link, "b2a")
+            link = self._cable(Link(link_spec.name, link_spec.a, link_spec.b, latency_us))
+            self.interswitch_links.append(link)
 
         for host_spec in self.spec.hosts:
-            host = Host(name=host_spec.name, mac=host_spec.mac)
-            link = Link(
-                name=f"{host_spec.switch}-{host_spec.name}",
-                a=LinkEnd("switch", host_spec.switch, host_spec.port),
-                b=LinkEnd("host", host_spec.name),
-                latency_us=latency_us,
+            host = self.hosts[host_spec.name] = Host(name=host_spec.name, mac=host_spec.mac)
+            host.link = self._cable(
+                Link(
+                    name=f"{host_spec.switch}-{host.name}",
+                    a=(host_spec.switch, host_spec.port),
+                    b=(host.name, 0),
+                    latency_us=latency_us,
+                )
             )
-            host.link = link
-            self.hosts[host.name] = host
-            self.links[link.name] = link
-            self._attachments[host_spec.switch][host_spec.port] = (link, "a2b")
-            self._attachments[host.name] = {0: (link, "b2a")}
 
         # Ports with no cable attached have no carrier.
         for chassis, switch in self.switches.items():
@@ -203,6 +190,13 @@ class Simulation:
         for sw_spec in self.spec.switches:
             self.schedule(0, self.central.handle_register, sw_spec.chassis_id, sw_spec.mac)
         self.central.start()
+
+    def _cable(self, link: Link) -> Link:
+        """Attach a link's ends: a frame sent from `a` goes a2b, one from `b` b2a."""
+        self.links[link.name] = link
+        for (node, port), direction in ((link.a, "a2b"), (link.b, "b2a")):
+            self._attachments.setdefault(node, {})[port] = (link, direction)
+        return link
 
     # -- clock and event queue ------------------------------------------------------
 
@@ -295,13 +289,10 @@ class Simulation:
     def _transmit(self, attachments: dict[int, tuple[Link, str]], port: int, data: bytes) -> None:
         """Put a frame on the wire at `port`: record it, then drop it (link
         down, or lost to the loss draw) or queue its delivery one latency,
-        plus the jitter draw, later.  A port with no cable sends nothing.
-        Every frame, whether a switch, a host or `inject_frame` sends it,
-        goes through here."""
-        attachment = attachments.get(port)
-        if attachment is None:
-            return
-        link, direction = attachment
+        plus the jitter draw, later.  Every frame, whether a switch, a host
+        or `inject_frame` sends it, goes through here; a switch sends only
+        from an up port, and a port with no cable is down from build."""
+        link, direction = attachments[port]
         index = self.trace.record(self._clock_us, link.name, direction, data)
         if not link.up:
             self.trace.drop(index, "link_down")
@@ -316,20 +307,18 @@ class Simulation:
         self.schedule(delay_us, self._deliver, link, direction, data, index)
 
     def _deliver(self, link: Link, direction: str, data: bytes, index: int) -> None:
+        """Hand a frame to its receiving end, unless its link went down in flight."""
         if not link.up:
             self.trace.drop(index, "link_down")
             return
-        end = link.b if direction == "a2b" else link.a
-        if end.kind == "switch":
-            switch = self.switches[end.name]
-            if not switch.ports_up.get(end.port, False):
-                self.trace.drop(index, "port_down")
-                return
-            result = switch.handle_frame(end.port, data)
+        node, port = link.b if direction == "a2b" else link.a
+        switch = self.switches.get(node)
+        if switch is not None:
+            result = switch.handle_frame(port, data)
             if result.kind == DROP:
                 self.trace.drop(index, result.drop_reason)
         else:
-            host = self.hosts[end.name]
+            host = self.hosts[node]
             try:
                 frame = parse_frame(data)
             except TruncatedFrame:
@@ -342,6 +331,7 @@ class Simulation:
     # -- faults and attacks ----------------------------------------------------------------
 
     def set_link_state(self, name: str, up: bool) -> None:
+        """Cut or restore a link; its switch ports follow."""
         link = self.links.get(name)
         if link is None:
             raise UnknownLink(name)
@@ -349,9 +339,9 @@ class Simulation:
             return
         link.up = up
         log.debug("t=%dus link %s %s", self._clock_us, name, "up" if up else "down")
-        for end in (link.a, link.b):
-            if end.kind == "switch":
-                self.switches[end.name].set_port_state(end.port, up)
+        for node, port in (link.a, link.b):
+            if node in self.switches:
+                self.switches[node].set_port_state(port, up)
 
     def inject_frame(self, name: str, direction: str, data: bytes) -> None:
         """Deliver arbitrary bytes on a link as an adversary-in-the-middle."""
@@ -381,18 +371,10 @@ class Simulation:
 
     def ground_truth_links(self) -> set[LinkKey]:
         """Up inter-switch links, in global-link-map key form."""
-        return {
-            link.key
-            for link in self.links.values()
-            if link.up and link.a.kind == "switch" and link.b.kind == "switch"
-        }
+        return {link.key for link in self.interswitch_links if link.up}
 
     def interswitch_link_names(self) -> list[str]:
-        return [
-            link.name
-            for link in self.links.values()
-            if link.a.kind == "switch" and link.b.kind == "switch"
-        ]
+        return [link.name for link in self.interswitch_links]
 
     def trace_query(self, **kwargs):
         return self.trace.query(**kwargs)

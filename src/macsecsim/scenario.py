@@ -208,10 +208,9 @@ class ScenarioRunner:
     # -- assertion vocabulary ---------------------------------------------------
 
     def _link_key_for(self, name: str, line_no: int) -> LinkKey:
-        link = self.sim.links.get(name)
-        if link is None or link.a.kind != "switch" or link.b.kind != "switch":
+        if name not in self.sim.interswitch_link_names():
             raise ScriptError(f"line {line_no}: {name!r} is not an inter-switch link")
-        return link.key
+        return self.sim.links[name].key
 
     def _assert_link_map_matches_spec(self, args, line_no):
         found = audit(self.sim)

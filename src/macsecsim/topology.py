@@ -160,10 +160,6 @@ class TopologySpec:
             if f"{host.switch}-{host.name}" in names:
                 raise SpecError(f"host link name {host.switch}-{host.name} collides")
 
-    def adjacency(self) -> set[tuple[Endpoint, Endpoint]]:
-        """Ground-truth inter-switch links as canonical endpoint pairs."""
-        return {tuple(sorted((link.a, link.b))) for link in self.links}
-
     def with_params(self, **overrides) -> "TopologySpec":
         return replace(self, params=replace(self.params, **overrides))
 
@@ -182,7 +178,7 @@ class TopologySpec:
                 SwitchSpec(
                     chassis_id=str(s["id"]),
                     mac=mac_from_str(str(s["mac"])),
-                    num_ports=int(s["ports"]),
+                    num_ports=_int(s, "ports"),
                 )
                 for s in raw.get("switches") or []
             ]
@@ -191,7 +187,7 @@ class TopologySpec:
                     name=str(h["name"]),
                     mac=mac_from_str(str(h["mac"])),
                     switch=str(h["switch"]),
-                    port=int(h["port"]),
+                    port=_int(h, "port"),
                 )
                 for h in raw.get("hosts") or []
             ]
@@ -228,6 +224,14 @@ class TopologySpec:
             except yaml.YAMLError as exc:
                 raise SpecError(f"{path}: {exc}") from exc
         return cls.from_dict(raw)
+
+
+def _int(entry: dict, key: str) -> int:
+    """An entry's integer field: a float, a string or a bool is refused, not truncated."""
+    value = entry[key]
+    if type(value) is not int:
+        raise SpecError(f"{key} must be int, not {type(value).__name__}")
+    return value
 
 
 def _parse_endpoint(text: str) -> Endpoint:

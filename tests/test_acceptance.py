@@ -14,6 +14,7 @@ import pytest
 
 import gcm_oracle
 from macsecsim.audit import audit
+from macsecsim.central_controller import link_key
 from macsecsim.crypto import LldpKey, Sak, lldp_seal, macsec_protect, macsec_validate
 from macsecsim.errors import IntegrityFailure
 from macsecsim.netsim import Simulation, build
@@ -68,8 +69,9 @@ def _crit1_topology_fidelity(seed):
     spec = TopologySpec.from_yaml(SCENARIOS / "hierarchical.yaml")
     sim = build(spec, seed=seed)
     sim.quiesce()
-    assert len(spec.adjacency()) == 6
-    assert sim.central.confirmed_links() == spec.adjacency()
+    wiring = {link_key(link.a, link.b) for link in spec.links}
+    assert len(wiring) == 6
+    assert sim.central.confirmed_links() == wiring
     return sim
 
 
@@ -172,9 +174,9 @@ def _crit6_replay_defense(seed):
     switch_ends = {}
     for rec in sim.trace_query(classification="secure_lldp"):
         link = sim.links[rec.link]
-        end = link.end(rec.direction)
-        if end.kind == "switch":
-            switch_ends[rec.index] = (rec, end.name)
+        receiver, _ = link.b if rec.direction == "a2b" else link.a
+        if receiver in sim.switches:
+            switch_ends[rec.index] = (rec, receiver)
     rng = random.Random(seed)
     picks = rng.sample(sorted(switch_ends), 20)
     for index in picks:

@@ -1,13 +1,20 @@
 """Property tests: after any schedule of control partitions, link flaps and
 (in the second test) cross-link probe replays, and a heal of everything, the
-fabric converges and carries traffic."""
+fabric converges and carries traffic.  The carrier tests pin what lets a
+delivery check carrier once, on the link: through seeded flaps, a switch
+port's state mirrors its link's."""
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import SCENARIOS
 from macsecsim.audit import audit
 from macsecsim.netsim import build
-from macsecsim.topology import chain_spec
+from macsecsim.topology import TopologySpec, chain_spec
+from macsecsim.wire import EthernetFrame
 
 SPEC = chain_spec(3).with_params(discovery_interval=1, rekey_interval=4, grace=1, lldp_key_rotation=6)
 SWITCHES = ("s1", "s2", "s3")
@@ -81,3 +88,81 @@ def test_fabric_converges_after_any_fault_schedule_with_replayed_probes(schedule
             apply_fault(sim, kind, name, up)
         sim.run_until(sim.now_s() + seconds)
     heal_and_check(sim)
+
+
+# The carrier mirror: a cabled switch port is up exactly while its link is, and
+# a port with no cable is down, so a delivery need check carrier only on the link.
+CARRIER_SPECS = {
+    "hierarchical": lambda: TopologySpec.from_yaml(SCENARIOS / "hierarchical.yaml"),
+    "chain4": lambda: chain_spec(4),
+}
+
+
+def link_ends(spec):
+    """Each link's (a, b) endpoints, read from the spec; a host end is (host, 0)."""
+    ends = {link.name: (link.a, link.b) for link in spec.links}
+    ends.update({f"{h.switch}-{h.name}": ((h.switch, h.port), (h.name, 0)) for h in spec.hosts})
+    return ends
+
+
+def check_carrier_mirror(sim, cabled):
+    for chassis, switch in sim.switches.items():
+        for port, up in switch.ports_up.items():
+            name = cabled.get((chassis, port))
+            assert up == (name is not None and sim.links[name].up), (chassis, port, name)
+
+
+@pytest.mark.parametrize("spec_name", sorted(CARRIER_SPECS))
+def test_switch_ports_mirror_their_links_through_flaps(spec_name):
+    spec = CARRIER_SPECS[spec_name]()
+    sim = build(spec, seed=11)
+    ends = link_ends(spec)
+    cabled = {end: name for name, pair in ends.items() for end in pair}
+    names = sorted(ends)
+    rng = random.Random(11)
+    check_carrier_mirror(sim, cabled)
+    repeats = 0
+    for _ in range(40):
+        name, up = rng.choice(names), rng.random() < 0.5
+        repeats += sim.links[name].up == up
+        sim.set_link_state(name, up)
+        check_carrier_mirror(sim, cabled)
+        sim.run_until(sim.now_s() + rng.choice((0.0, 0.0005, 0.003, 2.0)))
+        check_carrier_mirror(sim, cabled)
+    assert repeats  # a flap to the state a link already has changes nothing
+
+
+def received(sim, node, port):
+    """Frames handed to a node's port: a switch port's rx count, a host's inbox."""
+    return sim.switches[node].rx[port] if node in sim.switches else len(sim.hosts[node].received)
+
+
+@pytest.mark.parametrize("spec_name", sorted(CARRIER_SPECS))
+def test_a_frame_crosses_a_down_up_flap_but_not_a_down_link(spec_name):
+    spec = CARRIER_SPECS[spec_name]()
+    sim = build(spec, seed=12)
+    sim.quiesce()
+    frame = EthernetFrame(dst=b"\xff" * 6, src=b"\x02\x00\x00\x00\x99\x99", ether_type=0x0800, payload=b"in flight")
+    data = frame.to_bytes()
+    for name, (a, b) in link_ends(spec).items():
+        for direction, (node, port) in (("a2b", b), ("b2a", a)):
+            before = received(sim, node, port)
+            sim.inject_frame(name, direction, data)
+            sim.run_until(sim.now_s())  # on the wire, one latency from its receiver
+            index = sim.trace_query(link=name, direction=direction)[-1].index
+            sim.set_link_state(name, False)
+            sim.set_link_state(name, True)
+            sim.quiesce()
+            assert sim.trace[index].dropped not in ("link_down", "port_down"), (name, direction)
+            assert received(sim, node, port) > before, (name, direction)
+
+            before = received(sim, node, port)
+            sim.inject_frame(name, direction, data)
+            sim.run_until(sim.now_s())
+            index = sim.trace_query(link=name, direction=direction)[-1].index
+            sim.set_link_state(name, False)
+            sim.quiesce()
+            assert sim.trace[index].dropped == "link_down", (name, direction)
+            assert received(sim, node, port) == before, (name, direction)
+            sim.set_link_state(name, True)
+            sim.quiesce()

@@ -19,7 +19,7 @@ from macsecsim.wire import (
     sci_port,
 )
 
-WIRE_DROPS = ("link_down", "port_down", "random_loss")
+WIRE_DROPS = ("link_down", "random_loss")
 
 
 def host_arrivals(sim) -> int:
@@ -491,7 +491,9 @@ def test_per_sa_counters_sum_to_the_switch_totals_across_rekeys():
     forged[PN_OFFSET] ^= 0x80
     sim.inject_frame(rec.link, rec.direction, bytes(forged))
     sim.quiesce()
-    receiver = sim.switches[sim.links[rec.link].end(rec.direction).name]
+    link = sim.links[rec.link]
+    chassis, _ = link.b if rec.direction == "a2b" else link.a
+    receiver = sim.switches[chassis]
     forged_sai = receiver.tables.ig_sc[(rec.data[SCI_OFFSET:SECURE_DATA_OFFSET], rec.data[14] & 0x03)]
 
     def per_sa(counts, kind):
@@ -669,10 +671,9 @@ def test_local_views_match_ground_truth_after_one_round(hierarchical_spec):
     sim = build(hierarchical_spec, seed=26)
     sim.quiesce()
     expected = {chassis: {} for chassis in sim.switches}
-    for link in sim.links.values():
-        if link.a.kind == "switch" and link.b.kind == "switch":
-            expected[link.a.name][link.a.port] = (link.b.name, link.b.port)
-            expected[link.b.name][link.b.port] = (link.a.name, link.a.port)
+    for link in sim.interswitch_links:
+        expected[link.a[0]][link.a[1]] = link.b
+        expected[link.b[0]][link.b[1]] = link.a
     for chassis, controller in sim.controllers.items():
         assert controller.local_view == expected[chassis], chassis
 
@@ -1030,12 +1031,12 @@ def test_forwarded_hops_count_without_named_counters(monkeypatch):
     rows = Counter()
     for rec in sim.trace.records:
         link = sim.links[rec.link]
-        sender, receiver = (link.a, link.b) if rec.direction == "a2b" else (link.b, link.a)
-        if sender.kind == "switch":
-            rows[f"{sender.name}:port.{sender.port}.tx"] += 1
-            rows[f"{sender.name}:protected"] += rec.classification == "macsec"
-        if receiver.kind == "switch" and rec.dropped not in WIRE_DROPS:
-            rows[f"{receiver.name}:port.{receiver.port}.rx"] += 1
+        (sender, s_port), (receiver, r_port) = (link.a, link.b) if rec.direction == "a2b" else (link.b, link.a)
+        if sender in sim.switches:
+            rows[f"{sender}:port.{s_port}.tx"] += 1
+            rows[f"{sender}:protected"] += rec.classification == "macsec"
+        if receiver in sim.switches and rec.dropped not in WIRE_DROPS:
+            rows[f"{receiver}:port.{r_port}.rx"] += 1
     counts = Counter()
     for chassis, dump in sim.counters_dump().items():
         for name, n in dump.items():
@@ -1081,3 +1082,25 @@ def test_reading_a_total_or_a_named_count_walks_no_live_count(monkeypatch):
     monkeypatch.setattr(Switch, "live_counts", walk)
     assert {(c, n): sw.counters.get(n) for c, sw in sim.switches.items() for n in names} == expected
     assert expected["s2", "drop.truncated"] == 1 and expected["s1", "macsec.protected"] > 0
+
+
+def test_a2b_names_the_spec_order_on_the_wire_and_the_key_order_in_a_record():
+    """Link s9-s10 is spec'd s9:2 -> s10:1, so its trace's a2b runs s9 -> s10;
+    its channel record is keyed by the sorted ends, and "s10" < "s9", so the
+    record's a2b runs s10 -> s9 and the wire's a2b is the record's b2a."""
+    sim = build(chain_spec(10), seed=31)
+    sim.quiesce()
+    h1, h2 = sim.hosts["h1"].mac, sim.hosts["h2"].mac
+    for i in range(3):
+        sim.host_send("h1", h2, 0x0800, b"east %d" % i)
+        sim.host_send("h2", h1, 0x0800, b"west %d" % i)
+        sim.quiesce()
+    record = sim.central.sc_records[sim.links["s9-s10"].key]
+    lines = sim.central.dump_sc_records()  # what `inspect scs` prints
+    at = lines.index("sc s10:1-s9:2 state=active")
+    assert lines[at + 1].startswith("  a2b s10:1->s9:2 sci=" + record.directions["a2b"].sci.hex())
+    for direction, record_direction in (("a2b", "b2a"), ("b2a", "a2b")):
+        rows = sim.trace_query(link="s9-s10", direction=direction, classification="macsec")
+        assert len(rows) == 3
+        assert {rec.data[SCI_OFFSET:SECURE_DATA_OFFSET] for rec in rows} == {record.directions[record_direction].sci}
+    assert record.directions["b2a"].sender == "s9"

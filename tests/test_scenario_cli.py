@@ -116,8 +116,9 @@ def test_no_sc_for_fails_on_an_orphan_sa_row():
     runner = _quiesced_runner("link down agg1-core\nquiesce\n")
     assert _expect(runner, "no_sc_for agg1-core").ok
     link = runner.sim.links["agg1-core"]
-    sender = runner.sim.switches[link.a.name]
-    sender.write_sa(SaEntry(sai=999, sak=Sak(b"\x01" * 16), an=0, sci=make_sci(sender.mac, link.a.port)))
+    chassis, port = link.a
+    sender = runner.sim.switches[chassis]
+    sender.write_sa(SaEntry(sai=999, sak=Sak(b"\x01" * 16), an=0, sci=make_sci(sender.mac, port)))
     result = _expect(runner, "no_sc_for agg1-core")
     assert not result.ok and result.detail == "record=False table_rows=True"
 

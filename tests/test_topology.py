@@ -1,5 +1,6 @@
 import pytest
 
+from macsecsim.central_controller import link_key
 from macsecsim.errors import SpecError
 from macsecsim.topology import SimParams, TopologySpec, chain_spec
 
@@ -21,7 +22,7 @@ def test_shipped_hierarchical_spec(hierarchical_spec):
     assert len(hierarchical_spec.switches) == 7
     assert len(hierarchical_spec.hosts) == 12
     assert len(hierarchical_spec.links) == 6
-    assert len(hierarchical_spec.adjacency()) == 6
+    assert len({link_key(link.a, link.b) for link in hierarchical_spec.links}) == 6
     assert hierarchical_spec.params.discovery_interval == 30.0
 
 
@@ -82,6 +83,12 @@ def test_unknown_sections_and_params_rejected():
         TopologySpec.from_dict(minimal(params={"control_latency": 0.0}))
 
 
+def first_entry(section, **fields):
+    """`minimal()`'s `section` with fields of its first entry overridden."""
+    first, *rest = minimal()[section]
+    return {section: [{**first, **fields}, *rest]}
+
+
 BAD_INPUT = [
     ("switches-not-a-list", {"switches": 5}, "switches must be a list"),
     ("hosts-not-a-list", {"hosts": "h1"}, "hosts must be a list"),
@@ -92,6 +99,12 @@ BAD_INPUT = [
     ("bool-duration", {"params": {"grace": True}}, "grace must be float | None"),
     ("float-seed", {"params": {"seed": 1.5}}, "seed must be int"),
     ("str-flag", {"params": {"macsec_encrypt": "yes"}}, "macsec_encrypt must be bool"),
+    # A port number is refused unless it is an int, never truncated to one.
+    ("float-ports", first_entry("switches", ports=2.7), "ports must be int, not float"),
+    ("bool-ports", first_entry("switches", ports=True), "ports must be int, not bool"),
+    ("str-ports", first_entry("switches", ports="2"), "ports must be int, not str"),
+    ("float-host-port", first_entry("hosts", port=1.9), "port must be int, not float"),
+    ("bool-host-port", first_entry("hosts", port=True), "port must be int, not bool"),
     ("zero-max-events", {"params": {"max_events": 0}}, "max_events must be >= 1"),
     ("zero-pn-ceiling", {"params": {"pn_ceiling": 0}}, "pn_ceiling must be in"),
     ("wide-pn-ceiling", {"params": {"pn_ceiling": 2**32}}, "pn_ceiling must be in"),
