@@ -4,9 +4,12 @@ The link map is each port's latest report: `reports` maps a port to the far
 end its latest `LinkDelta` names.  A link is confirmed while each of its
 ends reports the other, and each transition to or from confirmed deploys or
 tears down its secure channels; a report replaces only its own port's, so it
-never unseats a link between two other ports.  Channel installs are ordered
-receiver-ingress before sender-egress (at setup and rekey) so no in-flight
-frame ever meets a receiver that cannot validate it.
+never unseats a link between two other ports.  A port of a confirmed link
+drops a report of another far end, counted `linkmap.contested`: only a
+`None` report, from carrier loss or expiry, tears a confirmed link down.
+Channel installs are ordered receiver-ingress before sender-egress (at
+setup and rekey) so no in-flight frame ever meets a receiver that cannot
+validate it.
 
 Only a stage batch (an install or rekey of one direction's ingress or
 egress) carries a batch id and is acked.  In flight it holds the channel
@@ -94,7 +97,6 @@ class CentralController:
     def __init__(
         self,
         *,
-        now: Callable[[], int],
         schedule: Callable[..., None],
         send_to_local: Callable[[str, object], None],
         rng,
@@ -107,7 +109,6 @@ class CentralController:
         every interval is in whole microseconds of virtual time.
         `send_to_local(chassis, msg)` returns nothing: each message arrives,
         in order, though late if the switch's control channel is cut."""
-        self._now = now
         self._schedule = schedule
         self._send = send_to_local
         self._rng = rng
@@ -161,12 +162,19 @@ class CentralController:
             self.counters.incr("linkmap.unknown_switch")
             return
         reports, end, remote = self.reports, (delta.chassis_id, delta.port), delta.remote
-        if reports.get(end) == remote:
+        old = reports.get(end)
+        if old == remote:
             return
-        old = reports.pop(end, None)
         if old is not None and reports.get(old) == end:
+            if remote is not None:
+                # A real recabling drops carrier first, so another far end on a
+                # confirmed link is a probe replayed from elsewhere.
+                self.counters.incr("linkmap.contested")
+                return
             self._teardown_sc(link_key(end, old))
-        if remote is not None:
+        if remote is None:
+            del reports[end]
+        else:
             reports[end] = remote
             if reports.get(remote) == end:
                 self._deploy_sc(link_key(end, remote))

@@ -17,10 +17,10 @@ over a switch: it reads the tables, counts each validation on the SA that
 checked it and protects through `Switch.protect`.  It returns a
 `PipelineResult`, a NamedTuple of (kind, egress port, bytes out, packet-in,
 drop reason) built from one tuple by `tuple.__new__`, in C; each drop
-reason has one shared result.  The `Switch` adds ports,
-counters, the CPU/notification hooks and the table writes, each checked and
-each returning its undo entry; the pipeline oracle diffs
-`Switch.process_ingress` against an independent interpreter.
+reason has one shared result.  The `Switch` adds ports, counters, the
+CPU/notification hooks (an unwired hook does nothing) and the table
+writes, each checked and each returning its undo entry; the pipeline
+oracle diffs `Switch.process_ingress` against an independent interpreter.
 
 A forwarded hop counts in plain integers on the objects it touches: the
 switch's per-port `rx`/`tx` lists and its `validated`/`protected` totals,
@@ -177,6 +177,10 @@ ProtectHook = Callable[[bytes, bytes, int], None]  # (sak key, SCI, PN)
 UndoEntry = tuple[dict, object, object]
 
 
+def _unwired(*args) -> None:
+    """Every `Switch` hook until the embedding wires it: it does nothing."""
+
+
 def _put(table: dict, key, value) -> UndoEntry:
     entry = (table, key, table.get(key))
     table[key] = value
@@ -264,7 +268,7 @@ class Switch:
     `rx[port]`, `tx[port]`, `validated` and `protected` are the switch's
     hot counts; `counters` reads them, and its SAs' counts, by name.
 
-    The embedding (simulator or test) wires the hooks:
+    The embedding (simulator or test) wires the hooks; an unwired hook does nothing:
 
     * ``on_transmit(port, bytes)``   frame leaves a port
     * ``on_packet_in(PacketIn)``     CPU-port message to the local controller
@@ -284,11 +288,11 @@ class Switch:
         self.protected = 0
         self.counters = Counters(self)
         self.pn_ceiling = pn_ceiling
-        self.on_transmit: Callable[[int, bytes], None] | None = None
-        self.on_packet_in: Callable[[PacketIn], None] | None = None
-        self.on_port_event: Callable[[int, bool], None] | None = None
-        self.on_rekey_needed: Callable[[int, bytes], None] | None = None
-        self.on_protect: ProtectHook | None = None
+        self.on_transmit: Callable[[int, bytes], None] = _unwired
+        self.on_packet_in: Callable[[PacketIn], None] = _unwired
+        self.on_port_event: Callable[[int, bool], None] = _unwired
+        self.on_rekey_needed: Callable[[int, bytes], None] = _unwired
+        self.on_protect: ProtectHook = _unwired
 
     # -- frame path ---------------------------------------------------------
 
@@ -317,12 +321,11 @@ class Switch:
             return None, DROP_PN_EXHAUSTED
         sa.next_pn = pn + 1
         sak, sci = sa.sak, sa.sci
-        if self.on_protect is not None:
-            self.on_protect(sak.key, sci, pn)
+        self.on_protect(sak.key, sci, pn)
         protected = macsec_protect(sak, sci, pn, data, an=sa.an, confidentiality=sa.confidentiality)
         self.protected += 1
         sa.protected += 1
-        if pn == self.pn_ceiling and self.on_rekey_needed is not None:
+        if pn == self.pn_ceiling:
             self.on_rekey_needed(sai, sci)
         return protected, None
 
@@ -335,7 +338,7 @@ class Switch:
             self._transmit(result.egress_port, result.bytes_out)
         elif kind == FLOOD:
             self.flood(port, result.bytes_out)
-        elif kind == PACKET_IN and self.on_packet_in is not None:
+        elif kind == PACKET_IN:
             self.on_packet_in(result.packet_in)
         return result
 
@@ -369,8 +372,7 @@ class Switch:
             self.counters.incr(f"drop.{DROP_PORT_DOWN}")
             return
         self.tx[port] += 1
-        if self.on_transmit is not None:
-            self.on_transmit(port, data)
+        self.on_transmit(port, data)
 
     # -- table writes ---------------------------------------------------------
     # Each write checks its entry before it touches a table, so one that
@@ -478,8 +480,7 @@ class Switch:
         if port not in self.ports_up or self.ports_up[port] == up:
             return
         self.ports_up[port] = up
-        if self.on_port_event is not None:
-            self.on_port_event(port, up)
+        self.on_port_event(port, up)
 
     def up_ports(self) -> list[int]:
         return [p for p, up in self.ports_up.items() if up]

@@ -123,7 +123,6 @@ class Simulation:
 
         self._jitter_us = to_us(self.params.latency_jitter)
         self.central = CentralController(
-            now=self.now_us,
             schedule=self.schedule,
             send_to_local=self._send_to_local,
             rng=self.rng,

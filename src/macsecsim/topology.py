@@ -1,13 +1,15 @@
 """Topology specs: switches, hosts, links and run parameters.
 
 Specs live in human-editable YAML files; `TopologySpec.from_yaml` loads and
-validates one.  `chain_spec` builds the linear N-switch topologies used for
-end-to-end transparency checks.
+validates one, reading each mapping by one rule (`_read`): known keys, exact
+types, nothing coerced.  `chain_spec` builds the linear N-switch topologies
+used for end-to-end transparency checks.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields, replace
 
 import yaml
@@ -44,8 +46,10 @@ class LinkSpec:
 _DURATIONS = ("discovery_interval", "rekey_interval", "lldp_key_rotation", "grace", "link_latency", "latency_jitter")
 # The durations that re-arm a timer; each must be at least 1 µs once rounded.
 _PERIODS = ("discovery_interval", "rekey_interval", "lldp_key_rotation")
-# The value types each annotation admits; a bool is not a number here.
-_TYPES = {"float": (int, float), "float | None": (int, float, type(None)), "int": (int,), "bool": (bool,)}
+# The exact value types each kind admits: a bool is not a number, an int is a float,
+# and a spec section may be null, as an empty YAML section reads.
+_TYPES = {"float": (int, float), "float | None": (int, float, type(None)), "int": (int,), "bool": (bool,),
+          "str": (str,), "a list": (list, type(None)), "a mapping": (dict, type(None))}
 
 
 def to_us(seconds: float) -> int:
@@ -98,7 +102,14 @@ class SimParams:
         return self.discovery_interval if self.grace is None else self.grace
 
 
-_PARAM_FIELDS = set(SimParams.__dataclass_fields__)
+# The keys of each mapping in a spec, each with its value's kind in `_TYPES`;
+# a MAC's kind is None, as `_mac` checks its type itself.
+_ROOT = {"switches": "a list", "hosts": "a list", "links": "a list", "params": "a mapping"}
+_PARAMS = {f.name: f.type for f in fields(SimParams)}
+_SWITCH = {"id": "str", "mac": None, "ports": "int"}
+_HOST = {"name": "str", "mac": None, "switch": "str", "port": "int"}
+_LINK = {"a": "str", "b": "str", "name": "str"}
+_MAC = re.compile(r"[0-9A-Fa-f]{1,2}(?::[0-9A-Fa-f]{1,2}){5}")
 
 
 @dataclass
@@ -165,54 +176,28 @@ class TopologySpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TopologySpec":
-        if not isinstance(raw, dict):
-            raise SpecError("spec root must be a mapping")
-        unknown = set(raw) - {"switches", "hosts", "links", "params"}
-        if unknown:
-            raise SpecError(f"unknown spec sections: {sorted(unknown)}")
-        for name, kind in (("switches", list), ("hosts", list), ("links", list), ("params", dict)):
-            if raw.get(name) is not None and not isinstance(raw[name], kind):
-                raise SpecError(f"{name} must be a {'list' if kind is list else 'mapping'}")
-        try:
-            switches = [
-                SwitchSpec(
-                    chassis_id=str(s["id"]),
-                    mac=mac_from_str(str(s["mac"])),
-                    num_ports=_int(s, "ports"),
-                )
-                for s in raw.get("switches") or []
-            ]
-            hosts = [
-                HostSpec(
-                    name=str(h["name"]),
-                    mac=mac_from_str(str(h["mac"])),
-                    switch=str(h["switch"]),
-                    port=_int(h, "port"),
-                )
-                for h in raw.get("hosts") or []
-            ]
-        except (KeyError, ValueError, TypeError) as exc:
-            raise SpecError(f"bad switch/host entry: {exc}") from exc
-
-        links = []
-        taken = set()
+        """A spec from plain data, as `yaml.safe_load` reads it; `_read` reads each of its mappings."""
+        _read(raw, "spec root", "spec sections", _ROOT)
+        switches = []
+        for s in raw.get("switches") or []:
+            _read(s, "switch entry", "switch keys", _SWITCH, required=_SWITCH)
+            switches.append(SwitchSpec(chassis_id=s["id"], mac=_mac(s["mac"]), num_ports=s["ports"]))
+        hosts = []
+        for h in raw.get("hosts") or []:
+            _read(h, "host entry", "host keys", _HOST, required=_HOST)
+            hosts.append(HostSpec(name=h["name"], mac=_mac(h["mac"]), switch=h["switch"], port=h["port"]))
+        links, taken = [], set()
         for entry in raw.get("links") or []:
-            try:
-                a = _parse_endpoint(entry["a"])
-                b = _parse_endpoint(entry["b"])
-            except (KeyError, TypeError) as exc:
-                raise SpecError(f"bad link entry {entry!r}: {exc}") from exc
-            name = entry.get("name") or _default_link_name(a, b, taken)
+            _read(entry, "link entry", "link keys", _LINK, required=("a", "b"))
+            a, b = _parse_endpoint(entry["a"]), _parse_endpoint(entry["b"])
+            name = entry.get("name", _default_link_name(a, b, taken))
+            if not name:
+                raise SpecError("link name must be a non-empty string")
             taken.add(name)
             links.append(LinkSpec(name=name, a=a, b=b))
-
         params_raw = raw.get("params") or {}
-        bad = set(params_raw) - _PARAM_FIELDS
-        if bad:
-            raise SpecError(f"unknown params: {sorted(bad)}")
-        params = SimParams(**params_raw)
-
-        spec = cls(switches=switches, hosts=hosts, links=links, params=params)
+        _read(params_raw, "params", "params", _PARAMS)
+        spec = cls(switches=switches, hosts=hosts, links=links, params=SimParams(**params_raw))
         spec.validate()
         return spec
 
@@ -226,22 +211,36 @@ class TopologySpec:
         return cls.from_dict(raw)
 
 
-def _int(entry: dict, key: str) -> int:
-    """An entry's integer field: a float, a string or a bool is refused, not truncated."""
-    value = entry[key]
-    if type(value) is not int:
-        raise SpecError(f"{key} must be int, not {type(value).__name__}")
-    return value
+def _read(raw, what: str, keys: str, schema: dict[str, str | None], required=()) -> None:
+    """Check one mapping of a spec: `raw` is a dict, its keys are `schema`'s
+    and include `required`, and each value's exact type is one its kind in
+    `_TYPES` admits.  Nothing is coerced."""
+    if type(raw) is not dict:
+        raise SpecError(f"{what} must be a mapping, not {type(raw).__name__}")
+    unknown = raw.keys() - schema
+    if unknown:
+        raise SpecError(f"unknown {keys}: {sorted(unknown, key=repr)}")
+    missing = [key for key in required if key not in raw]
+    if missing:
+        raise SpecError(f"{what} lacks {missing}")
+    for key, value in raw.items():
+        kind = schema[key]
+        if kind is not None and type(value) not in _TYPES[kind]:
+            raise SpecError(f"{key} must be {kind}, not {type(value).__name__}")
+
+
+def _mac(value) -> bytes:
+    """Six ':'-separated octets of one or two hex digits each."""
+    if type(value) is not str or not _MAC.fullmatch(value):
+        raise SpecError(f"bad MAC address {value!r}")
+    return mac_from_str(value)
 
 
 def _parse_endpoint(text: str) -> Endpoint:
-    chassis, _, port = str(text).partition(":")
-    if not port:
-        raise SpecError(f"endpoint {text!r} must look like 'switch:port'")
-    try:
-        return chassis, int(port)
-    except ValueError as exc:
-        raise SpecError(f"endpoint {text!r} has a non-numeric port") from exc
+    chassis, _, port = text.partition(":")
+    if not (port.isascii() and port.isdigit()):
+        raise SpecError(f"endpoint {text!r} must look like 'switch:port', the port in decimal digits")
+    return chassis, int(port)
 
 
 def _default_link_name(a: Endpoint, b: Endpoint, taken: set[str]) -> str:

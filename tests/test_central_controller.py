@@ -32,7 +32,6 @@ class Harness:
         self.scheduled = []
         self.outbox = []
         self.central = CentralController(
-            now=lambda: self.time_us,
             schedule=lambda delay_us, fn, *args, housekeeping=False: self.scheduled.append(
                 [self.time_us + delay_us, fn, args, housekeeping]
             ),
@@ -143,16 +142,31 @@ def test_remove_demotes_and_tears_down():
     assert KEY_12 not in h.central.link_map
 
 
-def test_conflicting_report_recables():
+def test_a_conflicting_report_leaves_a_confirmed_link_alone():
     h = Harness()
     h.register_all("s1", "s2", "s3")
     h.confirm_link()
-    h.central.handle_link_delta(LinkDelta("s1", 2, ("s3", 1)))
-    # s1's report replaces only its own: s2's report of s1:2 stands until s2 changes it.
-    assert h.central.link_map[KEY_12] == "reported"
-    assert KEY_12 not in h.central.sc_records
-    new_key = link_key(("s1", 2), ("s3", 1))
-    assert h.central.link_map[new_key] == "reported"
+    record = h.central.sc_records[KEY_12]
+    sent = len(h.outbox)
+    h.central.handle_link_delta(LinkDelta("s1", 2, ("s3", 1)))  # e.g. a probe of s3:1 replayed to s1:2
+    # Only carrier loss or expiry (a None report) moves a confirmed link's end.
+    assert h.central.link_map == {KEY_12: "confirmed"}
+    assert h.central.sc_records == {KEY_12: record} and record.state == "active"
+    assert h.central.counters.get("linkmap.contested") == 1
+    assert h.outbox[sent:] == []
+
+
+def test_a_report_still_steers_a_port_whose_link_is_only_reported():
+    """The hole the contested rule leaves: until its link is confirmed, a
+    port takes any far end, so a replayed probe replaces its report."""
+    h = Harness()
+    h.register_all("s1", "s2", "s3")
+    h.central.handle_link_delta(LinkDelta("s1", 2, ("s2", 4)))
+    h.central.handle_link_delta(LinkDelta("s1", 2, ("s3", 1)))  # e.g. a probe of s3:1 replayed to s1:2
+    h.central.handle_link_delta(LinkDelta("s2", 4, ("s1", 2)))
+    assert h.central.link_map == {link_key(("s1", 2), ("s3", 1)): "reported", KEY_12: "reported"}
+    assert h.central.sc_records == {}
+    assert h.central.counters.get("linkmap.contested") == 0
 
 
 def test_a_report_never_unseats_a_link_between_two_other_ports():

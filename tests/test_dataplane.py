@@ -355,6 +355,25 @@ def test_port_events_are_edge_triggered():
     assert events == [(1, False), (1, True)]
 
 
+def test_a_switch_with_no_hook_wired_does_every_step():
+    """An unwired hook does nothing: a bare switch forwards, floods, punts
+    LLDP, protects at its PN ceiling and flaps a port without one."""
+    switch = make_switch(num_ports=3, pn_ceiling=1)
+    install_egress_sa(switch, port=2, sai=3)
+    switch.write_mac(H1, 1)
+    switch.write_mac(H2, 2)
+    assert switch.handle_frame(1, ether().to_bytes()).kind == FORWARD  # spends PN 1, the ceiling
+    assert switch.handle_frame(1, ether(dst=b"\xff" * 6).to_bytes()).kind == FLOOD
+    lldp = b"\x01\x80\xc2\x00\x00\x0e" + PEER_MAC + b"\x88\xcc" + bytes(12) + bytes(4) + b"x" * 8 + bytes(16)
+    assert switch.handle_frame(3, lldp).kind == PACKET_IN
+    switch.set_port_state(3, False)
+    switch.set_port_state(3, True)
+    assert switch.ports_up[3]
+    assert switch.counters.get("sa.3.protected") == 1
+    assert switch.counters.get("drop.pn_exhausted") == 1  # the flood's copy to port 2
+    assert switch.tx == [0, 0, 1, 1]
+
+
 def test_egress_pn_strictly_monotonic():
     switch = make_switch()
     install_egress_sa(switch, port=2, sai=3)

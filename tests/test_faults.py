@@ -1,6 +1,7 @@
 """Property tests: after any schedule of control partitions, link flaps and
 (in the second test) cross-link probe replays, and a heal of everything, the
-fabric converges and carries traffic.  The carrier tests pin what lets a
+fabric converges and carries traffic.  A replayed probe never unprotects a
+confirmed link.  The carrier tests pin what lets a
 delivery check carrier once, on the link: through seeded flaps, a switch
 port's state mirrors its link's."""
 
@@ -76,8 +77,9 @@ def test_fabric_converges_after_any_fault_schedule(schedule):
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(schedule=st.lists(st.one_of(steps, replays), max_size=6))
 def test_fabric_converges_after_any_fault_schedule_with_replayed_probes(schedule):
-    """A probe replayed onto another link changes only the receiving port's
-    report, so the real neighbour's next probe puts the link back."""
+    """A probe replayed onto another link changes at most the receiving
+    port's report, and only while that port's link is unconfirmed, so the
+    real neighbour's next probe puts the link back."""
     sim = build(SPEC, seed=3)
     for step in schedule:
         if step[0][0] == "replay":
@@ -88,6 +90,28 @@ def test_fabric_converges_after_any_fault_schedule_with_replayed_probes(schedule
             apply_fault(sim, kind, name, up)
         sim.run_until(sim.now_s() + seconds)
     heal_and_check(sim)
+
+
+def test_a_replayed_probe_leaves_a_confirmed_link_protected():
+    """s3's probe from s3:2, replayed to s1:2, names another far end for a
+    confirmed link: the report is contested and dropped, so the link keeps
+    its channels and no frame crosses it in the clear."""
+    sim = build(chain_spec(5).with_params(discovery_interval=1), seed=1)
+    sim.quiesce()
+    for src, dst in (("h1", "h2"), ("h2", "h1")):
+        sim.host_send(src, sim.hosts[dst].mac, 0x0800, b"learn")
+    sim.quiesce()
+    sim.run_until(sim.now_s() + 0.5)
+    replay_latest_probe(sim, ("s3-s4", "a2b"), ("s1-s2", "b2a"))
+    payloads = [b"frame %d" % i for i in range(20)]
+    for payload in payloads:
+        sim.host_send("h1", sim.hosts["h2"].mac, 0x0800, payload)
+        sim.run_until(sim.now_s() + 0.05)
+    sim.run_until(sim.now_s() + 3)
+    assert sim.trace_query(link="s1-s2", classification="ethernet") == []
+    assert [f.payload for f in sim.host_recv("h2")] == [b"learn", *payloads]
+    assert sim.central.counters.get("linkmap.contested") == 1
+    assert audit(sim) == []
 
 
 # The carrier mirror: a cabled switch port is up exactly while its link is, and

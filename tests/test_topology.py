@@ -1,4 +1,5 @@
 import pytest
+import yaml
 
 from macsecsim.central_controller import link_key
 from macsecsim.errors import SpecError
@@ -105,6 +106,27 @@ BAD_INPUT = [
     ("str-ports", first_entry("switches", ports="2"), "ports must be int, not str"),
     ("float-host-port", first_entry("hosts", port=1.9), "port must be int, not float"),
     ("bool-host-port", first_entry("hosts", port=True), "port must be int, not bool"),
+    # A name is a string: a YAML number is refused, not renamed (YAML 1.1 reads 010 as octal 8).
+    ("octal-switch-id", first_entry("switches", id=yaml.safe_load("010")), "id must be str, not int"),
+    ("int-host-name", first_entry("hosts", name=7), "name must be str, not int"),
+    ("int-host-switch", first_entry("hosts", switch=10), "switch must be str, not int"),
+    ("int-link-name", first_entry("links", name=8), "name must be str, not int"),
+    ("list-link-name", first_entry("links", name=["x"]), "name must be str, not list"),
+    ("empty-link-name", first_entry("links", name=""), "link name must be a non-empty string"),
+    # A key no entry knows is refused, not ignored.
+    ("unknown-switch-key", first_entry("switches", vlan=3), "unknown switch keys"),
+    ("unknown-host-key", first_entry("hosts", vlan=3), "unknown host keys"),
+    ("unknown-link-key", first_entry("links", latency=0.5), "unknown link keys"),
+    # An entry is a mapping holding every key it needs, and a MAC is hex octets, not what int(x, 16) reads.
+    ("switch-not-a-mapping", {"switches": ["s1"]}, "switch entry must be a mapping, not str"),
+    ("switch-without-mac", {"switches": [{"id": "s1", "ports": 2}]}, r"switch entry lacks \['mac'\]"),
+    ("link-without-b", {"links": [{"a": "s1:1"}]}, r"link entry lacks \['b'\]"),
+    ("signed-mac-octet", first_entry("switches", mac="02:00:00:00:00:+1"), "bad MAC"),
+    # An endpoint's port is ASCII decimal digits, not whatever int() accepts.
+    *[
+        (f"endpoint-{case}", first_entry("links", a=f"s1:{port}"), "must look like 'switch:port'")
+        for case, port in (("sign", "+1"), ("underscore", "1_0"), ("arabic-indic", "\u0661"))
+    ],
     ("zero-max-events", {"params": {"max_events": 0}}, "max_events must be >= 1"),
     ("zero-pn-ceiling", {"params": {"pn_ceiling": 0}}, "pn_ceiling must be in"),
     ("wide-pn-ceiling", {"params": {"pn_ceiling": 2**32}}, "pn_ceiling must be in"),
