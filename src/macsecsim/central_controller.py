@@ -220,20 +220,22 @@ class CentralController:
                 sak=self._new_sak(),
             )
         record = self.sc_records[key] = ScRecord(key=key, directions=directions)
-        for name, direction in directions.items():
-            self._send_stage(record, name, direction, stage="ingress")
+        for name in directions:
+            self._send_stage(record, name)
 
-    def _send_stage(self, record: ScRecord, name: str, d: ScDirection, *, stage: str) -> None:
-        """Write one direction's SA to the receiver's ingress ("ingress") or
-        the sender's egress ("egress"), tracking the batch until it is acked.
+    def _send_stage(self, record: ScRecord, name: str) -> None:
+        """Write one direction's SA to the stage its phase names, the
+        receiver's ingress (`ingress_pending`) or the sender's egress
+        (`egress_pending`), tracking the batch until it is acked.
 
         A rekey writes the staged generation `d.next`.  The EG-SC row is what
         secures the sender's port: from that write on, every frame leaving the
         port is protected.
         """
+        d = record.directions[name]
         sai, an, sak = d.next if d.next is not None else (d.sai, d.an, d.sak)
         ops = [WriteSa(sai=sai, an=an, sak=sak, sci=d.sci, confidentiality=self.macsec_encrypt)]
-        if stage == "ingress":
+        if d.phase == "ingress_pending":
             chassis = d.receiver
             ops.append(WriteIgSc(sai=sai))
         else:
@@ -258,7 +260,7 @@ class CentralController:
             self._quarantine(record, f"{stage} install on {chassis}: {ack.detail}")
         elif ingress:
             d.phase = "egress_pending"
-            self._send_stage(record, direction, d, stage="egress")
+            self._send_stage(record, direction)
         else:
             self._finish_activation(record, direction, d)
 
@@ -323,7 +325,7 @@ class CentralController:
         d.phase = "ingress_pending"
         d.next = (self._next_sai(), (d.an + 1) % 4, self._new_sak())
         self.counters.incr("channels.rekey")
-        self._send_stage(record, direction, d, stage="ingress")
+        self._send_stage(record, direction)
 
     def handle_pn_exhausted(self, msg: PnExhausted) -> None:
         self.counters.incr("channels.pn_exhausted")

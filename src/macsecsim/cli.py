@@ -75,15 +75,13 @@ def _inspect(args) -> int:
         if not args.arg:
             raise UnknownQuery("tables needs a switch argument")
         print(format_tables(sim, args.arg, unsafe_keys=args.unsafe_dump_keys), end="")
-    elif query == "counters":
+    else:  # "counters"; the parser's `choices` refuse any other query
         if not args.arg:
             raise UnknownQuery("counters needs a switch argument")
         if args.arg not in sim.switches:
             raise UnknownSwitch(args.arg)
         for name, value in sim.switches[args.arg].counters.as_dict().items():
             print(f"{name} {value}")
-    else:
-        raise UnknownQuery(query)
     return 0
 
 

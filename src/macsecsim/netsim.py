@@ -34,7 +34,8 @@ message is ever lost.
 The callbacks queued with every event are bound once: `_deliver` and the
 central controller's `deliver` per `Simulation`, the central controller's
 rekey and retire timers per `CentralController`.  A local controller's
-`deliver` is bound per message, so a switch adds no object of its own.
+`deliver` is bound per message, and every local controller shares one
+`_send_to_central`, which reads the switch from the message.
 
 A link is a pair of the spec's ``(node, port)`` endpoints; a host end is
 ``(host, 0)``, and a node is a switch when its name is in `switches`.  The
@@ -144,6 +145,7 @@ class Simulation:
         discovery_interval_us = to_us(self.params.discovery_interval)
         # One bound method each, shared by every switch and controller.
         now_us, schedule, observe = self.now_us, self.schedule, self.iv_registry.observe
+        send_to_central = self._send_to_central
         for sw_spec in self.spec.switches:
             switch = Switch(
                 sw_spec.chassis_id,
@@ -158,7 +160,7 @@ class Simulation:
                 switch,
                 now=now_us,
                 schedule=schedule,
-                send_to_central=partial(self._send_to_central, sw_spec.chassis_id),
+                send_to_central=send_to_central,
                 rng=self.rng,
                 discovery_interval_us=discovery_interval_us,
             )
@@ -262,8 +264,9 @@ class Simulation:
     def _send_to_local(self, chassis: str, msg) -> None:
         self._send(chassis, self.controllers[chassis].deliver, msg)
 
-    def _send_to_central(self, chassis: str, msg) -> None:
-        self._send(chassis, self._deliver_to_central, msg)
+    def _send_to_central(self, msg) -> None:
+        """Every message a local controller sends names its switch."""
+        self._send(msg.chassis_id, self._deliver_to_central, msg)
 
     def _send(self, chassis: str, deliver: Callable[[object], None], msg) -> None:
         held = self._held.get(chassis)

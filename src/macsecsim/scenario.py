@@ -12,7 +12,11 @@ Scripts are line-oriented text, `#` starts a comment:
 
 The confirmed link map is snapshotted at script start and before every
 inject; `expect link_map_unchanged` compares against the latest snapshot.
-Assertion failures are reported, never thrown.
+A failed assertion is reported, never thrown.  A malformed directive stops
+the script with a `ScriptError` naming its line: `parse_script` checks its
+words, and `ScenarioRunner.execute` relabels what its handler raises, a
+bare `ScriptError` or the simulator's `UnknownLink` or `UnknownSwitch`.
+Any other error, a `LivelockError` say, keeps its type.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from pathlib import Path
 
 from .audit import audit
 from .central_controller import LinkKey, link_name
-from .errors import ScriptError, UnknownLink
+from .errors import ScriptError, UnknownLink, UnknownSwitch
 from .netsim import Simulation
 from .topology import TopologySpec, to_us
 from .wire import mac_from_str
@@ -45,6 +49,12 @@ _DIRECTIVES = {
     "inject": (4, 4),
     "send": (4, 4),
     "expect": (1, 3),
+}
+
+# The arguments that must be one of a few fixed words: directive -> index -> (what, words).
+_WORDS = {
+    "link": {0: ("state", ("up", "down"))},
+    "inject": {1: ("direction", ("a2b", "b2a")), 2: ("payload", ("hex", "replay"))},
 }
 
 
@@ -100,119 +110,94 @@ def parse_script(text: str) -> list[Directive]:
             if name not in ASSERTIONS:
                 raise ScriptError(f"line {line_no}: unknown assertion {name!r}")
             if len(args) - 1 != ASSERTIONS[name]:
-                raise ScriptError(
-                    f"line {line_no}: assertion {name} takes {ASSERTIONS[name]} arguments"
-                )
-        if op == "link" and args[0] not in ("up", "down"):
-            raise ScriptError(f"line {line_no}: link takes up|down, got {args[0]!r}")
-        if op == "inject" and args[1] not in ("a2b", "b2a"):
-            raise ScriptError(f"line {line_no}: inject direction must be a2b|b2a")
-        if op == "inject" and args[2] not in ("hex", "replay"):
-            raise ScriptError(f"line {line_no}: inject payload must be hex|replay")
+                raise ScriptError(f"line {line_no}: assertion {name} takes {ASSERTIONS[name]} arguments")
+        for i, (what, words) in _WORDS.get(op, {}).items():
+            if args[i] not in words:
+                raise ScriptError(f"line {line_no}: {op} {what} must be {'|'.join(words)}, got {args[i]!r}")
         directives.append(Directive(line_no=line_no, op=op, args=args))
     return directives
 
 
-def _parse_payload(text: str, line_no: int) -> bytes:
+def _parse_payload(text: str) -> bytes:
     if text.startswith("text:"):
         return text[5:].encode("utf-8")
-    if text.startswith("hex:"):
-        body = text[4:]
-    else:
-        body = text
     try:
-        return bytes.fromhex(body)
+        return bytes.fromhex(text.removeprefix("hex:"))
     except ValueError as exc:
-        raise ScriptError(f"line {line_no}: bad payload {text!r}") from exc
+        raise ScriptError(f"bad payload {text!r}") from exc
 
 
 class ScenarioRunner:
     def __init__(self, spec: TopologySpec, directives: list[Directive], seed: int | None = None):
-        self.spec = spec
         self.directives = directives
         self.sim = Simulation(spec, seed=seed)
         self.report = Report()
         self._map_snapshot: set[LinkKey] = self.sim.central.confirmed_links()
 
     def execute(self) -> Report:
-        for directive in self.directives:
-            self._execute_one(directive)
+        for d in self.directives:
+            try:
+                getattr(self, f"_op_{d.op}")(*d.args)
+            except UnknownLink as exc:
+                raise ScriptError(f"line {d.line_no}: unknown link {exc.args[0]!r}") from exc
+            except (ScriptError, UnknownSwitch) as exc:  # the simulator names an unknown host itself
+                raise ScriptError(f"line {d.line_no}: {exc}") from exc
         return self.report
 
     # -- directives ---------------------------------------------------------
 
-    def _execute_one(self, d: Directive) -> None:
-        handler = getattr(self, f"_op_{d.op}")
-        handler(d)
-
-    def _op_run_until(self, d: Directive) -> None:
+    def _op_run_until(self, raw: str) -> None:
         try:
-            raw = d.args[0]
             t = self.sim.now_s() + float(raw[1:]) if raw.startswith("+") else float(raw)
         except ValueError as exc:
-            raise ScriptError(f"line {d.line_no}: bad time {d.args[0]!r}") from exc
+            raise ScriptError(f"bad time {raw!r}") from exc
         try:
             self.sim.run_until(t)
         except ValueError as exc:
-            raise ScriptError(f"line {d.line_no}: {exc}") from exc
+            raise ScriptError(str(exc)) from exc
 
-    def _op_quiesce(self, d: Directive) -> None:
+    def _op_quiesce(self) -> None:
         self.sim.quiesce()
 
-    def _op_link(self, d: Directive) -> None:
-        state, name = d.args
-        try:
-            self.sim.set_link_state(name, state == "up")
-        except UnknownLink as exc:
-            raise ScriptError(f"line {d.line_no}: unknown link {exc}") from exc
+    def _op_link(self, state: str, name: str) -> None:
+        self.sim.set_link_state(name, state == "up")
 
-    def _op_inject(self, d: Directive) -> None:
-        name, direction, kind, value = d.args
-        if name not in self.sim.links:
-            raise ScriptError(f"line {d.line_no}: unknown link {name!r}")
+    def _op_inject(self, name: str, direction: str, kind: str, value: str) -> None:
         if kind == "hex":
-            data = _parse_payload("hex:" + value, d.line_no)
+            data = _parse_payload("hex:" + value)
         else:
             try:
-                record = self.sim.trace[int(value)]
+                data = self.sim.trace[int(value)].data
             except (ValueError, IndexError) as exc:
-                raise ScriptError(f"line {d.line_no}: bad capture index {value!r}") from exc
-            data = record.data
+                raise ScriptError(f"bad capture index {value!r}") from exc
         self._map_snapshot = self.sim.central.confirmed_links()
         self.sim.inject_frame(name, direction, data)
 
-    def _op_send(self, d: Directive) -> None:
-        host, dst, ether_type, payload = d.args
-        if host not in self.sim.hosts:
-            raise ScriptError(f"line {d.line_no}: unknown host {host!r}")
-        if dst in self.sim.hosts:
-            dst_mac = self.sim.hosts[dst].mac
-        else:
-            try:
-                dst_mac = mac_from_str(dst)
-            except ValueError as exc:
-                raise ScriptError(f"line {d.line_no}: bad destination {dst!r}") from exc
+    def _op_send(self, host: str, dst: str, ether_type: str, payload: str) -> None:
+        try:
+            dst_mac = self.sim.hosts[dst].mac if dst in self.sim.hosts else mac_from_str(dst)
+        except ValueError as exc:
+            raise ScriptError(f"bad destination {dst!r}") from exc
         try:
             etype = int(ether_type, 0)
             if not 0 <= etype <= 0xFFFF:
                 raise ValueError("ether_type out of range")
         except ValueError as exc:
-            raise ScriptError(f"line {d.line_no}: bad ether_type {ether_type!r}") from exc
-        self.sim.host_send(host, dst_mac, etype, _parse_payload(payload, d.line_no))
+            raise ScriptError(f"bad ether_type {ether_type!r}") from exc
+        self.sim.host_send(host, dst_mac, etype, _parse_payload(payload))
 
-    def _op_expect(self, d: Directive) -> None:
-        name, args = d.args[0], d.args[1:]
-        ok, detail = getattr(self, f"_assert_{name}")(args, d.line_no)
-        self.report.results.append(AssertionResult(name=name, args=args, ok=ok, detail=detail))
+    def _op_expect(self, name: str, *args: str) -> None:
+        ok, detail = getattr(self, f"_assert_{name}")(*args)
+        self.report.results.append(AssertionResult(name=name, args=list(args), ok=ok, detail=detail))
 
     # -- assertion vocabulary ---------------------------------------------------
 
-    def _link_key_for(self, name: str, line_no: int) -> LinkKey:
+    def _link_key_for(self, name: str) -> LinkKey:
         if name not in self.sim.interswitch_link_names():
-            raise ScriptError(f"line {line_no}: {name!r} is not an inter-switch link")
+            raise ScriptError(f"{name!r} is not an inter-switch link")
         return self.sim.links[name].key
 
-    def _assert_link_map_matches_spec(self, args, line_no):
+    def _assert_link_map_matches_spec(self):
         found = audit(self.sim)
         missing = sorted(link_name(v.link) for v in found if v.kind == "missing_link")
         excess = sorted(link_name(v.link) for v in found if v.kind == "excess_link")
@@ -220,14 +205,14 @@ class ScenarioRunner:
             return True, f"{len(self.sim.central.confirmed_links())} links"
         return False, f"missing={missing} excess={excess}"
 
-    def _assert_link_map_unchanged(self, args, line_no):
+    def _assert_link_map_unchanged(self):
         confirmed = self.sim.central.confirmed_links()
         if confirmed == self._map_snapshot:
             return True, f"{len(confirmed)} links"
         return False, "confirmed set changed since snapshot"
 
-    def _assert_no_sc_for(self, args, line_no):
-        key = self._link_key_for(args[0], line_no)
+    def _assert_no_sc_for(self, link):
+        key = self._link_key_for(link)
         found = audit(self.sim)
         record = key in self.sim.central.sc_records
         # A record's rows are expected, so the audit names those it lacks;
@@ -237,8 +222,8 @@ class ScenarioRunner:
             return True, "no channel state"
         return False, f"record={record} table_rows={rows}"
 
-    def _assert_sc_exists_for(self, args, line_no):
-        key = self._link_key_for(args[0], line_no)
+    def _assert_sc_exists_for(self, link):
+        key = self._link_key_for(link)
         record = self.sim.central.sc_records.get(key)
         if record is None:
             return False, "record=False state=absent table_rows=False"
@@ -247,61 +232,46 @@ class ScenarioRunner:
             return True, "both directions installed"
         return False, f"record=True state={record.state} table_rows={rows}"
 
-    def _assert_all_interswitch_frames_protected(self, args, line_no):
-        target, from_t = args
+    def _assert_all_interswitch_frames_protected(self, target, from_t):
         try:
             t_min_us = to_us(float(from_t))
         except ValueError as exc:
-            raise ScriptError(f"line {line_no}: bad time {from_t!r}") from exc
+            raise ScriptError(f"bad time {from_t!r}") from exc
+        if target != "*" and target not in self.sim.links:
+            raise UnknownLink(target)
         names = self.sim.interswitch_link_names() if target == "*" else [target]
-        offending = 0
-        for name in names:
-            if name not in self.sim.links:
-                raise ScriptError(f"line {line_no}: unknown link {name!r}")
-            offending += len(
-                self.sim.trace_query(link=name, classification="ethernet", t_min_us=t_min_us)
-            )
+        frames = self.sim.trace_query(classification="ethernet", t_min_us=t_min_us)
+        offending = sum(record.link in names for record in frames)
         if offending == 0:
             return True, f"0 cleartext frames on {len(names)} links"
         return False, f"{offending} cleartext non-LLDP frames"
 
-    def _assert_counters_zero(self, args, line_no):
-        chassis, counter = args
+    def _assert_counters_zero(self, chassis, counter):
         switch = self.sim.switches.get(chassis)
         if switch is None:
-            raise ScriptError(f"line {line_no}: unknown switch {chassis!r}")
+            raise ScriptError(f"unknown switch {chassis!r}")
         value = switch.counters.total(counter)
-        if value == 0:
-            return True, f"{counter}=0"
-        return False, f"{counter}={value}"
+        return value == 0, f"{counter}={value}"
 
-    def _assert_payload_delivered(self, args, line_no):
-        host, payload = args
-        if host not in self.sim.hosts:
-            raise ScriptError(f"line {line_no}: unknown host {host!r}")
-        wanted = _parse_payload(payload, line_no)
+    def _assert_payload_delivered(self, host, payload):
         seen = [f.payload for f in self.sim.host_recv(host)]
-        if wanted in seen:
+        if _parse_payload(payload) in seen:
             return True, f"delivered in {len(seen)} frames"
         return False, f"not among {len(seen)} delivered frames"
 
-    def _assert_sak_rotated(self, args, line_no):
-        key = self._link_key_for(args[0], line_no)
-        record = self.sim.central.sc_records.get(key)
+    def _assert_sak_rotated(self, link):
+        record = self.sim.central.sc_records.get(self._link_key_for(link))
         if record is None:
             return False, "no channel record"
         counts = {name: d.rekey_count for name, d in record.directions.items()}
-        if all(c >= 1 for c in counts.values()):
-            return True, f"rekeys={counts}"
-        return False, f"rekeys={counts}"
+        return all(c >= 1 for c in counts.values()), f"rekeys={counts}"
 
 
 def format_counters(sim: Simulation) -> str:
     lines = []
     for chassis, counters in sim.counters_dump().items():
         lines.append(f"switch {chassis}")
-        for name, value in counters.items():
-            lines.append(f"  {name} {value}")
+        lines.extend(f"  {name} {value}" for name, value in counters.items())
     return "\n".join(lines) + "\n"
 
 

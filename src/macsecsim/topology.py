@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 import yaml
 
 from .errors import SpecError
-from .wire import MAX_PN, mac_from_str
+from .wire import MAX_PN, MAX_PORT, mac_from_str
 
 Endpoint = tuple[str, int]
 
@@ -129,8 +129,8 @@ class TopologySpec:
                 raise SpecError(f"duplicate switch id {sw.chassis_id!r}")
             if not 0 < len(sw.chassis_id.encode()) <= 64:
                 raise SpecError(f"switch id {sw.chassis_id!r} must be 1..64 bytes")
-            if sw.num_ports < 1:
-                raise SpecError(f"switch {sw.chassis_id}: needs at least one port")
+            if not 1 <= sw.num_ports <= MAX_PORT:
+                raise SpecError(f"switch {sw.chassis_id}: ports must be 1..{MAX_PORT}")
             if sw.mac in macs:
                 raise SpecError(f"duplicate MAC on switch {sw.chassis_id}")
             macs.add(sw.mac)
@@ -206,7 +206,7 @@ class TopologySpec:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 raw = yaml.safe_load(fh)
-            except yaml.YAMLError as exc:
+            except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer too long to read
                 raise SpecError(f"{path}: {exc}") from exc
         return cls.from_dict(raw)
 
@@ -238,8 +238,8 @@ def _mac(value) -> bytes:
 
 def _parse_endpoint(text: str) -> Endpoint:
     chassis, _, port = text.partition(":")
-    if not (port.isascii() and port.isdigit()):
-        raise SpecError(f"endpoint {text!r} must look like 'switch:port', the port in decimal digits")
+    if not (port.isascii() and port.isdigit() and len(port) <= 5):  # MAX_PORT has 5 digits
+        raise SpecError(f"endpoint {text!r} must look like 'switch:port', the port in 1 to 5 decimal digits")
     return chassis, int(port)
 
 

@@ -36,6 +36,7 @@ ICV_LEN = 16
 NONCE_LEN = 12
 SCI_LEN = 8
 MAX_PN = 2**32 - 1
+MAX_PORT = 0xFFFF  # a switch port is two bytes of an SCI and of an LLDP Port ID TLV
 
 # TCI bits within tci_an (low two bits carry the AN)
 TCI_SC = 0x20  # SCI explicitly present
@@ -214,7 +215,7 @@ class Lldpdu:
     def __post_init__(self):
         if not 0 < len(self.chassis_id) <= 64:
             raise ValueError("chassis id must be 1..64 bytes")
-        if not 0 <= self.port_id <= 0xFFFF:
+        if not 0 <= self.port_id <= MAX_PORT:
             raise ValueError("port id out of range")
 
     def encode(self) -> bytes:

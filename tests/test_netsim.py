@@ -340,10 +340,10 @@ def _run_two_rekeys(monkeypatch, swallow_retire=False):
             configs.append(msg)
         to_local(self, chassis, msg)
 
-    def recording_to_central(self, chassis, msg):
+    def recording_to_central(self, msg):
         if isinstance(msg, ScAck):
             acks.append(msg)
-        to_central(self, chassis, msg)
+        to_central(self, msg)
 
     def swallowing_deliver(self, msg):
         retire = isinstance(msg, ScConfig) and msg.batch_id is None and isinstance(msg.ops[0], DeleteIgSc)

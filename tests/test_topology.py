@@ -1,8 +1,10 @@
 import pytest
 import yaml
 
+from macsecsim.audit import audit
 from macsecsim.central_controller import link_key
 from macsecsim.errors import SpecError
+from macsecsim.netsim import build
 from macsecsim.topology import SimParams, TopologySpec, chain_spec
 
 
@@ -127,6 +129,15 @@ BAD_INPUT = [
         (f"endpoint-{case}", first_entry("links", a=f"s1:{port}"), "must look like 'switch:port'")
         for case, port in (("sign", "+1"), ("underscore", "1_0"), ("arabic-indic", "\u0661"))
     ],
+    # int() refuses a string of more than 4300 digits with a raw ValueError; a port has at most 5.
+    ("endpoint-5000-digits", first_entry("links", a="s1:" + "1" * 5000), "must look like 'switch:port'"),
+    # A port is two bytes of an SCI and of an LLDP Port ID TLV.
+    ("65536-ports", first_entry("switches", ports=65536), r"ports must be 1\.\.65535"),
+    (
+        "link-to-port-65537",
+        {**first_entry("switches", ports=70000), **first_entry("links", a="s1:65537")},
+        r"ports must be 1\.\.65535",
+    ),
     ("zero-max-events", {"params": {"max_events": 0}}, "max_events must be >= 1"),
     ("zero-pn-ceiling", {"params": {"pn_ceiling": 0}}, "pn_ceiling must be in"),
     ("wide-pn-ceiling", {"params": {"pn_ceiling": 2**32}}, "pn_ceiling must be in"),
@@ -160,6 +171,25 @@ def test_negative_durations_rejected(overrides, match):
     if isinstance(overrides.get("params"), dict):
         with pytest.raises(SpecError, match=match):
             chain_spec(2).with_params(**overrides["params"])
+
+
+def test_a_yaml_integer_too_long_to_read_is_a_spec_error(tmp_path):
+    """PyYAML raises a raw ValueError for an integer of more than 4300 digits."""
+    text = yaml.safe_dump(minimal())
+    assert "ports: 2" in text
+    path = tmp_path / "spec.yaml"
+    path.write_text(text.replace("ports: 2", "ports: " + "1" * 5000, 1), encoding="utf-8")
+    with pytest.raises(SpecError):
+        TopologySpec.from_yaml(path)
+
+
+def test_a_switch_may_have_65535_ports():
+    """The largest port two bytes carry is discovered and protected like any other."""
+    spec = TopologySpec.from_dict(minimal(**first_entry("switches", ports=65535), **first_entry("links", a="s1:65535")))
+    sim = build(spec, seed=1)
+    sim.quiesce()
+    assert sim.central.confirmed_links() == {link_key(("s1", 65535), ("s2", 1))}
+    assert audit(sim) == []
 
 
 def test_parallel_links_get_distinct_names():
