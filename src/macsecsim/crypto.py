@@ -101,10 +101,10 @@ def macsec_protect(
 ) -> bytes:
     """Transform an Ethernet frame into the bytes of a MACsec frame under one SA.
 
-    `frame` is the frame's bytes (or an EthernetFrame).  The original
-    EtherType and payload become the secure data (encrypted unless
-    confidentiality is off, in which case they ride in clear and are only
-    authenticated); the Ethernet header and the SecTAG are the AAD.
+    `frame` is the frame's bytes (or an EthernetFrame, which holds them).
+    The original EtherType and payload become the secure data (encrypted
+    unless confidentiality is off, in which case they ride in clear and are
+    only authenticated); the Ethernet header and the SecTAG are the AAD.
     """
     if isinstance(frame, EthernetFrame):
         frame = frame.to_bytes()

@@ -37,6 +37,10 @@ class UnknownSwitch(MacsecSimError):
     """A switch chassis id does not exist."""
 
 
+class UnknownHost(MacsecSimError):
+    """A host name does not exist."""
+
+
 class UnknownQuery(MacsecSimError):
     """An inspect query name is not part of the query vocabulary."""
 

@@ -61,7 +61,7 @@ from typing import Callable, Optional
 
 from .central_controller import CentralController, LinkKey, link_key
 from .dataplane import DROP, Switch
-from .errors import LivelockError, TruncatedFrame, UnknownLink, UnknownSwitch
+from .errors import LivelockError, TruncatedFrame, UnknownHost, UnknownLink, UnknownSwitch
 from .local_controller import LocalController
 from .randomness import IvUniquenessRegistry, RandomSource
 from .topology import Endpoint, TopologySpec, to_us
@@ -91,6 +91,7 @@ class Host:
     name: str
     mac: bytes
     link: Optional[Link] = None  # the host is its link's b end
+    # (arrival time, frame); each frame is a view over the very bytes of its trace row
     received: list[tuple[int, EthernetFrame]] = field(default_factory=list)
 
 
@@ -359,14 +360,14 @@ class Simulation:
     def host_send(self, host_name: str, dst_mac: bytes, ether_type: int, payload: bytes) -> None:
         host = self.hosts.get(host_name)
         if host is None:
-            raise UnknownSwitch(f"unknown host {host_name!r}")
+            raise UnknownHost(f"unknown host {host_name!r}")
         frame = EthernetFrame(dst=dst_mac, src=host.mac, ether_type=ether_type, payload=payload)
         self.schedule(0, self._transmit, self._attachments[host_name], 0, frame.to_bytes())
 
     def host_recv(self, host_name: str) -> list[EthernetFrame]:
         host = self.hosts.get(host_name)
         if host is None:
-            raise UnknownSwitch(f"unknown host {host_name!r}")
+            raise UnknownHost(f"unknown host {host_name!r}")
         return [frame for _, frame in host.received]
 
     # -- observation -----------------------------------------------------------------------------

@@ -15,8 +15,9 @@ inject; `expect link_map_unchanged` compares against the latest snapshot.
 A failed assertion is reported, never thrown.  A malformed directive stops
 the script with a `ScriptError` naming its line: `parse_script` checks its
 words, and `ScenarioRunner.execute` relabels what its handler raises, a
-bare `ScriptError` or the simulator's `UnknownLink` or `UnknownSwitch`.
-Any other error, a `LivelockError` say, keeps its type.
+bare `ScriptError` or the simulator's `UnknownLink`, `UnknownSwitch` or
+`UnknownHost`.  Any other error, a `LivelockError` or a fault inside an
+event handler say, keeps its type.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 
 from .audit import audit
 from .central_controller import LinkKey, link_name
-from .errors import ScriptError, UnknownLink, UnknownSwitch
+from .errors import ScriptError, UnknownHost, UnknownLink, UnknownSwitch
 from .netsim import Simulation
 from .topology import TopologySpec, to_us
 from .wire import mac_from_str
@@ -140,7 +141,7 @@ class ScenarioRunner:
                 getattr(self, f"_op_{d.op}")(*d.args)
             except UnknownLink as exc:
                 raise ScriptError(f"line {d.line_no}: unknown link {exc.args[0]!r}") from exc
-            except (ScriptError, UnknownSwitch) as exc:  # the simulator names an unknown host itself
+            except (ScriptError, UnknownSwitch, UnknownHost) as exc:
                 raise ScriptError(f"line {d.line_no}: {exc}") from exc
         return self.report
 
@@ -149,12 +150,12 @@ class ScenarioRunner:
     def _op_run_until(self, raw: str) -> None:
         try:
             t = self.sim.now_s() + float(raw[1:]) if raw.startswith("+") else float(raw)
+            target_us = to_us(t)
         except ValueError as exc:
             raise ScriptError(f"bad time {raw!r}") from exc
-        try:
-            self.sim.run_until(t)
-        except ValueError as exc:
-            raise ScriptError(str(exc)) from exc
+        if target_us < self.sim.now_us():
+            raise ScriptError("run_until target precedes current time")
+        self.sim.run_until(t)
 
     def _op_quiesce(self) -> None:
         self.sim.quiesce()
@@ -167,9 +168,12 @@ class ScenarioRunner:
             data = _parse_payload("hex:" + value)
         else:
             try:
-                data = self.sim.trace[int(value)].data
-            except (ValueError, IndexError) as exc:
-                raise ScriptError(f"bad capture index {value!r}") from exc
+                index = int(value)
+            except ValueError:
+                index = -1
+            if not 0 <= index < len(self.sim.trace):  # a negative index would count from the end
+                raise ScriptError(f"bad capture index {value!r}")
+            data = self.sim.trace[index].data
         self._map_snapshot = self.sim.central.confirmed_links()
         self.sim.inject_frame(name, direction, data)
 

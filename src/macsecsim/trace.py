@@ -57,6 +57,9 @@ class Trace:
         """Annotate the frame at `index` as refused by its receiver."""
         self._drops[index] = reason
 
+    def __len__(self) -> int:
+        return len(self._rows)
+
     def __getitem__(self, index: int) -> TraceRecord:
         """A view of one captured frame; a negative index counts from the end."""
         row = self._rows[index]

@@ -13,14 +13,17 @@ modeled.
 
 The simulator itself reads frames as bytes: the pipeline, MACsec protect
 and validate, and LLDP seal and open use the fixed offsets below.  Only a
-host NIC parses a delivered frame into one of the frame dataclasses, which
-otherwise serve tests and tools.
+host NIC parses a delivered frame, with `parse_frame`; the frame classes
+otherwise serve tests and tools.  An `EthernetFrame` is a view over its
+wire bytes: parsing one copies nothing, and its fields are read from those
+bytes when asked.  The MACsec and sealed-LLDP classes are dataclasses of
+their fields.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 from .errors import DecodeFailure, TruncatedFrame
 
@@ -88,21 +91,73 @@ def sci_port(sci: bytes) -> int:
     return struct.unpack(">H", sci[6:8])[0]
 
 
-@dataclass(frozen=True)
 class EthernetFrame:
-    dst: bytes
-    src: bytes
-    ether_type: int
-    payload: bytes
+    """A plain Ethernet frame, held as its bytes on the wire.
 
-    def __post_init__(self):
-        if len(self.dst) != 6 or len(self.src) != 6:
+    The frame keeps one immutable `bytes` and reads `dst`, `src`,
+    `ether_type` and `payload` from it when asked, so `parse_frame` wraps a
+    delivered frame without copying it.  It behaves as a frozen dataclass of
+    those four fields: the same constructor and checks, equality, hash and
+    repr, and `FrozenInstanceError` on assignment.
+    """
+
+    __slots__ = ("_data",)
+
+    def __init__(self, dst: bytes, src: bytes, ether_type: int, payload: bytes):
+        if len(dst) != 6 or len(src) != 6:
             raise ValueError("MAC addresses must be 6 bytes")
-        if not 0 <= self.ether_type <= 0xFFFF:
+        if not 0 <= ether_type <= 0xFFFF:
             raise ValueError("ether_type out of range")
+        object.__setattr__(self, "_data", bytes(dst + src + struct.pack(">H", ether_type) + payload))
+
+    @classmethod
+    def _view(cls, data: bytes) -> "EthernetFrame":
+        """The frame `data` holds, at least 14 bytes; exact bytes are not copied."""
+        frame = object.__new__(cls)
+        object.__setattr__(frame, "_data", bytes(data))
+        return frame
+
+    @property
+    def dst(self) -> bytes:
+        return self._data[:6]
+
+    @property
+    def src(self) -> bytes:
+        return self._data[6:12]
+
+    @property
+    def ether_type(self) -> int:
+        return self._data[12] << 8 | self._data[13]
+
+    @property
+    def payload(self) -> bytes:
+        return self._data[ETH_HEADER_LEN:]
 
     def to_bytes(self) -> bytes:
-        return self.dst + self.src + struct.pack(">H", self.ether_type) + self.payload
+        return self._data
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._data == other._data
+
+    def __hash__(self):
+        return hash(self._data)
+
+    def __repr__(self):
+        return (
+            f"{self.__class__.__qualname__}(dst={self.dst!r}, src={self.src!r}, "
+            f"ether_type={self.ether_type!r}, payload={self.payload!r})"
+        )
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__._view, (self._data,)
 
 
 @dataclass(frozen=True)
@@ -254,21 +309,21 @@ def read_lldpdu(data: bytes) -> tuple[bytes, int]:
 def parse_frame(data: bytes) -> Frame:
     """Classify raw bytes by the EtherType at offset 12 and parse them.
 
-    Ethernet is the fallback class; MACsec and sealed-LLDP frames raise
-    TruncatedFrame when shorter than their fixed minimum.
+    Ethernet is the fallback class, a view over `data` itself; MACsec and
+    sealed-LLDP frames raise TruncatedFrame when shorter than their fixed
+    minimum.
     """
     if len(data) < ETH_HEADER_LEN:
         raise TruncatedFrame(f"{len(data)} bytes is below the 14-byte Ethernet minimum")
-    dst, src = data[0:6], data[6:12]
-    ether_type = struct.unpack(">H", data[12:14])[0]
+    ether_type = data[12] << 8 | data[13]
 
     if ether_type == ETHERTYPE_MACSEC:
         if len(data) < MIN_MACSEC_LEN:
             raise TruncatedFrame(f"MACsec frame needs >= {MIN_MACSEC_LEN} bytes, got {len(data)}")
         sec_tag = SecTag.from_bytes(data[ETH_HEADER_LEN:SECURE_DATA_OFFSET])
         return MacsecFrame(
-            dst=dst,
-            src=src,
+            dst=data[0:6],
+            src=data[6:12],
             sec_tag=sec_tag,
             secure_data=data[SECURE_DATA_OFFSET:-ICV_LEN],
             icv=data[-ICV_LEN:],
@@ -280,15 +335,17 @@ def parse_frame(data: bytes) -> Frame:
         nonce = data[LLDP_NONCE_OFFSET:LLDP_SEQ_OFFSET]
         seq = int.from_bytes(data[LLDP_SEQ_OFFSET:LLDP_SEALED_OFFSET], "big")
         ciphertext, icv = data[LLDP_SEALED_OFFSET:-ICV_LEN], data[-ICV_LEN:]
-        return SecureLldpFrame(dst=dst, src=src, nonce=nonce, seq=seq, ciphertext=ciphertext, icv=icv)
+        return SecureLldpFrame(
+            dst=data[0:6], src=data[6:12], nonce=nonce, seq=seq, ciphertext=ciphertext, icv=icv
+        )
 
-    return EthernetFrame(dst=dst, src=src, ether_type=ether_type, payload=data[14:])
+    return EthernetFrame._view(data)
 
 
 def classify(data: bytes) -> str:
     """Trace-level classification: 'ethernet', 'macsec' or 'secure_lldp'."""
     if len(data) >= ETH_HEADER_LEN:
-        ether_type = struct.unpack(">H", data[12:14])[0]
+        ether_type = data[12] << 8 | data[13]
         if ether_type == ETHERTYPE_MACSEC:
             return "macsec"
         if ether_type == ETHERTYPE_LLDP:

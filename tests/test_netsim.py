@@ -8,7 +8,7 @@ from macsecsim.audit import Violation, audit
 from macsecsim.central_controller import CentralController, link_key
 from macsecsim.crypto import LldpKey, lldp_seal, macsec_protect
 from macsecsim.dataplane import Counters, SaEntry, Switch
-from macsecsim.errors import InvalidEntry, LivelockError, SpecError, UnknownLink
+from macsecsim.errors import InvalidEntry, LivelockError, SpecError, UnknownHost, UnknownLink, UnknownSwitch
 from macsecsim.local_controller import LocalController
 from macsecsim.messages import DeleteIgSc, ScAck, ScConfig
 from macsecsim.netsim import Simulation, build
@@ -188,6 +188,27 @@ def test_unknown_link_raises():
         sim.set_link_state("nope", False)
     with pytest.raises(UnknownLink):
         sim.inject_frame("nope", "a2b", b"\x00" * 20)
+
+
+def test_unknown_host_raises_its_own_error():
+    sim = build(chain_spec(2))
+    with pytest.raises(UnknownHost, match="^unknown host 'hx'$") as send:
+        sim.host_send("hx", b"\x02" * 6, 0x0800, b"hi")
+    with pytest.raises(UnknownHost, match="^unknown host 'hx'$") as recv:
+        sim.host_recv("hx")
+    assert not isinstance(send.value, UnknownSwitch) and not isinstance(recv.value, UnknownSwitch)
+
+
+def test_a_received_frame_is_a_view_over_its_trace_row():
+    sim = build(chain_spec(3), seed=1)
+    sim.quiesce()
+    sim.host_send("h1", sim.hosts["h2"].mac, 0x0800, b"zero-copy" * 20)
+    sim.quiesce()
+    frame = sim.hosts["h2"].received[-1][1]
+    assert frame.payload == b"zero-copy" * 20
+    link = sim.hosts["h2"].link.name
+    (i,) = [i for i, row in enumerate(sim.trace._rows) if row[1:] == (link, "a2b", frame.to_bytes())]
+    assert frame.to_bytes() is sim.trace._rows[i][3]
 
 
 def test_flood_reaches_all_hosts_and_learns_source(hierarchical_spec):

@@ -1,9 +1,9 @@
 """The scenario runner's error contract.
 
 A malformed directive stops the script with a `ScriptError` that names its
-line; an error raised inside the event loop (`LivelockError`) keeps its own
-type.  The README's assertion table lists the vocabulary `parse_script`
-accepts.
+line; an error raised inside the event loop (a `LivelockError`, or any fault
+of an event handler) keeps its own type.  The README's assertion table lists
+the vocabulary `parse_script` accepts.
 """
 
 import re
@@ -23,11 +23,13 @@ BAD_DIRECTIVES = [
     ("inject wormhole a2b hex 00", "unknown link"),
     ("inject agg1-core a2b hex zz", "bad payload"),
     ("inject agg1-core a2b replay 99999", "capture index"),
+    ("inject agg1-core a2b replay -1", "capture index"),
     ("send hx h2 0x0800 text:hi", "unknown host"),
     ("send h1 nowhere 0x0800 text:hi", "bad destination"),
     ("send h1 h2 0x10000 text:hi", "bad ether_type"),
     ("send h1 h2 0x0800 hex:zz", "bad payload"),
     ("run_until 1", "precedes current time"),
+    ("run_until nan", "bad time"),
     *[
         (f"expect {assertion} {link}", "not an inter-switch link")
         for assertion in ("no_sc_for", "sc_exists_for", "sak_rotated")
@@ -59,6 +61,18 @@ def test_a_bad_directive_is_a_script_error_naming_its_line(line, keyword):
 def test_a_livelock_inside_a_script_stays_a_livelock(line):
     runner = _runner(f"{line}\n", max_events=50)
     with pytest.raises(LivelockError):
+        runner.execute()
+
+
+@pytest.mark.parametrize("line", ["quiesce", "run_until 5"])
+def test_a_fault_inside_the_event_loop_keeps_its_type(line):
+    runner = _runner(f"{line}\n")
+
+    def fault():
+        raise ValueError("fault in an event handler")
+
+    runner.sim.schedule(1_000, fault)
+    with pytest.raises(ValueError, match="^fault in an event handler$"):
         runner.execute()
 
 

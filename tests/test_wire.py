@@ -1,4 +1,7 @@
+import copy
+import pickle
 import struct
+from dataclasses import FrozenInstanceError, dataclass
 
 import pytest
 from hypothesis import given
@@ -78,6 +81,77 @@ def test_ethernet_round_trip(dst, src, ether_type, payload):
     assert len(raw) == 14 + len(payload)
     if ether_type not in (ETHERTYPE_MACSEC, ETHERTYPE_LLDP):
         assert parse_frame(raw) == frame
+
+
+@dataclass(frozen=True)
+class ReferenceEthernetFrame:
+    """The frozen dataclass `EthernetFrame` was before it held its wire
+    bytes: four fields, checked once, serialized on each `to_bytes`."""
+
+    dst: bytes
+    src: bytes
+    ether_type: int
+    payload: bytes
+
+    def __post_init__(self):
+        if len(self.dst) != 6 or len(self.src) != 6:
+            raise ValueError("MAC addresses must be 6 bytes")
+        if not 0 <= self.ether_type <= 0xFFFF:
+            raise ValueError("ether_type out of range")
+
+    def to_bytes(self) -> bytes:
+        return self.dst + self.src + struct.pack(">H", self.ether_type) + self.payload
+
+
+def _built(cls, *fields):
+    try:
+        return cls(*fields)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+ether_fields = st.tuples(macs, macs, st.integers(0, 0xFFFF), st.binary(max_size=64))
+bad_ether_fields = st.tuples(
+    st.sampled_from([b"\x02" * 5, b"\x02" * 6, b"\x02" * 7]),
+    st.sampled_from([b"\x04" * 5, b"\x04" * 6, b"\x04" * 7]),
+    st.sampled_from([-1, 0, 0xFFFF, 0x10000]),
+    st.binary(max_size=8),
+)
+
+
+@given(fields=st.one_of(ether_fields, bad_ether_fields), other=ether_fields)
+def test_ethernet_frame_agrees_with_the_reference_dataclass(fields, other):
+    frame, reference = _built(EthernetFrame, *fields), _built(ReferenceEthernetFrame, *fields)
+    if isinstance(frame, tuple) or isinstance(reference, tuple):
+        assert frame == reference  # both refused, with the same ValueError
+        return
+    assert [getattr(frame, f) for f in ("dst", "src", "ether_type", "payload")] == list(fields)
+    assert frame.to_bytes() == reference.to_bytes()
+    assert repr(frame) == repr(reference).replace("ReferenceEthernetFrame(", "EthernetFrame(", 1)
+    for pair in (other, fields):
+        same = EthernetFrame(*pair) == frame
+        assert same == (ReferenceEthernetFrame(*pair) == reference)
+        assert not same or hash(EthernetFrame(*pair)) == hash(frame)
+    assert EthernetFrame(*fields) != reference  # frames of another class are never equal
+
+
+def test_ethernet_frame_is_frozen_and_round_trips():
+    frame = ether(payload=b"abc")
+    for field in ("dst", "payload", "_data", "other"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(frame, field, b"x")
+        with pytest.raises(FrozenInstanceError):
+            delattr(frame, field)
+    assert not hasattr(frame, "__dict__")
+    assert parse_frame(frame.to_bytes()) == frame
+    assert pickle.loads(pickle.dumps(frame)) == copy.deepcopy(frame) == frame
+
+
+def test_parse_frame_wraps_ethernet_bytes_without_copying():
+    raw = ether(payload=b"x" * 100).to_bytes()
+    assert parse_frame(raw).to_bytes() is raw
+    copied = parse_frame(bytearray(raw))  # a mutable buffer is copied once
+    assert copied.to_bytes() == raw and type(copied.to_bytes()) is bytes
 
 
 @given(
