@@ -131,7 +131,7 @@ class CentralController:
         self._pending: dict[int, tuple[ScRecord, str]] = {}  # batch id -> (record, direction)
         # Bound once: every channel's rekey and retire timers queue these two objects.
         self._rekey_due = self._rekey_due
-        self._retire_old_sa = self._retire_old_sa
+        self._send_deletes = self._send_deletes
 
     def start(self) -> None:
         """Arm the periodic LLDP key rotation."""
@@ -267,7 +267,9 @@ class CentralController:
     def _finish_activation(self, record: ScRecord, direction: str, d: ScDirection) -> None:
         # The timers capture no record, so a queued timer keeps no SAK alive.
         if d.next is not None:
-            self._schedule(self.grace_us, self._retire_old_sa, d.sender, d.receiver, d.sai)
+            # Retire the replaced generation one grace later, whatever becomes of the record:
+            # SAIs are never reused, and a receiver deletes an IG-SC row only while it names that SAI.
+            self._schedule(self.grace_us, self._send_deletes, d.sender, d.receiver, (d.sai,))
             d.sai, d.an, d.sak = d.next
             d.next = None
             d.rekey_count += 1
@@ -280,13 +282,7 @@ class CentralController:
         ):
             record.state = "active"
 
-    def _retire_old_sa(self, sender: str, receiver: str, old_sai: int) -> None:
-        """Delete a replaced generation's SA and IG-SC row, whatever became of the
-        record meanwhile.  SAIs are never reused and the receiver deletes the row
-        only while it names `old_sai`, so a newer generation under its AN keeps it."""
-        self._send_deletes(sender, receiver, [old_sai])
-
-    def _send_deletes(self, sender: str, receiver: str, sais: list[int], *, eg_sc_port: int | None = None) -> None:
+    def _send_deletes(self, sender: str, receiver: str, sais: tuple[int, ...], *, eg_sc_port: int | None = None) -> None:
         """Delete one direction's generations `sais`, unacked: the receiver's IG-SC
         rows, then its SAs; at the sender, the EG-SC row of `eg_sc_port` if one is
         named, then its SAs."""
@@ -305,7 +301,7 @@ class CentralController:
         """Delete each direction's current and staged generations at both ends; one
         replaced within the grace window goes with its retire, at most one grace later."""
         for d in self.sc_records.pop(key).directions.values():
-            sais = [d.sai] + ([d.next[0]] if d.next is not None else [])
+            sais = (d.sai,) if d.next is None else (d.sai, d.next[0])
             self._send_deletes(d.sender, d.receiver, sais, eg_sc_port=d.sender_port)
 
     # -- rekeying -------------------------------------------------------------------

@@ -146,9 +146,6 @@ class LocalController:
         self._schedule(self.discovery_interval_us, self.discovery_round, housekeeping=True)
 
     def _emit_probe(self, port: int) -> None:
-        if self.lldp_key is None:
-            self.counters.incr("discovery.no_key")
-            return
         self.tx_seq = (self.tx_seq + 1) & 0xFFFFFFFF
         pdu = self._lldpdus.get(port)
         if pdu is None:

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from .crypto import LldpKey, Sak
 
 
+# Never sent: the simulation calls `handle_register` for each switch itself.
+# The class stays only because the benchmark's tracer counts message types by name.
 @dataclass(slots=True)
 class Register:
     chassis_id: str

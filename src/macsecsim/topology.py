@@ -102,10 +102,10 @@ class SimParams:
         return self.discovery_interval if self.grace is None else self.grace
 
 
-# The keys of each mapping in a spec, each with its value's kind in `_TYPES`;
-# a MAC's kind is None, as `_mac` checks its type itself.
+# The keys of each mapping in a spec, each with its value's kind in `_TYPES`; a kind of
+# None leaves the type to its reader: `_mac` checks a MAC's, `SimParams` each param's.
 _ROOT = {"switches": "a list", "hosts": "a list", "links": "a list", "params": "a mapping"}
-_PARAMS = {f.name: f.type for f in fields(SimParams)}
+_PARAMS = dict.fromkeys(f.name for f in fields(SimParams))
 _SWITCH = {"id": "str", "mac": None, "ports": "int"}
 _HOST = {"name": "str", "mac": None, "switch": "str", "port": "int"}
 _LINK = {"a": "str", "b": "str", "name": "str"}
@@ -271,8 +271,4 @@ def chain_spec(num_switches: int, *, params: SimParams | None = None) -> Topolog
         HostSpec(name="h1", mac=_nth_mac(0x10, 1), switch="s1", port=1),
         HostSpec(name="h2", mac=_nth_mac(0x10, 2), switch=f"s{num_switches}", port=2),
     ]
-    spec = TopologySpec(
-        switches=switches, hosts=hosts, links=links, params=params or SimParams()
-    )
-    spec.validate()
-    return spec
+    return TopologySpec(switches=switches, hosts=hosts, links=links, params=params or SimParams())

@@ -23,7 +23,7 @@ their fields.
 from __future__ import annotations
 
 import struct
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 
 from .errors import DecodeFailure, TruncatedFrame
 
@@ -91,17 +91,19 @@ def sci_port(sci: bytes) -> int:
     return struct.unpack(">H", sci[6:8])[0]
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class EthernetFrame:
     """A plain Ethernet frame, held as its bytes on the wire.
 
     The frame keeps one immutable `bytes` and reads `dst`, `src`,
     `ether_type` and `payload` from it when asked, so `parse_frame` wraps a
-    delivered frame without copying it.  It behaves as a frozen dataclass of
-    those four fields: the same constructor and checks, equality, hash and
-    repr, and `FrozenInstanceError` on assignment.
+    delivered frame without copying it.  As a frozen dataclass of those
+    bytes it has equality, a hash and `FrozenInstanceError` on assignment;
+    its constructor, checks and repr are those of the four fields.
     """
 
     __slots__ = ("_data",)
+    _data: bytes
 
     def __init__(self, dst: bytes, src: bytes, ether_type: int, payload: bytes):
         if len(dst) != 6 or len(src) != 6:
@@ -136,27 +138,13 @@ class EthernetFrame:
     def to_bytes(self) -> bytes:
         return self._data
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._data == other._data
-
-    def __hash__(self):
-        return hash(self._data)
-
     def __repr__(self):
         return (
             f"{self.__class__.__qualname__}(dst={self.dst!r}, src={self.src!r}, "
             f"ether_type={self.ether_type!r}, payload={self.payload!r})"
         )
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
+    def __reduce__(self):  # unpickling would set the slot through the frozen __setattr__
         return self.__class__._view, (self._data,)
 
 
@@ -279,10 +267,6 @@ class Lldpdu:
             + _tlv(_TLV_PORT_ID, struct.pack(">H", self.port_id))
             + _tlv(_TLV_END, b"")
         )
-
-    @classmethod
-    def decode(cls, data: bytes) -> "Lldpdu":
-        return cls(*read_lldpdu(data))
 
 
 _PORT_ID_HEAD = _tlv(_TLV_PORT_ID, b"\0\0")[:2]

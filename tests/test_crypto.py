@@ -1,5 +1,6 @@
 import copy
 import random
+import re
 import struct
 
 import pytest
@@ -20,6 +21,7 @@ from macsecsim.errors import DecodeFailure, IntegrityFailure, TruncatedFrame
 from macsecsim.wire import (
     ETHERTYPE_MACSEC,
     LLDP_MULTICAST,
+    MIN_MACSEC_LEN,
     SecureLldpFrame,
     EthernetFrame,
     Lldpdu,
@@ -262,6 +264,38 @@ def test_lldp_open_decode_failure():
     assert lldp_open(LKEY, data) == (8, b"not a pdu")  # authentic, but no LLDPDU
     with pytest.raises(DecodeFailure):
         read_lldpdu(lldp_open(LKEY, data)[1])
+
+
+# (call, its error, the error's message): one row per input check of protect,
+# validate and seal; each call is otherwise well formed.
+BAD_CRYPTO_INPUT = {
+    "protect-7-byte-sci": (
+        lambda: macsec_protect(KEY, SCI[:7], 1, ether().to_bytes()),
+        ValueError,
+        "SCI must be 8 bytes",
+    ),
+    "protect-13-byte-frame": (
+        lambda: macsec_protect(KEY, SCI, 1, ether().to_bytes()[:13]),
+        TruncatedFrame,
+        "13 bytes is below the 14-byte Ethernet minimum",
+    ),
+    "validate-short-frame": (
+        lambda: macsec_validate(KEY, macsec_protect(KEY, SCI, 1, ether(payload=b"").to_bytes())[:-1]),
+        TruncatedFrame,
+        f"MACsec frame needs >= {MIN_MACSEC_LEN} bytes, got {MIN_MACSEC_LEN - 1}",
+    ),
+    "seal-11-byte-nonce": (
+        lambda: lldp_seal(LKEY, b"\x0b" * 11, 1, pdu(), src=b"\x02" * 6, dst=LLDP_MULTICAST),
+        ValueError,
+        "nonce must be 12 bytes",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", BAD_CRYPTO_INPUT.values(), ids=BAD_CRYPTO_INPUT)
+def test_a_bad_crypto_input_is_refused_before_any_cipher_runs(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_lldp_open_rejects_a_frame_below_the_sealed_minimum():

@@ -199,6 +199,34 @@ def test_unknown_host_raises_its_own_error():
     assert not isinstance(send.value, UnknownSwitch) and not isinstance(recv.value, UnknownSwitch)
 
 
+def test_bad_simulation_calls_are_refused_and_change_nothing():
+    sim = build(chain_spec(2), seed=1)
+    sim.run_until(1.0)
+    now_us, queued = sim.now_us(), sim.pending()
+    with pytest.raises(ValueError, match="^direction must be a2b or b2a, not 'up'$"):
+        sim.inject_frame("s1-s2", "up", b"\x00" * 20)
+    with pytest.raises(UnknownSwitch):
+        sim.set_control_state("nosuch", False)
+    with pytest.raises(ValueError, match="^run_until target precedes current time$"):
+        sim.run_until(0.5)
+    assert sim.now_us() == now_us and sim.pending() == queued
+    assert "nosuch" not in sim._held
+
+
+def test_trace_index_counts_back_from_the_end_and_query_starts_at_t_min():
+    sim = build(chain_spec(2).with_params(discovery_interval=1.0), seed=1)
+    sim.run_until(3.0)
+    sim.inject_frame("s1-s2", "a2b", b"\x00" * 10)  # refused as truncated: the last row has a drop
+    sim.run_until(3.5)
+    trace, last = sim.trace, len(sim.trace) - 1
+    assert trace[-1] == trace[last] and trace[-1].index == last
+    assert trace[-1].dropped == "truncated"
+    t_min_us = trace[len(trace) // 2].time_us
+    later = trace.query(t_min_us=t_min_us)
+    assert later == [r for r in trace.records if r.time_us >= t_min_us]
+    assert 0 < len(later) < len(trace)
+
+
 def test_a_received_frame_is_a_view_over_its_trace_row():
     sim = build(chain_spec(3), seed=1)
     sim.quiesce()
@@ -947,7 +975,7 @@ def test_every_queue_push_goes_through_schedule(monkeypatch, jitter_s):
     assert pushes[-len(held):] == [(0, "deliver")] * len(held)
     assert [args[0] for _at, s, _hk, _fn, args in sim.pending() if s > seq] == held
     sim.run_until(8.0)
-    assert {"_deliver", "_retire_old_sa"} <= {name for _, name in pushes}
+    assert {"_deliver", "_send_deletes"} <= {name for _, name in pushes}
     assert len(pushes) == sim.events_processed + len(sim.pending())
     assert all(type(delay_us) is int for delay_us, _ in pushes)
     assert all(type(at_us) is int for at_us, *_ in sim.pending())
@@ -974,7 +1002,7 @@ def test_the_callbacks_queued_per_event_are_bound_once(monkeypatch):
     sim.quiesce()
 
     for name, owner in [
-        ("_deliver", sim), ("deliver", sim.central), ("_rekey_due", sim.central), ("_retire_old_sa", sim.central),
+        ("_deliver", sim), ("deliver", sim.central), ("_rekey_due", sim.central), ("_send_deletes", sim.central),
     ]:
         fns = [fn for fn in queued if fn.__name__ == name and fn.__self__ is owner]
         assert len(fns) > 1, name

@@ -290,6 +290,20 @@ def test_cli_inspect_tables_requires_argument(capsys):
     assert "UnknownQuery" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "query, error",
+    [
+        (["tables", "nosuch"], "error: UnknownSwitch: nosuch\n"),
+        (["counters"], "error: UnknownQuery: counters needs a switch argument\n"),
+    ],
+    ids=["tables-nosuch", "counters-without-switch"],
+)
+def test_cli_inspect_refuses_a_missing_or_unknown_switch(query, error, capsys):
+    assert main(["inspect", "--spec", SPEC, "--seed", "7", *query]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == error and captured.out == ""
+
+
 def test_cli_seed_env_var(monkeypatch, capsys):
     monkeypatch.setenv("MACSECSIM_SEED", "7")
     assert main(["inspect", "--spec", SPEC, "scs"]) == 0

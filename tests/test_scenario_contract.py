@@ -2,8 +2,9 @@
 
 A malformed directive stops the script with a `ScriptError` that names its
 line; an error raised inside the event loop (a `LivelockError`, or any fault
-of an event handler) keeps its own type.  The README's assertion table lists
-the vocabulary `parse_script` accepts.
+of an event handler) keeps its own type.  Each assertion reports FAIL when
+its condition does not hold.  The README's assertion table lists the
+vocabulary `parse_script` accepts.
 """
 
 import re
@@ -24,6 +25,7 @@ BAD_DIRECTIVES = [
     ("inject agg1-core a2b hex zz", "bad payload"),
     ("inject agg1-core a2b replay 99999", "capture index"),
     ("inject agg1-core a2b replay -1", "capture index"),
+    ("inject agg1-core a2b replay x", "capture index"),
     ("send hx h2 0x0800 text:hi", "unknown host"),
     ("send h1 nowhere 0x0800 text:hi", "bad destination"),
     ("send h1 h2 0x10000 text:hi", "bad ether_type"),
@@ -55,6 +57,46 @@ def test_a_bad_directive_is_a_script_error_naming_its_line(line, keyword):
     runner = _runner(f"run_until 5\n{line}\n")
     with pytest.raises(ScriptError, match=f"^line 2: .*{keyword}"):
         runner.execute()
+
+
+# A cleartext Ethernet frame between two MACs no host has: EtherType IPv4, payload "hello".
+CLEARTEXT = "020000000099" + "020000000098" + "0800" + b"hello".hex()
+LINK_GONE = "quiesce\nlink down agg1-core\nquiesce\n"
+
+# (script, the report line of its one assertion): the FAIL side of each assertion.
+FAILING_ASSERTIONS = [
+    (
+        f"quiesce\ninject agg1-core a2b hex {CLEARTEXT}\nquiesce\nexpect all_interswitch_frames_protected * 0",
+        "ASSERT all_interswitch_frames_protected * 0 FAIL 1 cleartext non-LLDP frames",
+    ),
+    (  # before discovery has confirmed any link
+        "expect link_map_matches_spec",
+        "ASSERT link_map_matches_spec FAIL missing=['access1:4-agg1:1', 'access2:4-agg1:2', 'access3:4-agg2:1',"
+        " 'access4:4-agg2:2', 'agg1:3-core:1', 'agg2:3-core:2'] excess=[]",
+    ),
+    (  # against the empty map snapshotted at script start
+        "quiesce\nexpect link_map_unchanged",
+        "ASSERT link_map_unchanged FAIL confirmed set changed since snapshot",
+    ),
+    (
+        LINK_GONE + "expect sc_exists_for agg1-core",
+        "ASSERT sc_exists_for agg1-core FAIL record=False state=absent table_rows=False",
+    ),
+    (LINK_GONE + "expect sak_rotated agg1-core", "ASSERT sak_rotated agg1-core FAIL no channel record"),
+    (
+        "quiesce\nsend h2 h1 0x0800 text:hello\nquiesce\nexpect payload_delivered h1 text:nobody-sent-this",
+        "ASSERT payload_delivered h1 text:nobody-sent-this FAIL not among 1 delivered frames",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "script, line", FAILING_ASSERTIONS, ids=[line.split()[1] for _, line in FAILING_ASSERTIONS]
+)
+def test_each_assertion_can_fail(script, line):
+    report = _runner(script + "\n").execute()
+    assert [r.to_line() for r in report.results] == [line]
+    assert report.to_text().endswith("RESULT FAIL 0/1\n")
 
 
 @pytest.mark.parametrize("line", ["quiesce", "run_until 100"])

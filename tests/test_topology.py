@@ -153,6 +153,26 @@ BAD_INPUT = [
     ("short-grace", {"params": {"grace": 0.0005}}, "grace .* must be >= link_latency"),
     ("short-default-grace", {"params": {"discovery_interval": 0.0005}}, "grace .* must be >= link_latency"),
     ("grace-under-jitter", {"params": {"grace": 0.002, "latency_jitter": 0.0015}}, "grace .* must be >= link_latency"),
+    ("certain-loss", {"params": {"loss_probability": 1.0}}, r"loss_probability must be in \[0, 1\)"),
+    # Names and MACs are unique across the spec, and a switch id fits an LLDP Chassis ID TLV.
+    (
+        "duplicate-switch-id",
+        {"switches": [minimal()["switches"][0], {"id": "s1", "mac": "02:00:00:00:00:02", "ports": 2}]},
+        "duplicate switch id 's1'",
+    ),
+    ("65-byte-switch-id", first_entry("switches", id="s" * 65), r"switch id 's{65}' must be 1\.\.64 bytes"),
+    (
+        "duplicate-switch-mac",
+        {"switches": [minimal()["switches"][0], {"id": "s2", "mac": "02:00:00:00:00:01", "ports": 2}]},
+        "duplicate MAC on switch s2",
+    ),
+    (
+        "duplicate-link-name",
+        {"hosts": [], "links": [{"a": "s1:1", "b": "s2:1", "name": "x"}, {"a": "s1:2", "b": "s2:2", "name": "x"}]},
+        "duplicate link name 'x'",
+    ),
+    ("host-named-like-a-switch", first_entry("hosts", name="s2"), "duplicate name 's2'"),
+    ("host-link-name-taken", first_entry("links", name="s1-h1"), "host link name s1-h1 collides"),
 ]
 
 

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 import struct
 from dataclasses import FrozenInstanceError, dataclass
 
@@ -12,6 +13,8 @@ from macsecsim.wire import (
     ETHERTYPE_LLDP,
     ETHERTYPE_MACSEC,
     LLDP_MULTICAST,
+    MAX_PN,
+    MIN_LLDP_LEN,
     EthernetFrame,
     Lldpdu,
     MacsecFrame,
@@ -72,6 +75,49 @@ def test_truncated_macsec_frame():
 def test_frame_below_ethernet_minimum():
     with pytest.raises(TruncatedFrame):
         parse_frame(b"\x00" * 13)
+
+
+def test_truncated_sealed_lldp_frame():
+    raw = b"\xaa" * 6 + b"\xbb" * 6 + struct.pack(">H", ETHERTYPE_LLDP) + b"\x00" * (MIN_LLDP_LEN - 14)
+    assert isinstance(parse_frame(raw), SecureLldpFrame)
+    with pytest.raises(TruncatedFrame, match=f"^sealed LLDP frame needs >= {MIN_LLDP_LEN} bytes, got {MIN_LLDP_LEN - 1}$"):
+        parse_frame(raw[:-1])
+
+
+MAC, ICV = b"\x02" * 6, b"\x0c" * 16
+TAG = dict(tci_an=0x20, short_length=0, packet_number=1, sci=b"\x05" * 8)
+# Fields each wire class accepts; each row of BAD_FIELDS breaks one of them.
+VALID = {
+    EthernetFrame: dict(dst=MAC, src=MAC, ether_type=0x0800, payload=b""),
+    SecTag: TAG,
+    MacsecFrame: dict(dst=MAC, src=MAC, sec_tag=SecTag(**TAG), secure_data=b"\x08\x00", icv=ICV),
+    SecureLldpFrame: dict(dst=LLDP_MULTICAST, src=MAC, nonce=b"\x0b" * 12, seq=0, ciphertext=b"", icv=ICV),
+    Lldpdu: dict(chassis_id=b"s1", port_id=3),
+}
+
+BAD_FIELDS = [
+    (EthernetFrame, dict(ether_type=0x10000), "ether_type out of range"),
+    (SecTag, dict(sci=b"\x05" * 7), "SCI must be 8 bytes"),
+    (SecTag, dict(packet_number=MAX_PN + 1), "packet number out of range"),
+    (MacsecFrame, dict(dst=MAC[:5]), "MAC addresses must be 6 bytes"),
+    (MacsecFrame, dict(icv=ICV[:15]), "ICV must be 16 bytes"),
+    (MacsecFrame, dict(secure_data=b"\x08"), "secure data carries at least the original EtherType"),
+    (SecureLldpFrame, dict(src=MAC + b"\x02"), "MAC addresses must be 6 bytes"),
+    (SecureLldpFrame, dict(nonce=b"\x0b" * 11), "nonce must be 12 bytes"),
+    (SecureLldpFrame, dict(seq=2**32), "seq out of range"),
+    (SecureLldpFrame, dict(icv=ICV + b"\x0c"), "ICV must be 16 bytes"),
+    (Lldpdu, dict(chassis_id=b"c" * 65), "chassis id must be 1..64 bytes"),
+    (Lldpdu, dict(port_id=65536), "port id out of range"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, bad, message", BAD_FIELDS, ids=[f"{cls.__name__}-{next(iter(bad))}" for cls, bad, _ in BAD_FIELDS]
+)
+def test_a_wire_class_refuses_each_bad_field(cls, bad, message):
+    cls(**VALID[cls])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls(**{**VALID[cls], **bad})
 
 
 @given(dst=macs, src=macs, ether_type=st.integers(0, 0xFFFF), payload=payloads)
@@ -190,27 +236,27 @@ def test_secure_lldp_round_trip(src, nonce, seq, ciphertext, icv):
 @given(chassis=st.text(min_size=1, max_size=21), port=st.integers(0, 0xFFFF))
 def test_lldpdu_round_trip(chassis, port):
     pdu = Lldpdu(chassis_id=chassis.encode("utf-8")[:64] or b"x", port_id=port)
-    assert Lldpdu.decode(pdu.encode()) == pdu
+    assert Lldpdu(*read_lldpdu(pdu.encode())) == pdu
 
 
 def test_lldpdu_example():
     pdu = Lldpdu(chassis_id=b"s1", port_id=3)
-    assert Lldpdu.decode(pdu.encode()) == pdu
+    assert Lldpdu(*read_lldpdu(pdu.encode())) == pdu
 
 
 def test_lldpdu_rejects_garbage():
     with pytest.raises(DecodeFailure):
-        Lldpdu.decode(b"\x00")
+        read_lldpdu(b"\x00")
     with pytest.raises(DecodeFailure):
-        Lldpdu.decode(Lldpdu(chassis_id=b"s1", port_id=3).encode() + b"\x00")
+        read_lldpdu(Lldpdu(chassis_id=b"s1", port_id=3).encode() + b"\x00")
     # TLV order is fixed: Port ID first is invalid.
     bad = struct.pack(">H", (2 << 9) | 2) + b"\x00\x01"
     with pytest.raises(DecodeFailure):
-        Lldpdu.decode(bad)
+        read_lldpdu(bad)
 
 
 def reference_read_lldpdu(data: bytes) -> tuple[bytes, int]:
-    """The TLV walk `Lldpdu.decode` ran before `read_lldpdu`: each TLV's
+    """The TLV walk the LLDPDU decoder ran before `read_lldpdu`: each TLV's
     header, type and length checked in turn, then the fields' sizes."""
     fields = {}
     offset = 0
@@ -273,7 +319,7 @@ def test_read_lldpdu_agrees_with_the_tlv_walk(data):
     expected = _outcome(reference_read_lldpdu, data)
     assert _outcome(read_lldpdu, data) == expected  # raises nothing but DecodeFailure
     if expected is not DecodeFailure:
-        assert Lldpdu.decode(data) == Lldpdu(*expected)
+        assert Lldpdu(*read_lldpdu(data)) == Lldpdu(*expected)
 
 
 def test_read_lldpdu_accepts_an_end_tlv_with_a_value():
