@@ -9,7 +9,9 @@ drops a report of another far end, counted `linkmap.contested`: only a
 `None` report, from carrier loss or expiry, tears a confirmed link down.
 Channel installs are ordered receiver-ingress before sender-egress (at
 setup and rekey) so no in-flight frame ever meets a receiver that cannot
-validate it.
+validate it.  Each SA's SAI doubles as MKA's key number KN, and its SAK is
+derived from KN under the master key drawn at start (`crypto.MasterKey`),
+so no SAK repeats by construction.
 
 Only a stage batch (an install or rekey of one direction's ingress or
 egress) carries a batch id and is acked.  In flight it holds the channel
@@ -32,7 +34,7 @@ import logging
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .crypto import LldpKey, Sak
+from .crypto import LldpKey, MasterKey, Sak
 from .dataplane import Counters
 from .messages import (
     DeleteEgSc,
@@ -122,10 +124,11 @@ class CentralController:
         self.reports: dict[Endpoint, Endpoint] = {}  # port -> the far end its latest report names
         self.sc_records: dict[LinkKey, ScRecord] = {}
         self.alerts: list[str] = []  # one line per quarantine
+        # Every SAK issued, in KN order; kept only because the benchmark's tracer reads its length.
         self.sak_log: list[bytes] = []
-        self._saks: set[bytes] = set()
 
         self.lldp_key = LldpKey(key=rng.key_material(), key_id=1)
+        self._master_key = MasterKey(rng.key_material())
         self._sai_seq = 0
         self._batch_seq = 0
         self._pending: dict[int, tuple[ScRecord, str]] = {}  # batch id -> (record, direction)
@@ -190,17 +193,13 @@ class CentralController:
 
     # -- secure-channel lifecycle ---------------------------------------------------
 
-    def _next_sai(self) -> int:
+    def _next_sa(self) -> tuple[int, Sak]:
+        """A fresh SAI and its SAK.  The SAI doubles as MKA's key number KN, and
+        SAK KN is AES-128 of a block encoding KN under the master key, so no SAK repeats."""
         self._sai_seq += 1
-        return self._sai_seq
-
-    def _new_sak(self) -> Sak:
-        sak = Sak(self._rng.key_material())
-        if sak.key in self._saks:
-            raise AssertionError("SAK reuse from the key source")
-        self._saks.add(sak.key)
+        sak = self._master_key.derive_sak(self._sai_seq)
         self.sak_log.append(sak.key)
-        return sak
+        return self._sai_seq, sak
 
     def _deploy_sc(self, key: LinkKey) -> None:
         (ca, pa), (cb, pb) = key
@@ -209,15 +208,16 @@ class CentralController:
             ("a2b", (ca, pa, cb, pb)),
             ("b2a", (cb, pb, ca, pa)),
         ):
+            sai, sak = self._next_sa()
             directions[name] = ScDirection(
                 sender=sender,
                 sender_port=s_port,
                 receiver=receiver,
                 receiver_port=r_port,
                 sci=make_sci(self.switch_macs[sender], s_port),
-                sai=self._next_sai(),
+                sai=sai,
                 an=0,
-                sak=self._new_sak(),
+                sak=sak,
             )
         record = self.sc_records[key] = ScRecord(key=key, directions=directions)
         for name in directions:
@@ -319,7 +319,8 @@ class CentralController:
 
     def _start_rekey(self, record: ScRecord, direction: str, d: ScDirection) -> None:
         d.phase = "ingress_pending"
-        d.next = (self._next_sai(), (d.an + 1) % 4, self._new_sak())
+        sai, sak = self._next_sa()
+        d.next = (sai, (d.an + 1) % 4, sak)
         self.counters.incr("channels.rekey")
         self._send_stage(record, direction)
 

@@ -1,11 +1,19 @@
-"""AES-GCM-128 protection for data frames and discovery PDUs.
+"""AES-GCM-128 protection for data frames and discovery PDUs, and SAK derivation.
 
-Data frames: IV is SCI(8) + packet number(4); the AAD covers the outer
-Ethernet header plus the SecTAG, so any header bit flip breaks the 16-byte
-ICV.  Discovery PDUs: IV is a fresh 12-byte random nonce and the AAD is the
-4-byte sequence number carried in clear.  All four operations work on
-frame bytes and read their fields at the fixed offsets in `wire`.  Each
-key, SAK or discovery key, builds its AES-GCM context once, on first use.
+Every IV is deterministic in the sense of NIST SP 800-38D §8.2.1: a fixed
+field followed by an invocation counter.  Data frames: IV is SCI(8) +
+packet number(4); the AAD covers the outer Ethernet header plus the
+SecTAG, so any header bit flip breaks the 16-byte ICV.  Discovery PDUs:
+the nonce is the sealing switch's MAC(6) + its 48-bit seal counter
+(`lldp_nonce`), and the AAD is the 4-byte sequence number carried in
+clear.  All four operations work on frame bytes and read their fields at
+the fixed offsets in `wire`.  Each key, SAK or discovery key, builds its
+AES-GCM context once, on first use.
+
+SAK number KN is AES-128, under a master key, of a block that encodes KN
+(`MasterKey`), as MKA indexes its SAKs by key number: AES is a
+permutation, so distinct KNs give distinct SAKs and no set of issued keys
+is needed to prove it.
 """
 
 from __future__ import annotations
@@ -87,6 +95,26 @@ class LldpKey(_AesKey):
             raise ValueError("LLDP key must be 16 bytes")
 
 
+@dataclass(frozen=True)
+class MasterKey(_AesKey):
+    """The key server's master key, drawn once: every SAK derives from it."""
+
+    key: bytes
+
+    def __post_init__(self):
+        if len(self.key) != KEY_LEN:
+            raise ValueError("master key must be 16 bytes")
+
+    def derive_sak(self, kn: int) -> Sak:
+        """SAK number `kn` (below 2**96): AES-128 of the block KN(12) + 00000001.
+
+        That block is GCM's pre-counter block J0 for the 12-byte IV KN, and
+        the tag of an empty message is AES of J0: the cached AES-GCM context
+        computes it, where an ECB context costs a dozen times more to build.
+        """
+        return Sak(self.cipher.encrypt(kn.to_bytes(NONCE_LEN, "big"), b"", None))
+
+
 _SECTAG_HEAD = struct.Struct(">HBBI")  # EtherType, TCI/AN, SL, PN
 
 
@@ -148,6 +176,12 @@ def macsec_validate(sak: Sak, data: bytes, *, confidentiality: bool = True) -> b
 
 
 _LLDP_TYPE = ETHERTYPE_LLDP.to_bytes(2, "big")
+SEAL_COUNTER_LEN = NONCE_LEN - 6  # the nonce's counter field follows the 6-byte MAC
+
+
+def lldp_nonce(mac: bytes, counter: int) -> bytes:
+    """The nonce of a switch's `counter`-th seal: its MAC, then the 48-bit counter."""
+    return mac + counter.to_bytes(SEAL_COUNTER_LEN, "big")
 
 
 def lldp_seal(key: LldpKey, nonce: bytes, seq: int, plaintext: bytes, src: bytes, dst: bytes) -> bytes:

@@ -172,7 +172,8 @@ _DROPS = {
 }
 
 
-ProtectHook = Callable[[bytes, bytes, int], None]  # (sak key, SCI, PN)
+ProtectHook = Callable[[bytes, bytes, int], None]  # (key, SCI or MAC, PN or seal counter)
+RetireHook = Callable[[bytes, bytes], None]  # (key, SCI or MAC)
 # (table, key, old value); no table holds None, so None means the row was absent
 UndoEntry = tuple[dict, object, object]
 
@@ -275,6 +276,11 @@ class Switch:
     * ``on_port_event(port, up)``    edge-triggered port status change
     * ``on_rekey_needed(sai, sci)``  egress SA ran out of packet numbers
     * ``on_protect(sak_key, sci, pn)``  observation point for IV uniqueness
+    * ``on_retire(sak_key, sci)``    an SA this switch sends on left its table,
+      so its (SAK, SCI) never protects again
+
+    The local controller reports its discovery seals and key changes through
+    the same two hooks, with the switch MAC in place of an SCI.
     """
 
     def __init__(self, chassis_id: str, mac: bytes, num_ports: int, *, pn_ceiling: int = MAX_PN):
@@ -293,6 +299,7 @@ class Switch:
         self.on_port_event: Callable[[int, bool], None] = _unwired
         self.on_rekey_needed: Callable[[int, bytes], None] = _unwired
         self.on_protect: ProtectHook = _unwired
+        self.on_retire: RetireHook = _unwired
 
     # -- frame path ---------------------------------------------------------
 
@@ -395,7 +402,11 @@ class Switch:
 
     def delete_sa(self, sai: int) -> UndoEntry:
         self._fold_sa_counts(sai)
-        return _pop(self.tables.sa, sai)
+        undo = _pop(self.tables.sa, sai)
+        sa = undo[2]
+        if sa is not None and sa.sci[:6] == self.mac:  # an SCI starts with its sender's MAC
+            self.on_retire(sa.sak.key, sa.sci)
+        return undo
 
     def write_eg_sc(self, port: int, sai: int) -> UndoEntry:
         if port not in self.ports_up:

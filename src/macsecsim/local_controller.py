@@ -8,7 +8,11 @@ The controller keeps no copy of what its switch holds: MAC learning reads
 and writes the switch's MAC table, a MAC miss floods through the switch's
 own flood path, and discovery probes are sealed to frame bytes that go out
 by raw packet-out.  Each port's LLDPDU is encoded once; a punted probe is
-opened from its bytes and its TLVs are read at their offsets.
+opened from its bytes and its TLVs are read at their offsets.  A seal's
+nonce is the switch MAC followed by the controller's seal counter, and the
+seal is reported through the switch's `on_protect` hook, as a protected
+frame's (SCI, PN) is; installing a new discovery key retires the old one
+through `on_retire`.
 
 The table agent applies a config batch through the switch's table writes,
 the one place an entry is checked.  Each write returns its undo entry, and
@@ -23,7 +27,7 @@ from __future__ import annotations
 import logging
 from typing import Callable
 
-from .crypto import LldpKey, lldp_open, lldp_seal
+from .crypto import LldpKey, lldp_nonce, lldp_open, lldp_seal
 from .dataplane import REASON_LLDP_PUNT, REASON_MAC_MISS, PacketIn, SaEntry, Switch
 from .errors import DecodeFailure, IntegrityFailure, InvalidEntry
 from .messages import (
@@ -69,7 +73,6 @@ class LocalController:
         self._now = now
         self._schedule = schedule
         self._send = send_to_central
-        self._rng = rng
         self.discovery_interval_us = discovery_interval_us
 
         # Link discovery state.
@@ -78,6 +81,7 @@ class LocalController:
         self.prev_key_expiry_us = 0
         self.discovery_started = False
         self.tx_seq = rng.boot_seq()
+        self.seal_count = 0  # seals so far, under any key: the counter half of each nonce
         # Replay floor: port -> sender chassis -> the last seq accepted from it.
         self.rx_seq: dict[int, dict[str, int]] = {}
         self.local_view: dict[int, tuple[str, int]] = {}
@@ -127,6 +131,7 @@ class LocalController:
             # sealing) for one discovery interval.
             self.prev_key = self.lldp_key
             self.prev_key_expiry_us = self._now() + self.discovery_interval_us
+            self.switch.on_retire(self.lldp_key.key, self.switch.mac)
         self.lldp_key = key
 
     def handle_start_discovery(self) -> None:
@@ -150,11 +155,13 @@ class LocalController:
         pdu = self._lldpdus.get(port)
         if pdu is None:
             pdu = self._lldpdus[port] = Lldpdu(chassis_id=self.chassis_id.encode(), port_id=port).encode()
-        data = lldp_seal(
-            self.lldp_key, self._rng.lldp_nonce(), self.tx_seq, pdu, src=self.switch.mac, dst=LLDP_MULTICAST
-        )
+        sw, key = self.switch, self.lldp_key
+        self.seal_count += 1
+        sw.on_protect(key.key, sw.mac, self.seal_count)
+        nonce = lldp_nonce(sw.mac, self.seal_count)
+        data = lldp_seal(key, nonce, self.tx_seq, pdu, src=sw.mac, dst=LLDP_MULTICAST)
         self.counters.incr("discovery.sent")
-        self.switch.packet_out(port, data)
+        sw.packet_out(port, data)
 
     def _open_with_keys(self, data: bytes):
         try:

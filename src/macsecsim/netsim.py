@@ -145,7 +145,8 @@ class Simulation:
         latency_us = to_us(self.params.link_latency)
         discovery_interval_us = to_us(self.params.discovery_interval)
         # One bound method each, shared by every switch and controller.
-        now_us, schedule, observe = self.now_us, self.schedule, self.iv_registry.observe
+        now_us, schedule = self.now_us, self.schedule
+        observe, forget = self.iv_registry.observe, self.iv_registry.forget
         send_to_central = self._send_to_central
         for sw_spec in self.spec.switches:
             switch = Switch(
@@ -156,7 +157,7 @@ class Simulation:
             )
             attachments = self._attachments[sw_spec.chassis_id] = {}
             switch.on_transmit = partial(self._transmit, attachments)
-            switch.on_protect = observe
+            switch.on_protect, switch.on_retire = observe, forget
             controller = LocalController(
                 switch,
                 now=now_us,

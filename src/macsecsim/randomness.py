@@ -1,6 +1,11 @@
-"""Single randomness source feeding nonces, keys and boot timestamps.
+"""Single randomness source feeding keys, boot timestamps and the wire's
+loss and jitter draws, and the registry that checks every AES-GCM IV.
 
-It is a seeded PRNG, so a (spec, seed) pair fully determines a run.
+The source is a seeded PRNG, so a (spec, seed) pair fully determines a run.
+It draws each discovery key and the central controller's one master key;
+no nonce and no SAK is drawn.  Both are unique by construction: a nonce is
+a switch MAC followed by that switch's seal counter, and a SAK is derived
+from its key number (see `crypto`).
 """
 
 from __future__ import annotations
@@ -12,18 +17,12 @@ class RandomSource:
     def __init__(self, seed: int | None = None):
         self.seed = seed if seed is not None else 0
         self._rng = random.Random(self.seed)
+        # Always empty since nonces are built from a counter; kept only
+        # because the benchmark's tracer reads its length.
         self._nonces_issued: set[bytes] = set()
 
     def rand_bytes(self, n: int) -> bytes:
         return self._rng.randbytes(n)
-
-    def lldp_nonce(self) -> bytes:
-        """Fresh 12-byte nonce; re-issue of a previous nonce is a hard error."""
-        nonce = self.rand_bytes(12)
-        if nonce in self._nonces_issued:
-            raise AssertionError("nonce reuse detected")
-        self._nonces_issued.add(nonce)
-        return nonce
 
     def key_material(self) -> bytes:
         return self.rand_bytes(16)
@@ -39,17 +38,26 @@ class RandomSource:
 class IvUniquenessRegistry:
     """Runtime assertion that no (key, IV) pair is ever used twice.
 
-    The IV is a fixed prefix (the SCI) followed by a counter (the PN).  A
-    channel is one (key, SCI) pair, and its PNs must strictly increase:
-    keeping the highest PN per channel and rejecting one that does not
-    exceed it catches every reuse in one entry per SA.
+    Every IV is a fixed part followed by a counter: an SCI and a PN under a
+    SAK, or a switch MAC and its seal counter under a discovery key.  A
+    (key, fixed part) pair is one channel, and its counters must strictly
+    increase: keeping the highest counter per channel and rejecting one
+    that does not exceed it catches every reuse in one entry per channel.
+
+    `forget` drops a channel that can never be used again: the sending
+    switch deleted that SA, or a switch installed a new discovery key, after
+    which the old one never seals.  The registry is thus bounded by the
+    live sending SAs plus one entry per switch.
     """
 
     def __init__(self):
         self._seen: dict[tuple[bytes, bytes], int] = {}
 
-    def observe(self, key: bytes, sci: bytes, pn: int) -> None:
-        channel = (key, sci)
-        if pn <= self._seen.get(channel, 0):
-            raise AssertionError(f"(SAK, IV) reuse or PN regression: sci={sci.hex()} pn={pn}")
-        self._seen[channel] = pn
+    def observe(self, key: bytes, fixed: bytes, counter: int) -> None:
+        channel = (key, fixed)
+        if counter <= self._seen.get(channel, 0):
+            raise AssertionError(f"(key, IV) reuse or PN regression: fixed={fixed.hex()} counter={counter}")
+        self._seen[channel] = counter
+
+    def forget(self, key: bytes, fixed: bytes) -> None:
+        self._seen.pop((key, fixed), None)

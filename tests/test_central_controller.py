@@ -1,3 +1,4 @@
+import gcm_oracle
 from macsecsim.central_controller import CentralController, link_key
 from macsecsim.messages import (
     DeleteEgSc,
@@ -230,6 +231,27 @@ def test_reconfirmed_link_gets_fresh_saks():
     assert old.isdisjoint(new)
     log = h.central.sak_log
     assert len(log) == len(set(log)) == 4
+
+
+def test_each_sak_is_derived_from_its_sai_as_key_number():
+    """SAK i is AES-128 of i(12 bytes) + 00000001 under the master key drawn
+    at start, and each direction's SAI is the KN of its SAK, across a
+    teardown and a rekey."""
+    h = Harness(rekey_interval_us=60_000_000)
+    h.register_all("s1", "s2")
+    h.confirm_link()
+    h.central.handle_link_delta(LinkDelta("s1", 2, None))
+    h.confirm_link()
+    h.advance_to_rekey_timers()
+    h.run_due_timers()
+    master = h.central._master_key.key
+    log = h.central.sak_log
+    assert len(log) == 6
+    assert log == [gcm_oracle._aes_block(master, i.to_bytes(12, "big") + b"\x00\x00\x00\x01") for i in range(1, 7)]
+    for d in h.central.sc_records[KEY_12].directions.values():
+        sai, _an, sak = d.next
+        assert sak.key == log[sai - 1]
+        assert d.sak.key == log[d.sai - 1]
 
 
 def test_rekey_increments_an_and_orders_ingress_first():

@@ -11,7 +11,9 @@ import gcm_oracle
 from macsecsim import crypto
 from macsecsim.crypto import (
     LldpKey,
+    MasterKey,
     Sak,
+    lldp_nonce,
     lldp_open,
     lldp_seal,
     macsec_protect,
@@ -289,6 +291,9 @@ BAD_CRYPTO_INPUT = {
         ValueError,
         "nonce must be 12 bytes",
     ),
+    "master-15-byte-key": (lambda: MasterKey(b"\x0f" * 15), ValueError, "master key must be 16 bytes"),
+    "sak-kn-past-96-bits": (lambda: MasterKey(b"\x0f" * 16).derive_sak(2**96), OverflowError, "int too big to convert"),
+    "seal-counter-past-48-bits": (lambda: lldp_nonce(b"\x02" * 6, 2**48), OverflowError, "int too big to convert"),
 }
 
 
@@ -328,3 +333,15 @@ def test_lldp_seal_open_property(key, nonce, seq, chassis, port):
     assert read_lldpdu(opened) == (chassis, port)
     frame = parse_frame(data)  # the wire parser reads the same layout
     assert isinstance(frame, SecureLldpFrame) and (frame.nonce, frame.seq) == (nonce, seq)
+
+
+def test_sak_kn_is_aes_128_of_kn_then_one_under_the_master_key():
+    """The block is GCM's pre-counter block for the 12-byte IV KN, so the
+    oracle's tag of an empty message under that IV is the same SAK."""
+    master = random.Random(11).randbytes(16)
+    kns = (1, 2, 3, 2**32, 2**64 + 5, 2**96 - 1)
+    saks = [MasterKey(master).derive_sak(kn) for kn in kns]
+    for kn, sak in zip(kns, saks):
+        assert sak.key == gcm_oracle._aes_block(master, kn.to_bytes(12, "big") + b"\x00\x00\x00\x01")
+        assert sak.key == gcm_oracle.gcm_encrypt(master, kn.to_bytes(12, "big"), b"", b"")[1]
+    assert len({sak.key for sak in saks}) == len(saks)

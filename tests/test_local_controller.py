@@ -3,7 +3,7 @@ import typing
 
 import pytest
 
-from macsecsim.crypto import LldpKey, Sak, lldp_seal, macsec_protect, macsec_validate
+from macsecsim.crypto import LldpKey, Sak, lldp_open, lldp_seal, macsec_protect, macsec_validate
 from macsecsim.dataplane import (
     REASON_MAC_MISS,
     PacketIn,
@@ -237,6 +237,33 @@ def test_emit_round_probes_every_up_port():
     assert seqs == [seqs[0], seqs[0] + 1, seqs[0] + 2]
     # round re-arms itself on the discovery interval as a housekeeping timer
     assert h.scheduled[-1][0] == 30_000_000 and h.scheduled[-1][3] is True
+
+
+def test_a_probe_nonce_is_the_mac_then_the_next_seal_counter():
+    h = Harness(num_ports=3)
+    observed = []
+    h.switch.on_protect = lambda key, fixed, counter: observed.append((key, fixed, counter))
+    h.start()
+    h.ctl.discovery_round()
+    nonces = [data[LLDP_NONCE_OFFSET:LLDP_SEQ_OFFSET] for _, data in h.transmitted]
+    assert nonces == [SW_MAC + n.to_bytes(6, "big") for n in range(1, 7)]
+    assert observed == [(KEY.key, SW_MAC, n) for n in range(1, 7)]
+    assert h.ctl.seal_count == 6
+
+
+def test_a_new_discovery_key_retires_the_old_one_and_the_counter_runs_on():
+    h = Harness(num_ports=1)
+    retired = []
+    h.switch.on_retire = lambda key, fixed: retired.append((key, fixed))
+    h.start()
+    assert retired == []
+    new_key = LldpKey(key=b"\x44" * 16, key_id=2)
+    h.ctl.deliver(KeyInstall(key=new_key))
+    assert retired == [(KEY.key, SW_MAC)]
+    h.ctl.discovery_round()
+    [(_, first), (_, second)] = h.transmitted
+    assert second[LLDP_NONCE_OFFSET:LLDP_SEQ_OFFSET] == SW_MAC + (2).to_bytes(6, "big")
+    assert lldp_open(new_key, second)[0] == lldp_open(KEY, first)[0] + 1
 
 
 def test_emit_round_all_ports_down():

@@ -10,7 +10,7 @@ from macsecsim.crypto import LldpKey, lldp_seal, macsec_protect
 from macsecsim.dataplane import Counters, SaEntry, Switch
 from macsecsim.errors import InvalidEntry, LivelockError, SpecError, UnknownHost, UnknownLink, UnknownSwitch
 from macsecsim.local_controller import LocalController
-from macsecsim.messages import DeleteIgSc, ScAck, ScConfig
+from macsecsim.messages import DeleteEgSc, DeleteIgSc, DeleteSa, LinkDelta, ScAck, ScConfig, StartDiscovery
 from macsecsim.netsim import Simulation, build
 from macsecsim.topology import SwitchSpec, TopologySpec, chain_spec
 from macsecsim.trace import read_pcapng
@@ -1112,6 +1112,79 @@ def test_an_egress_sa_whose_pn_goes_back_fails_the_iv_check():
     sim.host_send("h1", b"\xff" * 6, 0x0800, b"again")
     with pytest.raises(AssertionError, match="reuse"):
         sim.quiesce()
+
+
+def _live_sending_sas(sim) -> int:
+    """SAs a switch protects with: an SCI starts with its sender's MAC."""
+    return sum(sa.sci[:6] == sw.mac for sw in sim.switches.values() for sa in sw.tables.sa.values())
+
+
+def test_the_iv_registry_stays_bounded_by_the_live_sending_sas_and_one_entry_per_switch():
+    """Under fast rekeys and discovery-key rotations, the registry forgets each
+    retired SA and each replaced discovery key, and no nonce is kept."""
+    spec = chain_spec(3).with_params(
+        discovery_interval=0.5, rekey_interval=1.0, grace=0.25, lldp_key_rotation=2.0,
+    )
+    sim = build(spec, seed=1)
+    h1, h2 = sim.hosts["h1"], sim.hosts["h2"]
+    step = 0
+    while sim.now_us() < 30_000_000:
+        if step % 2 == 0:
+            sim.host_send("h1", h2.mac, 0x0800, b"a%d" % step)
+            sim.host_send("h2", h1.mac, 0x0800, b"b%d" % step)
+        sim.run_until(sim.now_s() + 0.05)
+        step += 1
+        assert len(sim.iv_registry._seen) <= _live_sending_sas(sim) + len(sim.switches), sim.now_s()
+    assert sim.central.counters.get("channels.rekey") >= 100
+    assert sim.central.counters.get("discovery_key.rotated") == 15
+    assert len(h1.received) > 250 and len(h2.received) > 250
+    assert sim.rng._nonces_issued == set()
+
+
+def test_a_receiver_deleting_an_sa_leaves_the_senders_registry_entry():
+    sim = build(chain_spec(2), seed=1)
+    sim.quiesce()
+    sim.host_send("h1", sim.hosts["h2"].mac, 0x0800, b"protected by s1")
+    sim.quiesce()
+    [record] = sim.central.sc_records.values()
+    [d] = [d for d in record.directions.values() if d.sender == "s1"]
+    entry = (d.sak.key, d.sci)
+    assert entry in sim.iv_registry._seen
+    sim.controllers[d.receiver].deliver(ScConfig(batch_id=None, ops=[DeleteIgSc(sai=d.sai), DeleteSa(sai=d.sai)]))
+    assert entry in sim.iv_registry._seen
+    sim.controllers[d.sender].deliver(
+        ScConfig(batch_id=None, ops=[DeleteEgSc(port=d.sender_port), DeleteSa(sai=d.sai)])
+    )
+    assert entry not in sim.iv_registry._seen
+
+
+def test_an_unexpected_control_message_raises_and_changes_nothing():
+    """Each controller refuses a message meant for the other tier."""
+    sim = build(chain_spec(2), seed=1)
+    sim.quiesce()
+
+    def state():
+        central = sim.central
+        return (
+            sim.pending(), sim.counters_dump(), central.counters.as_dict(), central.dump_link_map(),
+            central.dump_sc_records(unsafe_keys=True), [repr(sw.tables) for sw in sim.switches.values()],
+            [(c.local_view, c.rx_seq, c.seal_count, c.tx_seq) for c in sim.controllers.values()],
+        )
+
+    before = state()
+    with pytest.raises(TypeError, match="^unexpected control message StartDiscovery$"):
+        sim.central.deliver(StartDiscovery())
+    with pytest.raises(TypeError, match="^unexpected control message LinkDelta$"):
+        sim.controllers["s1"].deliver(LinkDelta("s1", 2, ("s2", 1)))
+    assert state() == before
+
+
+def test_an_event_due_before_the_clock_stops_the_loop():
+    sim = build(chain_spec(2), seed=1)
+    sim.run_until(1.0)
+    sim.schedule(-1, sim.now_us)
+    with pytest.raises(AssertionError, match="^virtual clock moved backward$"):
+        sim.run_until(2.0)
 
 
 def test_reading_a_total_or_a_named_count_walks_no_live_count(monkeypatch):

@@ -1,6 +1,9 @@
 import pytest
 
+from macsecsim.netsim import build
 from macsecsim.randomness import IvUniquenessRegistry, RandomSource
+from macsecsim.topology import chain_spec
+from macsecsim.wire import LLDP_NONCE_OFFSET, LLDP_SEQ_OFFSET
 
 
 def test_seeded_source_is_reproducible():
@@ -10,15 +13,36 @@ def test_seeded_source_is_reproducible():
     assert RandomSource(5).rand_bytes(16) != RandomSource(6).rand_bytes(16)
 
 
-def test_nonce_reuse_is_a_hard_error():
-    src = RandomSource(5)
-    nonce = src.lldp_nonce()
-    src._nonces_issued.discard(nonce)  # rewind the book-keeping
-    src._rng.seed(5)  # force the generator to repeat itself
-    src._nonces_issued.add(src.lldp_nonce())
-    src._rng.seed(5)
-    with pytest.raises(AssertionError, match="nonce reuse"):
-        src.lldp_nonce()
+def test_two_switches_first_probes_differ():
+    """Both switches seal their first probe under the one discovery key with
+    seal counter 1; their MACs keep the two nonces apart."""
+    sim = build(chain_spec(2), seed=1)
+    sim.run_until(0.0)
+    firsts = {}
+    for rec in sim.trace_query(classification="secure_lldp"):
+        firsts.setdefault(rec.data[6:12], rec.data)
+    assert sorted(firsts) == sorted(sw.mac for sw in sim.switches.values())
+    nonces = {mac: data[LLDP_NONCE_OFFSET:LLDP_SEQ_OFFSET] for mac, data in firsts.items()}
+    assert nonces == {mac: mac + (1).to_bytes(6, "big") for mac in firsts}
+    assert len(set(firsts.values())) == 2
+
+
+def test_a_repeated_seal_counter_raises_in_the_registry():
+    sim = build(chain_spec(2), seed=1)
+    sim.quiesce()
+    ctl = sim.controllers["s1"]
+    ctl.seal_count -= 1  # the next probe would reuse the last nonce
+    with pytest.raises(AssertionError, match="reuse"):
+        ctl.discovery_round()
+
+
+def test_the_registry_forgets_one_channel_only():
+    reg = IvUniquenessRegistry()
+    reg.observe(b"k" * 16, b"a" * 8, 5)
+    reg.observe(b"k" * 16, b"m" * 6, 9)
+    reg.forget(b"k" * 16, b"a" * 8)
+    reg.forget(b"k" * 16, b"x" * 8)  # never seen: nothing to forget
+    assert reg._seen == {(b"k" * 16, b"m" * 6): 9}
 
 
 def test_iv_registry_flags_reuse():

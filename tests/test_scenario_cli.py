@@ -1,4 +1,7 @@
 import filecmp
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -10,7 +13,7 @@ from macsecsim.netsim import build
 from macsecsim.scenario import ScenarioRunner, parse_script, run_scenario
 from macsecsim.topology import TopologySpec, chain_spec
 from macsecsim.wire import mac_to_str, make_sci
-from conftest import SCENARIOS
+from conftest import REPO_ROOT, SCENARIOS
 
 SPEC = str(SCENARIOS / "hierarchical.yaml")
 
@@ -302,6 +305,17 @@ def test_cli_inspect_refuses_a_missing_or_unknown_switch(query, error, capsys):
     assert main(["inspect", "--spec", SPEC, "--seed", "7", *query]) == 2
     captured = capsys.readouterr()
     assert captured.err == error and captured.out == ""
+
+
+def test_cli_module_runs_as_a_script():
+    """`python -m macsecsim.cli` goes through the module's `__main__` guard."""
+    paths = [str(REPO_ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    result = subprocess.run(
+        [sys.executable, "-m", "macsecsim.cli", "--help"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: ")
 
 
 def test_cli_seed_env_var(monkeypatch, capsys):
