@@ -26,6 +26,15 @@ that failed or went missing leaves a row that the fabric audit reports as
 An IG-SC op names only its SA, whose own (SCI, AN) keys the row, so a retire
 or teardown deletes the generations it names and the switch decides whether
 a row still belongs to one of them.
+
+Rekeys are deadlines, not timers of their own.  A direction that goes active
+is filed, as (link key, direction, SAI), in a table keyed by the microsecond
+its rekey is due; the first entry filed under an instant queues the one
+housekeeping sweep for it.  The sweep runs the instant's entries in filing
+order, so rekeys due at one instant start in the order their directions went
+active, and the entries of one instant all run at the first one's place in
+the event queue.  An entry holds no record: the sweep skips one whose record
+was torn down, quarantined or rekeyed since, as its SAI then differs.
 """
 
 from __future__ import annotations
@@ -99,6 +108,7 @@ class CentralController:
     def __init__(
         self,
         *,
+        now: Callable[[], int],
         schedule: Callable[..., None],
         send_to_local: Callable[[str, object], None],
         rng,
@@ -107,10 +117,12 @@ class CentralController:
         grace_us: int = 30_000_000,
         macsec_encrypt: bool = True,
     ):
-        """`schedule(delay_us, fn, *args, housekeeping=False)` queues a timer;
-        every interval is in whole microseconds of virtual time.
+        """`now()` reads the virtual clock, and `schedule(delay_us, fn, *args,
+        housekeeping=False)` queues a timer; every time and interval is in whole
+        microseconds of virtual time.
         `send_to_local(chassis, msg)` returns nothing: each message arrives,
         in order, though late if the switch's control channel is cut."""
+        self._now = now
         self._schedule = schedule
         self._send = send_to_local
         self._rng = rng
@@ -132,8 +144,10 @@ class CentralController:
         self._sai_seq = 0
         self._batch_seq = 0
         self._pending: dict[int, tuple[ScRecord, str]] = {}  # batch id -> (record, direction)
-        # Bound once: every channel's rekey and retire timers queue these two objects.
-        self._rekey_due = self._rekey_due
+        # due microsecond -> (link key, direction, SAI) of each rekey due then, in filing order
+        self._rekeys: dict[int, list[tuple[LinkKey, str, int]]] = {}
+        # Bound once: every rekey sweep and retire timer queues one of these two objects.
+        self._rekey_sweep = self._rekey_sweep
         self._send_deletes = self._send_deletes
 
     def start(self) -> None:
@@ -265,7 +279,7 @@ class CentralController:
             self._finish_activation(record, direction, d)
 
     def _finish_activation(self, record: ScRecord, direction: str, d: ScDirection) -> None:
-        # The timers capture no record, so a queued timer keeps no SAK alive.
+        # The retire timer and the rekey deadline capture no record, so neither keeps a SAK alive.
         if d.next is not None:
             # Retire the replaced generation one grace later, whatever becomes of the record:
             # SAIs are never reused, and a receiver deletes an IG-SC row only while it names that SAI.
@@ -274,9 +288,12 @@ class CentralController:
             d.next = None
             d.rekey_count += 1
         d.phase = "active"
-        self._schedule(
-            self.rekey_interval_us, self._rekey_due, record.key, direction, d.sai, housekeeping=True
-        )
+        due_us = self._now() + self.rekey_interval_us
+        filed = self._rekeys.get(due_us)
+        if filed is None:
+            filed = self._rekeys[due_us] = []
+            self._schedule(self.rekey_interval_us, self._rekey_sweep, due_us, housekeeping=True)
+        filed.append((record.key, direction, d.sai))
         if record.state == "installing" and all(
             x.phase == "active" for x in record.directions.values()
         ):
@@ -306,9 +323,14 @@ class CentralController:
 
     # -- rekeying -------------------------------------------------------------------
 
+    def _rekey_sweep(self, due_us: int) -> None:
+        """Start every rekey filed under `due_us`, in filing order."""
+        for key, direction, sai in self._rekeys.pop(due_us):
+            self._rekey_due(key, direction, sai)
+
     def _rekey_due(self, key: LinkKey, direction: str, sai: int) -> None:
-        """Fired one rekey interval after the generation with SA `sai` went
-        active.  SAIs are never reused, so the timer of an older generation,
+        """Due one rekey interval after the generation with SA `sai` went
+        active.  SAIs are never reused, so the entry of an older generation,
         or of a record torn down and redeployed since, finds another SAI."""
         record = self.sc_records.get(key)
         if record is None or record.state == "quarantined":

@@ -138,6 +138,9 @@ class LocalController:
         if self.discovery_started:
             return
         self.discovery_started = True
+        # Bound once, here rather than at construction, so that every round re-arms
+        # with this one object and an idle switch holds none.
+        self.discovery_round = self.discovery_round
         self.discovery_round()
 
     def discovery_round(self) -> None:

@@ -12,7 +12,9 @@ builds no closure.  `seq` breaks ties, so events due at the same
 microsecond run in the order they were queued.  `Simulation.schedule`,
 which takes an integer delay in microseconds, queues every event.  The
 spec's durations are in seconds; `to_us` rounds each to the microsecond
-once, when the simulation is built.
+once, when the simulation is built.  The loop moves the clock only when
+time moves, so every trace row, inbox row and lane entry stamped at one
+microsecond holds one int object.
 
 The queue is a heap plus a FIFO lane for zero-delay events.  An event
 queued at delay 0 is due at the current clock and has the highest `seq`
@@ -20,7 +22,7 @@ yet, so the lane is always in ``(at_us, seq)`` order; the loop runs the
 lane's head unless the heap's head is smaller.  `Simulation.pending`
 lists both in run order.
 
-Periodic timers (discovery rounds, rekey deadlines, key rotation) are
+Periodic timers (discovery rounds, rekey sweeps, key rotation) are
 flagged as housekeeping; `quiesce` runs the queue in time order until only
 housekeeping remains, which is the artifact's notion of "no in-flight
 events".  `run_until` and `quiesce` share one loop, which raises
@@ -33,9 +35,13 @@ message is ever lost.
 
 The callbacks queued with every event are bound once: `_deliver` and the
 central controller's `deliver` per `Simulation`, the central controller's
-rekey and retire timers per `CentralController`.  A local controller's
-`deliver` is bound per message, and every local controller shares one
-`_send_to_central`, which reads the switch from the message.
+rekey sweep and retire timer per `CentralController`, and a local
+controller's `discovery_round` per controller, at its first round.  The
+central controller files each rekey under its due microsecond and queues
+one sweep per instant, at the place of the instant's first entry; the sweep
+starts that instant's rekeys in the order they were filed.  A local
+controller's `deliver` is bound per message, and every local controller
+shares one `_send_to_central`, which reads the switch from the message.
 
 A link is a pair of the spec's ``(node, port)`` endpoints; a host end is
 ``(host, 0)``, and a node is a switch when its name is in `switches`.  The
@@ -57,7 +63,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappop, heappush
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .central_controller import CentralController, LinkKey, link_key
 from .dataplane import DROP, Switch
@@ -86,13 +92,49 @@ class Link:
         self.key = link_key(self.a, self.b)
 
 
+class Inbox:
+    """A host's delivered frames, in arrival order, read as `(arrival µs,
+    frame)` pairs.  It keeps each delivery as its arrival time and its wire
+    bytes, and builds the frame, a view over the very bytes of its trace row,
+    when the pair is read.  It indexes, slices and iterates like a list and
+    compares equal to a list of the pairs it holds."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self):
+        self._rows: list[tuple[int, bytes]] = []
+
+    def append(self, at_us: int, data: bytes) -> None:
+        self._rows.append((at_us, data))
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [(at_us, EthernetFrame._view(data)) for at_us, data in self._rows[index]]
+        at_us, data = self._rows[index]
+        return at_us, EthernetFrame._view(data)
+
+    def __iter__(self) -> Iterator[tuple[int, EthernetFrame]]:
+        for at_us, data in self._rows:
+            yield at_us, EthernetFrame._view(data)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (Inbox, list)):
+            return self[:] == other[:]
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Inbox({self[:]!r})"
+
+
 @dataclass
 class Host:
     name: str
     mac: bytes
     link: Optional[Link] = None  # the host is its link's b end
-    # (arrival time, frame); each frame is a view over the very bytes of its trace row
-    received: list[tuple[int, EthernetFrame]] = field(default_factory=list)
+    received: Inbox = field(default_factory=Inbox)
 
 
 class Simulation:
@@ -125,6 +167,7 @@ class Simulation:
 
         self._jitter_us = to_us(self.params.latency_jitter)
         self.central = CentralController(
+            now=self.now_us,
             schedule=self.schedule,
             send_to_local=self._send_to_local,
             rng=self.rng,
@@ -250,9 +293,10 @@ class Simulation:
                 at_us, _, housekeeping, fn, args = popleft()
             else:
                 at_us, _, housekeeping, fn, args = heappop(queue)
-            if at_us < self._clock_us:
-                raise AssertionError("virtual clock moved backward")
-            self._clock_us = at_us
+            if at_us != self._clock_us:  # so every row stamped at one instant shares one int
+                if at_us < self._clock_us:
+                    raise AssertionError("virtual clock moved backward")
+                self._clock_us = at_us
             if not housekeeping:
                 self._actionable -= 1
             self.events_processed += 1
@@ -329,7 +373,7 @@ class Simulation:
                 self.trace.drop(index, "unparseable")
                 return
             if isinstance(frame, EthernetFrame):
-                host.received.append((self._clock_us, frame))
+                host.received.append(self._clock_us, data)
             # Hosts have no MACsec/LLDP stack; other classes die quietly at the NIC.
 
     # -- faults and attacks ----------------------------------------------------------------

@@ -33,6 +33,7 @@ class Harness:
         self.scheduled = []
         self.outbox = []
         self.central = CentralController(
+            now=lambda: self.time_us,
             schedule=lambda delay_us, fn, *args, housekeeping=False: self.scheduled.append(
                 [self.time_us + delay_us, fn, args, housekeeping]
             ),
@@ -69,7 +70,7 @@ class Harness:
         self.ack_all()
 
     def advance_to_rekey_timers(self):
-        """Move the clock to the deadline of the queued rekey timers, the only housekeeping ones."""
+        """Move the clock to the deadline of the queued rekey sweeps, the only housekeeping timers."""
         [self.time_us] = {deadline_us for deadline_us, _fn, _args, hk in self.scheduled if hk}
 
     def run_due_timers(self):
@@ -313,6 +314,49 @@ def test_an_cycles_mod_four():
         h.ack_all()
         seen.append(d.an)
     assert seen == [0, 1, 2, 3, 0]
+
+
+def test_rekeys_due_at_one_instant_start_in_the_order_their_directions_went_active():
+    h = Harness(rekey_interval_us=60_000_000)
+    h.register_all("s1", "s2", "s3")
+    h.confirm_link(("s1", 2), ("s2", 4))
+    h.confirm_link(("s1", 3), ("s3", 1))
+    key_13 = link_key(("s1", 3), ("s3", 1))
+    # Each link's egress acks arrive a2b first, and link 1-2 was confirmed first.
+    order = [(KEY_12, "a2b"), (KEY_12, "b2a"), (key_13, "a2b"), (key_13, "b2a")]
+    directions = [h.central.sc_records[key].directions[name] for key, name in order]
+    assert h.central._rekeys == {60_000_000: [(key, name, d.sai) for (key, name), d in zip(order, directions)]}
+    assert [(at_us, fn.__name__, args) for at_us, fn, args, hk in h.scheduled if hk] == [
+        (60_000_000, "_rekey_sweep", (60_000_000,))
+    ]
+    h.advance_to_rekey_timers()
+    h.run_due_timers()
+    staged = [d.next[0] for d in directions]
+    assert staged == sorted(staged) and len(set(staged)) == 4
+    assert h.central._rekeys == {}
+
+
+def test_a_sweep_skips_a_torn_down_record_and_a_generation_replaced_since_it_was_filed():
+    h = Harness(rekey_interval_us=60_000_000)
+    h.register_all("s1", "s2", "s3")
+    h.confirm_link(("s1", 2), ("s2", 4))
+    h.confirm_link(("s1", 3), ("s3", 1))  # all four directions filed under 60 s
+    record = h.central.sc_records[link_key(("s1", 3), ("s3", 1))]
+    a2b, b2a = record.directions["a2b"], record.directions["b2a"]
+    h.time_us = 30_000_000
+    h.central.handle_pn_exhausted(PnExhausted(chassis_id="s1", sci=a2b.sci))
+    h.ack_all()  # a2b's new generation is filed under 90 s; its 60 s entry is stale
+    h.central.handle_link_delta(LinkDelta("s1", 2, None))  # link 1-2's two entries outlive its record
+    assert [len(entries) for entries in h.central._rekeys.values()] == [4, 1]
+    h.outbox.clear()
+    h.time_us = 60_000_000
+    h.run_due_timers()
+    stages = [(chassis, cfg.ops) for chassis, cfg in h.configs() if cfg.batch_id is not None]
+    sai, an, sak = b2a.next
+    assert stages == [(b2a.receiver, [WriteSa(sai=sai, an=an, sak=sak, sci=b2a.sci), WriteIgSc(sai=sai)])]
+    assert h.central.counters.get("channels.rekey") == 2
+    assert a2b.rekey_count == 1 and a2b.next is None and a2b.phase == "active"
+    assert list(h.central._rekeys) == [90_000_000]
 
 
 def test_pn_exhaustion_triggers_out_of_cycle_rekey():

@@ -239,6 +239,23 @@ def test_a_received_frame_is_a_view_over_its_trace_row():
     assert frame.to_bytes() is sim.trace._rows[i][3]
 
 
+def test_a_host_inbox_reads_as_a_list_of_arrival_and_frame():
+    """The inbox keeps each delivery's time and wire bytes, and reads as a
+    list of (arrival us, frame) pairs, each frame built when read."""
+    sim = build(chain_spec(2), seed=1)
+    sim.quiesce()
+    for i in range(3):
+        sim.host_send("h1", sim.hosts["h2"].mac, 0x0800, b"frame %d" % i)
+    sim.quiesce()
+    inbox = sim.hosts["h2"].received
+    pairs = list(inbox)
+    assert len(inbox) == 3 and [f.payload for _, f in pairs] == [b"frame 0", b"frame 1", b"frame 2"]
+    assert all(type(at_us) is int and type(f) is EthernetFrame for at_us, f in pairs)
+    assert inbox == pairs and inbox != pairs[:2] and inbox[1:] == pairs[1:] and inbox[-1] == pairs[2]
+    assert sim.host_recv("h2") == [f for _, f in pairs]
+    assert all(type(data) is bytes for _, data in inbox._rows)
+
+
 def test_flood_reaches_all_hosts_and_learns_source(hierarchical_spec):
     sim = build(hierarchical_spec, seed=8)
     sim.quiesce()
@@ -584,7 +601,7 @@ def test_a_grace_shorter_than_the_wire_time_is_a_spec_error():
 def test_a_grace_equal_to_the_wire_time_loses_no_frame_across_a_rekey():
     sim = build(WIRE_SPEC.with_params(grace=0.001), seed=1)
     sim.quiesce()
-    [rekey_us] = {at_us for at_us, _seq, _hk, fn, _args in sim.pending() if fn.__name__ == "_rekey_due"}
+    [rekey_us] = {at_us for at_us, _seq, _hk, fn, _args in sim.pending() if fn.__name__ == "_rekey_sweep"}
     sent = {"h1": [], "h2": []}
     for t_us in range(rekey_us - 10_000, rekey_us + 10_000, 100):  # every 100 us around the rekey and its retire
         sim.run_until(t_us / 1_000_000)
@@ -597,6 +614,58 @@ def test_a_grace_equal_to_the_wire_time_loses_no_frame_across_a_rekey():
     assert len(directions) == 4 and all(d.rekey_count == 1 for d in directions)
     for host in ("h1", "h2"):
         assert [f.payload for f in sim.host_recv(host)] == sent[host]
+
+
+def test_the_queue_holds_one_rekey_sweep_per_due_instant():
+    """Each direction that goes active is filed under its rekey's due
+    microsecond; an instant queues one housekeeping sweep however many
+    directions it holds, and no rekey is queued on its own."""
+    spec = chain_spec(4).with_params(discovery_interval=1.0, rekey_interval=3.0, grace=1.0)
+    sim = build(spec, seed=1)
+    sim.quiesce()  # all six directions go active at 0.001 s
+    sim.run_until(1.5)
+    sim.set_link_state("s2-s3", False)
+    sim.run_until(1.7)
+    sim.set_link_state("s2-s3", True)
+    sim.quiesce()  # s2-s3 redeployed at 1.701 s; its old record's two entries stay filed
+    table = sim.central._rekeys
+    assert {due_us: len(entries) for due_us, entries in table.items()} == {3_001_000: 6, 4_701_000: 2}
+    sweeps = [(at_us, hk, args) for at_us, _seq, hk, fn, args in sim.pending() if fn.__name__ == "_rekey_sweep"]
+    assert sweeps == [(3_001_000, True, (3_001_000,)), (4_701_000, True, (4_701_000,))]
+    assert "_rekey_due" not in {fn.__name__ for _at, _seq, _hk, fn, _args in sim.pending()}
+
+
+def test_the_rekey_table_empties_as_its_sweeps_fire():
+    """Across many rekey rounds the table holds at most one entry per live
+    direction, and none whose instant has passed."""
+    spec = chain_spec(3).with_params(discovery_interval=0.5, rekey_interval=1.0, grace=0.25)
+    sim = build(spec, seed=1)
+    while sim.now_us() < 10_000_000:
+        sim.run_until(sim.now_s() + 0.05)
+        table = sim.central._rekeys
+        live = sum(len(record.directions) for record in sim.central.sc_records.values())
+        assert sum(map(len, table.values())) <= live, sim.now_s()
+        assert all(due_us > sim.now_us() for due_us in table), sim.now_s()
+    assert sim.central.counters.get("channels.rekey") >= 4 * 9
+
+
+def test_rows_stamped_at_one_instant_share_one_clock_int():
+    """The loop moves the clock only when time moves, so the trace and inbox
+    rows of every event due at one microsecond hold the same int."""
+    sim = build(chain_spec(3).with_params(discovery_interval=1.0), seed=1)
+    sim.quiesce()
+    h1, h2 = sim.hosts["h1"], sim.hosts["h2"]
+    for i in range(3):
+        sim.host_send("h1", h2.mac, 0x0800, b"a%d" % i)
+        sim.host_send("h2", h1.mac, 0x0800, b"b%d" % i)
+        sim.run_until(sim.now_s() + 1.0)  # the switches' discovery rounds share each instant
+    sim.quiesce()
+    stamps: dict[int, set[int]] = {}
+    rows = [row[0] for row in sim.trace._rows] + [at_us for host in (h1, h2) for at_us, _data in host.received._rows]
+    for at_us in rows:
+        stamps.setdefault(at_us, set()).add(id(at_us))
+    assert all(len(ids) == 1 for ids in stamps.values())
+    assert Counter(rows).most_common(1)[0][1] >= 6 and len(stamps) > 10
 
 
 def test_a_redeployed_channel_ignores_the_old_records_rekey_timer():
@@ -985,8 +1054,8 @@ def test_every_queue_push_goes_through_schedule(monkeypatch, jitter_s):
 
 
 def test_the_callbacks_queued_per_event_are_bound_once(monkeypatch):
-    """Frame deliveries, messages to the central controller and the rekey and
-    retire timers each queue one callable object for the whole run."""
+    """Frame deliveries, messages to the central controller, the rekey sweeps
+    and the retire timers each queue one callable object for the whole run."""
     queued = []  # keeps every queued callable alive, so distinct objects stay distinct
     schedule = Simulation.schedule
 
@@ -1004,11 +1073,29 @@ def test_the_callbacks_queued_per_event_are_bound_once(monkeypatch):
     sim.quiesce()
 
     for name, owner in [
-        ("_deliver", sim), ("deliver", sim.central), ("_rekey_due", sim.central), ("_send_deletes", sim.central),
+        ("_deliver", sim), ("deliver", sim.central), ("_rekey_sweep", sim.central), ("_send_deletes", sim.central),
     ]:
         fns = [fn for fn in queued if fn.__name__ == name and fn.__self__ is owner]
         assert len(fns) > 1, name
         assert len({id(fn) for fn in fns}) == 1, name
+
+
+def test_each_local_controller_rearms_discovery_with_one_bound_method(monkeypatch):
+    """A controller binds `discovery_round` once, at its first round, and
+    every later round queues that same object."""
+    queued = []
+    schedule = Simulation.schedule
+
+    def recording(self, delay_us, fn, *args, housekeeping=False):
+        queued.append(fn)
+        schedule(self, delay_us, fn, *args, housekeeping=housekeeping)
+
+    monkeypatch.setattr(Simulation, "schedule", recording)
+    sim = build(chain_spec(3).with_params(discovery_interval=1.0), seed=1)
+    sim.run_until(5.5)
+    for ctl in sim.controllers.values():
+        fns = [fn for fn in queued if fn.__name__ == "discovery_round" and fn.__self__ is ctl]
+        assert len(fns) == 6 and len({id(fn) for fn in fns}) == 1
 
 
 def test_a_counter_read_by_name_agrees_with_the_dump():
