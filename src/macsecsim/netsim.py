@@ -13,8 +13,8 @@ microsecond run in the order they were queued.  `Simulation.schedule`,
 which takes an integer delay in microseconds, queues every event.  The
 spec's durations are in seconds; `to_us` rounds each to the microsecond
 once, when the simulation is built.  The loop moves the clock only when
-time moves, so every trace row, inbox row and lane entry stamped at one
-microsecond holds one int object.
+time moves, so every inbox row and lane entry stamped at one microsecond
+holds one int object; the trace stores its times as int64 values.
 
 The queue is a heap plus a FIFO lane for zero-delay events.  An event
 queued at delay 0 is due at the current clock and has the highest `seq`
@@ -45,15 +45,19 @@ shares one `_send_to_central`, which reads the switch from the message.
 
 A link is a pair of the spec's ``(node, port)`` endpoints; a host end is
 ``(host, 0)``, and a node is a switch when its name is in `switches`.  The
-inter-switch links are listed once, in spec order, at build time.
+inter-switch links are listed once, in spec order, at build time.  Cabling
+a link registers it with the trace once: its ``a2b`` wire id is twice the
+link's trace id, and its ``b2a`` one more.  Each end's attachment holds the
+link and the wire id of the direction a frame sent from it takes, so a row
+costs the trace two ints and the frame's bytes.
 
 Every frame reaches a wire through one body, `_transmit`: it records the
-frame, drops it on a down link or a loss draw, draws the jitter and queues
-the delivery.  A switch's `on_transmit` is a `partial` of it; `host_send`
-and `inject_frame` queue it at zero delay.  A delivery checks carrier once,
-on the link: `set_link_state` is the one writer of a cabled switch port's
-state and keeps it equal to the link's, and a port with no cable is down
-from build, so a switch never sends from it.
+frame under its wire id, drops it on a down link or a loss draw, draws the
+jitter and queues the delivery.  A switch's `on_transmit` is a `partial` of
+it; `host_send` and `inject_frame` queue it at zero delay.  A delivery
+checks carrier once, on the link: `set_link_state` is the one writer of a
+cabled switch port's state and keeps it equal to the link's, and a port
+with no cable is down from build, so a switch never sends from it.
 """
 
 from __future__ import annotations
@@ -67,12 +71,12 @@ from typing import Callable, Iterator, Optional
 
 from .central_controller import CentralController, LinkKey, link_key
 from .dataplane import DROP, Switch
-from .errors import LivelockError, TruncatedFrame, UnknownHost, UnknownLink, UnknownSwitch
+from .errors import LivelockError, UnknownHost, UnknownLink, UnknownSwitch
 from .local_controller import LocalController
 from .randomness import IvUniquenessRegistry, RandomSource
 from .topology import Endpoint, TopologySpec, to_us
-from .trace import Trace, write_pcapng
-from .wire import EthernetFrame, parse_frame
+from .trace import DIRECTIONS, Trace, write_pcapng
+from .wire import ETH_HEADER_LEN, MIN_FRAME_LEN, EthernetFrame
 
 log = logging.getLogger(__name__)
 
@@ -87,6 +91,7 @@ class Link:
     latency_us: int
     up: bool = True
     key: LinkKey = field(init=False)  # its central link-map key
+    wire: int = field(init=False)  # its a2b wire id in the trace; b2a is one more
 
     def __post_init__(self):
         self.key = link_key(self.a, self.b)
@@ -159,9 +164,9 @@ class Simulation:
         self.hosts: dict[str, Host] = {}
         self.links: dict[str, Link] = {}
         self.interswitch_links: list[Link] = []  # in spec order
-        # switch or host -> port -> (link, direction a frame sent from that port
-        # takes); a host sends from port 0
-        self._attachments: dict[str, dict[int, tuple[Link, str]]] = {}
+        # switch or host -> port -> (link, wire id of the direction a frame sent
+        # from that port takes); a host sends from port 0
+        self._attachments: dict[str, dict[int, tuple[Link, int]]] = {}
         # chassis -> (deliver, msg) held while its control channel is cut
         self._held: dict[str, list[tuple[Callable[[object], None], object]]] = {}
 
@@ -238,10 +243,12 @@ class Simulation:
         self.central.start()
 
     def _cable(self, link: Link) -> Link:
-        """Attach a link's ends: a frame sent from `a` goes a2b, one from `b` b2a."""
+        """Register a link with the trace and attach its ends: a frame sent
+        from `a` goes a2b, one from `b` b2a."""
         self.links[link.name] = link
-        for (node, port), direction in ((link.a, "a2b"), (link.b, "b2a")):
-            self._attachments.setdefault(node, {})[port] = (link, direction)
+        wire = link.wire = self.trace.add_link(link.name)
+        self._attachments.setdefault(link.a[0], {})[link.a[1]] = (link, wire)
+        self._attachments.setdefault(link.b[0], {})[link.b[1]] = (link, wire + 1)
         return link
 
     # -- clock and event queue ------------------------------------------------------
@@ -334,14 +341,14 @@ class Simulation:
 
     # -- wire ---------------------------------------------------------------------------
 
-    def _transmit(self, attachments: dict[int, tuple[Link, str]], port: int, data: bytes) -> None:
+    def _transmit(self, attachments: dict[int, tuple[Link, int]], port: int, data: bytes) -> None:
         """Put a frame on the wire at `port`: record it, then drop it (link
         down, or lost to the loss draw) or queue its delivery one latency,
         plus the jitter draw, later.  Every frame, whether a switch, a host
         or `inject_frame` sends it, goes through here; a switch sends only
         from an up port, and a port with no cable is down from build."""
-        link, direction = attachments[port]
-        index = self.trace.record(self._clock_us, link.name, direction, data)
+        link, wire = attachments[port]
+        index = self.trace.record(self._clock_us, wire, data)
         if not link.up:
             self.trace.drop(index, "link_down")
             return
@@ -352,29 +359,31 @@ class Simulation:
         delay_us = link.latency_us
         if self._jitter_us:
             delay_us += int(self.rng.uniform() * (self._jitter_us + 1))
-        self.schedule(delay_us, self._deliver, link, direction, data, index)
+        self.schedule(delay_us, self._deliver, link, wire, data, index)
 
-    def _deliver(self, link: Link, direction: str, data: bytes, index: int) -> None:
+    def _deliver(self, link: Link, wire: int, data: bytes, index: int) -> None:
         """Hand a frame to its receiving end, unless its link went down in flight."""
         if not link.up:
             self.trace.drop(index, "link_down")
             return
-        node, port = link.b if direction == "a2b" else link.a
+        node, port = link.a if wire & 1 else link.b  # a b2a frame arrives at a
         switch = self.switches.get(node)
         if switch is not None:
             result = switch.handle_frame(port, data)
             if result.kind == DROP:
                 self.trace.drop(index, result.drop_reason)
         else:
-            host = self.hosts[node]
-            try:
-                frame = parse_frame(data)
-            except TruncatedFrame:
+            # The NIC refuses a frame below its class's minimum length, as
+            # `parse_frame` would.  Hosts have no MACsec/LLDP stack: those
+            # classes die quietly at the NIC, and the rest are Ethernet.
+            if len(data) < ETH_HEADER_LEN:
                 self.trace.drop(index, "unparseable")
                 return
-            if isinstance(frame, EthernetFrame):
-                host.received.append(self._clock_us, data)
-            # Hosts have no MACsec/LLDP stack; other classes die quietly at the NIC.
+            minimum = MIN_FRAME_LEN.get(data[12] << 8 | data[13])  # big-endian EtherType
+            if minimum is None:
+                self.hosts[node].received.append(self._clock_us, data)
+            elif len(data) < minimum:
+                self.trace.drop(index, "unparseable")
 
     # -- faults and attacks ----------------------------------------------------------------
 
@@ -396,9 +405,9 @@ class Simulation:
         link = self.links.get(name)
         if link is None:
             raise UnknownLink(name)
-        if direction not in ("a2b", "b2a"):
+        if direction not in DIRECTIONS:
             raise ValueError(f"direction must be a2b or b2a, not {direction!r}")
-        self.schedule(0, self._transmit, {0: (link, direction)}, 0, data)
+        self.schedule(0, self._transmit, {0: (link, link.wire + DIRECTIONS.index(direction))}, 0, data)
 
     # -- hosts --------------------------------------------------------------------------------
 

@@ -12,9 +12,10 @@ always present (SC bit set on every frame this code emits).  No FCS is
 modeled.
 
 The simulator itself reads frames as bytes: the pipeline, MACsec protect
-and validate, and LLDP seal and open use the fixed offsets below.  Only a
-host NIC parses a delivered frame, with `parse_frame`; the frame classes
-otherwise serve tests and tools.  An `EthernetFrame` is a view over its
+and validate, LLDP seal and open, and a host NIC use the fixed offsets and
+the minimum lengths (`MIN_FRAME_LEN`) below.  A host's inbox reads its
+frames as `EthernetFrame` views; `parse_frame` and the other frame classes
+serve tests and tools.  An `EthernetFrame` is a view over its
 wire bytes: parsing one copies nothing, and its fields are read from those
 bytes when asked.  The MACsec and sealed-LLDP classes are dataclasses of
 their fields.

@@ -235,8 +235,8 @@ def test_a_received_frame_is_a_view_over_its_trace_row():
     frame = sim.hosts["h2"].received[-1][1]
     assert frame.payload == b"zero-copy" * 20
     link = sim.hosts["h2"].link.name
-    (i,) = [i for i, row in enumerate(sim.trace._rows) if row[1:] == (link, "a2b", frame.to_bytes())]
-    assert frame.to_bytes() is sim.trace._rows[i][3]
+    (rec,) = [rec for rec in sim.trace.query(link=link, direction="a2b") if rec.data == frame.to_bytes()]
+    assert frame.to_bytes() is sim.trace[rec.index].data
 
 
 def test_a_host_inbox_reads_as_a_list_of_arrival_and_frame():
@@ -254,6 +254,25 @@ def test_a_host_inbox_reads_as_a_list_of_arrival_and_frame():
     assert inbox == pairs and inbox != pairs[:2] and inbox[1:] == pairs[1:] and inbox[-1] == pairs[2]
     assert sim.host_recv("h2") == [f for _, f in pairs]
     assert all(type(data) is bytes for _, data in inbox._rows)
+
+
+@pytest.mark.parametrize(
+    "ether_type, size",
+    [(0x0800, 13), (0x88E5, 13), (0x88CC, 13), (0x88E5, 45), (0x88E5, 46), (0x88CC, 45), (0x88CC, 46), (0x0800, 14)],
+)
+def test_a_host_nic_refuses_short_frames_and_keeps_only_ethernet(ether_type, size):
+    """Below 14 bytes, or below its class's minimum (46 bytes for MACsec and
+    sealed LLDP), a frame is dropped as unparseable; a long enough MACsec or
+    LLDP frame dies quietly; the rest reach the inbox."""
+    sim = build(chain_spec(2), seed=1)
+    host = sim.hosts["h1"]
+    data = (host.mac + bytes(range(1, 7)) + ether_type.to_bytes(2, "big") + bytes(64))[:size]
+    sim.inject_frame(host.link.name, "a2b", data)
+    sim.run_until(0.01)
+    (rec,) = [rec for rec in sim.trace.query(link=host.link.name, direction="a2b") if rec.data == data]
+    short = size < 14 or (ether_type != 0x0800 and size < 46)
+    assert rec.dropped == ("unparseable" if short else None)
+    assert [f.to_bytes() for f in sim.host_recv("h1")] == ([data] if ether_type == 0x0800 and not short else [])
 
 
 def test_flood_reaches_all_hosts_and_learns_source(hierarchical_spec):
@@ -650,22 +669,27 @@ def test_the_rekey_table_empties_as_its_sweeps_fire():
 
 
 def test_rows_stamped_at_one_instant_share_one_clock_int():
-    """The loop moves the clock only when time moves, so the trace and inbox
-    rows of every event due at one microsecond hold the same int."""
+    """The loop moves the clock only when time moves, so the inbox rows and
+    lane entries of every event due at one microsecond hold the same int.
+    (The trace keeps its times as int64 values in an array, not as objects.)"""
     sim = build(chain_spec(3).with_params(discovery_interval=1.0), seed=1)
     sim.quiesce()
     h1, h2 = sim.hosts["h1"], sim.hosts["h2"]
+    lane: list[int] = []
     for i in range(3):
-        sim.host_send("h1", h2.mac, 0x0800, b"a%d" % i)
-        sim.host_send("h2", h1.mac, 0x0800, b"b%d" % i)
+        # Three events due at one instant, each queued with a due int of its own:
+        # two sends, each queueing its transmit in the lane, then a look at the lane.
+        sim.schedule(1000, sim.host_send, "h1", h2.mac, 0x0800, b"a%d" % i)
+        sim.schedule(1000, sim.host_send, "h2", h1.mac, 0x0800, b"b%d" % i)
+        sim.schedule(1000, lambda: lane.extend(at_us for at_us, *_ in sim._lane))
         sim.run_until(sim.now_s() + 1.0)  # the switches' discovery rounds share each instant
     sim.quiesce()
+    inbox = [at_us for host in (h1, h2) for at_us, _data in host.received._rows]
     stamps: dict[int, set[int]] = {}
-    rows = [row[0] for row in sim.trace._rows] + [at_us for host in (h1, h2) for at_us, _data in host.received._rows]
-    for at_us in rows:
+    for at_us in lane + inbox:
         stamps.setdefault(at_us, set()).add(id(at_us))
     assert all(len(ids) == 1 for ids in stamps.values())
-    assert Counter(rows).most_common(1)[0][1] >= 6 and len(stamps) > 10
+    assert set(Counter(lane).values()) == set(Counter(inbox).values()) == {2} and len(stamps) == 6
 
 
 def test_a_redeployed_channel_ignores_the_old_records_rekey_timer():

@@ -112,8 +112,9 @@ def test_drops_come_back_in_records_and_in_the_pcapng(tmp_path):
     assert comments == {i: f"dropped: {reason}" for i, reason in dropped.items()}
 
     trace = Trace()
-    first = trace.record(5, "l", "a2b", b"\x01" * 14)
-    second = trace.record(6, "l", "b2a", b"\x02" * 14)
+    wire = trace.add_link("l")
+    first = trace.record(5, wire, b"\x01" * 14)
+    second = trace.record(6, wire + 1, b"\x02" * 14)
     trace.drop(second, "port_down")
     assert (first, second) == (0, 1)
     assert [rec.dropped for rec in trace.records] == [None, "port_down"]
