@@ -157,7 +157,8 @@ _OPT_END = struct.pack("<HH", 0, 0)
 
 
 def write_pcapng(path, interfaces: list[str], trace: Trace) -> None:
-    """Write the trace's frames to `path`; `interfaces` fixes the id of each link direction."""
+    """Write the trace's frames to `path`; `interfaces` names every registered
+    link direction as ``<link>:<direction>`` and fixes the id of each."""
     iface_ids = {name: i for i, name in enumerate(interfaces)}
     wire_ifaces = [iface_ids[f"{link}:{direction}"] for link in trace._links for direction in DIRECTIONS]
     drops = trace._drops
