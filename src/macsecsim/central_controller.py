@@ -136,8 +136,6 @@ class CentralController:
         self.reports: dict[Endpoint, Endpoint] = {}  # port -> the far end its latest report names
         self.sc_records: dict[LinkKey, ScRecord] = {}
         self.alerts: list[str] = []  # one line per quarantine
-        # Every SAK issued, in KN order; kept only because the benchmark's tracer reads its length.
-        self.sak_log: list[bytes] = []
 
         self.lldp_key = LldpKey(key=rng.key_material(), key_id=1)
         self._master_key = MasterKey(rng.key_material())
@@ -202,6 +200,11 @@ class CentralController:
         reports = self.reports
         return {link_key(a, b): "confirmed" if reports.get(b) == a else "reported" for a, b in reports.items()}
 
+    @property
+    def sak_log(self) -> list[bytes]:
+        """Every SAK issued, in KN order, derived again on each read: nothing stores it."""
+        return [self._master_key.derive_sak(kn).key for kn in range(1, self._sai_seq + 1)]
+
     def confirmed_links(self) -> set[LinkKey]:
         return {key for key, status in self.link_map.items() if status == "confirmed"}
 
@@ -211,9 +214,7 @@ class CentralController:
         """A fresh SAI and its SAK.  The SAI doubles as MKA's key number KN, and
         SAK KN is AES-128 of a block encoding KN under the master key, so no SAK repeats."""
         self._sai_seq += 1
-        sak = self._master_key.derive_sak(self._sai_seq)
-        self.sak_log.append(sak.key)
-        return self._sai_seq, sak
+        return self._sai_seq, self._master_key.derive_sak(self._sai_seq)
 
     def _deploy_sc(self, key: LinkKey) -> None:
         (ca, pa), (cb, pb) = key

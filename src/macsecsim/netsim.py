@@ -294,7 +294,7 @@ class Simulation:
         queue, lane = self._queue, self._lane
         popleft = lane.popleft
         limit = self.params.max_events
-        ran = 0
+        stop = self.events_processed + limit
         while ((queue and queue[0][0] <= target_us) or lane) if target_us is not None else self._actionable > 0:
             if lane and not (queue and queue[0] < lane[0]):
                 at_us, _, housekeeping, fn, args = popleft()
@@ -307,9 +307,8 @@ class Simulation:
             if not housekeeping:
                 self._actionable -= 1
             self.events_processed += 1
-            ran += 1
             fn(*args)
-            if ran >= limit:
+            if self.events_processed >= stop:
                 raise LivelockError(f"exceeded {limit} events in {caller}")
 
     # -- control channel ---------------------------------------------------------------
@@ -433,14 +432,8 @@ class Simulation:
     def interswitch_link_names(self) -> list[str]:
         return [link.name for link in self.interswitch_links]
 
-    def trace_query(self, **kwargs):
-        return self.trace.query(**kwargs)
-
     def trace_export(self, path) -> None:
-        interfaces = []
-        for name in self.links:
-            interfaces.extend((f"{name}:a2b", f"{name}:b2a"))
-        write_pcapng(path, interfaces, self.trace)
+        write_pcapng(path, self.trace)
 
     def counters_dump(self) -> dict[str, dict[str, int]]:
         return {chassis: sw.counters.as_dict() for chassis, sw in sorted(self.switches.items())}

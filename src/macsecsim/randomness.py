@@ -14,12 +14,13 @@ import random
 
 
 class RandomSource:
+    # Always empty, since nonces are built from a counter; one shared empty
+    # set, kept only because the benchmark's tracer reads its length.
+    _nonces_issued: frozenset[bytes] = frozenset()
+
     def __init__(self, seed: int | None = None):
         self.seed = seed if seed is not None else 0
         self._rng = random.Random(self.seed)
-        # Always empty since nonces are built from a counter; kept only
-        # because the benchmark's tracer reads its length.
-        self._nonces_issued: set[bytes] = set()
 
     def rand_bytes(self, n: int) -> bytes:
         return self._rng.randbytes(n)

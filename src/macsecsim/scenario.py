@@ -244,7 +244,7 @@ class ScenarioRunner:
         if target != "*" and target not in self.sim.links:
             raise UnknownLink(target)
         names = self.sim.interswitch_link_names() if target == "*" else [target]
-        frames = self.sim.trace_query(classification="ethernet", t_min_us=t_min_us)
+        frames = self.sim.trace.query(classification="ethernet", t_min_us=t_min_us)
         offending = sum(record.link in names for record in frames)
         if offending == 0:
             return True, f"0 cleartext frames on {len(names)} links"

@@ -14,8 +14,8 @@ for ``b2a`` (`DIRECTIONS`).  `Trace.query` (and `records`, the unfiltered
 query) builds `TraceRecord` views of the rows on demand, mapping each wire
 id back to its link name and direction, and `trace[i]` builds one; editing
 a view changes nothing in the trace.  Export reads the columns and writes a
-pcapng file with one synthetic interface per link direction so standard
-analyzers can open captures.
+pcapng file with one synthetic interface per wire, its id the wire id, so
+standard analyzers can open captures.
 """
 
 from __future__ import annotations
@@ -156,21 +156,20 @@ def _option(code: int, value: bytes) -> bytes:
 _OPT_END = struct.pack("<HH", 0, 0)
 
 
-def write_pcapng(path, interfaces: list[str], trace: Trace) -> None:
-    """Write the trace's frames to `path`; `interfaces` names every registered
-    link direction as ``<link>:<direction>`` and fixes the id of each."""
-    iface_ids = {name: i for i, name in enumerate(interfaces)}
-    wire_ifaces = [iface_ids[f"{link}:{direction}"] for link in trace._links for direction in DIRECTIONS]
+def write_pcapng(path, trace: Trace) -> None:
+    """Write the trace's frames to `path`, with one interface per registered
+    wire, named ``<link>:<direction>``: an interface id is the wire id."""
     drops = trace._drops
     with open(path, "wb") as fh:
         shb = struct.pack("<IHHq", _BYTE_ORDER_MAGIC, 1, 0, -1)
         fh.write(_block(_SHB_TYPE, shb))
-        for name in interfaces:
-            body = struct.pack("<HHI", _LINKTYPE_ETHERNET, 0, 0)
-            body += _option(2, name.encode("utf-8")) + _OPT_END
-            fh.write(_block(_IDB_TYPE, body))
+        for link in trace._links:
+            for direction in DIRECTIONS:
+                body = struct.pack("<HHI", _LINKTYPE_ETHERNET, 0, 0)
+                body += _option(2, f"{link}:{direction}".encode("utf-8")) + _OPT_END
+                fh.write(_block(_IDB_TYPE, body))
         for index, time_us, wire, data in trace._rows():
-            body = struct.pack("<IIIII", wire_ifaces[wire], time_us >> 32, time_us & 0xFFFFFFFF, len(data), len(data))
+            body = struct.pack("<IIIII", wire, time_us >> 32, time_us & 0xFFFFFFFF, len(data), len(data))
             body += _pad4(data)
             dropped = drops.get(index)
             if dropped:

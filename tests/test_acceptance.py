@@ -90,10 +90,10 @@ def _crit2_full_protection(seed):
         sim.quiesce()
         assert payload in [f.payload for f in sim.host_recv(b)]
     for name in sim.interswitch_link_names():
-        clear = sim.trace_query(link=name, classification="ethernet", t_min_us=setup_done_us)
+        clear = sim.trace.query(link=name, classification="ethernet", t_min_us=setup_done_us)
         assert clear == [], f"cleartext data frames on {name}"
     for host in sim.hosts.values():
-        assert sim.trace_query(link=host.link.name, classification="macsec") == []
+        assert sim.trace.query(link=host.link.name, classification="macsec") == []
     return sim
 
 
@@ -120,18 +120,18 @@ def _crit4_link_churn(seed):
     spec = TopologySpec.from_yaml(SCENARIOS / "hierarchical.yaml")
     sim = build(spec, seed=seed)
     sim.quiesce()
-    log = sim.central.sak_log
     for name in ("agg1-core", "access1-agg1", "access3-agg2"):
-        generation_before = list(log)
+        generation_before = sim.central.sak_log
         sim.set_link_state(name, False)
         sim.quiesce()
         assert audit(sim) == []
         sim.set_link_state(name, True)
         sim.quiesce()
         assert audit(sim) == []
-        fresh = log[len(generation_before):]
+        fresh = sim.central.sak_log[len(generation_before):]
         assert len(fresh) == 2  # one new SAK per direction
         assert set(fresh).isdisjoint(generation_before)
+    log = sim.central.sak_log
     assert len(log) == len(set(log))
     return sim
 
@@ -154,7 +154,7 @@ def _crit5_rekeying(seed):
     assert all(d.rekey_count == 3 for d in record.directions.values())
     wire_ans = {
         parse_frame(rec.data).sec_tag.an
-        for rec in sim.trace_query(link="s1-s2", classification="macsec")
+        for rec in sim.trace.query(link="s1-s2", classification="macsec")
     }
     assert wire_ans == {0, 1, 2, 3}
     for chassis, switch in sim.switches.items():
@@ -172,7 +172,7 @@ def _crit6_replay_defense(seed):
     sim.quiesce()
     sim.run_until(31.0)  # a second discovery round for more capture variety
     switch_ends = {}
-    for rec in sim.trace_query(classification="secure_lldp"):
+    for rec in sim.trace.query(classification="secure_lldp"):
         link = sim.links[rec.link]
         receiver, _ = link.b if rec.direction == "a2b" else link.a
         if receiver in sim.switches:
@@ -201,8 +201,8 @@ def _crit7_tamper_defense(seed):
     sim.host_send("h1", h2m, 0x0800, secret)
     sim.quiesce()
 
-    lldp_rec = sim.trace_query(link="s1-s2", classification="secure_lldp", direction="a2b")[0]
-    macsec_rec = sim.trace_query(link="s1-s2", classification="macsec", direction="a2b")[0]
+    lldp_rec = sim.trace.query(link="s1-s2", classification="secure_lldp", direction="a2b")[0]
+    macsec_rec = sim.trace.query(link="s1-s2", classification="macsec", direction="a2b")[0]
     lldp_key = sim.central.lldp_key
     sci = parse_frame(macsec_rec.data).sec_tag.sci
     an = parse_frame(macsec_rec.data).sec_tag.an

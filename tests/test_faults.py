@@ -44,7 +44,7 @@ def apply_fault(sim, kind, name, up):
 
 def replay_latest_probe(sim, src, dst):
     """Inject the latest sealed probe captured on link direction `src` onto `dst`, if one was."""
-    probes = sim.trace_query(link=src[0], direction=src[1], classification="secure_lldp")
+    probes = sim.trace.query(link=src[0], direction=src[1], classification="secure_lldp")
     if probes:
         sim.inject_frame(*dst, probes[-1].data)
 
@@ -108,7 +108,7 @@ def test_a_replayed_probe_leaves_a_confirmed_link_protected():
         sim.host_send("h1", sim.hosts["h2"].mac, 0x0800, payload)
         sim.run_until(sim.now_s() + 0.05)
     sim.run_until(sim.now_s() + 3)
-    assert sim.trace_query(link="s1-s2", classification="ethernet") == []
+    assert sim.trace.query(link="s1-s2", classification="ethernet") == []
     assert [f.payload for f in sim.host_recv("h2")] == [b"learn", *payloads]
     assert sim.central.counters.get("linkmap.contested") == 1
     assert audit(sim) == []
@@ -173,7 +173,7 @@ def test_a_frame_crosses_a_down_up_flap_but_not_a_down_link(spec_name):
             before = received(sim, node, port)
             sim.inject_frame(name, direction, data)
             sim.run_until(sim.now_s())  # on the wire, one latency from its receiver
-            index = sim.trace_query(link=name, direction=direction)[-1].index
+            index = sim.trace.query(link=name, direction=direction)[-1].index
             sim.set_link_state(name, False)
             sim.set_link_state(name, True)
             sim.quiesce()
@@ -183,7 +183,7 @@ def test_a_frame_crosses_a_down_up_flap_but_not_a_down_link(spec_name):
             before = received(sim, node, port)
             sim.inject_frame(name, direction, data)
             sim.run_until(sim.now_s())
-            index = sim.trace_query(link=name, direction=direction)[-1].index
+            index = sim.trace.query(link=name, direction=direction)[-1].index
             sim.set_link_state(name, False)
             sim.quiesce()
             assert sim.trace[index].dropped == "link_down", (name, direction)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -27,7 +28,7 @@ def host_arrivals(sim) -> int:
     return sum(
         rec.dropped not in WIRE_DROPS
         for host in sim.hosts.values()
-        for rec in sim.trace_query(link=host.link.name, direction="a2b")
+        for rec in sim.trace.query(link=host.link.name, direction="a2b")
     )
 
 
@@ -72,9 +73,9 @@ def test_different_seed_different_key_material(hierarchical_spec):
 def test_second_discovery_round_after_interval():
     sim = build(chain_spec(2), seed=0)
     sim.quiesce()
-    first = len(sim.trace_query(classification="secure_lldp"))
+    first = len(sim.trace.query(classification="secure_lldp"))
     sim.run_until(30.5)
-    assert len(sim.trace_query(classification="secure_lldp")) == 2 * first
+    assert len(sim.trace.query(classification="secure_lldp")) == 2 * first
 
 
 def test_conservation_every_frame_received_or_annotated():
@@ -145,7 +146,7 @@ def test_forged_lldp_rejected_no_fake_link():
 def test_replayed_capture_rejected():
     sim = build(chain_spec(2), seed=6)
     sim.quiesce()
-    rec = sim.trace_query(classification="secure_lldp", link="s1-s2")[0]
+    rec = sim.trace.query(classification="secure_lldp", link="s1-s2")[0]
     receiver = "s2" if rec.direction == "a2b" else "s1"
     before = sim.switches[receiver].counters.get("discovery.replayed_seq")
     view_before = dict(sim.controllers[receiver].local_view)
@@ -256,6 +257,18 @@ def test_a_host_inbox_reads_as_a_list_of_arrival_and_frame():
     assert all(type(data) is bytes for _, data in inbox._rows)
 
 
+def test_an_inbox_compares_unequal_to_a_non_list_and_reprs_its_pairs():
+    sim = build(chain_spec(2), seed=1)
+    sim.quiesce()
+    sim.host_send("h1", sim.hosts["h2"].mac, 0x0800, b"shown")
+    sim.quiesce()
+    inbox = sim.hosts["h2"].received
+    assert (inbox == 5) is False and inbox != 5
+    [(at_us, frame)] = inbox
+    assert repr(inbox) == f"Inbox([({at_us}, {frame!r})])"
+    assert frame.payload == b"shown" and "payload=b'shown'" in repr(inbox)
+
+
 @pytest.mark.parametrize(
     "ether_type, size",
     [(0x0800, 13), (0x88E5, 13), (0x88CC, 13), (0x88E5, 45), (0x88E5, 46), (0x88CC, 45), (0x88CC, 46), (0x0800, 14)],
@@ -288,7 +301,7 @@ def test_flood_reaches_all_hosts_and_learns_source(hierarchical_spec):
         assert sim.switches[chassis].tables.mac[h1.mac]
     # learning traffic crossed only protected inter-switch links
     for link_name in sim.interswitch_link_names():
-        assert sim.trace_query(link=link_name, classification="ethernet") == []
+        assert sim.trace.query(link=link_name, classification="ethernet") == []
 
 
 def test_chain_bidirectional_transparency():
@@ -310,11 +323,11 @@ def test_trace_filters_confirm_protection(hierarchical_spec):
     sim.host_send("h1", sim.hosts["h12"].mac, 0x0800, b"secret")
     sim.quiesce()
     for name in sim.interswitch_link_names():
-        assert sim.trace_query(link=name, classification="ethernet", t_min_us=t0) == []
-        assert sim.trace_query(link=name, classification="macsec", t_min_us=t0)
+        assert sim.trace.query(link=name, classification="ethernet", t_min_us=t0) == []
+        assert sim.trace.query(link=name, classification="macsec", t_min_us=t0)
     # host access links carry no MACsec frames at all
-    assert sim.trace_query(link="access1-h1", classification="macsec") == []
-    assert sim.trace_query(link="access1-h1", classification="ethernet")
+    assert sim.trace.query(link="access1-h1", classification="macsec") == []
+    assert sim.trace.query(link="access1-h1", classification="ethernet")
 
 
 def test_pcapng_export_round_trip(tmp_path, hierarchical_spec):
@@ -325,8 +338,13 @@ def test_pcapng_export_round_trip(tmp_path, hierarchical_spec):
     path = tmp_path / "capture.pcapng"
     sim.trace_export(path)
     packets = read_pcapng(path)
-    assert len(packets) == len(sim.trace.records)
-    assert {p.interface.rsplit(":", 1)[1] for p in packets} <= {"a2b", "b2a"}
+    records = sim.trace.records
+    assert len(packets) == len(records)
+    # host links are registered after the inter-switch links, so an interface
+    # id that is not the row's wire id names another link here
+    for packet, rec in zip(packets, records):
+        assert packet.interface == f"{rec.link}:{rec.direction}"
+        assert (packet.time_us, packet.data) == (rec.time_us, rec.data)
     dropped_comments = [p.comment for p in packets if p.comment]
     assert all(c.startswith("dropped: ") for c in dropped_comments)
 
@@ -371,8 +389,8 @@ def test_control_partition_expires_links_until_heal():
     sim.host_send("h1", sim.hosts["h2"].mac, 0x0800, b"after-heal")
     sim.quiesce()
     assert [f.payload for f in sim.host_recv("h2")] == [b"after-heal"]
-    assert sim.trace_query(link="s1-s2", classification="ethernet", t_min_us=t0) == []
-    assert sim.trace_query(link="s1-s2", classification="macsec", t_min_us=t0)
+    assert sim.trace.query(link="s1-s2", classification="ethernet", t_min_us=t0) == []
+    assert sim.trace.query(link="s1-s2", classification="macsec", t_min_us=t0)
 
 
 def test_partition_at_registration_converges_after_heal():
@@ -478,7 +496,7 @@ def test_a_probe_replayed_onto_another_link_costs_only_that_link():
     sim = build(chain_spec(5).with_params(discovery_interval=1), seed=1)
     sim.quiesce()
     record = sim.central.sc_records[sim.links["s3-s4"].key]
-    probe = sim.trace_query(link="s3-s4", direction="a2b", classification="secure_lldp")[-1]
+    probe = sim.trace.query(link="s3-s4", direction="a2b", classification="secure_lldp")[-1]
     sim.inject_frame("s1-s2", "b2a", probe.data)
     sim.run_until(sim.now_s() + 2)
     sim.quiesce()
@@ -571,7 +589,7 @@ def test_per_sa_counters_sum_to_the_switch_totals_across_rekeys():
     sim.quiesce()
     assert all(d.rekey_count >= 2 for r in sim.central.sc_records.values() for d in r.directions.values())
     # A fresh PN passes the replay floor, so the altered frame reaches the ICV check.
-    rec = sim.trace_query(classification="macsec")[-1]
+    rec = sim.trace.query(classification="macsec")[-1]
     forged = bytearray(rec.data)
     forged[PN_OFFSET] ^= 0x80
     sim.inject_frame(rec.link, rec.direction, bytes(forged))
@@ -774,7 +792,7 @@ def test_integrity_only_mode_authenticates_without_encrypting():
     sim.host_send("h1", sim.hosts["h2"].mac, 0x0800, b"readable-but-signed")
     sim.quiesce()
     assert [f.payload for f in sim.host_recv("h2")] == [b"readable-but-signed"]
-    protected = sim.trace_query(link="s1-s2", classification="macsec")
+    protected = sim.trace.query(link="s1-s2", classification="macsec")
     assert protected
     assert any(b"readable-but-signed" in rec.data for rec in protected)
     # tampering still fails: raise the PN past the replay window so the
@@ -790,7 +808,7 @@ def test_integrity_only_mode_authenticates_without_encrypting():
 def test_lldp_frames_always_use_multicast_destination():
     sim = build(chain_spec(3), seed=24)
     sim.run_until(31.0)
-    probes = sim.trace_query(classification="secure_lldp")
+    probes = sim.trace.query(classification="secure_lldp")
     assert probes
     assert all(rec.data[0:6] == LLDP_MULTICAST for rec in probes)
 
@@ -1038,7 +1056,7 @@ def test_link_latency_rounds_to_the_nearest_microsecond(seconds, expected_us):
 def test_discovery_rounds_come_one_rounded_interval_apart():
     sim = build(chain_spec(2).with_params(discovery_interval=1.001), seed=1)
     sim.run_until(3.5)
-    times = [rec.time_us for rec in sim.trace_query(link="s1-s2", direction="a2b", classification="secure_lldp")]
+    times = [rec.time_us for rec in sim.trace.query(link="s1-s2", direction="a2b", classification="secure_lldp")]
     assert [b - a for a, b in zip(times, times[1:])] == [1_001_000] * 3
 
 
@@ -1254,6 +1272,47 @@ def test_the_iv_registry_stays_bounded_by_the_live_sending_sas_and_one_entry_per
     assert sim.rng._nonces_issued == set()
 
 
+def _retained_over_rekey_cycles(cycles: int) -> tuple[int, int]:
+    """Bytes retained over `cycles` one-second cycles of a rekeying 2-switch
+    chain after a warm-up, and the rekeys started in them."""
+    spec = chain_spec(2).with_params(
+        discovery_interval=1000.0, rekey_interval=1.0, grace=0.5, lldp_key_rotation=10_000.0,
+    )
+    sim = build(spec, seed=1)
+    sim.quiesce()
+
+    def cycle():
+        sim.run_until(sim.now_s() + 1.0)
+        sim.quiesce()
+
+    for _ in range(5):
+        cycle()
+    rekeys = sim.central.counters.get("channels.rekey")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(cycles):
+            cycle()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return grown, sim.central.counters.get("channels.rekey") - rekeys
+
+
+def test_an_issued_sak_is_not_kept():
+    """A SAK is derived from its key number, so no store grows with each
+    rekey: the retained bytes of 160 cycles less those of 80, per rekey,
+    stay under 8 B."""
+    short_grown, short_rekeys = _retained_over_rekey_cycles(80)
+    long_grown, long_rekeys = _retained_over_rekey_cycles(160)
+    assert long_rekeys > short_rekeys > 0
+    per_sak = (long_grown - short_grown) / (long_rekeys - short_rekeys)
+    assert per_sak < 8, per_sak
+    sim = build(chain_spec(2), seed=1)
+    sim.quiesce()
+    assert sim.central.sak_log and "sak_log" not in vars(sim.central)
+
+
 def test_a_receiver_deleting_an_sa_leaves_the_senders_registry_entry():
     sim = build(chain_spec(2), seed=1)
     sim.quiesce()
@@ -1335,7 +1394,7 @@ def test_a2b_names_the_spec_order_on_the_wire_and_the_key_order_in_a_record():
     at = lines.index("sc s10:1-s9:2 state=active")
     assert lines[at + 1].startswith("  a2b s10:1->s9:2 sci=" + record.directions["a2b"].sci.hex())
     for direction, record_direction in (("a2b", "b2a"), ("b2a", "a2b")):
-        rows = sim.trace_query(link="s9-s10", direction=direction, classification="macsec")
+        rows = sim.trace.query(link="s9-s10", direction=direction, classification="macsec")
         assert len(rows) == 3
         assert {rec.data[SCI_OFFSET:SECURE_DATA_OFFSET] for rec in rows} == {record.directions[record_direction].sci}
     assert record.directions["b2a"].sender == "s9"

@@ -19,7 +19,7 @@ def test_two_switches_first_probes_differ():
     sim = build(chain_spec(2), seed=1)
     sim.run_until(0.0)
     firsts = {}
-    for rec in sim.trace_query(classification="secure_lldp"):
+    for rec in sim.trace.query(classification="secure_lldp"):
         firsts.setdefault(rec.data[6:12], rec.data)
     assert sorted(firsts) == sorted(sw.mac for sw in sim.switches.values())
     nonces = {mac: data[LLDP_NONCE_OFFSET:LLDP_SEQ_OFFSET] for mac, data in firsts.items()}

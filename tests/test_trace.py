@@ -80,7 +80,7 @@ def test_the_chunked_trace_reads_as_the_reference(ops, start_us):
         assert trace.query(**kwargs) == ref.query(**kwargs), kwargs
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.pcapng"
-        write_pcapng(path, INTERFACES, trace)
+        write_pcapng(path, trace)
         assert path.read_bytes() == reference_pcapng(INTERFACES, ref)
 
 

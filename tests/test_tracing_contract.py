@@ -37,7 +37,7 @@ def test_data_plane_calls_protect_and_validate_once_per_counted_frame(monkeypatc
     sim.host_send("h2", b"\xff" * 6, 0x0800, b"broadcast")
     sim.quiesce()
     # A fresh PN passes the replay floor, so the altered frame reaches the ICV check.
-    rec = sim.trace_query(classification="macsec")[-1]
+    rec = sim.trace.query(classification="macsec")[-1]
     forged = bytearray(rec.data)
     forged[PN_OFFSET] ^= 0x80
     sim.inject_frame(rec.link, rec.direction, bytes(forged))
@@ -97,7 +97,7 @@ def test_trace_records_are_views_of_the_rows():
     assert [rec.index for rec in records] == list(range(len(records)))
     assert {rec.classification for rec in records} == {"ethernet", "macsec", "secure_lldp"}
     assert all(rec.classification == classify(rec.data) for rec in records)
-    assert sim.trace_query(classification="macsec") == [r for r in records if r.classification == "macsec"]
+    assert sim.trace.query(classification="macsec") == [r for r in records if r.classification == "macsec"]
     records[0].dropped = "edited"
     assert sim.trace.records[0].dropped is None
 
