@@ -1,7 +1,7 @@
 """Simulated MACsec-protected L2 fabrics under a two-tier SDN control plane."""
 
 from .crypto import LldpKey, Sak, lldp_open, lldp_seal, macsec_protect, macsec_validate
-from .netsim import Simulation, build
+from .netsim import Simulation
 from .scenario import parse_script, run_scenario
 from .topology import SimParams, TopologySpec, chain_spec
 from .wire import EthernetFrame, Lldpdu, MacsecFrame, SecureLldpFrame, parse_frame
@@ -16,7 +16,6 @@ __all__ = [
     "SimParams",
     "Simulation",
     "TopologySpec",
-    "build",
     "chain_spec",
     "lldp_open",
     "lldp_seal",

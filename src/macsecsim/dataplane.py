@@ -16,11 +16,11 @@ The tables are plain data.  The pipeline core, `run_pipeline`, is one pass
 over a switch: it reads the tables, counts each validation on the SA that
 checked it and protects through `Switch.protect`.  It returns a
 `PipelineResult`, a NamedTuple of (kind, egress port, bytes out, packet-in,
-drop reason) built from one tuple by `tuple.__new__`, in C; each drop
-reason has one shared result.  The `Switch` adds ports, counters, the
-CPU/notification hooks (an unwired hook does nothing) and the table
-writes, each checked and each returning its undo entry; the pipeline
-oracle diffs `Switch.process_ingress` against an independent interpreter.
+drop reason) built from one tuple by `tuple.__new__`, in C.  The `Switch`
+adds ports, counters, the CPU/notification hooks (an unwired hook does
+nothing) and the table writes, each checked and each returning its undo
+entry; the pipeline oracle diffs `Switch.process_ingress` against an
+independent interpreter.
 
 A forwarded hop counts in plain integers on the objects it touches: the
 switch's per-port `rx`/`tx` lists and its `validated`/`protected` totals,
@@ -162,14 +162,9 @@ class PipelineResult(NamedTuple):
 
 _result = tuple.__new__  # _result(PipelineResult, (kind, egress_port, bytes_out, packet_in, drop_reason))
 
-# One shared result per reason `run_pipeline` drops for; a result is never mutated.
-_DROPS = {
-    reason: PipelineResult(DROP, None, None, None, reason)
-    for reason in (
-        DROP_TRUNCATED, DROP_UNKNOWN_SCI, DROP_INTEGRITY, DROP_REPLAY_PN,
-        DROP_PN_EXHAUSTED, DROP_NO_EGRESS_SC, DROP_UNTAGGED,
-    )
-}
+
+def _drop(reason: str) -> PipelineResult:
+    return _result(PipelineResult, (DROP, None, None, None, reason))
 
 
 ProtectHook = Callable[[bytes, bytes, int], None]  # (key, SCI or MAC, PN or seal counter)
@@ -209,33 +204,33 @@ def run_pipeline(sw: Switch, ingress_port: int, data: bytes) -> PipelineResult:
     """
     size = len(data)
     if size < ETH_HEADER_LEN:
-        return _DROPS[DROP_TRUNCATED]
+        return _drop(DROP_TRUNCATED)
     ether_type = data[12] << 8 | data[13]  # big-endian, at offset 12
     if size < MIN_FRAME_LEN.get(ether_type, ETH_HEADER_LEN):
-        return _DROPS[DROP_TRUNCATED]
+        return _drop(DROP_TRUNCATED)
 
     tables = sw.tables
     if ether_type == ETHERTYPE_MACSEC:
         sai = tables.ig_sc.get((data[SCI_OFFSET:SECURE_DATA_OFFSET], data[ETH_HEADER_LEN] & 0x03))
         sa = tables.sa.get(sai)
         if sa is None:
-            return _DROPS[DROP_UNKNOWN_SCI]
+            return _drop(DROP_UNKNOWN_SCI)
         pn = int.from_bytes(data[PN_OFFSET:SCI_OFFSET], "big")
         if pn < sa.lowest_acceptable_pn:
-            return _DROPS[DROP_REPLAY_PN]
+            return _drop(DROP_REPLAY_PN)
         try:
             data = macsec_validate(sa.sak, data, confidentiality=sa.confidentiality)
         except IntegrityFailure:
             sw.counters.incr("macsec.validate_failed")
             sa.failed += 1
-            return _DROPS[DROP_INTEGRITY]
+            return _drop(DROP_INTEGRITY)
         sa.lowest_acceptable_pn = pn + 1
         sw.validated += 1
         sa.validated += 1
         ether_type = data[12] << 8 | data[13]
     elif ingress_port in tables.eg_sc and ether_type != ETHERTYPE_LLDP:
         # A secured port is a controlled port: MACsec and (sealed) LLDP only.
-        return _DROPS[DROP_UNTAGGED]
+        return _drop(DROP_UNTAGGED)
 
     # Discovery frames, sealed or nested in a validated frame, punt; they
     # are never forwarded or learned from.
@@ -255,7 +250,7 @@ def run_pipeline(sw: Switch, ingress_port: int, data: bytes) -> PipelineResult:
     if port in tables.eg_sc:
         out, reason = sw.protect(port, data)
         if out is None:
-            return _DROPS[reason]
+            return _drop(reason)
     return _result(PipelineResult, (FORWARD, port, out, None, None))
 
 
@@ -492,6 +487,3 @@ class Switch:
             return
         self.ports_up[port] = up
         self.on_port_event(port, up)
-
-    def up_ports(self) -> list[int]:
-        return [p for p, up in self.ports_up.items() if up]

@@ -44,7 +44,7 @@ from .messages import (
     WriteIgSc,
     WriteSa,
 )
-from .wire import LLDP_MULTICAST, MIN_LLDP_LEN, Lldpdu, classify, is_group_mac, read_lldpdu
+from .wire import LLDP_MULTICAST, MIN_LLDP_LEN, Lldpdu, classify, read_lldpdu
 
 log = logging.getLogger(__name__)
 
@@ -118,7 +118,7 @@ class LocalController:
         if classify(data) != "ethernet":
             return
         src = data[6:12]
-        if not is_group_mac(src) and sw.tables.mac.get(src) != port:
+        if not src[0] & 0x01 and sw.tables.mac.get(src) != port:  # never learn a group (I/G bit) source
             sw.write_mac(src, port)
             self.counters.incr("learning.learned")
         sw.flood(port, data)
@@ -146,25 +146,27 @@ class LocalController:
     def discovery_round(self) -> None:
         """Probe every up port, expire stale links, re-arm the timer."""
         self._expire_stale_links()
-        if self.lldp_key is None:
-            self.counters.incr("discovery.no_key")
-        else:
-            for port in self.switch.up_ports():
-                self._emit_probe(port)
+        self._probe([port for port, up in self.switch.ports_up.items() if up])
         self._schedule(self.discovery_interval_us, self.discovery_round, housekeeping=True)
 
-    def _emit_probe(self, port: int) -> None:
-        self.tx_seq = (self.tx_seq + 1) & 0xFFFFFFFF
-        pdu = self._lldpdus.get(port)
-        if pdu is None:
-            pdu = self._lldpdus[port] = Lldpdu(chassis_id=self.chassis_id.encode(), port_id=port).encode()
-        sw, key = self.switch, self.lldp_key
-        self.seal_count += 1
-        sw.on_protect(key.key, sw.mac, self.seal_count)
-        nonce = lldp_nonce(sw.mac, self.seal_count)
-        data = lldp_seal(key, nonce, self.tx_seq, pdu, src=sw.mac, dst=LLDP_MULTICAST)
-        self.counters.incr("discovery.sent")
-        sw.packet_out(port, data)
+    def _probe(self, ports: list[int]) -> None:
+        """Send a sealed probe out of each port, or with no key count one `discovery.no_key`."""
+        key = self.lldp_key
+        if key is None:
+            self.counters.incr("discovery.no_key")
+            return
+        sw = self.switch
+        for port in ports:
+            self.tx_seq = (self.tx_seq + 1) & 0xFFFFFFFF
+            pdu = self._lldpdus.get(port)
+            if pdu is None:
+                pdu = self._lldpdus[port] = Lldpdu(chassis_id=self.chassis_id.encode(), port_id=port).encode()
+            self.seal_count += 1
+            sw.on_protect(key.key, sw.mac, self.seal_count)
+            nonce = lldp_nonce(sw.mac, self.seal_count)
+            data = lldp_seal(key, nonce, self.tx_seq, pdu, src=sw.mac, dst=LLDP_MULTICAST)
+            self.counters.incr("discovery.sent")
+            sw.packet_out(port, data)
 
     def _open_with_keys(self, data: bytes):
         try:
@@ -217,7 +219,7 @@ class LocalController:
     def handle_port_event(self, port: int, up: bool) -> None:
         if up:
             if self.discovery_started:
-                self._emit_probe(port)
+                self._probe([port])
         else:
             self.rx_seq.pop(port, None)
             if port in self.local_view:

@@ -1,7 +1,9 @@
 """Structured in-process messages exchanged on the control channel.
 
 The control channel is abstract reliable message passing; these carry the
-exact semantic fields, no network serialization.
+exact semantic fields, no network serialization.  `Register` and
+`SetPortFlag` are never sent and have no fields: they stay as bare named
+classes only because the benchmark's tracer counts message types by name.
 """
 
 from __future__ import annotations
@@ -11,13 +13,8 @@ from dataclasses import dataclass
 from .crypto import LldpKey, Sak
 
 
-# Never sent: the simulation calls `handle_register` for each switch itself.
-# The class stays only because the benchmark's tracer counts message types by name.
-@dataclass(slots=True)
 class Register:
-    chassis_id: str
-    mac: bytes
-    ports: list[int]
+    """Never sent: the simulation calls `handle_register` for each switch itself."""
 
 
 @dataclass(slots=True)
@@ -66,12 +63,8 @@ class WriteEgSc:
     sai: int
 
 
-# No longer sent: a port is secured when it holds an EG-SC row.  The class
-# stays only because the benchmark's tracer counts message types by name.
-@dataclass(slots=True)
 class SetPortFlag:
-    port: int
-    flag: bool
+    """Never sent: a port is secured when it holds an EG-SC row."""
 
 
 @dataclass(slots=True)

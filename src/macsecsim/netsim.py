@@ -429,16 +429,8 @@ class Simulation:
         """Up inter-switch links, in global-link-map key form."""
         return {link.key for link in self.interswitch_links if link.up}
 
-    def interswitch_link_names(self) -> list[str]:
-        return [link.name for link in self.interswitch_links]
-
     def trace_export(self, path) -> None:
         write_pcapng(path, self.trace)
 
     def counters_dump(self) -> dict[str, dict[str, int]]:
         return {chassis: sw.counters.as_dict() for chassis, sw in sorted(self.switches.items())}
-
-
-def build(spec: TopologySpec, seed: int | None = None) -> Simulation:
-    """Wire a spec into a running simulation; discovery starts at t=0."""
-    return Simulation(spec, seed=seed)

@@ -197,9 +197,10 @@ class ScenarioRunner:
     # -- assertion vocabulary ---------------------------------------------------
 
     def _link_key_for(self, name: str) -> LinkKey:
-        if name not in self.sim.interswitch_link_names():
+        link = self.sim.links.get(name)
+        if link not in self.sim.interswitch_links:
             raise ScriptError(f"{name!r} is not an inter-switch link")
-        return self.sim.links[name].key
+        return link.key
 
     def _assert_link_map_matches_spec(self):
         found = audit(self.sim)
@@ -243,7 +244,7 @@ class ScenarioRunner:
             raise ScriptError(f"bad time {from_t!r}") from exc
         if target != "*" and target not in self.sim.links:
             raise UnknownLink(target)
-        names = self.sim.interswitch_link_names() if target == "*" else [target]
+        names = [link.name for link in self.sim.interswitch_links] if target == "*" else [target]
         frames = self.sim.trace.query(classification="ethernet", t_min_us=t_min_us)
         offending = sum(record.link in names for record in frames)
         if offending == 0:

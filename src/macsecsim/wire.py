@@ -19,10 +19,14 @@ serve tests and tools.  An `EthernetFrame` is a view over its
 wire bytes: parsing one copies nothing, and its fields are read from those
 bytes when asked.  The MACsec and sealed-LLDP classes are dataclasses of
 their fields.
+
+A MAC's text is read by one rule, `mac_from_str`, for the spec loader and
+a scenario's `send` alike.
 """
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass
 
@@ -65,21 +69,19 @@ LLDP_NONCE_OFFSET = ETH_HEADER_LEN
 LLDP_SEQ_OFFSET = LLDP_NONCE_OFFSET + NONCE_LEN
 LLDP_SEALED_OFFSET = LLDP_SEQ_OFFSET + 4
 
+_MAC = re.compile(r"[0-9A-Fa-f]{1,2}(?::[0-9A-Fa-f]{1,2}){5}")
+
 
 def mac_to_str(mac: bytes) -> str:
     return ":".join(f"{b:02x}" for b in mac)
 
 
 def mac_from_str(text: str) -> bytes:
-    parts = text.split(":")
-    if len(parts) != 6:
+    """Six ':'-separated octets of one or two ASCII hex digits each; anything
+    else is a `ValueError`, and a value that is not a string a `TypeError`."""
+    if not _MAC.fullmatch(text):
         raise ValueError(f"bad MAC address {text!r}")
-    return bytes(int(p, 16) for p in parts)
-
-
-def is_group_mac(mac: bytes) -> bool:
-    """Broadcast/multicast destination (I/G bit of the first octet)."""
-    return bool(mac[0] & 0x01)
+    return bytes(int(p, 16) for p in text.split(":"))
 
 
 def make_sci(switch_mac: bytes, port: int) -> bytes:

@@ -17,7 +17,7 @@ from macsecsim.audit import audit
 from macsecsim.central_controller import link_key
 from macsecsim.crypto import LldpKey, Sak, lldp_seal, macsec_protect, macsec_validate
 from macsecsim.errors import IntegrityFailure
-from macsecsim.netsim import Simulation, build
+from macsecsim.netsim import Simulation
 from macsecsim.scenario import format_counters, run_scenario
 from macsecsim.topology import chain_spec
 from macsecsim.wire import (
@@ -67,7 +67,7 @@ def _crit1_topology_fidelity(seed):
     from macsecsim.topology import TopologySpec
 
     spec = TopologySpec.from_yaml(SCENARIOS / "hierarchical.yaml")
-    sim = build(spec, seed=seed)
+    sim = Simulation(spec, seed=seed)
     sim.quiesce()
     wiring = {link_key(link.a, link.b) for link in spec.links}
     assert len(wiring) == 6
@@ -79,7 +79,7 @@ def _crit2_full_protection(seed):
     from macsecsim.topology import TopologySpec
 
     spec = TopologySpec.from_yaml(SCENARIOS / "hierarchical.yaml")
-    sim = build(spec, seed=seed)
+    sim = Simulation(spec, seed=seed)
     sim.quiesce()
     setup_done_us = sim.now_us()
     rng = random.Random(seed)
@@ -89,9 +89,9 @@ def _crit2_full_protection(seed):
         sim.host_send(a, sim.hosts[b].mac, 0x0800, payload)
         sim.quiesce()
         assert payload in [f.payload for f in sim.host_recv(b)]
-    for name in sim.interswitch_link_names():
-        clear = sim.trace.query(link=name, classification="ethernet", t_min_us=setup_done_us)
-        assert clear == [], f"cleartext data frames on {name}"
+    for link in sim.interswitch_links:
+        clear = sim.trace.query(link=link.name, classification="ethernet", t_min_us=setup_done_us)
+        assert clear == [], f"cleartext data frames on {link.name}"
     for host in sim.hosts.values():
         assert sim.trace.query(link=host.link.name, classification="macsec") == []
     return sim
@@ -102,7 +102,7 @@ def _crit3_chain_transparency(seed):
     payload = rng.randbytes(1024)
     fingerprints = []
     for hops in range(2, 9):
-        sim = build(chain_spec(hops), seed=seed)
+        sim = Simulation(chain_spec(hops), seed=seed)
         sim.quiesce()
         sim.host_send("h1", sim.hosts["h2"].mac, 0x0800, payload)
         sim.quiesce()
@@ -118,7 +118,7 @@ def _crit4_link_churn(seed):
     from macsecsim.topology import TopologySpec
 
     spec = TopologySpec.from_yaml(SCENARIOS / "hierarchical.yaml")
-    sim = build(spec, seed=seed)
+    sim = Simulation(spec, seed=seed)
     sim.quiesce()
     for name in ("agg1-core", "access1-agg1", "access3-agg2"):
         generation_before = sim.central.sak_log
@@ -168,7 +168,7 @@ def _crit6_replay_defense(seed):
     from macsecsim.topology import TopologySpec
 
     spec = TopologySpec.from_yaml(SCENARIOS / "hierarchical.yaml")
-    sim = build(spec, seed=seed)
+    sim = Simulation(spec, seed=seed)
     sim.quiesce()
     sim.run_until(31.0)  # a second discovery round for more capture variety
     switch_ends = {}
@@ -194,7 +194,7 @@ def _crit6_replay_defense(seed):
 def _crit7_tamper_defense(seed):
     from macsecsim.crypto import lldp_open
 
-    sim = build(chain_spec(3), seed=seed)
+    sim = Simulation(chain_spec(3), seed=seed)
     sim.quiesce()
     h2m = sim.hosts["h2"].mac
     secret = b"top-secret-payload-7"

@@ -7,7 +7,7 @@ from macsecsim.audit import KINDS, Violation, audit
 from macsecsim.central_controller import link_key
 from macsecsim.crypto import Sak
 from macsecsim.dataplane import SaEntry
-from macsecsim.netsim import build
+from macsecsim.netsim import Simulation
 from macsecsim.topology import chain_spec
 
 S1_S2 = link_key(("s1", 2), ("s2", 1))
@@ -15,7 +15,7 @@ UNWIRED = link_key(("s1", 3), ("s3", 3))
 
 
 def quiesced(spec):
-    sim = build(spec, seed=5)
+    sim = Simulation(spec, seed=5)
     sim.quiesce()
     return sim
 

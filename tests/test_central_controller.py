@@ -10,7 +10,6 @@ from macsecsim.messages import (
     ScAck,
     ScConfig,
     SetPortFlag,
-    StartDiscovery,
     WriteEgSc,
     WriteIgSc,
     WriteSa,

@@ -44,7 +44,7 @@ steps = st.tuples(st.one_of(faults, replays, traffic), st.integers(0, 3))
 def run(cls, spec, seed, schedule):
     sim = cls(spec, seed=seed)
     switches = sorted(sim.switches)
-    links = sim.interswitch_link_names()
+    links = [link.name for link in sim.interswitch_links]
     directions = [(link, d) for link in links for d in ("a2b", "b2a")]
     hosts = sorted(sim.hosts)
     for step, seconds in schedule:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import SCENARIOS
 from macsecsim.audit import audit
-from macsecsim.netsim import build
+from macsecsim.netsim import Simulation
 from macsecsim.topology import TopologySpec, chain_spec
 from macsecsim.wire import EthernetFrame
 
@@ -67,7 +67,7 @@ def heal_and_check(sim):
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(schedule=st.lists(steps, max_size=6))
 def test_fabric_converges_after_any_fault_schedule(schedule):
-    sim = build(SPEC, seed=3)  # the first fault may land during bring-up
+    sim = Simulation(SPEC, seed=3)  # the first fault may land during bring-up
     for (kind, name), up, seconds in schedule:
         apply_fault(sim, kind, name, up)
         sim.run_until(sim.now_s() + seconds)
@@ -80,7 +80,7 @@ def test_fabric_converges_after_any_fault_schedule_with_replayed_probes(schedule
     """A probe replayed onto another link changes at most the receiving
     port's report, and only while that port's link is unconfirmed, so the
     real neighbour's next probe puts the link back."""
-    sim = build(SPEC, seed=3)
+    sim = Simulation(SPEC, seed=3)
     for step in schedule:
         if step[0][0] == "replay":
             (_, src, dst), seconds = step
@@ -96,7 +96,7 @@ def test_a_replayed_probe_leaves_a_confirmed_link_protected():
     """s3's probe from s3:2, replayed to s1:2, names another far end for a
     confirmed link: the report is contested and dropped, so the link keeps
     its channels and no frame crosses it in the clear."""
-    sim = build(chain_spec(5).with_params(discovery_interval=1), seed=1)
+    sim = Simulation(chain_spec(5).with_params(discovery_interval=1), seed=1)
     sim.quiesce()
     for src, dst in (("h1", "h2"), ("h2", "h1")):
         sim.host_send(src, sim.hosts[dst].mac, 0x0800, b"learn")
@@ -139,7 +139,7 @@ def check_carrier_mirror(sim, cabled):
 @pytest.mark.parametrize("spec_name", sorted(CARRIER_SPECS))
 def test_switch_ports_mirror_their_links_through_flaps(spec_name):
     spec = CARRIER_SPECS[spec_name]()
-    sim = build(spec, seed=11)
+    sim = Simulation(spec, seed=11)
     ends = link_ends(spec)
     cabled = {end: name for name, pair in ends.items() for end in pair}
     names = sorted(ends)
@@ -164,7 +164,7 @@ def received(sim, node, port):
 @pytest.mark.parametrize("spec_name", sorted(CARRIER_SPECS))
 def test_a_frame_crosses_a_down_up_flap_but_not_a_down_link(spec_name):
     spec = CARRIER_SPECS[spec_name]()
-    sim = build(spec, seed=12)
+    sim = Simulation(spec, seed=12)
     sim.quiesce()
     frame = EthernetFrame(dst=b"\xff" * 6, src=b"\x02\x00\x00\x00\x99\x99", ether_type=0x0800, payload=b"in flight")
     data = frame.to_bytes()

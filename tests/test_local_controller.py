@@ -26,7 +26,7 @@ from macsecsim.messages import (
     WriteSa,
 )
 from macsecsim.randomness import RandomSource
-from macsecsim.netsim import build
+from macsecsim.netsim import Simulation
 from macsecsim.topology import chain_spec
 from macsecsim.wire import (
     ETHERTYPE_MACSEC,
@@ -205,7 +205,7 @@ def test_mac_miss_of_a_macsec_typed_inner_frame_learns_and_floods_nothing():
 
 
 def test_deleted_mac_entry_is_learned_again():
-    sim = build(chain_spec(2), seed=1)
+    sim = Simulation(chain_spec(2), seed=1)
     sim.quiesce()
     h1, h2 = sim.hosts["h1"].mac, sim.hosts["h2"].mac
     s1 = sim.switches["s1"]
@@ -280,6 +280,16 @@ def test_round_without_key_counts_and_reschedules():
     assert h.transmitted == []
     assert h.switch.counters.get("discovery.no_key") == 1
     assert len(h.scheduled) == 1
+
+
+def test_a_port_that_comes_up_before_any_key_counts_and_sends_nothing():
+    h = Harness()
+    h.ctl.deliver(StartDiscovery())
+    h.switch.set_port_state(2, False)
+    h.switch.set_port_state(2, True)
+    assert h.transmitted == []
+    assert h.switch.counters.get("discovery.no_key") == 2
+    assert h.ctl.seal_count == 0
 
 
 def test_second_start_discovery_arms_no_second_timer():

@@ -12,7 +12,7 @@ from macsecsim.dataplane import Counters, SaEntry, Switch
 from macsecsim.errors import InvalidEntry, LivelockError, SpecError, UnknownHost, UnknownLink, UnknownSwitch
 from macsecsim.local_controller import LocalController
 from macsecsim.messages import DeleteEgSc, DeleteIgSc, DeleteSa, LinkDelta, ScAck, ScConfig, StartDiscovery
-from macsecsim.netsim import Simulation, build
+from macsecsim.netsim import Simulation
 from macsecsim.topology import SwitchSpec, TopologySpec, chain_spec
 from macsecsim.trace import read_pcapng
 from macsecsim.wire import (
@@ -33,7 +33,7 @@ def host_arrivals(sim) -> int:
 
 
 def test_hierarchical_discovery_matches_wiring(hierarchical_spec):
-    sim = build(hierarchical_spec, seed=1)
+    sim = Simulation(hierarchical_spec, seed=1)
     sim.quiesce()
     assert sim.central.confirmed_links() == sim.ground_truth_links()
     assert len(sim.central.confirmed_links()) == 6
@@ -42,7 +42,7 @@ def test_hierarchical_discovery_matches_wiring(hierarchical_spec):
 
 def test_single_switch_degenerate():
     spec = TopologySpec(switches=[SwitchSpec("solo", mac_from_str("02:00:00:00:00:01"), 2)])
-    sim = build(spec)
+    sim = Simulation(spec)
     sim.quiesce()
     assert sim.central.confirmed_links() == set()
     assert sim.central.sc_records == {}
@@ -50,7 +50,7 @@ def test_single_switch_degenerate():
 
 def test_determinism_same_seed_identical_run(hierarchical_spec):
     def run():
-        sim = build(hierarchical_spec, seed=42)
+        sim = Simulation(hierarchical_spec, seed=42)
         sim.quiesce()
         sim.host_send("h1", sim.hosts["h7"].mac, 0x0800, b"probe")
         sim.quiesce()
@@ -63,15 +63,15 @@ def test_determinism_same_seed_identical_run(hierarchical_spec):
 
 
 def test_different_seed_different_key_material(hierarchical_spec):
-    sim_a = build(hierarchical_spec, seed=1)
-    sim_b = build(hierarchical_spec, seed=2)
+    sim_a = Simulation(hierarchical_spec, seed=1)
+    sim_b = Simulation(hierarchical_spec, seed=2)
     sim_a.quiesce()
     sim_b.quiesce()
     assert set(sim_a.central.sak_log).isdisjoint(sim_b.central.sak_log)
 
 
 def test_second_discovery_round_after_interval():
-    sim = build(chain_spec(2), seed=0)
+    sim = Simulation(chain_spec(2), seed=0)
     sim.quiesce()
     first = len(sim.trace.query(classification="secure_lldp"))
     sim.run_until(30.5)
@@ -79,7 +79,7 @@ def test_second_discovery_round_after_interval():
 
 
 def test_conservation_every_frame_received_or_annotated():
-    sim = build(chain_spec(3), seed=4)
+    sim = Simulation(chain_spec(3), seed=4)
     sim.quiesce()
     sim.host_send("h1", sim.hosts["h2"].mac, 0x0800, b"payload")
     sim.host_send("h1", b"\xff" * 6, 0x0800, b"broadcast")
@@ -96,14 +96,14 @@ def test_conservation_every_frame_received_or_annotated():
 
 
 def test_clock_is_monotonic_across_records():
-    sim = build(chain_spec(4), seed=9)
+    sim = Simulation(chain_spec(4), seed=9)
     sim.quiesce()
     times = [rec.time_us for rec in sim.trace.records]
     assert times == sorted(times)
 
 
 def test_link_cut_revokes_both_channels(hierarchical_spec):
-    sim = build(hierarchical_spec, seed=3)
+    sim = Simulation(hierarchical_spec, seed=3)
     sim.quiesce()
     sim.set_link_state("agg1-core", False)
     sim.quiesce()
@@ -112,7 +112,7 @@ def test_link_cut_revokes_both_channels(hierarchical_spec):
 
 
 def test_restored_link_gets_fresh_generation(hierarchical_spec):
-    sim = build(hierarchical_spec, seed=3)
+    sim = Simulation(hierarchical_spec, seed=3)
     sim.quiesce()
     before = set(sim.central.sak_log)
     sim.set_link_state("agg1-core", False)
@@ -125,7 +125,7 @@ def test_restored_link_gets_fresh_generation(hierarchical_spec):
 
 
 def test_forged_lldp_rejected_no_fake_link():
-    sim = build(chain_spec(2), seed=5)
+    sim = Simulation(chain_spec(2), seed=5)
     sim.quiesce()
     confirmed = sim.central.confirmed_links()
     fake = lldp_seal(
@@ -144,7 +144,7 @@ def test_forged_lldp_rejected_no_fake_link():
 
 
 def test_replayed_capture_rejected():
-    sim = build(chain_spec(2), seed=6)
+    sim = Simulation(chain_spec(2), seed=6)
     sim.quiesce()
     rec = sim.trace.query(classification="secure_lldp", link="s1-s2")[0]
     receiver = "s2" if rec.direction == "a2b" else "s1"
@@ -161,7 +161,7 @@ def _cleartext(src, dst):
 
 
 def test_cleartext_injected_on_a_secured_port_reaches_no_host():
-    sim = build(chain_spec(3), seed=1)
+    sim = Simulation(chain_spec(3), seed=1)
     sim.quiesce()
     sim.inject_frame("s1-s2", "a2b", _cleartext(sim.hosts["h1"].mac, sim.hosts["h2"].mac))
     sim.quiesce()
@@ -170,7 +170,7 @@ def test_cleartext_injected_on_a_secured_port_reaches_no_host():
 
 
 def test_cleartext_from_a_hosts_mac_on_a_secured_port_does_not_move_the_host():
-    sim = build(chain_spec(3), seed=1)
+    sim = Simulation(chain_spec(3), seed=1)
     sim.quiesce()
     h1, h2 = sim.hosts["h1"].mac, sim.hosts["h2"].mac
     sim.host_send("h2", h1, 0x0800, b"pong")
@@ -184,7 +184,7 @@ def test_cleartext_from_a_hosts_mac_on_a_secured_port_does_not_move_the_host():
 
 
 def test_unknown_link_raises():
-    sim = build(chain_spec(2))
+    sim = Simulation(chain_spec(2))
     with pytest.raises(UnknownLink):
         sim.set_link_state("nope", False)
     with pytest.raises(UnknownLink):
@@ -192,7 +192,7 @@ def test_unknown_link_raises():
 
 
 def test_unknown_host_raises_its_own_error():
-    sim = build(chain_spec(2))
+    sim = Simulation(chain_spec(2))
     with pytest.raises(UnknownHost, match="^unknown host 'hx'$") as send:
         sim.host_send("hx", b"\x02" * 6, 0x0800, b"hi")
     with pytest.raises(UnknownHost, match="^unknown host 'hx'$") as recv:
@@ -201,7 +201,7 @@ def test_unknown_host_raises_its_own_error():
 
 
 def test_bad_simulation_calls_are_refused_and_change_nothing():
-    sim = build(chain_spec(2), seed=1)
+    sim = Simulation(chain_spec(2), seed=1)
     sim.run_until(1.0)
     now_us, queued = sim.now_us(), sim.pending()
     with pytest.raises(ValueError, match="^direction must be a2b or b2a, not 'up'$"):
@@ -215,7 +215,7 @@ def test_bad_simulation_calls_are_refused_and_change_nothing():
 
 
 def test_trace_index_counts_back_from_the_end_and_query_starts_at_t_min():
-    sim = build(chain_spec(2).with_params(discovery_interval=1.0), seed=1)
+    sim = Simulation(chain_spec(2).with_params(discovery_interval=1.0), seed=1)
     sim.run_until(3.0)
     sim.inject_frame("s1-s2", "a2b", b"\x00" * 10)  # refused as truncated: the last row has a drop
     sim.run_until(3.5)
@@ -229,7 +229,7 @@ def test_trace_index_counts_back_from_the_end_and_query_starts_at_t_min():
 
 
 def test_a_received_frame_is_a_view_over_its_trace_row():
-    sim = build(chain_spec(3), seed=1)
+    sim = Simulation(chain_spec(3), seed=1)
     sim.quiesce()
     sim.host_send("h1", sim.hosts["h2"].mac, 0x0800, b"zero-copy" * 20)
     sim.quiesce()
@@ -243,7 +243,7 @@ def test_a_received_frame_is_a_view_over_its_trace_row():
 def test_a_host_inbox_reads_as_a_list_of_arrival_and_frame():
     """The inbox keeps each delivery's time and wire bytes, and reads as a
     list of (arrival us, frame) pairs, each frame built when read."""
-    sim = build(chain_spec(2), seed=1)
+    sim = Simulation(chain_spec(2), seed=1)
     sim.quiesce()
     for i in range(3):
         sim.host_send("h1", sim.hosts["h2"].mac, 0x0800, b"frame %d" % i)
@@ -258,7 +258,7 @@ def test_a_host_inbox_reads_as_a_list_of_arrival_and_frame():
 
 
 def test_an_inbox_compares_unequal_to_a_non_list_and_reprs_its_pairs():
-    sim = build(chain_spec(2), seed=1)
+    sim = Simulation(chain_spec(2), seed=1)
     sim.quiesce()
     sim.host_send("h1", sim.hosts["h2"].mac, 0x0800, b"shown")
     sim.quiesce()
@@ -277,7 +277,7 @@ def test_a_host_nic_refuses_short_frames_and_keeps_only_ethernet(ether_type, siz
     """Below 14 bytes, or below its class's minimum (46 bytes for MACsec and
     sealed LLDP), a frame is dropped as unparseable; a long enough MACsec or
     LLDP frame dies quietly; the rest reach the inbox."""
-    sim = build(chain_spec(2), seed=1)
+    sim = Simulation(chain_spec(2), seed=1)
     host = sim.hosts["h1"]
     data = (host.mac + bytes(range(1, 7)) + ether_type.to_bytes(2, "big") + bytes(64))[:size]
     sim.inject_frame(host.link.name, "a2b", data)
@@ -289,7 +289,7 @@ def test_a_host_nic_refuses_short_frames_and_keeps_only_ethernet(ether_type, siz
 
 
 def test_flood_reaches_all_hosts_and_learns_source(hierarchical_spec):
-    sim = build(hierarchical_spec, seed=8)
+    sim = Simulation(hierarchical_spec, seed=8)
     sim.quiesce()
     h1 = sim.hosts["h1"]
     sim.host_send("h1", b"\x02\x0f\x0f\x0f\x0f\x0f", 0x0800, b"who-has")
@@ -300,12 +300,12 @@ def test_flood_reaches_all_hosts_and_learns_source(hierarchical_spec):
     for chassis in ("access1", "agg1", "core", "access4"):
         assert sim.switches[chassis].tables.mac[h1.mac]
     # learning traffic crossed only protected inter-switch links
-    for link_name in sim.interswitch_link_names():
-        assert sim.trace.query(link=link_name, classification="ethernet") == []
+    for link in sim.interswitch_links:
+        assert sim.trace.query(link=link.name, classification="ethernet") == []
 
 
 def test_chain_bidirectional_transparency():
-    sim = build(chain_spec(8), seed=2)
+    sim = Simulation(chain_spec(8), seed=2)
     sim.quiesce()
     payload = bytes(random.Random(0).randbytes(1024))
     sim.host_send("h1", sim.hosts["h2"].mac, 0x0800, payload)
@@ -317,21 +317,21 @@ def test_chain_bidirectional_transparency():
 
 
 def test_trace_filters_confirm_protection(hierarchical_spec):
-    sim = build(hierarchical_spec, seed=11)
+    sim = Simulation(hierarchical_spec, seed=11)
     sim.quiesce()
     t0 = sim.now_us()
     sim.host_send("h1", sim.hosts["h12"].mac, 0x0800, b"secret")
     sim.quiesce()
-    for name in sim.interswitch_link_names():
-        assert sim.trace.query(link=name, classification="ethernet", t_min_us=t0) == []
-        assert sim.trace.query(link=name, classification="macsec", t_min_us=t0)
+    for link in sim.interswitch_links:
+        assert sim.trace.query(link=link.name, classification="ethernet", t_min_us=t0) == []
+        assert sim.trace.query(link=link.name, classification="macsec", t_min_us=t0)
     # host access links carry no MACsec frames at all
     assert sim.trace.query(link="access1-h1", classification="macsec") == []
     assert sim.trace.query(link="access1-h1", classification="ethernet")
 
 
 def test_pcapng_export_round_trip(tmp_path, hierarchical_spec):
-    sim = build(hierarchical_spec, seed=12)
+    sim = Simulation(hierarchical_spec, seed=12)
     sim.quiesce()
     sim.host_send("h1", sim.hosts["h2"].mac, 0x0800, b"x")
     sim.quiesce()
@@ -357,7 +357,7 @@ def test_livelock_guard():
 
 
 def test_inflight_frame_on_cut_link_annotated():
-    sim = build(chain_spec(2), seed=13)
+    sim = Simulation(chain_spec(2), seed=13)
     sim.quiesce()
     sim.host_send("h1", sim.hosts["h2"].mac, 0x0800, b"vanishing")
     # cut before delivery: host link latency has the frame in flight
@@ -394,7 +394,7 @@ def test_control_partition_expires_links_until_heal():
 
 
 def test_partition_at_registration_converges_after_heal():
-    sim = build(chain_spec(2), seed=3)
+    sim = Simulation(chain_spec(2), seed=3)
     sim.set_control_state("s2", False)  # before the first event: registration is held
     sim.run_until(0.5)
     sim.set_control_state("s2", True)
@@ -404,7 +404,7 @@ def test_partition_at_registration_converges_after_heal():
 
 
 def test_ack_sent_during_a_partition_arrives_on_heal(monkeypatch):
-    sim = build(chain_spec(2), seed=3)
+    sim = Simulation(chain_spec(2), seed=3)
     handle_sc_config = LocalController.handle_sc_config
     cut = []
 
@@ -459,7 +459,7 @@ def _run_two_rekeys(monkeypatch, swallow_retire=False):
     monkeypatch.setattr(Simulation, "_send_to_local", recording_to_local)
     monkeypatch.setattr(Simulation, "_send_to_central", recording_to_central)
     monkeypatch.setattr(LocalController, "deliver", swallowing_deliver)
-    sim = build(chain_spec(3).with_params(rekey_interval=2, grace=1), seed=1)
+    sim = Simulation(chain_spec(3).with_params(rekey_interval=2, grace=1), seed=1)
     sim.quiesce()
     sim.run_until(sim.now_s() + 5)
     sim.quiesce()
@@ -493,7 +493,7 @@ def test_a_probe_replayed_onto_another_link_costs_only_that_link():
     """s3's latest probe on s3-s4, replayed onto s1-s2 toward s1, changes s1's
     report of its port alone: s1-s2 comes back on s2's next probe, and s3-s4,
     of which s1 is no end, keeps its channel."""
-    sim = build(chain_spec(5).with_params(discovery_interval=1), seed=1)
+    sim = Simulation(chain_spec(5).with_params(discovery_interval=1), seed=1)
     sim.quiesce()
     record = sim.central.sc_records[sim.links["s3-s4"].key]
     probe = sim.trace.query(link="s3-s4", direction="a2b", classification="secure_lldp")[-1]
@@ -505,7 +505,7 @@ def test_a_probe_replayed_onto_another_link_costs_only_that_link():
 
 
 def test_partition_flap_and_heal_converges():
-    sim = build(chain_spec(3).with_params(discovery_interval=1), seed=3)
+    sim = Simulation(chain_spec(3).with_params(discovery_interval=1), seed=3)
     sim.quiesce()
     sim.set_control_state("s2", False)
     sim.set_link_state("s2-s3", False)
@@ -520,7 +520,7 @@ def test_partition_flap_and_heal_converges():
 
 def test_partition_across_a_discovery_key_rotation_converges():
     spec = chain_spec(2).with_params(discovery_interval=1, lldp_key_rotation=10, rekey_interval=1000)
-    sim = build(spec, seed=3)
+    sim = Simulation(spec, seed=3)
     sim.quiesce()
     sim.set_control_state("s2", False)  # misses the rotations at 10, 20 and 30 s
     sim.run_until(30)
@@ -540,7 +540,7 @@ def test_partition_with_staggered_activations_quiesces():
         discovery_interval=1, rekey_interval=4, grace=1, lldp_key_rotation=6,
         pn_ceiling=3, max_events=20_000,
     )
-    sim = build(spec, seed=3)
+    sim = Simulation(spec, seed=3)
     sim.set_link_state("s2-s3", False)
     for t in (2, 5):
         sim.run_until(t)
@@ -557,7 +557,7 @@ def test_partition_with_staggered_activations_quiesces():
 
 
 def test_duplicate_link_state_writes_are_silent(hierarchical_spec):
-    sim = build(hierarchical_spec, seed=15)
+    sim = Simulation(hierarchical_spec, seed=15)
     sim.quiesce()
     deltas_before = sim.switches["core"].counters.get("discovery.expired")
     sim.set_link_state("agg1-core", True)  # already up
@@ -579,7 +579,7 @@ def test_rekey_grace_removes_old_generation_rows():
 
 def test_per_sa_counters_sum_to_the_switch_totals_across_rekeys():
     spec = chain_spec(3).with_params(rekey_interval=2.0, grace=1.0)
-    sim = build(spec, seed=4)
+    sim = Simulation(spec, seed=4)
     sim.quiesce()
     h1, h2 = sim.hosts["h1"].mac, sim.hosts["h2"].mac
     for i in range(24):  # 6 s of traffic both ways: past two rekeys of every channel
@@ -617,7 +617,7 @@ def test_per_sa_counters_sum_to_the_switch_totals_across_rekeys():
 
 def test_teardown_in_the_grace_window_still_retires_the_old_sa():
     spec = chain_spec(2).with_params(rekey_interval=2.0, grace=1.0)
-    sim = build(spec, seed=1)
+    sim = Simulation(spec, seed=1)
     sim.quiesce()
     sim.run_until(2.5)  # first rekey done, grace still pending
     sim.set_link_state("s1-s2", False)
@@ -636,7 +636,7 @@ def test_a_grace_shorter_than_the_wire_time_is_a_spec_error():
 
 
 def test_a_grace_equal_to_the_wire_time_loses_no_frame_across_a_rekey():
-    sim = build(WIRE_SPEC.with_params(grace=0.001), seed=1)
+    sim = Simulation(WIRE_SPEC.with_params(grace=0.001), seed=1)
     sim.quiesce()
     [rekey_us] = {at_us for at_us, _seq, _hk, fn, _args in sim.pending() if fn.__name__ == "_rekey_sweep"}
     sent = {"h1": [], "h2": []}
@@ -658,7 +658,7 @@ def test_the_queue_holds_one_rekey_sweep_per_due_instant():
     microsecond; an instant queues one housekeeping sweep however many
     directions it holds, and no rekey is queued on its own."""
     spec = chain_spec(4).with_params(discovery_interval=1.0, rekey_interval=3.0, grace=1.0)
-    sim = build(spec, seed=1)
+    sim = Simulation(spec, seed=1)
     sim.quiesce()  # all six directions go active at 0.001 s
     sim.run_until(1.5)
     sim.set_link_state("s2-s3", False)
@@ -676,7 +676,7 @@ def test_the_rekey_table_empties_as_its_sweeps_fire():
     """Across many rekey rounds the table holds at most one entry per live
     direction, and none whose instant has passed."""
     spec = chain_spec(3).with_params(discovery_interval=0.5, rekey_interval=1.0, grace=0.25)
-    sim = build(spec, seed=1)
+    sim = Simulation(spec, seed=1)
     while sim.now_us() < 10_000_000:
         sim.run_until(sim.now_s() + 0.05)
         table = sim.central._rekeys
@@ -690,7 +690,7 @@ def test_rows_stamped_at_one_instant_share_one_clock_int():
     """The loop moves the clock only when time moves, so the inbox rows and
     lane entries of every event due at one microsecond hold the same int.
     (The trace keeps its times as int64 values in an array, not as objects.)"""
-    sim = build(chain_spec(3).with_params(discovery_interval=1.0), seed=1)
+    sim = Simulation(chain_spec(3).with_params(discovery_interval=1.0), seed=1)
     sim.quiesce()
     h1, h2 = sim.hosts["h1"], sim.hosts["h2"]
     lane: list[int] = []
@@ -712,7 +712,7 @@ def test_rows_stamped_at_one_instant_share_one_clock_int():
 
 def test_a_redeployed_channel_ignores_the_old_records_rekey_timer():
     spec = chain_spec(2).with_params(discovery_interval=1.0, rekey_interval=60.0, grace=1.0)
-    sim = build(spec, seed=1)
+    sim = Simulation(spec, seed=1)
     sim.quiesce()  # activated at 0.001 s: its rekey timer is due at 60.001 s
     sim.run_until(30)
     sim.set_link_state("s1-s2", False)
@@ -735,7 +735,7 @@ def test_a_redeployed_channel_ignores_the_old_records_rekey_timer():
 
 def test_a_retire_after_a_redeploy_keeps_the_new_generations_row():
     spec = chain_spec(2).with_params(discovery_interval=1, rekey_interval=6, grace=5)
-    sim = build(spec, seed=1)
+    sim = Simulation(spec, seed=1)
     sim.quiesce()
     sim.run_until(6.5)  # rekeyed from AN 0 to AN 1; the AN 0 generation retires at 11.001 s
     sim.set_link_state("s1-s2", False)
@@ -749,7 +749,7 @@ def test_a_retire_after_a_redeploy_keeps_the_new_generations_row():
 def test_teardown_of_a_channel_quarantined_at_ingress_applies_cleanly(monkeypatch):
     """The receiver of a nacked ingress holds no SA, so the teardown's IG-SC
     delete finds none and deletes nothing."""
-    sim = build(chain_spec(2), seed=1)
+    sim = Simulation(chain_spec(2), seed=1)
     s1, s2 = sim.switches["s1"], sim.switches["s2"]
 
     def refuse(sai):
@@ -806,7 +806,7 @@ def test_integrity_only_mode_authenticates_without_encrypting():
 
 
 def test_lldp_frames_always_use_multicast_destination():
-    sim = build(chain_spec(3), seed=24)
+    sim = Simulation(chain_spec(3), seed=24)
     sim.run_until(31.0)
     probes = sim.trace.query(classification="secure_lldp")
     assert probes
@@ -828,7 +828,7 @@ def test_key_rotation_causes_no_discovery_flaps():
 
 
 def test_local_views_match_ground_truth_after_one_round(hierarchical_spec):
-    sim = build(hierarchical_spec, seed=26)
+    sim = Simulation(hierarchical_spec, seed=26)
     sim.quiesce()
     expected = {chassis: {} for chassis in sim.switches}
     for link in sim.interswitch_links:
@@ -903,7 +903,7 @@ def test_quiesce_event_count_regression(hierarchical_spec):
     # Frozen measurement: initial discovery + channel deployment on the
     # shipped 7-switch fabric. Re-measure deliberately when control-plane
     # behavior changes; drift here means extra (or lost) protocol traffic.
-    sim = build(hierarchical_spec, seed=1)
+    sim = Simulation(hierarchical_spec, seed=1)
     sim.quiesce()
     assert sim.events_processed == 105
 
@@ -945,7 +945,7 @@ def test_discovery_converges_on_random_trees():
     rng = random.Random(0xBEEF)
     for _ in range(12):
         spec = _random_tree_spec(rng)
-        sim = build(spec, seed=rng.randrange(1 << 30))
+        sim = Simulation(spec, seed=rng.randrange(1 << 30))
         sim.quiesce()
         assert sim.central.confirmed_links() == sim.ground_truth_links()
         assert set(sim.central.sc_records) == sim.central.confirmed_links()
@@ -959,9 +959,9 @@ def test_discovery_converges_on_random_trees():
 
 def test_random_churn_soak_keeps_map_sound(hierarchical_spec):
     rng = random.Random(0xC0FFEE)
-    sim = build(hierarchical_spec, seed=77)
+    sim = Simulation(hierarchical_spec, seed=77)
     sim.quiesce()
-    names = sim.interswitch_link_names()
+    names = [link.name for link in sim.interswitch_links]
     hosts = sorted(sim.hosts)
     for _ in range(40):
         action = rng.randrange(3)
@@ -985,7 +985,7 @@ def test_random_churn_soak_keeps_map_sound(hierarchical_spec):
 def test_pcapng_file_is_structurally_valid(tmp_path):
     import struct as _struct
 
-    sim = build(chain_spec(2), seed=30)
+    sim = Simulation(chain_spec(2), seed=30)
     sim.quiesce()
     path = tmp_path / "t.pcapng"
     sim.trace_export(path)
@@ -1003,7 +1003,7 @@ def test_pcapng_file_is_structurally_valid(tmp_path):
 
 
 def test_unparseable_frame_toward_a_host_is_dropped_at_the_nic():
-    sim = build(chain_spec(2), seed=1)
+    sim = Simulation(chain_spec(2), seed=1)
     sim.quiesce()
     host = sim.hosts["h1"]
     before = list(host.received)
@@ -1016,14 +1016,14 @@ def test_unparseable_frame_toward_a_host_is_dropped_at_the_nic():
 
 @pytest.mark.parametrize("entry", ["run_until", "quiesce"])
 def test_livelock_is_raised_after_exactly_max_events(entry):
-    sim = build(chain_spec(2).with_params(max_events=10), seed=1)
+    sim = Simulation(chain_spec(2).with_params(max_events=10), seed=1)
     with pytest.raises(LivelockError, match=entry):
         sim.run_until(60.0) if entry == "run_until" else sim.quiesce()
     assert sim.events_processed == 10
 
 
 def test_events_due_at_the_same_microsecond_run_in_queue_order():
-    sim = build(chain_spec(2), seed=1)
+    sim = Simulation(chain_spec(2), seed=1)
     sim.quiesce()
     latency_us = sim.links["s1-s2"].latency_us
     order = []
@@ -1049,19 +1049,19 @@ LATENCY_CASES = [
     "seconds,expected_us", LATENCY_CASES, ids=[str(seconds) for seconds, _ in LATENCY_CASES]
 )
 def test_link_latency_rounds_to_the_nearest_microsecond(seconds, expected_us):
-    sim = build(chain_spec(3).with_params(link_latency=seconds), seed=1)
+    sim = Simulation(chain_spec(3).with_params(link_latency=seconds), seed=1)
     assert {link.latency_us for link in sim.links.values()} == {expected_us}
 
 
 def test_discovery_rounds_come_one_rounded_interval_apart():
-    sim = build(chain_spec(2).with_params(discovery_interval=1.001), seed=1)
+    sim = Simulation(chain_spec(2).with_params(discovery_interval=1.001), seed=1)
     sim.run_until(3.5)
     times = [rec.time_us for rec in sim.trace.query(link="s1-s2", direction="a2b", classification="secure_lldp")]
     assert [b - a for a, b in zip(times, times[1:])] == [1_001_000] * 3
 
 
 def test_default_grace_is_the_rounded_discovery_interval():
-    sim = build(chain_spec(2).with_params(discovery_interval=1.001), seed=1)
+    sim = Simulation(chain_spec(2).with_params(discovery_interval=1.001), seed=1)
     assert sim.central.grace_us == sim.controllers["s1"].discovery_interval_us == 1_001_000
 
 
@@ -1076,7 +1076,7 @@ def test_every_queue_push_goes_through_schedule(monkeypatch, jitter_s):
 
     monkeypatch.setattr(Simulation, "schedule", counting)
     spec = chain_spec(3).with_params(latency_jitter=jitter_s, rekey_interval=2.0, grace=1.0)
-    sim = build(spec, seed=1)
+    sim = Simulation(spec, seed=1)
     sim.quiesce()
     sim.run_until(3.5)  # a rekey round and its retires
     sim.set_control_state("s2", False)  # the next rekey's messages to and from s2 are held
@@ -1106,7 +1106,7 @@ def test_the_callbacks_queued_per_event_are_bound_once(monkeypatch):
         schedule(self, delay_us, fn, *args, housekeeping=housekeeping)
 
     monkeypatch.setattr(Simulation, "schedule", recording)
-    sim = build(chain_spec(3).with_params(rekey_interval=2.0, grace=1.0), seed=1)
+    sim = Simulation(chain_spec(3).with_params(rekey_interval=2.0, grace=1.0), seed=1)
     sim.quiesce()
     for i in range(3):  # traffic both ways across the rekey rounds
         sim.host_send("h1", sim.hosts["h2"].mac, 0x0800, b"a%d" % i)
@@ -1133,7 +1133,7 @@ def test_each_local_controller_rearms_discovery_with_one_bound_method(monkeypatc
         schedule(self, delay_us, fn, *args, housekeeping=housekeeping)
 
     monkeypatch.setattr(Simulation, "schedule", recording)
-    sim = build(chain_spec(3).with_params(discovery_interval=1.0), seed=1)
+    sim = Simulation(chain_spec(3).with_params(discovery_interval=1.0), seed=1)
     sim.run_until(5.5)
     for ctl in sim.controllers.values():
         fns = [fn for fn in queued if fn.__name__ == "discovery_round" and fn.__self__ is ctl]
@@ -1143,7 +1143,7 @@ def test_each_local_controller_rearms_discovery_with_one_bound_method(monkeypatc
 def test_a_counter_read_by_name_agrees_with_the_dump():
     """`get` reads one name, live or named, and returns 0 for a name that
     no count goes by, exactly as a lookup in `as_dict` would."""
-    sim = build(chain_spec(3).with_params(discovery_interval=1, rekey_interval=2, grace=1), seed=1)
+    sim = Simulation(chain_spec(3).with_params(discovery_interval=1, rekey_interval=2, grace=1), seed=1)
     sim.quiesce()
     for i in range(3):  # traffic across two rekeys: retired SAs' counts move to named counters
         sim.run_until(sim.now_s() + 1.5)
@@ -1166,7 +1166,7 @@ def test_a_counter_read_by_name_agrees_with_the_dump():
 
 
 def test_validated_frame_with_a_short_lldp_typed_inner_frame_fails_closed():
-    sim = build(chain_spec(2), seed=1)
+    sim = Simulation(chain_spec(2), seed=1)
     sim.quiesce()
     s1, s2 = sim.switches["s1"], sim.switches["s2"]
     [sai] = s2.tables.ig_sc.values()
@@ -1187,7 +1187,7 @@ def test_forwarded_hops_count_without_named_counters(monkeypatch):
     """Known unicast through a chain counts on ports and SAs only, and the
     counts still match the trace: a switch port's tx and rx are the rows it
     sent and received, and a switch's protected counts its MACsec rows."""
-    sim = build(chain_spec(3), seed=1)
+    sim = Simulation(chain_spec(3), seed=1)
     sim.quiesce()
     h1, h2 = sim.hosts["h1"].mac, sim.hosts["h2"].mac
     for _ in range(2):  # every switch learns both hosts
@@ -1231,7 +1231,7 @@ def test_an_egress_sa_whose_pn_goes_back_fails_the_iv_check():
     """Every protected frame reaches the simulation's IV registry: an egress
     SA rewritten under the same SAI and SAK restarts at PN 1, and its next
     frame is a (SAK, IV) reuse."""
-    sim = build(chain_spec(2), seed=1)
+    sim = Simulation(chain_spec(2), seed=1)
     sim.quiesce()
     sim.host_send("h1", b"\xff" * 6, 0x0800, b"first")
     sim.quiesce()
@@ -1256,7 +1256,7 @@ def test_the_iv_registry_stays_bounded_by_the_live_sending_sas_and_one_entry_per
     spec = chain_spec(3).with_params(
         discovery_interval=0.5, rekey_interval=1.0, grace=0.25, lldp_key_rotation=2.0,
     )
-    sim = build(spec, seed=1)
+    sim = Simulation(spec, seed=1)
     h1, h2 = sim.hosts["h1"], sim.hosts["h2"]
     step = 0
     while sim.now_us() < 30_000_000:
@@ -1278,7 +1278,7 @@ def _retained_over_rekey_cycles(cycles: int) -> tuple[int, int]:
     spec = chain_spec(2).with_params(
         discovery_interval=1000.0, rekey_interval=1.0, grace=0.5, lldp_key_rotation=10_000.0,
     )
-    sim = build(spec, seed=1)
+    sim = Simulation(spec, seed=1)
     sim.quiesce()
 
     def cycle():
@@ -1308,13 +1308,13 @@ def test_an_issued_sak_is_not_kept():
     assert long_rekeys > short_rekeys > 0
     per_sak = (long_grown - short_grown) / (long_rekeys - short_rekeys)
     assert per_sak < 8, per_sak
-    sim = build(chain_spec(2), seed=1)
+    sim = Simulation(chain_spec(2), seed=1)
     sim.quiesce()
     assert sim.central.sak_log and "sak_log" not in vars(sim.central)
 
 
 def test_a_receiver_deleting_an_sa_leaves_the_senders_registry_entry():
-    sim = build(chain_spec(2), seed=1)
+    sim = Simulation(chain_spec(2), seed=1)
     sim.quiesce()
     sim.host_send("h1", sim.hosts["h2"].mac, 0x0800, b"protected by s1")
     sim.quiesce()
@@ -1332,7 +1332,7 @@ def test_a_receiver_deleting_an_sa_leaves_the_senders_registry_entry():
 
 def test_an_unexpected_control_message_raises_and_changes_nothing():
     """Each controller refuses a message meant for the other tier."""
-    sim = build(chain_spec(2), seed=1)
+    sim = Simulation(chain_spec(2), seed=1)
     sim.quiesce()
 
     def state():
@@ -1352,7 +1352,7 @@ def test_an_unexpected_control_message_raises_and_changes_nothing():
 
 
 def test_an_event_due_before_the_clock_stops_the_loop():
-    sim = build(chain_spec(2), seed=1)
+    sim = Simulation(chain_spec(2), seed=1)
     sim.run_until(1.0)
     sim.schedule(-1, sim.now_us)
     with pytest.raises(AssertionError, match="^virtual clock moved backward$"):
@@ -1362,7 +1362,7 @@ def test_an_event_due_before_the_clock_stops_the_loop():
 def test_reading_a_total_or_a_named_count_walks_no_live_count(monkeypatch):
     """The benchmark's per-pass counter reads stay O(1) per switch: `get`
     answers totals and names kept by `incr` without enumerating ports or SAs."""
-    sim = build(chain_spec(2), seed=1)
+    sim = Simulation(chain_spec(2), seed=1)
     sim.quiesce()
     sim.host_send("h1", sim.hosts["h2"].mac, 0x0800, b"payload")
     sim.inject_frame("s1-s2", "a2b", b"\x00" * 10)
@@ -1382,7 +1382,7 @@ def test_a2b_names_the_spec_order_on_the_wire_and_the_key_order_in_a_record():
     """Link s9-s10 is spec'd s9:2 -> s10:1, so its trace's a2b runs s9 -> s10;
     its channel record is keyed by the sorted ends, and "s10" < "s9", so the
     record's a2b runs s10 -> s9 and the wire's a2b is the record's b2a."""
-    sim = build(chain_spec(10), seed=31)
+    sim = Simulation(chain_spec(10), seed=31)
     sim.quiesce()
     h1, h2 = sim.hosts["h1"].mac, sim.hosts["h2"].mac
     for i in range(3):

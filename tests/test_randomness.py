@@ -1,6 +1,6 @@
 import pytest
 
-from macsecsim.netsim import build
+from macsecsim.netsim import Simulation
 from macsecsim.randomness import IvUniquenessRegistry, RandomSource
 from macsecsim.topology import chain_spec
 from macsecsim.wire import LLDP_NONCE_OFFSET, LLDP_SEQ_OFFSET
@@ -16,7 +16,7 @@ def test_seeded_source_is_reproducible():
 def test_two_switches_first_probes_differ():
     """Both switches seal their first probe under the one discovery key with
     seal counter 1; their MACs keep the two nonces apart."""
-    sim = build(chain_spec(2), seed=1)
+    sim = Simulation(chain_spec(2), seed=1)
     sim.run_until(0.0)
     firsts = {}
     for rec in sim.trace.query(classification="secure_lldp"):
@@ -27,7 +27,7 @@ def test_two_switches_first_probes_differ():
 
 
 def test_a_repeated_seal_counter_raises_in_the_registry():
-    sim = build(chain_spec(2), seed=1)
+    sim = Simulation(chain_spec(2), seed=1)
     sim.quiesce()
     ctl = sim.controllers["s1"]
     ctl.seal_count -= 1  # the next probe would reuse the last nonce

@@ -9,7 +9,7 @@ from macsecsim.cli import format_tables, main
 from macsecsim.errors import ScriptError
 from macsecsim.crypto import Sak
 from macsecsim.dataplane import SaEntry
-from macsecsim.netsim import build
+from macsecsim.netsim import Simulation
 from macsecsim.scenario import ScenarioRunner, parse_script, run_scenario
 from macsecsim.topology import TopologySpec, chain_spec
 from macsecsim.wire import mac_to_str, make_sci
@@ -265,7 +265,7 @@ def test_cli_inspect_tables_redacts_keys(capsys):
 
 def test_tables_macsec_column_reads_the_egress_channel():
     """`macsec=on` marks a MAC learned on a port that holds an EG-SC row."""
-    sim = build(chain_spec(3), seed=1)
+    sim = Simulation(chain_spec(3), seed=1)
     sim.quiesce()
     h1, h2 = sim.hosts["h1"].mac, sim.hosts["h2"].mac
     sim.host_send("h1", h2, 0x0800, b"ping")

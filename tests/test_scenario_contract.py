@@ -10,9 +10,10 @@ vocabulary `parse_script` accepts.
 import re
 
 import pytest
+import yaml
 
-from macsecsim.errors import LivelockError, ScriptError
-from macsecsim.scenario import ASSERTIONS, ScenarioRunner, parse_script
+from macsecsim.errors import LivelockError, ScriptError, SpecError
+from macsecsim.scenario import ASSERTIONS, Directive, ScenarioRunner, parse_script
 from macsecsim.topology import TopologySpec
 from conftest import REPO_ROOT, SCENARIOS
 
@@ -115,6 +116,25 @@ def test_a_fault_inside_the_event_loop_keeps_its_type(line):
 
     runner.sim.schedule(1_000, fault)
     with pytest.raises(ValueError, match="^fault in an event handler$"):
+        runner.execute()
+
+
+# Texts that `int(octet, 16)` reads as a MAC but that are not six octets of
+# one or two ASCII hex digits: a 0x prefix, a sign, a space, an underscore
+# and Arabic-Indic digits.
+NOT_MACS = ["0x2:0:0:0:0:1", "+2:0:0:0:0:1", " 2:0:0:0:0:1", "2_0:0:0:0:0:1", "\u0660\u0662:0:0:0:0:1"]
+
+
+@pytest.mark.parametrize("text", NOT_MACS)
+def test_the_spec_loader_and_a_send_refuse_the_same_mac_texts(text):
+    raw = yaml.safe_load(SPEC.read_text(encoding="utf-8"))
+    raw["switches"][0]["mac"] = text
+    with pytest.raises(SpecError, match=f"^bad MAC address {re.escape(repr(text))}$"):
+        TopologySpec.from_dict(raw)
+    # Built directly: a script line splits on whitespace, so only a Directive can hold a leading space.
+    send = Directive(line_no=3, op="send", args=["h1", text, "0x0800", "text:hi"])
+    runner = ScenarioRunner(TopologySpec.from_yaml(SPEC), [send])
+    with pytest.raises(ScriptError, match=f"^line 3: bad destination {re.escape(repr(text))}$"):
         runner.execute()
 
 

@@ -1,4 +1,5 @@
-"""Source hygiene: every module of the package uses each name it imports.
+"""Source hygiene: every module of the package, and every test module, uses
+each name it imports.
 
 `__init__.py` is left out, as it imports names to re-export them.  A name
 counts as used where the module's code reads it, including inside a quoted
@@ -11,7 +12,8 @@ import pytest
 
 from conftest import REPO_ROOT
 
-MODULES = sorted(p for p in (REPO_ROOT / "src" / "macsecsim").glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(p for p in (REPO_ROOT / "src" / "macsecsim").glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((REPO_ROOT / "tests").glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -36,7 +38,9 @@ def used_names(tree: ast.AST) -> set[str]:
     return used
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize(
+    "path", SOURCES + TESTS, ids=[p.name for p in SOURCES] + [f"tests/{p.name}" for p in TESTS]
+)
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     unused = {name: line for name, line in imported_names(tree).items() if name not in used_names(tree)}

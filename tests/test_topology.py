@@ -1,11 +1,14 @@
+from dataclasses import fields
+
 import pytest
 import yaml
 
 from macsecsim.audit import audit
 from macsecsim.central_controller import link_key
 from macsecsim.errors import SpecError
-from macsecsim.netsim import build
+from macsecsim.netsim import Simulation
 from macsecsim.topology import SimParams, TopologySpec, chain_spec
+from conftest import REPO_ROOT
 
 
 def minimal(**overrides):
@@ -206,7 +209,7 @@ def test_a_yaml_integer_too_long_to_read_is_a_spec_error(tmp_path):
 def test_a_switch_may_have_65535_ports():
     """The largest port two bytes carry is discovered and protected like any other."""
     spec = TopologySpec.from_dict(minimal(**first_entry("switches", ports=65535), **first_entry("links", a="s1:65535")))
-    sim = build(spec, seed=1)
+    sim = Simulation(spec, seed=1)
     sim.quiesce()
     assert sim.central.confirmed_links() == {link_key(("s1", 65535), ("s2", 1))}
     assert audit(sim) == []
@@ -245,3 +248,11 @@ def test_one_us_periods_and_zero_delays_are_valid():
     periods = {name: 6e-7 for name in ("discovery_interval", "rekey_interval", "lldp_key_rotation")}
     spec = chain_spec(2).with_params(**periods, grace=0.0, link_latency=0.0, latency_jitter=0.0)
     assert spec.params.discovery_interval == 6e-7  # rounds to 1 us
+
+
+def test_the_readme_lists_every_spec_parameter():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Topology specs", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    params = yaml.safe_load(example)["params"]
+    assert list(params) == [f.name for f in fields(SimParams)]
+    SimParams(**params)  # each listed value is a valid one

@@ -11,7 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 from macsecsim import crypto, dataplane
-from macsecsim.netsim import build
+from macsecsim.netsim import Simulation
 from macsecsim.topology import chain_spec
 from macsecsim.trace import Trace, TraceRecord, read_pcapng
 from macsecsim.wire import PN_OFFSET, classify
@@ -31,7 +31,7 @@ def test_data_plane_calls_protect_and_validate_once_per_counted_frame(monkeypatc
 
     monkeypatch.setattr(dataplane, "macsec_protect", counting("protect", dataplane.macsec_protect))
     monkeypatch.setattr(dataplane, "macsec_validate", counting("validate", dataplane.macsec_validate))
-    sim = build(chain_spec(3), seed=5)
+    sim = Simulation(chain_spec(3), seed=5)
     sim.quiesce()
     sim.host_send("h1", sim.hosts["h2"].mac, 0x0800, b"unicast")
     sim.host_send("h2", b"\xff" * 6, 0x0800, b"broadcast")
@@ -66,7 +66,7 @@ def test_layer_tracer_installs_and_uninstalls(monkeypatch, tmp_path):
 
 def _run_with_drops():
     """A chain_spec(3) run whose trace holds frames of all three classes and drops."""
-    sim = build(chain_spec(3), seed=5)
+    sim = Simulation(chain_spec(3), seed=5)
     sim.quiesce()
     sim.host_send("h1", sim.hosts["h2"].mac, 0x0800, b"unicast")
     sim.quiesce()
