@@ -19,9 +19,11 @@ record and direction it was sent for; the direction's phase names the stage
 it installs.  Once teardown removes or replaces that record, the batch is
 stale, and its ack is ignored.  The control channel delivers every message,
 late if it is cut, so the one failure is a nack, which quarantines the
-channel.  Retire and teardown batches carry no id and get no ack: a delete
-that failed or went missing leaves a row that the fabric audit reports as
-`stray_row`.
+channel.  Delete batches, from a retire or a teardown, carry no id and get
+no ack: a delete that failed or went missing leaves a row that the fabric
+audit reports as `stray_row`.  Deletes sent together go out as one batch
+per switch; a delete never fails, so one batch cannot roll back another
+direction's deletes.
 
 An IG-SC op names only its SA, whose own (SCI, AN) keys the row, so a retire
 or teardown deletes the generations it names and the switch decides whether
@@ -35,6 +37,14 @@ order, so rekeys due at one instant start in the order their directions went
 active, and the entries of one instant all run at the first one's place in
 the event queue.  An entry holds no record: the sweep skips one whose record
 was torn down, quarantined or rekeyed since, as its SAI then differs.
+
+Retires are deadlines in the same way.  A finished rekey files the
+generation it replaced, as (sender, receiver, SAIs), in a table keyed by
+the microsecond one grace later, and the first entry under an instant
+queues the one sweep for it.  That sweep is actionable, so `quiesce` waits
+for it, and it sends every delete due then as one batch per switch,
+whatever became of the record since: SAIs are never reused, and a receiver
+deletes an IG-SC row only while it names that SAI.
 """
 
 from __future__ import annotations
@@ -65,6 +75,8 @@ from .wire import make_sci, sci_port
 log = logging.getLogger(__name__)
 
 LinkKey = tuple[Endpoint, Endpoint]
+# One direction's deletes: (sender, receiver, SAIs, the sender's EG-SC port or None)
+Deletes = tuple[str, str, tuple[int, ...], Optional[int]]
 
 
 def link_key(a: Endpoint, b: Endpoint) -> LinkKey:
@@ -144,9 +156,11 @@ class CentralController:
         self._pending: dict[int, tuple[ScRecord, str]] = {}  # batch id -> (record, direction)
         # due microsecond -> (link key, direction, SAI) of each rekey due then, in filing order
         self._rekeys: dict[int, list[tuple[LinkKey, str, int]]] = {}
-        # Bound once: every rekey sweep and retire timer queues one of these two objects.
+        # due microsecond -> (sender, receiver, SAIs, None) of each generation retired then, in filing order
+        self._retires: dict[int, list[Deletes]] = {}
+        # Bound once: every rekey sweep and retire sweep queues one of these two objects.
         self._rekey_sweep = self._rekey_sweep
-        self._send_deletes = self._send_deletes
+        self._retire_sweep = self._retire_sweep
 
     def start(self) -> None:
         """Arm the periodic LLDP key rotation."""
@@ -280,34 +294,53 @@ class CentralController:
             self._finish_activation(record, direction, d)
 
     def _finish_activation(self, record: ScRecord, direction: str, d: ScDirection) -> None:
-        # The retire timer and the rekey deadline capture no record, so neither keeps a SAK alive.
+        # The retire and rekey deadlines capture no record, so neither keeps a SAK alive.
         if d.next is not None:
-            # Retire the replaced generation one grace later, whatever becomes of the record:
-            # SAIs are never reused, and a receiver deletes an IG-SC row only while it names that SAI.
-            self._schedule(self.grace_us, self._send_deletes, d.sender, d.receiver, (d.sai,))
+            retire = (d.sender, d.receiver, (d.sai,), None)
+            self._file(self._retires, self.grace_us, self._retire_sweep, retire, housekeeping=False)
             d.sai, d.an, d.sak = d.next
             d.next = None
             d.rekey_count += 1
         d.phase = "active"
-        due_us = self._now() + self.rekey_interval_us
-        filed = self._rekeys.get(due_us)
-        if filed is None:
-            filed = self._rekeys[due_us] = []
-            self._schedule(self.rekey_interval_us, self._rekey_sweep, due_us, housekeeping=True)
-        filed.append((record.key, direction, d.sai))
+        rekey = (record.key, direction, d.sai)
+        self._file(self._rekeys, self.rekey_interval_us, self._rekey_sweep, rekey, housekeeping=True)
         if record.state == "installing" and all(
             x.phase == "active" for x in record.directions.values()
         ):
             record.state = "active"
 
-    def _send_deletes(self, sender: str, receiver: str, sais: tuple[int, ...], *, eg_sc_port: int | None = None) -> None:
-        """Delete one direction's generations `sais`, unacked: the receiver's IG-SC
-        rows, then its SAs; at the sender, the EG-SC row of `eg_sc_port` if one is
-        named, then its SAs."""
-        receiver_ops = [DeleteIgSc(sai=s) for s in sais] + [DeleteSa(sai=s) for s in sais]
-        sender_ops = [] if eg_sc_port is None else [DeleteEgSc(port=eg_sc_port)]
-        self._send(receiver, ScConfig(batch_id=None, ops=receiver_ops))
-        self._send(sender, ScConfig(batch_id=None, ops=sender_ops + [DeleteSa(sai=s) for s in sais]))
+    def _file(
+        self, table: dict[int, list], delay_us: int, sweep: Callable[[int], None], entry, *, housekeeping: bool
+    ) -> None:
+        """File `entry` in `table` under the microsecond `delay_us` from now;
+        the first entry filed under an instant queues the one `sweep` for it."""
+        due_us = self._now() + delay_us
+        filed = table.get(due_us)
+        if filed is None:
+            filed = table[due_us] = []
+            self._schedule(delay_us, sweep, due_us, housekeeping=housekeeping)
+        filed.append(entry)
+
+    def _retire_sweep(self, due_us: int) -> None:
+        """Delete every generation retired under `due_us`."""
+        self._send_deletes(self._retires.pop(due_us))
+
+    def _send_deletes(self, deletes: list[Deletes]) -> None:
+        """Send one unacked batch to each switch the `deletes` name, in the order
+        they first name it.  Per direction: at the receiver, each SA's IG-SC row,
+        then the SAs; at the sender, the EG-SC row of its port if one is named,
+        then the SAs."""
+        batches: dict[str, list] = {}
+        for sender, receiver, sais, eg_sc_port in deletes:
+            ops = batches.setdefault(receiver, [])
+            ops += [DeleteIgSc(sai=s) for s in sais]
+            ops += [DeleteSa(sai=s) for s in sais]
+            ops = batches.setdefault(sender, [])
+            if eg_sc_port is not None:
+                ops.append(DeleteEgSc(port=eg_sc_port))
+            ops += [DeleteSa(sai=s) for s in sais]
+        for chassis, ops in batches.items():
+            self._send(chassis, ScConfig(batch_id=None, ops=ops))
 
     def _quarantine(self, record: ScRecord, detail: str) -> None:
         record.state = "quarantined"
@@ -316,11 +349,13 @@ class CentralController:
         log.error("link %s quarantined: %s", link_name(record.key), detail)
 
     def _teardown_sc(self, key: LinkKey) -> None:
-        """Delete each direction's current and staged generations at both ends; one
-        replaced within the grace window goes with its retire, at most one grace later."""
-        for d in self.sc_records.pop(key).directions.values():
-            sais = (d.sai,) if d.next is None else (d.sai, d.next[0])
-            self._send_deletes(d.sender, d.receiver, sais, eg_sc_port=d.sender_port)
+        """Delete each direction's current and staged generations, in one batch to
+        each end; one replaced within the grace window goes with its retire, at
+        most one grace later."""
+        self._send_deletes([
+            (d.sender, d.receiver, (d.sai,) if d.next is None else (d.sai, d.next[0]), d.sender_port)
+            for d in self.sc_records.pop(key).directions.values()
+        ])
 
     # -- rekeying -------------------------------------------------------------------
 

@@ -35,13 +35,15 @@ message is ever lost.
 
 The callbacks queued with every event are bound once: `_deliver` and the
 central controller's `deliver` per `Simulation`, the central controller's
-rekey sweep and retire timer per `CentralController`, and a local
-controller's `discovery_round` per controller, at its first round.  The
-central controller files each rekey under its due microsecond and queues
-one sweep per instant, at the place of the instant's first entry; the sweep
-starts that instant's rekeys in the order they were filed.  A local
-controller's `deliver` is bound per message, and every local controller
-shares one `_send_to_central`, which reads the switch from the message.
+rekey and retire sweeps per `CentralController`, and a local controller's
+`discovery_round` per controller, at its first round.  The central
+controller files each rekey, and each retire of a replaced generation,
+under its due microsecond and queues one sweep per instant and table, at
+the place of the instant's first entry.  A rekey sweep (housekeeping)
+starts that instant's rekeys in the order they were filed; a retire sweep
+(actionable) sends each switch one delete batch.  A local controller's
+`deliver` is bound per message, and every local controller shares one
+`_send_to_central`, which reads the switch from the message.
 
 A link is a pair of the spec's ``(node, port)`` endpoints; a host end is
 ``(host, 0)``, and a node is a switch when its name is in `switches`.  The

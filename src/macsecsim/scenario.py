@@ -28,7 +28,7 @@ from pathlib import Path
 from .audit import audit
 from .central_controller import LinkKey, link_name
 from .errors import ScriptError, UnknownHost, UnknownLink, UnknownSwitch
-from .netsim import Simulation
+from .netsim import Link, Simulation
 from .topology import TopologySpec, to_us
 from .wire import mac_from_str
 
@@ -196,11 +196,11 @@ class ScenarioRunner:
 
     # -- assertion vocabulary ---------------------------------------------------
 
-    def _link_key_for(self, name: str) -> LinkKey:
+    def _interswitch_link(self, name: str) -> Link:
         link = self.sim.links.get(name)
         if link not in self.sim.interswitch_links:
             raise ScriptError(f"{name!r} is not an inter-switch link")
-        return link.key
+        return link
 
     def _assert_link_map_matches_spec(self):
         found = audit(self.sim)
@@ -217,7 +217,7 @@ class ScenarioRunner:
         return False, "confirmed set changed since snapshot"
 
     def _assert_no_sc_for(self, link):
-        key = self._link_key_for(link)
+        key = self._interswitch_link(link).key
         found = audit(self.sim)
         record = key in self.sim.central.sc_records
         # A record's rows are expected, so the audit names those it lacks;
@@ -228,7 +228,7 @@ class ScenarioRunner:
         return False, f"record={record} table_rows={rows}"
 
     def _assert_sc_exists_for(self, link):
-        key = self._link_key_for(link)
+        key = self._interswitch_link(link).key
         record = self.sim.central.sc_records.get(key)
         if record is None:
             return False, "record=False state=absent table_rows=False"
@@ -242,9 +242,12 @@ class ScenarioRunner:
             t_min_us = to_us(float(from_t))
         except ValueError as exc:
             raise ScriptError(f"bad time {from_t!r}") from exc
-        if target != "*" and target not in self.sim.links:
+        if target == "*":
+            names = [link.name for link in self.sim.interswitch_links]
+        elif target not in self.sim.links:
             raise UnknownLink(target)
-        names = [link.name for link in self.sim.interswitch_links] if target == "*" else [target]
+        else:
+            names = [self._interswitch_link(target).name]
         frames = self.sim.trace.query(classification="ethernet", t_min_us=t_min_us)
         offending = sum(record.link in names for record in frames)
         if offending == 0:
@@ -265,7 +268,7 @@ class ScenarioRunner:
         return False, f"not among {len(seen)} delivered frames"
 
     def _assert_sak_rotated(self, link):
-        record = self.sim.central.sc_records.get(self._link_key_for(link))
+        record = self.sim.central.sc_records.get(self._interswitch_link(link).key)
         if record is None:
             return False, "no channel record"
         counts = {name: d.rekey_count for name, d in record.directions.items()}

@@ -259,8 +259,8 @@ def test_rekey_increments_an_and_orders_ingress_first():
     h.register_all("s1", "s2")
     h.confirm_link()
     record = h.central.sc_records[KEY_12]
-    d = record.directions["a2b"]
-    old_sai, old_sak = d.sai, d.sak.key
+    d, back = record.directions["a2b"], record.directions["b2a"]
+    (old_sai, old_sak), back_sai = (d.sai, d.sak.key), back.sai
     h.outbox.clear()
     h.advance_to_rekey_timers()
     h.run_due_timers()
@@ -272,7 +272,7 @@ def test_rekey_increments_an_and_orders_ingress_first():
     assert d.an == 1
     assert d.sai != old_sai and d.sak.key != old_sak
     assert d.rekey_count == 1
-    # Old-generation cleanup waits for the grace timer, then names the old SA at both ends.
+    # Old-generation cleanup waits for the grace deadline, then names the old SA at both ends.
     retire_at = h.time_us + h.central.grace_us
     assert any(not hk and deadline_us == retire_at for deadline_us, _fn, _args, hk in h.scheduled)
     h.outbox.clear()
@@ -280,25 +280,29 @@ def test_rekey_increments_an_and_orders_ingress_first():
     assert h.configs() == []  # nothing is due before the grace deadline
     h.time_us = retire_at
     h.run_due_timers()
-    # The sweep sends each direction's two retire batches and nothing else: no second rekey.
-    sent = [(ch, cfg.ops) for ch, cfg in h.configs()]
-    assert all(cfg.batch_id is None for _, cfg in h.configs()) and len(sent) == 4
-    assert (d.receiver, [DeleteIgSc(sai=old_sai), DeleteSa(sai=old_sai)]) in sent
-    assert (d.sender, [DeleteSa(sai=old_sai)]) in sent
-    assert not any(isinstance(op, WriteSa) for _, ops in sent for op in ops)
+    # The sweep sends one unacked batch per switch, for both directions, and nothing else: no second rekey.
+    assert [(chassis, cfg.batch_id, cfg.ops) for chassis, cfg in h.configs()] == [
+        (d.receiver, None, [DeleteIgSc(sai=old_sai), DeleteSa(sai=old_sai), DeleteSa(sai=back_sai)]),
+        (d.sender, None, [DeleteSa(sai=old_sai), DeleteIgSc(sai=back_sai), DeleteSa(sai=back_sai)]),
+    ]
 
 
 def test_teardown_names_the_current_and_the_staged_sa():
     h = Harness()
     h.register_all("s1", "s2")
     h.confirm_link()
-    d = h.central.sc_records[KEY_12].directions["a2b"]
+    d, back = h.central.sc_records[KEY_12].directions.values()
     h.central.handle_pn_exhausted(PnExhausted(chassis_id="s1", sci=d.sci))  # stages a rekey, unacked
     sais = [d.sai, d.next[0]]
     h.outbox.clear()
     h.central.handle_link_delta(LinkDelta("s1", 2, None))
+    # One batch per end holds both directions' deletes: the receiver's part of a2b names both its generations.
     receiver_ops = [DeleteIgSc(sai=s) for s in sais] + [DeleteSa(sai=s) for s in sais]
-    assert (d.receiver, ScConfig(batch_id=None, ops=receiver_ops)) in h.configs()
+    sender_ops = [DeleteEgSc(port=d.sender_port)] + [DeleteSa(sai=s) for s in sais]
+    assert [(chassis, cfg.batch_id, cfg.ops) for chassis, cfg in h.configs()] == [
+        (d.receiver, None, receiver_ops + [DeleteEgSc(port=back.sender_port), DeleteSa(sai=back.sai)]),
+        (d.sender, None, sender_ops + [DeleteIgSc(sai=back.sai), DeleteSa(sai=back.sai)]),
+    ]
 
 
 def test_an_cycles_mod_four():
@@ -356,6 +360,56 @@ def test_a_sweep_skips_a_torn_down_record_and_a_generation_replaced_since_it_was
     assert h.central.counters.get("channels.rekey") == 2
     assert a2b.rekey_count == 1 and a2b.next is None and a2b.phase == "active"
     assert list(h.central._rekeys) == [90_000_000]
+
+
+def _assert_one_delete_batch_per_switch(configs):
+    """Each switch has at most one batch, unacked, and each SAI's IG-SC delete comes before its SA delete."""
+    assert len({chassis for chassis, _ in configs}) == len(configs)
+    for chassis, cfg in configs:
+        assert cfg.batch_id is None, chassis
+        for i, op in enumerate(cfg.ops):
+            if isinstance(op, DeleteIgSc):
+                assert DeleteSa(sai=op.sai) in cfg.ops[i + 1:], (chassis, op)
+
+
+def test_retires_due_at_one_instant_share_one_actionable_sweep():
+    h = Harness(rekey_interval_us=60_000_000, grace_us=1_000_000)
+    h.register_all("s1", "s2", "s3")
+    h.confirm_link(("s1", 2), ("s2", 4))
+    h.confirm_link(("s1", 3), ("s3", 1))
+    key_13 = link_key(("s1", 3), ("s3", 1))
+    order = [(KEY_12, "a2b"), (KEY_12, "b2a"), (key_13, "a2b"), (key_13, "b2a")]
+    directions = [h.central.sc_records[key].directions[name] for key, name in order]
+    old = [d.sai for d in directions]
+    h.advance_to_rekey_timers()
+    h.run_due_timers()
+    h.ack_all()  # all four rekeys finish at 60 s: their old generations retire at 61 s
+    assert h.central._retires == {61_000_000: [(d.sender, d.receiver, (sai,), None) for d, sai in zip(directions, old)]}
+    assert [(at_us, fn.__name__, args) for at_us, fn, args, hk in h.scheduled if not hk] == [
+        (61_000_000, "_retire_sweep", (61_000_000,))
+    ]
+    h.outbox.clear()
+    h.time_us = 61_000_000
+    h.run_due_timers()
+    assert h.central._retires == {}
+    configs = h.configs()
+    _assert_one_delete_batch_per_switch(configs)
+    assert [chassis for chassis, _ in configs] == ["s2", "s1", "s3"]  # in the order the retires first name them
+    deleted = sorted(op.sai for _, cfg in configs for op in cfg.ops if isinstance(op, DeleteSa))
+    assert deleted == sorted(old * 2)  # at the receiver and at the sender
+
+
+def test_a_teardown_sends_one_batch_to_each_end():
+    h = Harness()
+    h.register_all("s1", "s2", "s3")
+    h.confirm_link(("s1", 2), ("s2", 4))
+    h.confirm_link(("s1", 3), ("s3", 1))
+    h.outbox.clear()
+    h.central.handle_link_delta(LinkDelta("s1", 3, None))
+    configs = h.configs()
+    _assert_one_delete_batch_per_switch(configs)
+    assert [chassis for chassis, _ in configs] == ["s3", "s1"]
+    assert [type(op) for _, cfg in configs for op in cfg.ops].count(DeleteEgSc) == 2
 
 
 def test_pn_exhaustion_triggers_out_of_cycle_rekey():

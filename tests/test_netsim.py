@@ -471,22 +471,26 @@ def _run_two_rekeys(monkeypatch, swallow_retire=False):
 def test_only_stage_batches_are_acked(monkeypatch):
     sim, stage_ids, configs, acks, _ = _run_two_rekeys(monkeypatch)
     untracked = [cfg for cfg in configs if cfg.batch_id is None]
-    assert len(untracked) >= 16  # two retires, each one batch per end, for each of 4 directions
+    assert len(untracked) >= 6  # two retire sweeps, each one batch to each of the 3 switches
     assert sorted(ack.batch_id for ack in acks) == sorted(stage_ids)
     assert all(ack.ok for ack in acks)
     assert audit(sim) == []
 
 
 def test_a_lost_retire_shows_as_a_stray_row(monkeypatch):
+    """A retire sweep sends one batch per switch, so the swallowed batch can
+    name generations of more than one link: each of them shows as a stray row."""
     sim, _, _, _, swallowed = _run_two_rekeys(monkeypatch, swallow_retire=True)
-    [(receiver, cfg)] = swallowed
-    sci = sim.switches[receiver].tables.sa[cfg.ops[0].sai].sci
-    sender = next(name for name, sw in sim.switches.items() if sw.mac == sci[:6])
-    end = (sender, sci_port(sci))
-    link = link_key(end, sim.central.reports[end])
-    assert receiver in (link[0][0], link[1][0])
+    [(chassis, cfg)] = swallowed
+    links = set()
+    for op in cfg.ops:
+        sci = sim.switches[chassis].tables.sa[op.sai].sci
+        sender = next(name for name, sw in sim.switches.items() if sw.mac == sci[:6])
+        end = (sender, sci_port(sci))
+        links.add(link_key(end, sim.central.reports[end]))
+    assert all(chassis in (link[0][0], link[1][0]) for link in links)
     found = audit(sim)
-    assert found and set(found) == {Violation("stray_row", link)}
+    assert found and set(found) == {Violation("stray_row", link) for link in links}
 
 
 def test_a_probe_replayed_onto_another_link_costs_only_that_link():
@@ -684,6 +688,76 @@ def test_the_rekey_table_empties_as_its_sweeps_fire():
         assert sum(map(len, table.values())) <= live, sim.now_s()
         assert all(due_us > sim.now_us() for due_us in table), sim.now_s()
     assert sim.central.counters.get("channels.rekey") >= 4 * 9
+
+
+def test_the_queue_holds_one_actionable_retire_sweep_per_due_instant():
+    """Each finished rekey files its replaced generation under the microsecond
+    one grace later; an instant queues one actionable sweep however many
+    generations it holds, and no delete is queued on its own."""
+    spec = chain_spec(4).with_params(discovery_interval=1.0, rekey_interval=3.0, grace=2.0)
+    sim = Simulation(spec, seed=1)
+    sim.quiesce()
+    sim.run_until(1.5)
+    sim.set_link_state("s2-s3", False)
+    sim.run_until(1.7)
+    sim.set_link_state("s2-s3", True)
+    sim.quiesce()  # s2-s3 redeployed at 1.701 s, so it rekeys at 4.701 s and the others at 3.001 s
+    sim.run_until(5.0)
+    table = sim.central._retires
+    assert {due_us: len(entries) for due_us, entries in table.items()} == {5_001_000: 4, 6_701_000: 2}
+    sweeps = [(at_us, hk, args) for at_us, _seq, hk, fn, args in sim.pending() if fn.__name__ == "_retire_sweep"]
+    assert sweeps == [(5_001_000, False, (5_001_000,)), (6_701_000, False, (6_701_000,))]
+    assert "_send_deletes" not in {fn.__name__ for _at, _seq, _hk, fn, _args in sim.pending()}
+    # Not quiesce: these grace windows tile the rekey period, so an actionable sweep is always queued.
+    sim.run_until(6.8)  # both sweeps fired; the four directions rekeyed again at 6.001 s
+    assert {due_us: len(entries) for due_us, entries in table.items()} == {8_001_000: 4}
+
+
+def test_the_retire_table_empties_as_its_sweeps_fire():
+    """Across many rekey rounds the table holds at most one generation per
+    live direction, and none whose instant has passed."""
+    spec = chain_spec(3).with_params(discovery_interval=0.5, rekey_interval=1.0, grace=0.25)
+    sim = Simulation(spec, seed=1)
+    while sim.now_us() < 10_000_000:
+        sim.run_until(sim.now_s() + 0.05)
+        table = sim.central._retires
+        live = sum(len(record.directions) for record in sim.central.sc_records.values())
+        assert sum(map(len, table.values())) <= live, sim.now_s()
+        assert all(due_us > sim.now_us() for due_us in table), sim.now_s()
+    sim.quiesce()
+    assert sim.central._retires == {}
+    assert sim.central.counters.get("channels.rekey") >= 4 * 9
+    assert audit(sim) == []
+
+
+def test_a_retire_sweep_sends_each_switch_one_batch_deleting_ig_sc_before_sa(monkeypatch):
+    sweeps = []
+    retire_sweep, to_local = CentralController._retire_sweep, Simulation._send_to_local
+
+    def recording_sweep(self, due_us):
+        sweeps.append([])
+        retire_sweep(self, due_us)
+
+    def recording_to_local(self, chassis, msg):
+        if sweeps and isinstance(msg, ScConfig) and msg.batch_id is None:
+            sweeps[-1].append((chassis, msg))
+        to_local(self, chassis, msg)
+
+    monkeypatch.setattr(CentralController, "_retire_sweep", recording_sweep)
+    monkeypatch.setattr(Simulation, "_send_to_local", recording_to_local)
+    sim = Simulation(chain_spec(4).with_params(rekey_interval=2.0, grace=1.0), seed=1)
+    sim.quiesce()
+    sim.run_until(7.5)
+    sim.quiesce()
+    assert len(sweeps) >= 3
+    for batches in sweeps:
+        chassis = [name for name, _ in batches]
+        assert sorted(chassis) == sorted(set(chassis)) == ["s1", "s2", "s3", "s4"]
+        for name, cfg in batches:
+            for i, op in enumerate(cfg.ops):
+                if isinstance(op, DeleteIgSc):
+                    assert DeleteSa(sai=op.sai) in cfg.ops[i + 1:], (name, op)
+    assert audit(sim) == []
 
 
 def test_rows_stamped_at_one_instant_share_one_clock_int():
@@ -908,6 +982,18 @@ def test_quiesce_event_count_regression(hierarchical_spec):
     assert sim.events_processed == 105
 
 
+def test_rekey_round_event_count_regression(hierarchical_spec):
+    # Frozen measurement, as above, through one rekey round of every
+    # direction and its retires; drift here means extra (or lost)
+    # housekeeping traffic.
+    sim = Simulation(hierarchical_spec.with_params(rekey_interval=2, grace=1), seed=1)
+    sim.quiesce()
+    sim.run_until(3.5)
+    sim.quiesce()
+    assert sim.central.counters.get("channels.rekey") == 12
+    assert sim.events_processed == 162
+
+
 def _random_tree_spec(rng):
     from macsecsim.topology import HostSpec, LinkSpec, SwitchSpec, TopologySpec
 
@@ -1088,7 +1174,7 @@ def test_every_queue_push_goes_through_schedule(monkeypatch, jitter_s):
     assert pushes[-len(held):] == [(0, "deliver")] * len(held)
     assert [args[0] for _at, s, _hk, _fn, args in sim.pending() if s > seq] == held
     sim.run_until(8.0)
-    assert {"_deliver", "_send_deletes"} <= {name for _, name in pushes}
+    assert {"_deliver", "_retire_sweep"} <= {name for _, name in pushes}
     assert len(pushes) == sim.events_processed + len(sim.pending())
     assert all(type(delay_us) is int for delay_us, _ in pushes)
     assert all(type(at_us) is int for at_us, *_ in sim.pending())
@@ -1097,7 +1183,7 @@ def test_every_queue_push_goes_through_schedule(monkeypatch, jitter_s):
 
 def test_the_callbacks_queued_per_event_are_bound_once(monkeypatch):
     """Frame deliveries, messages to the central controller, the rekey sweeps
-    and the retire timers each queue one callable object for the whole run."""
+    and the retire sweeps each queue one callable object for the whole run."""
     queued = []  # keeps every queued callable alive, so distinct objects stay distinct
     schedule = Simulation.schedule
 
@@ -1115,7 +1201,7 @@ def test_the_callbacks_queued_per_event_are_bound_once(monkeypatch):
     sim.quiesce()
 
     for name, owner in [
-        ("_deliver", sim), ("deliver", sim.central), ("_rekey_sweep", sim.central), ("_send_deletes", sim.central),
+        ("_deliver", sim), ("deliver", sim.central), ("_rekey_sweep", sim.central), ("_retire_sweep", sim.central),
     ]:
         fns = [fn for fn in queued if fn.__name__ == name and fn.__self__ is owner]
         assert len(fns) > 1, name

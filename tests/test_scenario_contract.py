@@ -39,6 +39,7 @@ BAD_DIRECTIVES = [
         for link in ("wormhole", "access1-h1")
     ],
     ("expect all_interswitch_frames_protected wormhole 0", "unknown link"),
+    ("expect all_interswitch_frames_protected access1-h1 0", "not an inter-switch link"),
     ("expect all_interswitch_frames_protected * nan", "bad time"),
     ("expect counters_zero nosuch drop", "unknown switch"),
     ("expect payload_delivered hx text:hi", "unknown host"),
