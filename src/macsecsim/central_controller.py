@@ -64,7 +64,6 @@ from .messages import (
     PnExhausted,
     ScAck,
     ScConfig,
-    StartDiscovery,
     WriteEgSc,
     WriteIgSc,
     WriteSa,
@@ -181,7 +180,6 @@ class CentralController:
     def handle_register(self, chassis_id: str, mac: bytes) -> None:
         self.switch_macs[chassis_id] = mac
         self._send(chassis_id, KeyInstall(key=self.lldp_key))
-        self._send(chassis_id, StartDiscovery())
 
     # -- global link map ----------------------------------------------------------
 

@@ -392,7 +392,9 @@ class Switch:
         return _pop(self.tables.mac, mac)
 
     def write_sa(self, entry: SaEntry) -> UndoEntry:
-        self._fold_sa_counts(entry.sai)
+        # A write never replaces a live SA: its PN would start again at 1 under the same SAK.
+        if entry.sai in self.tables.sa:
+            raise InvalidEntry(f"SAI {entry.sai} already held")
         return _put(self.tables.sa, entry.sai, entry)
 
     def delete_sa(self, sai: int) -> UndoEntry:

@@ -14,6 +14,11 @@ seal is reported through the switch's `on_protect` hook, as a protected
 frame's (SCI, PN) is; installing a new discovery key retires the old one
 through `on_retire`.
 
+Holding a discovery key is the one fact that says discovery runs.  The
+first `KeyInstall` starts the rounds; until it arrives the switch seals
+nothing, a port that comes up sends no probe, and a probe received is
+counted as `discovery.no_key`.
+
 The table agent applies a config batch through the switch's table writes,
 the one place an entry is checked.  Each write returns its undo entry, and
 the agent collects them.  If a write fails, the agent hands them back to
@@ -39,7 +44,6 @@ from .messages import (
     PnExhausted,
     ScAck,
     ScConfig,
-    StartDiscovery,
     WriteEgSc,
     WriteIgSc,
     WriteSa,
@@ -79,7 +83,6 @@ class LocalController:
         self.lldp_key: LldpKey | None = None
         self.prev_key: LldpKey | None = None
         self.prev_key_expiry_us = 0
-        self.discovery_started = False
         self.tx_seq = rng.boot_seq()
         self.seal_count = 0  # seals so far, under any key: the counter half of each nonce
         # Replay floor: port -> sender chassis -> the last seq accepted from it.
@@ -98,8 +101,6 @@ class LocalController:
         """Central-controller messages, one at a time."""
         if isinstance(msg, KeyInstall):
             self.handle_key_install(msg.key)
-        elif isinstance(msg, StartDiscovery):
-            self.handle_start_discovery()
         elif isinstance(msg, ScConfig):
             self.handle_sc_config(msg)
         else:
@@ -126,22 +127,20 @@ class LocalController:
     # -- link discovery --------------------------------------------------------
 
     def handle_key_install(self, key: LldpKey) -> None:
-        if self.lldp_key is not None:
+        """The first key starts discovery; a later one rotates in."""
+        old = self.lldp_key
+        if old is not None:
             # Rotation grace: the old key stays valid for opening (not
             # sealing) for one discovery interval.
-            self.prev_key = self.lldp_key
+            self.prev_key = old
             self.prev_key_expiry_us = self._now() + self.discovery_interval_us
-            self.switch.on_retire(self.lldp_key.key, self.switch.mac)
+            self.switch.on_retire(old.key, self.switch.mac)
         self.lldp_key = key
-
-    def handle_start_discovery(self) -> None:
-        if self.discovery_started:
-            return
-        self.discovery_started = True
-        # Bound once, here rather than at construction, so that every round re-arms
-        # with this one object and an idle switch holds none.
-        self.discovery_round = self.discovery_round
-        self.discovery_round()
+        if old is None:
+            # Bound once, here rather than at construction, so that every round re-arms
+            # with this one object and a switch that never gets a key holds none.
+            self.discovery_round = self.discovery_round
+            self.discovery_round()
 
     def discovery_round(self) -> None:
         """Probe every up port, expire stale links, re-arm the timer."""
@@ -150,12 +149,8 @@ class LocalController:
         self._schedule(self.discovery_interval_us, self.discovery_round, housekeeping=True)
 
     def _probe(self, ports: list[int]) -> None:
-        """Send a sealed probe out of each port, or with no key count one `discovery.no_key`."""
-        key = self.lldp_key
-        if key is None:
-            self.counters.incr("discovery.no_key")
-            return
-        sw = self.switch
+        """Send a probe sealed under the current key out of each port."""
+        key, sw = self.lldp_key, self.switch
         for port in ports:
             self.tx_seq = (self.tx_seq + 1) & 0xFFFFFFFF
             pdu = self._lldpdus.get(port)
@@ -218,7 +213,7 @@ class LocalController:
 
     def handle_port_event(self, port: int, up: bool) -> None:
         if up:
-            if self.discovery_started:
+            if self.lldp_key is not None:
                 self._probe([port])
         else:
             self.rx_seq.pop(port, None)

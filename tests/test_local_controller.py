@@ -20,7 +20,6 @@ from macsecsim.messages import (
     ScAck,
     ScConfig,
     ScOp,
-    StartDiscovery,
     WriteEgSc,
     WriteIgSc,
     WriteSa,
@@ -72,7 +71,6 @@ class Harness:
 
     def start(self, key=KEY):
         self.ctl.deliver(KeyInstall(key=key))
-        self.ctl.deliver(StartDiscovery())
 
     def probe_from_peer(self, port=2, *, seq, chassis=b"s2", remote_port=7, key=KEY, nonce=None):
         nonce = nonce if nonce is not None else random.Random(seq).randbytes(12)
@@ -274,29 +272,21 @@ def test_emit_round_all_ports_down():
     assert h.transmitted == []
 
 
-def test_round_without_key_counts_and_reschedules():
+def test_a_port_that_comes_up_before_any_key_sends_nothing():
     h = Harness()
-    h.ctl.deliver(StartDiscovery())
-    assert h.transmitted == []
-    assert h.switch.counters.get("discovery.no_key") == 1
-    assert len(h.scheduled) == 1
-
-
-def test_a_port_that_comes_up_before_any_key_counts_and_sends_nothing():
-    h = Harness()
-    h.ctl.deliver(StartDiscovery())
     h.switch.set_port_state(2, False)
     h.switch.set_port_state(2, True)
     assert h.transmitted == []
-    assert h.switch.counters.get("discovery.no_key") == 2
+    assert h.switch.counters.get("discovery.no_key") == 0
     assert h.ctl.seal_count == 0
+    assert h.scheduled == []
 
 
-def test_second_start_discovery_arms_no_second_timer():
+def test_a_rotation_key_install_arms_no_second_timer_and_sends_no_probe():
     h = Harness()
     h.start()
     probes = len(h.transmitted)
-    h.ctl.deliver(StartDiscovery())
+    h.ctl.deliver(KeyInstall(key=LldpKey(key=b"\x44" * 16, key_id=2)))
     assert len(h.scheduled) == 1
     assert len(h.transmitted) == probes
 

@@ -8,10 +8,12 @@ import pytest
 from macsecsim.audit import Violation, audit
 from macsecsim.central_controller import CentralController, link_key
 from macsecsim.crypto import LldpKey, lldp_seal, macsec_protect
-from macsecsim.dataplane import Counters, SaEntry, Switch
+from macsecsim.dataplane import Counters, Switch
 from macsecsim.errors import InvalidEntry, LivelockError, SpecError, UnknownHost, UnknownLink, UnknownSwitch
 from macsecsim.local_controller import LocalController
-from macsecsim.messages import DeleteEgSc, DeleteIgSc, DeleteSa, LinkDelta, ScAck, ScConfig, StartDiscovery
+from macsecsim.messages import (
+    DeleteEgSc, DeleteIgSc, DeleteSa, LinkDelta, ScAck, ScConfig, StartDiscovery, WriteEgSc,
+)
 from macsecsim.netsim import Simulation
 from macsecsim.topology import SwitchSpec, TopologySpec, chain_spec
 from macsecsim.trace import read_pcapng
@@ -397,8 +399,18 @@ def test_partition_at_registration_converges_after_heal():
     sim = Simulation(chain_spec(2), seed=3)
     sim.set_control_state("s2", False)  # before the first event: registration is held
     sim.run_until(0.5)
+    s2 = sim.controllers["s2"]
+    # Without its key s2 seals and sends nothing; s1's probe reaches it and counts `no_key`.
+    assert s2.seal_count == 0 and s2.counters.get("discovery.sent") == 0
+    assert sim.trace.query(link="s1-s2", direction="b2a") == []
+    assert s2.counters.get("discovery.no_key") == 1
+    heal_us = sim.now_us()
     sim.set_control_state("s2", True)
+    sim.run_until(0.5)  # the held key install runs at the heal's instant and starts discovery
+    assert s2.seal_count == s2.counters.get("discovery.sent") == 2
+    assert [r.time_us for r in sim.trace.query(link="s1-s2", direction="b2a")] == [heal_us]
     sim.run_until(200)
+    assert s2.counters.get("discovery.no_key") == 1
     sim.quiesce()
     assert audit(sim) == []
 
@@ -979,7 +991,7 @@ def test_quiesce_event_count_regression(hierarchical_spec):
     # behavior changes; drift here means extra (or lost) protocol traffic.
     sim = Simulation(hierarchical_spec, seed=1)
     sim.quiesce()
-    assert sim.events_processed == 105
+    assert sim.events_processed == 98
 
 
 def test_rekey_round_event_count_regression(hierarchical_spec):
@@ -991,7 +1003,7 @@ def test_rekey_round_event_count_regression(hierarchical_spec):
     sim.run_until(3.5)
     sim.quiesce()
     assert sim.central.counters.get("channels.rekey") == 12
-    assert sim.events_processed == 162
+    assert sim.events_processed == 155
 
 
 def _random_tree_spec(rng):
@@ -1315,8 +1327,8 @@ def test_forwarded_hops_count_without_named_counters(monkeypatch):
 
 def test_an_egress_sa_whose_pn_goes_back_fails_the_iv_check():
     """Every protected frame reaches the simulation's IV registry: an egress
-    SA rewritten under the same SAI and SAK restarts at PN 1, and its next
-    frame is a (SAK, IV) reuse."""
+    SA whose next PN is wound back to 1 seals its next frame under an IV
+    already used, a (SAK, IV) reuse."""
     sim = Simulation(chain_spec(2), seed=1)
     sim.quiesce()
     sim.host_send("h1", b"\xff" * 6, 0x0800, b"first")
@@ -1325,10 +1337,43 @@ def test_an_egress_sa_whose_pn_goes_back_fails_the_iv_check():
     [sai] = s1.tables.eg_sc.values()
     sa = s1.tables.sa[sai]
     assert sa.next_pn > 1
-    s1.write_sa(SaEntry(sai=sai, sak=sa.sak, an=sa.an, sci=sa.sci, confidentiality=sa.confidentiality))
+    sa.next_pn = 1
     sim.host_send("h1", b"\xff" * 6, 0x0800, b"again")
     with pytest.raises(AssertionError, match="reuse"):
         sim.quiesce()
+
+
+def test_a_duplicated_live_egress_batch_is_nacked_and_changes_nothing(monkeypatch):
+    """A repeated control batch cannot restart a live SA at PN 1: its `WriteSa`
+    names an SAI the switch holds, so the batch rolls back and is nacked, and
+    the central controller ignores the nack of a batch no longer pending."""
+    configs = []
+    to_local = Simulation._send_to_local
+
+    def recording_to_local(self, chassis, msg):
+        if chassis == "s1" and isinstance(msg, ScConfig):
+            configs.append(msg)
+        to_local(self, chassis, msg)
+
+    monkeypatch.setattr(Simulation, "_send_to_local", recording_to_local)
+    sim = Simulation(chain_spec(2).with_params(discovery_interval=1), seed=1)
+    sim.quiesce()
+    h2 = sim.hosts["h2"].mac
+    for i in range(3):
+        sim.host_send("h1", h2, 0x0800, b"f%d" % i)
+    sim.quiesce()
+    *_, egress = [c for c in configs if any(isinstance(op, WriteEgSc) for op in c.ops)]
+    s1 = sim.switches["s1"]
+    tables, central = repr(s1.tables), sim.central.dump_sc_records(unsafe_keys=True)
+    sim._send_to_local("s1", egress)
+    sim.quiesce()
+    assert s1.counters.get("sc_config.nack") == 1
+    assert repr(s1.tables) == tables
+    assert sim.central.dump_sc_records(unsafe_keys=True) == central
+    sim.host_send("h1", h2, 0x0800, b"f3")
+    sim.quiesce()  # the IV registry would raise on a PN that went back
+    assert [f.payload for f in sim.host_recv("h2")] == [b"f0", b"f1", b"f2", b"f3"]
+    assert audit(sim) == []
 
 
 def _live_sending_sas(sim) -> int:
@@ -1434,6 +1479,8 @@ def test_an_unexpected_control_message_raises_and_changes_nothing():
         sim.central.deliver(StartDiscovery())
     with pytest.raises(TypeError, match="^unexpected control message LinkDelta$"):
         sim.controllers["s1"].deliver(LinkDelta("s1", 2, ("s2", 1)))
+    with pytest.raises(TypeError, match="^unexpected control message StartDiscovery$"):
+        sim.controllers["s1"].deliver(StartDiscovery())
     assert state() == before
 
 
