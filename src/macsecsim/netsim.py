@@ -8,19 +8,25 @@ microseconds and never moves backward.
 
 A queue entry is the tuple ``(at_us, seq, housekeeping, fn, args)``; the
 loop runs ``fn(*args)``, so queueing a frame, a control message or a timer
-builds no closure.  `seq` breaks ties, so events due at the same
-microsecond run in the order they were queued.  `Simulation.schedule`,
-which takes an integer delay in microseconds, queues every event.  The
+builds no closure.  `seq` numbers the entries in the order queued, and
+events due at the same microsecond run in that order.
+`Simulation.schedule`, which takes an integer delay in microseconds,
+queues every event and refuses a negative delay.  The
 spec's durations are in seconds; `to_us` rounds each to the microsecond
 once, when the simulation is built.  The loop moves the clock only when
-time moves, so every inbox row and lane entry stamped at one microsecond
-holds one int object; the trace stores its times as int64 values.
+time moves, so every inbox row and zero-delay entry stamped at one
+microsecond holds one int object; the trace stores its times as int64
+values.
 
-The queue is a heap plus a FIFO lane for zero-delay events.  An event
-queued at delay 0 is due at the current clock and has the highest `seq`
-yet, so the lane is always in ``(at_us, seq)`` order; the loop runs the
-lane's head unless the heap's head is smaller.  `Simulation.pending`
-lists both in run order.
+The queue keeps one FIFO per due microsecond plus a heap of the distinct
+due instants, as plain ints (a calendar queue with one bucket per
+instant).  `seq` only grows, so an instant's entries in the order queued
+are in ``(at_us, seq)`` order, and the loop never compares two entries.
+An instant's lone entry is kept bare; the second entry to arrive makes the
+bucket a deque.  An event queued at delay 0 runs in the current instant,
+behind every entry already queued there.  In a lockstep fabric thousands
+of events share a handful of instants; with latency jitter most instants
+hold one.  `Simulation.pending` lists the buckets in time order.
 
 Periodic timers (discovery rounds, rekey sweeps, key rotation) are
 flagged as housekeeping; `quiesce` runs the queue in time order until only
@@ -156,8 +162,10 @@ class Simulation:
 
         self._clock_us = 0
         self._seq = 0
-        self._queue: list[QueueEntry] = []  # a heap
-        self._lane: deque[QueueEntry] = deque()  # zero-delay entries, in run order
+        # due µs -> that instant's entries: a lone entry bare, two or more in
+        # a deque, in the order queued
+        self._queue: dict[int, QueueEntry | deque[QueueEntry]] = {}
+        self._instants: list[int] = []  # the keys of `_queue`, as a heap
         self._actionable = 0
         self.events_processed = 0
 
@@ -265,17 +273,35 @@ class Simulation:
         self, delay_us: int, fn: Callable[..., None], *args, housekeeping: bool = False
     ) -> None:
         """Run `fn(*args)` `delay_us` microseconds of virtual time from now."""
+        if delay_us:
+            if delay_us < 0:
+                raise ValueError(f"delay {delay_us} us is negative")
+            at_us = self._clock_us + delay_us
+        else:
+            at_us = self._clock_us
         self._seq += 1
         if not housekeeping:
             self._actionable += 1
-        if delay_us:
-            heappush(self._queue, (self._clock_us + delay_us, self._seq, housekeeping, fn, args))
+        entry = (at_us, self._seq, housekeeping, fn, args)
+        bucket = self._queue.setdefault(at_us, entry)
+        if bucket is entry:  # a new instant
+            heappush(self._instants, at_us)
+        elif type(bucket) is tuple:
+            self._queue[at_us] = deque((bucket, entry))
         else:
-            self._lane.append((self._clock_us, self._seq, housekeeping, fn, args))
+            bucket.append(entry)
 
     def pending(self) -> list[QueueEntry]:
-        """Every queued entry, heap and lane, in run order."""
-        return sorted([*self._queue, *self._lane])
+        """Every queued entry in run order: the due instants in time order,
+        and each one's entries in the order they were queued."""
+        entries = []
+        for at_us in sorted(self._queue):
+            bucket = self._queue[at_us]
+            if type(bucket) is tuple:
+                entries.append(bucket)
+            else:
+                entries.extend(bucket)
+        return entries
 
     def run_until(self, t_s: float) -> None:
         """Execute every event with time <= t_s, then advance the clock to t_s."""
@@ -290,28 +316,49 @@ class Simulation:
         self._run(None, "quiesce")
 
     def _run(self, target_us: int | None, caller: str) -> None:
-        """Pop and run events in (time, seq) order: those due by `target_us`,
-        or, without a target, until no actionable event is left.  A lane
-        entry is always due: its time is at most the clock."""
-        queue, lane = self._queue, self._lane
-        popleft = lane.popleft
+        """Run events in (time, seq) order: those due by `target_us`, or,
+        without a target, until no actionable event is left.  Each step
+        takes the earliest instant's first entry.  `events_processed` is
+        brought up to date when the call returns or raises."""
+        queue, instants = self._queue, self._instants
         limit = self.params.max_events
-        stop = self.events_processed + limit
-        while ((queue and queue[0][0] <= target_us) or lane) if target_us is not None else self._actionable > 0:
-            if lane and not (queue and queue[0] < lane[0]):
-                at_us, _, housekeeping, fn, args = popleft()
-            else:
-                at_us, _, housekeeping, fn, args = heappop(queue)
-            if at_us != self._clock_us:  # so every row stamped at one instant shares one int
-                if at_us < self._clock_us:
-                    raise AssertionError("virtual clock moved backward")
-                self._clock_us = at_us
-            if not housekeeping:
-                self._actionable -= 1
-            self.events_processed += 1
-            fn(*args)
-            if self.events_processed >= stop:
-                raise LivelockError(f"exceeded {limit} events in {caller}")
+        count = self.events_processed
+        stop = count + limit
+        try:
+            while (instants and instants[0] <= target_us) if target_us is not None else self._actionable > 0:
+                at_us = instants[0]
+                if at_us != self._clock_us:  # so every row stamped at one instant shares one int
+                    self._clock_us = at_us
+                bucket = queue.pop(at_us)
+                if type(bucket) is tuple:  # a lone entry leaves the queue before it runs
+                    heappop(instants)
+                    _, _, housekeeping, fn, args = bucket
+                    if not housekeeping:
+                        self._actionable -= 1
+                    count += 1
+                    fn(*args)
+                    if count >= stop:
+                        raise LivelockError(f"exceeded {limit} events in {caller}")
+                    continue
+                # A deque stays queued while it drains, so what its entries queue
+                # at delay 0 joins its end.  This repeats the body above once per
+                # entry: in a lockstep fabric one instant holds thousands.
+                queue[at_us] = bucket
+                popleft = bucket.popleft
+                while bucket and (target_us is not None or self._actionable > 0):
+                    _, _, housekeeping, fn, args = popleft()
+                    if not housekeeping:
+                        self._actionable -= 1
+                    count += 1
+                    fn(*args)
+                    if count >= stop:
+                        raise LivelockError(f"exceeded {limit} events in {caller}")
+                if not bucket:
+                    del queue[heappop(instants)]
+        finally:
+            self.events_processed = count
+            if instants and not queue[instants[0]]:  # an entry raised, or hit the limit, as its deque emptied
+                del queue[heappop(instants)]
 
     # -- control channel ---------------------------------------------------------------
 

@@ -774,26 +774,32 @@ def test_a_retire_sweep_sends_each_switch_one_batch_deleting_ig_sc_before_sa(mon
 
 def test_rows_stamped_at_one_instant_share_one_clock_int():
     """The loop moves the clock only when time moves, so the inbox rows and
-    lane entries of every event due at one microsecond hold the same int.
-    (The trace keeps its times as int64 values in an array, not as objects.)"""
+    zero-delay entries of every event due at one microsecond hold the same
+    int.  (The trace keeps its times as int64 values in an array, not as
+    objects.)"""
     sim = Simulation(chain_spec(3).with_params(discovery_interval=1.0), seed=1)
     sim.quiesce()
     h1, h2 = sim.hosts["h1"], sim.hosts["h2"]
-    lane: list[int] = []
+    zero_delay: list[int] = []
+
+    def look(seq):
+        """The entries due now and queued after this look was: the sends' transmits."""
+        zero_delay.extend(at_us for at_us, s, *_ in sim.pending() if at_us == sim.now_us() and s > seq)
+
     for i in range(3):
         # Three events due at one instant, each queued with a due int of its own:
-        # two sends, each queueing its transmit in the lane, then a look at the lane.
+        # two sends, each queueing its transmit at delay 0, then a look at the queue.
         sim.schedule(1000, sim.host_send, "h1", h2.mac, 0x0800, b"a%d" % i)
         sim.schedule(1000, sim.host_send, "h2", h1.mac, 0x0800, b"b%d" % i)
-        sim.schedule(1000, lambda: lane.extend(at_us for at_us, *_ in sim._lane))
+        sim.schedule(1000, look, sim._seq + 1)
         sim.run_until(sim.now_s() + 1.0)  # the switches' discovery rounds share each instant
     sim.quiesce()
     inbox = [at_us for host in (h1, h2) for at_us, _data in host.received._rows]
     stamps: dict[int, set[int]] = {}
-    for at_us in lane + inbox:
+    for at_us in zero_delay + inbox:
         stamps.setdefault(at_us, set()).add(id(at_us))
     assert all(len(ids) == 1 for ids in stamps.values())
-    assert set(Counter(lane).values()) == set(Counter(inbox).values()) == {2} and len(stamps) == 6
+    assert set(Counter(zero_delay).values()) == set(Counter(inbox).values()) == {2} and len(stamps) == 6
 
 
 def test_a_redeployed_channel_ignores_the_old_records_rekey_timer():
@@ -1484,12 +1490,18 @@ def test_an_unexpected_control_message_raises_and_changes_nothing():
     assert state() == before
 
 
-def test_an_event_due_before_the_clock_stops_the_loop():
+def test_a_negative_delay_fails_at_the_call():
+    """No entry can fall due before the clock: `schedule` refuses it and
+    queues nothing, so the counts and the run after it are untouched."""
     sim = Simulation(chain_spec(2), seed=1)
     sim.run_until(1.0)
-    sim.schedule(-1, sim.now_us)
-    with pytest.raises(AssertionError, match="^virtual clock moved backward$"):
-        sim.run_until(2.0)
+    before = sim.pending(), sim._seq, sim._actionable
+    with pytest.raises(ValueError, match="^delay -5 us is negative$"):
+        sim.schedule(-5, sim.now_us)
+    assert (sim.pending(), sim._seq, sim._actionable) == before
+    sim.run_until(2.0)
+    sim.quiesce()
+    assert sim.now_us() >= 2_000_000 and audit(sim) == []
 
 
 def test_reading_a_total_or_a_named_count_walks_no_live_count(monkeypatch):
