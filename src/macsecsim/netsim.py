@@ -57,7 +57,13 @@ inter-switch links are listed once, in spec order, at build time.  Cabling
 a link registers it with the trace once: its ``a2b`` wire id is twice the
 link's trace id, and its ``b2a`` one more.  Each end's attachment holds the
 link and the wire id of the direction a frame sent from it takes, so a row
-costs the trace two ints and the frame's bytes.
+costs the trace three ints and the frame's head.
+
+The trace keeps each frame's first `trace.HEAD_LEN` bytes and its length.
+``Simulation(spec, keep_frames=True)`` keeps whole frames instead, for a
+caller that replays captured frames or exports them whole, as the scenario
+runner does; a host's inbox row and its frame's trace row then hold one
+bytes object.
 
 Every frame reaches a wire through one body, `_transmit`: it records the
 frame under its wire id, drops it on a down link or a loss draw, draws the
@@ -83,7 +89,7 @@ from .errors import LivelockError, UnknownHost, UnknownLink, UnknownSwitch
 from .local_controller import LocalController
 from .randomness import IvUniquenessRegistry, RandomSource
 from .topology import Endpoint, TopologySpec, to_us
-from .trace import DIRECTIONS, Trace, write_pcapng
+from .trace import DIRECTIONS, HEAD_LEN, Trace, write_pcapng
 from .wire import ETH_HEADER_LEN, MIN_FRAME_LEN, EthernetFrame
 
 log = logging.getLogger(__name__)
@@ -108,9 +114,10 @@ class Link:
 class Inbox:
     """A host's delivered frames, in arrival order, read as `(arrival µs,
     frame)` pairs.  It keeps each delivery as its arrival time and its wire
-    bytes, and builds the frame, a view over the very bytes of its trace row,
-    when the pair is read.  It indexes, slices and iterates like a list and
-    compares equal to a list of the pairs it holds."""
+    bytes, and builds the frame, a view over those bytes, when the pair is
+    read; with ``keep_frames=True`` they are the very bytes of its trace
+    row.  It indexes, slices and iterates like a list and compares equal to
+    a list of the pairs it holds."""
 
     __slots__ = ("_rows",)
 
@@ -151,14 +158,16 @@ class Host:
 
 
 class Simulation:
-    def __init__(self, spec: TopologySpec, seed: int | None = None):
+    def __init__(self, spec: TopologySpec, seed: int | None = None, *, keep_frames: bool = False):
+        """Build the fabric of `spec`.  The trace keeps each frame's head
+        unless `keep_frames`, which keeps whole frames for replay or export."""
         spec.validate()
         self.spec = spec
         self.params = spec.params
         self.seed = self.params.seed if seed is None else seed
         self.rng = RandomSource(self.seed)
         self.iv_registry = IvUniquenessRegistry()
-        self.trace = Trace()
+        self.trace = Trace(None if keep_frames else HEAD_LEN)
 
         self._clock_us = 0
         self._seq = 0
@@ -449,12 +458,19 @@ class Simulation:
                 self.switches[node].set_port_state(port, up)
 
     def inject_frame(self, name: str, direction: str, data: bytes) -> None:
-        """Deliver arbitrary bytes on a link as an adversary-in-the-middle."""
+        """Deliver arbitrary bytes on a link as an adversary-in-the-middle.
+        Bytes-like data is copied to `bytes` once, here; anything else
+        raises `TypeError` before anything is queued."""
         link = self.links.get(name)
         if link is None:
             raise UnknownLink(name)
         if direction not in DIRECTIONS:
             raise ValueError(f"direction must be a2b or b2a, not {direction!r}")
+        if type(data) is not bytes:
+            try:
+                data = bytes(memoryview(data))
+            except TypeError:
+                raise TypeError(f"a frame must be bytes-like, not {type(data).__name__}") from None
         self.schedule(0, self._transmit, {0: (link, link.wire + DIRECTIONS.index(direction))}, 0, data)
 
     # -- hosts --------------------------------------------------------------------------------

@@ -131,7 +131,7 @@ def _parse_payload(text: str) -> bytes:
 class ScenarioRunner:
     def __init__(self, spec: TopologySpec, directives: list[Directive], seed: int | None = None):
         self.directives = directives
-        self.sim = Simulation(spec, seed=seed)
+        self.sim = Simulation(spec, seed=seed, keep_frames=True)  # replay and trace.pcapng need whole frames
         self.report = Report()
         self._map_snapshot: set[LinkKey] = self.sim.central.confirmed_links()
 

@@ -67,7 +67,7 @@ def _crit1_topology_fidelity(seed):
     from macsecsim.topology import TopologySpec
 
     spec = TopologySpec.from_yaml(SCENARIOS / "hierarchical.yaml")
-    sim = Simulation(spec, seed=seed)
+    sim = Simulation(spec, seed=seed, keep_frames=True)
     sim.quiesce()
     wiring = {link_key(link.a, link.b) for link in spec.links}
     assert len(wiring) == 6
@@ -79,7 +79,7 @@ def _crit2_full_protection(seed):
     from macsecsim.topology import TopologySpec
 
     spec = TopologySpec.from_yaml(SCENARIOS / "hierarchical.yaml")
-    sim = Simulation(spec, seed=seed)
+    sim = Simulation(spec, seed=seed, keep_frames=True)
     sim.quiesce()
     setup_done_us = sim.now_us()
     rng = random.Random(seed)
@@ -102,7 +102,7 @@ def _crit3_chain_transparency(seed):
     payload = rng.randbytes(1024)
     fingerprints = []
     for hops in range(2, 9):
-        sim = Simulation(chain_spec(hops), seed=seed)
+        sim = Simulation(chain_spec(hops), seed=seed, keep_frames=True)
         sim.quiesce()
         sim.host_send("h1", sim.hosts["h2"].mac, 0x0800, payload)
         sim.quiesce()
@@ -118,7 +118,7 @@ def _crit4_link_churn(seed):
     from macsecsim.topology import TopologySpec
 
     spec = TopologySpec.from_yaml(SCENARIOS / "hierarchical.yaml")
-    sim = Simulation(spec, seed=seed)
+    sim = Simulation(spec, seed=seed, keep_frames=True)
     sim.quiesce()
     for name in ("agg1-core", "access1-agg1", "access3-agg2"):
         generation_before = sim.central.sak_log
@@ -138,7 +138,7 @@ def _crit4_link_churn(seed):
 
 def _crit5_rekeying(seed):
     spec = chain_spec(2).with_params(rekey_interval=2.0)
-    sim = Simulation(spec, seed=seed)
+    sim = Simulation(spec, seed=seed, keep_frames=True)
     sim.quiesce()
     h1m, h2m = sim.hosts["h1"].mac, sim.hosts["h2"].mac
     t = sim.now_s()
@@ -168,7 +168,7 @@ def _crit6_replay_defense(seed):
     from macsecsim.topology import TopologySpec
 
     spec = TopologySpec.from_yaml(SCENARIOS / "hierarchical.yaml")
-    sim = Simulation(spec, seed=seed)
+    sim = Simulation(spec, seed=seed, keep_frames=True)
     sim.quiesce()
     sim.run_until(31.0)  # a second discovery round for more capture variety
     switch_ends = {}
@@ -194,7 +194,7 @@ def _crit6_replay_defense(seed):
 def _crit7_tamper_defense(seed):
     from macsecsim.crypto import lldp_open
 
-    sim = Simulation(chain_spec(3), seed=seed)
+    sim = Simulation(chain_spec(3), seed=seed, keep_frames=True)
     sim.quiesce()
     h2m = sim.hosts["h2"].mac
     secret = b"top-secret-payload-7"

@@ -32,9 +32,9 @@ SPECS = [HIERARCHICAL] + [chain_spec(n) for n in (3, 4, 5)]
 class HeapOnly(Simulation):
     """A reference event loop: every entry on one heap, popped in (at_us, seq) order."""
 
-    def __init__(self, spec, seed=None):
+    def __init__(self, spec, seed=None, *, keep_frames=False):
         self._heap = []  # before the build, which queues the registrations
-        super().__init__(spec, seed=seed)
+        super().__init__(spec, seed=seed, keep_frames=keep_frames)
 
     def schedule(self, delay_us, fn, *args, housekeeping=False):
         self._seq += 1
@@ -69,7 +69,7 @@ steps = st.tuples(st.one_of(faults, replays, traffic), st.integers(0, 3))
 
 
 def run(cls, spec, seed, schedule):
-    sim = cls(spec, seed=seed)
+    sim = cls(spec, seed=seed, keep_frames=True)  # replays whole probes, compares whole rows
     switches = sorted(sim.switches)
     links = [link.name for link in sim.interswitch_links]
     directions = [(link, d) for link in links for d in ("a2b", "b2a")]

@@ -80,7 +80,7 @@ def test_fabric_converges_after_any_fault_schedule_with_replayed_probes(schedule
     """A probe replayed onto another link changes at most the receiving
     port's report, and only while that port's link is unconfirmed, so the
     real neighbour's next probe puts the link back."""
-    sim = Simulation(SPEC, seed=3)
+    sim = Simulation(SPEC, seed=3, keep_frames=True)  # replays whole probes
     for step in schedule:
         if step[0][0] == "replay":
             (_, src, dst), seconds = step
@@ -96,7 +96,7 @@ def test_a_replayed_probe_leaves_a_confirmed_link_protected():
     """s3's probe from s3:2, replayed to s1:2, names another far end for a
     confirmed link: the report is contested and dropped, so the link keeps
     its channels and no frame crosses it in the clear."""
-    sim = Simulation(chain_spec(5).with_params(discovery_interval=1), seed=1)
+    sim = Simulation(chain_spec(5).with_params(discovery_interval=1), seed=1, keep_frames=True)
     sim.quiesce()
     for src, dst in (("h1", "h2"), ("h2", "h1")):
         sim.host_send(src, sim.hosts[dst].mac, 0x0800, b"learn")

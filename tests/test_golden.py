@@ -75,7 +75,7 @@ def _scenario_digests(name: str, tmp_path) -> dict[str, str]:
 def _run_a(tmp_path) -> dict[str, str]:
     """PN exhaustion on a chain: every SA renews after 9 frames."""
     spec = chain_spec(4).with_params(rekey_interval=2.0, grace=1.0, pn_ceiling=9)
-    sim = Simulation(spec, seed=3)
+    sim = Simulation(spec, seed=3, keep_frames=True)
     sim.quiesce()
     h2_mac = sim.hosts["h2"].mac
     for i in range(60):
@@ -89,7 +89,7 @@ def _run_a(tmp_path) -> dict[str, str]:
 def _run_b(tmp_path) -> dict[str, str]:
     """Rekeys under load: random host frames on the hierarchical fabric."""
     spec = TopologySpec.from_yaml(SCENARIOS / "hierarchical.yaml")
-    sim = Simulation(spec.with_params(rekey_interval=1.0, grace=0.25), seed=5)
+    sim = Simulation(spec.with_params(rekey_interval=1.0, grace=0.25), seed=5, keep_frames=True)
     sim.quiesce()
     rng = random.Random(5)
     names = sorted(sim.hosts)

@@ -52,7 +52,7 @@ def test_single_switch_degenerate():
 
 def test_determinism_same_seed_identical_run(hierarchical_spec):
     def run():
-        sim = Simulation(hierarchical_spec, seed=42)
+        sim = Simulation(hierarchical_spec, seed=42, keep_frames=True)
         sim.quiesce()
         sim.host_send("h1", sim.hosts["h7"].mac, 0x0800, b"probe")
         sim.quiesce()
@@ -146,7 +146,7 @@ def test_forged_lldp_rejected_no_fake_link():
 
 
 def test_replayed_capture_rejected():
-    sim = Simulation(chain_spec(2), seed=6)
+    sim = Simulation(chain_spec(2), seed=6, keep_frames=True)
     sim.quiesce()
     rec = sim.trace.query(classification="secure_lldp", link="s1-s2")[0]
     receiver = "s2" if rec.direction == "a2b" else "s1"
@@ -216,6 +216,36 @@ def test_bad_simulation_calls_are_refused_and_change_nothing():
     assert "nosuch" not in sim._held
 
 
+def _replay_last_macsec_frame(wrap):
+    """Replay s1-s2's latest MACsec frame wrapped by `wrap`: (the row it
+    makes, every switch's counters)."""
+    sim = Simulation(chain_spec(2), seed=1, keep_frames=True)
+    sim.quiesce()
+    sim.host_send("h1", sim.hosts["h2"].mac, 0x0800, b"replayed")
+    sim.quiesce()
+    rec = sim.trace.query(link="s1-s2", classification="macsec")[-1]
+    sim.inject_frame(rec.link, rec.direction, wrap(rec.data))
+    sim.quiesce()
+    return sim.trace[-1], sim.counters_dump()
+
+
+@pytest.mark.parametrize("wrap", [bytearray, memoryview])
+def test_an_injected_bytes_like_frame_replays_as_its_bytes(wrap):
+    row, counters = _replay_last_macsec_frame(wrap)
+    assert type(row.data) is bytes and row.dropped == "replay_pn"
+    assert (row, counters) == _replay_last_macsec_frame(bytes)
+
+
+@pytest.mark.parametrize("data", ["a frame", 64, None, [0] * 20])
+def test_an_injected_frame_that_is_not_bytes_like_is_refused_before_it_is_queued(data):
+    sim = Simulation(chain_spec(2), seed=1)
+    sim.run_until(1.0)
+    queued = sim.pending()
+    with pytest.raises(TypeError, match="^a frame must be bytes-like, not "):
+        sim.inject_frame("s1-s2", "a2b", data)
+    assert sim.pending() == queued
+
+
 def test_trace_index_counts_back_from_the_end_and_query_starts_at_t_min():
     sim = Simulation(chain_spec(2).with_params(discovery_interval=1.0), seed=1)
     sim.run_until(3.0)
@@ -231,7 +261,7 @@ def test_trace_index_counts_back_from_the_end_and_query_starts_at_t_min():
 
 
 def test_a_received_frame_is_a_view_over_its_trace_row():
-    sim = Simulation(chain_spec(3), seed=1)
+    sim = Simulation(chain_spec(3), seed=1, keep_frames=True)
     sim.quiesce()
     sim.host_send("h1", sim.hosts["h2"].mac, 0x0800, b"zero-copy" * 20)
     sim.quiesce()
@@ -279,7 +309,7 @@ def test_a_host_nic_refuses_short_frames_and_keeps_only_ethernet(ether_type, siz
     """Below 14 bytes, or below its class's minimum (46 bytes for MACsec and
     sealed LLDP), a frame is dropped as unparseable; a long enough MACsec or
     LLDP frame dies quietly; the rest reach the inbox."""
-    sim = Simulation(chain_spec(2), seed=1)
+    sim = Simulation(chain_spec(2), seed=1, keep_frames=True)
     host = sim.hosts["h1"]
     data = (host.mac + bytes(range(1, 7)) + ether_type.to_bytes(2, "big") + bytes(64))[:size]
     sim.inject_frame(host.link.name, "a2b", data)
@@ -346,7 +376,7 @@ def test_pcapng_export_round_trip(tmp_path, hierarchical_spec):
     # id that is not the row's wire id names another link here
     for packet, rec in zip(packets, records):
         assert packet.interface == f"{rec.link}:{rec.direction}"
-        assert (packet.time_us, packet.data) == (rec.time_us, rec.data)
+        assert (packet.time_us, packet.data, packet.length) == (rec.time_us, rec.data, rec.length)
     dropped_comments = [p.comment for p in packets if p.comment]
     assert all(c.startswith("dropped: ") for c in dropped_comments)
 
@@ -509,7 +539,7 @@ def test_a_probe_replayed_onto_another_link_costs_only_that_link():
     """s3's latest probe on s3-s4, replayed onto s1-s2 toward s1, changes s1's
     report of its port alone: s1-s2 comes back on s2's next probe, and s3-s4,
     of which s1 is no end, keeps its channel."""
-    sim = Simulation(chain_spec(5).with_params(discovery_interval=1), seed=1)
+    sim = Simulation(chain_spec(5).with_params(discovery_interval=1), seed=1, keep_frames=True)
     sim.quiesce()
     record = sim.central.sc_records[sim.links["s3-s4"].key]
     probe = sim.trace.query(link="s3-s4", direction="a2b", classification="secure_lldp")[-1]
@@ -595,7 +625,7 @@ def test_rekey_grace_removes_old_generation_rows():
 
 def test_per_sa_counters_sum_to_the_switch_totals_across_rekeys():
     spec = chain_spec(3).with_params(rekey_interval=2.0, grace=1.0)
-    sim = Simulation(spec, seed=4)
+    sim = Simulation(spec, seed=4, keep_frames=True)
     sim.quiesce()
     h1, h2 = sim.hosts["h1"].mac, sim.hosts["h2"].mac
     for i in range(24):  # 6 s of traffic both ways: past two rekeys of every channel
@@ -879,7 +909,7 @@ def test_pn_exhaustion_triggers_automatic_rekey():
 
 def test_integrity_only_mode_authenticates_without_encrypting():
     spec = chain_spec(2).with_params(macsec_encrypt=False)
-    sim = Simulation(spec, seed=23)
+    sim = Simulation(spec, seed=23, keep_frames=True)
     sim.quiesce()
     sim.host_send("h1", sim.hosts["h2"].mac, 0x0800, b"readable-but-signed")
     sim.quiesce()
@@ -972,7 +1002,7 @@ def test_a_lossy_jittered_wire_draws_in_a_pinned_order():
     spec = chain_spec(3).with_params(
         loss_probability=0.2, latency_jitter=0.0003, grace=0.002, discovery_interval=0.5, rekey_interval=1.0,
     )
-    sim = Simulation(spec, seed=5)
+    sim = Simulation(spec, seed=5, keep_frames=True)
     sim.run_until(1.0)
     h1, h2 = sim.hosts["h1"], sim.hosts["h2"]
     for i in range(100):

@@ -1,5 +1,7 @@
-"""The chunked trace against a list-of-tuples reference, and its cost per row."""
+"""The chunked trace against a list-of-tuples reference, and its cost per
+row and per simulated frame."""
 
+import gc
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -8,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macsecsim.trace import CHUNK_ROWS, Trace, write_pcapng
+from macsecsim.netsim import Simulation
+from macsecsim.topology import chain_spec
+from macsecsim.trace import CHUNK_ROWS, HEAD_LEN, Trace, read_pcapng, write_pcapng
 from reference_trace import ReferenceTrace, reference_pcapng
 
 LINKS = ("s1-s2", "s2-s3", "s2-h1")
@@ -33,9 +37,9 @@ runs = st.tuples(
 drops = st.tuples(st.just("drop"), st.integers(0, 2**20), st.sampled_from(REASONS))
 
 
-def replay(ops, start_us: int):
+def replay(ops, start_us: int, snaplen: int | None):
     """Apply `ops` to a chunked trace and to the reference; at least three chunks' worth."""
-    trace, ref = Trace(), ReferenceTrace()
+    trace, ref = Trace(snaplen), ReferenceTrace(snaplen)
     for link in LINKS:
         assert trace.add_link(link) == ref.add_link(link)
     time_us = start_us
@@ -58,7 +62,12 @@ def replay(ops, start_us: int):
 @settings(max_examples=8, derandomize=True, deadline=None)
 @given(ops=st.lists(st.one_of(runs, drops), max_size=8), start_us=st.sampled_from([0, 2**32 - 3, 2**40]))
 def test_the_chunked_trace_reads_as_the_reference(ops, start_us):
-    trace, ref = replay(ops, start_us)
+    for snaplen in (None, 14, 30, HEAD_LEN):
+        check_against_the_reference(ops, start_us, snaplen)
+
+
+def check_against_the_reference(ops, start_us: int, snaplen: int | None):
+    trace, ref = replay(ops, start_us, snaplen)
     n = len(ref)
     assert len(trace) == n > 2 * CHUNK_ROWS
     assert trace.records == ref.records
@@ -71,21 +80,41 @@ def test_the_chunked_trace_reads_as_the_reference(ops, start_us):
         with pytest.raises(IndexError):
             ref[i]
     t_mid = ref[n // 2].time_us
-    filters = [{"link": link} for link in (*LINKS, "nosuch")]
-    filters += [{"direction": d} for d in ("a2b", "b2a", "up")]
+    filters = [{"link": link} for link in LINKS]
+    filters += [{"direction": d} for d in ("a2b", "b2a")]
     filters += [{"classification": c} for c in ("ethernet", "macsec", "secure_lldp")]
     filters += [{"t_min_us": t} for t in (start_us, t_mid, t_mid + 1, 2**62)]
     filters += [{"link": LINKS[2], "direction": "b2a", "classification": "ethernet", "t_min_us": t_mid}]
     for kwargs in filters:
         assert trace.query(**kwargs) == ref.query(**kwargs), kwargs
+    # A filter naming nothing the trace holds is a caller's typo, not an empty match.
+    typos = [{"link": "nosuch"}, {"direction": "up"}, {"direction": "A2B"}, {"classification": "Ethernet"}]
+    for kwargs in typos:
+        with pytest.raises(ValueError):
+            trace.query(**kwargs)
+        with pytest.raises(ValueError):
+            ref.query(**kwargs)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.pcapng"
         write_pcapng(path, trace)
         assert path.read_bytes() == reference_pcapng(INTERFACES, ref)
+        packets = read_pcapng(path)
+    assert [(p.data, p.length) for p in packets] == [(rec.data, rec.length) for rec in ref.records]
+
+
+def test_a_head_is_the_frame_start_and_a_whole_frame_row_is_its_bytes_object():
+    frame = bytes(range(64))
+    heads, whole = Trace(), Trace(None)
+    for trace in (heads, whole):
+        trace.record(0, trace.add_link("l"), frame)
+    assert (heads[0].data, heads[0].length) == (frame[:HEAD_LEN], 64)
+    assert whole[0].data is frame and whole[0].length == 64
+    with pytest.raises(ValueError):
+        Trace(0)
 
 
 def test_a_trace_row_costs_at_most_32_bytes_beyond_its_frame():
-    trace = Trace()
+    trace = Trace(None)
     wire = trace.add_link("s1-s2")
     data = bytes(64)  # one shared frame, so only the row itself is counted
     rows = 4096
@@ -99,3 +128,39 @@ def test_a_trace_row_costs_at_most_32_bytes_beyond_its_frame():
         tracemalloc.stop()
     assert len(trace) == rows
     assert grown / rows <= 32, grown / rows
+
+
+FRAMES_SENT = 200
+
+
+def _retained_per_frame(keep_frames: bool) -> tuple[float, float]:
+    """Bytes a quiesced `chain_spec(3)` keeps per 1500-B frame sent h1 -> h2,
+    and the trace rows each frame adds."""
+    sim = Simulation(chain_spec(3), seed=1, keep_frames=keep_frames)
+    sim.quiesce()
+    h2 = sim.hosts["h2"]
+    payload = bytes(1500 - 14)
+    rows = len(sim.trace)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(FRAMES_SENT):
+            sim.host_send("h1", h2.mac, 0x0800, payload)
+        sim.quiesce()
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(h2.received) == FRAMES_SENT
+    return grown / FRAMES_SENT, (len(sim.trace) - rows) / FRAMES_SENT
+
+
+def test_a_simulated_frame_keeps_only_its_heads_in_the_trace():
+    """By default each row keeps a head of at most one 80-B block plus its
+    columns; the inbox keeps the one delivered frame whole."""
+    per_frame, rows = _retained_per_frame(keep_frames=False)
+    assert rows >= 4
+    assert per_frame < rows * 96 + 1700, (per_frame, rows)
+    per_frame, rows = _retained_per_frame(keep_frames=True)
+    assert per_frame >= rows * 1500, (per_frame, rows)

@@ -31,7 +31,7 @@ def test_data_plane_calls_protect_and_validate_once_per_counted_frame(monkeypatc
 
     monkeypatch.setattr(dataplane, "macsec_protect", counting("protect", dataplane.macsec_protect))
     monkeypatch.setattr(dataplane, "macsec_validate", counting("validate", dataplane.macsec_validate))
-    sim = Simulation(chain_spec(3), seed=5)
+    sim = Simulation(chain_spec(3), seed=5, keep_frames=True)
     sim.quiesce()
     sim.host_send("h1", sim.hosts["h2"].mac, 0x0800, b"unicast")
     sim.host_send("h2", b"\xff" * 6, 0x0800, b"broadcast")
@@ -66,7 +66,7 @@ def test_layer_tracer_installs_and_uninstalls(monkeypatch, tmp_path):
 
 def _run_with_drops():
     """A chain_spec(3) run whose trace holds frames of all three classes and drops."""
-    sim = Simulation(chain_spec(3), seed=5)
+    sim = Simulation(chain_spec(3), seed=5, keep_frames=True)
     sim.quiesce()
     sim.host_send("h1", sim.hosts["h2"].mac, 0x0800, b"unicast")
     sim.quiesce()
@@ -118,4 +118,4 @@ def test_drops_come_back_in_records_and_in_the_pcapng(tmp_path):
     trace.drop(second, "port_down")
     assert (first, second) == (0, 1)
     assert [rec.dropped for rec in trace.records] == [None, "port_down"]
-    assert trace.query(direction="b2a") == [TraceRecord(1, 6, "l", "b2a", b"\x02" * 14, "port_down")]
+    assert trace.query(direction="b2a") == [TraceRecord(1, 6, "l", "b2a", b"\x02" * 14, 14, "port_down")]
