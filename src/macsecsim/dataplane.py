@@ -26,7 +26,9 @@ A forwarded hop counts in plain integers on the objects it touches: the
 switch's per-port `rx`/`tx` lists and its `validated`/`protected` totals,
 and each `SaEntry`'s `validated`/`failed`/`protected`.  Counter names
 (`port.N.rx`, `sa.N.protected`, ...) are built only when `Counters` is
-read; an SA that leaves the table folds its counts into the named ones.
+read.  An SA's counts leave with its entry; the switch totals
+(`macsec.validated`, `macsec.protected`, `macsec.validate_failed`) keep
+every frame.
 """
 
 from __future__ import annotations
@@ -78,7 +80,9 @@ class Counters:
     count) pairs and whose `live_count(name)` reads one.  `get` of a total
     or of a name kept here reads no port or SA; a `port.`/`sa.` name is read
     through the same enumeration as `as_dict`.  A name appears once its
-    count is non-zero, whichever of the two holds it.
+    count is non-zero, whichever of the two holds it.  An `sa.<sai>.*` name
+    names a live SA and leaves with its entry; the `macsec.*` totals keep
+    the counts of every SA the switch ever held.
     """
 
     def __init__(self, live: Switch | None = None):
@@ -185,13 +189,6 @@ def _put(table: dict, key, value) -> UndoEntry:
 
 def _pop(table: dict, key) -> UndoEntry:
     return table, key, table.pop(key, None)
-
-
-def _sa_counts(sai: int, sa: SaEntry) -> Iterator[tuple[str, int]]:
-    for kind in ("validated", "failed", "protected"):  # the SaEntry fields counted as `sa.<sai>.<kind>`
-        count = getattr(sa, kind)
-        if count:
-            yield f"sa.{sai}.{kind}", count
 
 
 def run_pipeline(sw: Switch, ingress_port: int, data: bytes) -> PipelineResult:
@@ -398,7 +395,6 @@ class Switch:
         return _put(self.tables.sa, entry.sai, entry)
 
     def delete_sa(self, sai: int) -> UndoEntry:
-        self._fold_sa_counts(sai)
         undo = _pop(self.tables.sa, sai)
         sa = undo[2]
         if sa is not None and sa.sci[:6] == self.mac:  # an SCI starts with its sender's MAC
@@ -433,26 +429,12 @@ class Switch:
     def restore(self, undo: list[UndoEntry]) -> None:
         """Undo the writes that returned `undo`, newest first."""
         for table, key, old in reversed(undo):
-            if table is self.tables.sa:
-                self._fold_sa_counts(key)
             if old is None:
                 table.pop(key, None)
             else:
                 table[key] = old
 
     # -- counts -----------------------------------------------------------------
-
-    def _fold_sa_counts(self, sai: int) -> None:
-        """Move the counts of the SA leaving row `sai` into the named counters.
-
-        The entry's integers are zeroed, so an undo that puts it back
-        neither loses nor counts them twice."""
-        sa = self.tables.sa.get(sai)
-        if sa is None:
-            return
-        for name, count in _sa_counts(sai, sa):
-            self.counters.incr(name, count)
-        sa.validated = sa.failed = sa.protected = 0
 
     def live_counts(self) -> Iterator[tuple[str, int]]:
         """The non-zero integer counts, under their counter names."""
@@ -466,7 +448,10 @@ class Switch:
             if tx:
                 yield f"port.{port}.tx", tx
         for sai, sa in self.tables.sa.items():
-            yield from _sa_counts(sai, sa)
+            for kind in ("validated", "failed", "protected"):  # the SaEntry fields counted as `sa.<sai>.<kind>`
+                count = getattr(sa, kind)
+                if count:
+                    yield f"sa.{sai}.{kind}", count
 
     def live_count(self, name: str) -> int:
         """The integer count that `live_counts` names `name`, or 0.

@@ -623,7 +623,19 @@ def test_rekey_grace_removes_old_generation_rows():
     assert audit(sim) == []
 
 
-def test_per_sa_counters_sum_to_the_switch_totals_across_rekeys():
+def test_per_sa_counters_sum_to_the_switch_totals_across_rekeys(monkeypatch):
+    # An SA's counts leave with its entry, so each entry is kept here as it
+    # leaves; a rolled-back delete puts the same entry back in the table.
+    departed = {}
+    delete_sa = Switch.delete_sa
+
+    def recording_delete_sa(self, sai):
+        sa = self.tables.sa.get(sai)
+        if sa is not None:
+            departed.setdefault(self.chassis_id, []).append(sa)
+        return delete_sa(self, sai)
+
+    monkeypatch.setattr(Switch, "delete_sa", recording_delete_sa)
     spec = chain_spec(3).with_params(rekey_interval=2.0, grace=1.0)
     sim = Simulation(spec, seed=4, keep_frames=True)
     sim.quiesce()
@@ -645,20 +657,23 @@ def test_per_sa_counters_sum_to_the_switch_totals_across_rekeys():
     receiver = sim.switches[chassis]
     forged_sai = receiver.tables.ig_sc[(rec.data[SCI_OFFSET:SECURE_DATA_OFFSET], rec.data[14] & 0x03)]
 
-    def per_sa(counts, kind):
-        return {k.split(".")[1]: n for k, n in counts.items() if k.startswith("sa.") and k.endswith("." + kind)}
-
     failed = {}
     for switch in sim.switches.values():
+        live = list(switch.tables.sa.values())
+        gone = [sa for sa in departed.get(switch.chassis_id, []) if all(sa is not held for held in live)]
+        assert gone, switch.chassis_id  # every channel rekeyed, so every switch retired SAs
         counts = switch.counters.as_dict()
-        validated, protected = per_sa(counts, "validated"), per_sa(counts, "protected")
-        assert sum(validated.values()) == counts["macsec.validated"], switch.chassis_id
-        assert sum(protected.values()) == counts["macsec.protected"], switch.chassis_id
-        assert sum(per_sa(counts, "failed").values()) == counts.get("macsec.validate_failed", 0), switch.chassis_id
+        assert not any(k.startswith("sa.") and int(k.split(".")[1]) not in switch.tables.sa for k in counts)
+        entries = live + gone
+        assert sum(sa.validated for sa in entries) == counts["macsec.validated"], switch.chassis_id
+        assert sum(sa.protected for sa in entries) == counts["macsec.protected"], switch.chassis_id
+        assert sum(sa.failed for sa in entries) == counts.get("macsec.validate_failed", 0), switch.chassis_id
         # Each SA carries one direction: a switch validates on its peers' SAs and protects on its own.
-        assert validated.keys().isdisjoint(protected) and len(validated) + len(protected) > 2, switch.chassis_id
-        failed.update({(switch.chassis_id, sai): n for sai, n in per_sa(counts, "failed").items()})
-    assert failed == {(receiver.chassis_id, str(forged_sai)): 1}
+        validated = {sa.sai for sa in entries if sa.validated}
+        protected = {sa.sai for sa in entries if sa.protected}
+        assert validated.isdisjoint(protected) and len(validated) + len(protected) > 2, switch.chassis_id
+        failed.update({(switch.chassis_id, sa.sai): sa.failed for sa in entries if sa.failed})
+    assert failed == {(receiver.chassis_id, forged_sai): 1}
 
 
 def test_teardown_in_the_grace_window_still_retires_the_old_sa():
