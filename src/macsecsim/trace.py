@@ -13,7 +13,8 @@ AAD slices and headers every protected hop makes, and on the
 (CPython 3.11, 2-vCPU Xeon).  A
 trace built with ``snaplen=None`` keeps whole frames, for callers that
 replay or export them; a row then holds the very bytes object it was
-given.
+given.  Consecutive rows that record one bytes object, as a flood's do,
+share one head.
 
 The trace stores its rows in chunks of `CHUNK_ROWS` rows, each four
 columns: an `array('q')` of capture times in µs, an `array('I')` of wire
@@ -88,6 +89,7 @@ class Trace:
         self._times = self._wires = self._lengths = self._frames = None  # the last chunk's columns
         self._len = 0
         self._drops: dict[int, str] = {}
+        self._last = self._head = None  # the last bytes object recorded, and its head
 
     def add_link(self, name: str) -> int:
         """Register a link; returns its `a2b` wire id, and its `b2a` is one more."""
@@ -96,7 +98,9 @@ class Trace:
 
     def record(self, time_us: int, wire: int, data: bytes) -> int:
         """Capture the head and length of one frame sent on `wire`; returns
-        its index for `drop`.  ``data[:None]`` is `data` itself."""
+        its index for `drop`.  ``data[:None]`` is `data` itself.  A flood
+        sends one bytes object on many wires, so a row that records the
+        same object as the row before stores that row's head again."""
         index = self._len
         row = index & _ROW_MASK
         if not row:
@@ -108,7 +112,10 @@ class Trace:
         self._times[row] = time_us
         self._wires[row] = wire
         self._lengths[row] = len(data)
-        self._frames[row] = data[: self.snaplen]
+        if data is not self._last:
+            self._last = data
+            self._head = data[: self.snaplen]
+        self._frames[row] = self._head
         self._len = index + 1
         return index
 

@@ -113,6 +113,35 @@ def test_a_head_is_the_frame_start_and_a_whole_frame_row_is_its_bytes_object():
         Trace(0)
 
 
+def _broadcast_rows(spec, keep_frames: bool):
+    """h1's broadcast on the hierarchical fabric: the row of h1's send and,
+    by sending switch, the rows the flood leaves on wires to hosts."""
+    sim = Simulation(spec, seed=1, keep_frames=keep_frames)
+    sim.quiesce()
+    start = len(sim.trace)
+    sim.host_send("h1", b"\xff" * 6, 0x0800, bytes(100))
+    sim.quiesce()
+    sent, *rows = sim.trace.records[start:]
+    to_hosts = {}
+    for rec in rows:
+        link = sim.links[rec.link]
+        sender, receiver = (link.a, link.b) if rec.direction == "a2b" else (link.b, link.a)
+        if receiver[0] in sim.hosts:
+            to_hosts.setdefault(sender[0], []).append(rec)
+    return sent, to_hosts
+
+
+def test_the_rows_of_one_flood_share_one_head(hierarchical_spec):
+    sent, to_hosts = _broadcast_rows(hierarchical_spec, keep_frames=False)
+    assert sorted(map(len, to_hosts.values())) == [2, 3, 3, 3]  # access1 skips h1's own port
+    for rows in to_hosts.values():
+        assert all(rec.data is rows[0].data for rec in rows)
+    assert to_hosts["access1"][0].data == sent.data[:HEAD_LEN] and len(sent.data) == HEAD_LEN
+    # With whole frames a row holds the very bytes object sent: access1 floods h1's bytes.
+    sent, to_hosts = _broadcast_rows(hierarchical_spec, keep_frames=True)
+    assert len(sent.data) == 114 and all(rec.data is sent.data for rec in to_hosts["access1"])
+
+
 def test_a_trace_row_costs_at_most_32_bytes_beyond_its_frame():
     trace = Trace(None)
     wire = trace.add_link("s1-s2")
