@@ -157,17 +157,21 @@ def test_a_quiesce_that_stops_mid_instant_leaves_the_rest_queued_in_order():
     assert stamp not in {fn for _at, _seq, _hk, fn, _args in sim.pending()}
 
 
-def test_a_livelock_mid_instant_leaves_exactly_the_entries_that_did_not_run():
+@pytest.mark.parametrize("step_us", [0, 1], ids=["deque", "lone"])
+def test_a_livelock_mid_instant_leaves_exactly_the_entries_that_did_not_run(step_us):
+    """`deque`: the five entries share one instant; `lone`: each is the only
+    entry at its own instant."""
     sim = Simulation(chain_spec(2), seed=1)
     sim.quiesce()
     before, events = sim.pending(), sim.events_processed
     order = []
     stamp = stamper(sim, order)
-    for name in "abcde":
-        sim.schedule(1000, stamp, name)
+    for i, name in enumerate("abcde"):
+        sim.schedule(1000 + i * step_us, stamp, name)
     mine = sim.pending()[:5]
     assert [args for *_, args in mine] == [(name,) for name in "abcde"]
-    sim.params.max_events = 3  # the limit falls inside the instant's five entries
+    assert len({at_us for at_us, *_ in mine}) == (1 if step_us == 0 else 5)
+    sim.params.max_events = 3  # the limit falls inside the five entries
     with pytest.raises(LivelockError, match="quiesce"):
         sim.quiesce()
     assert [name for name, _ in order] == ["a", "b", "c"]
