@@ -610,7 +610,8 @@ def test_a_deleted_sas_counts_leave_with_its_entry():
         assert _forward(switch)
         assert _receive(switch, sak, sci, pn).kind == FORWARD  # validated, then protected to H2
     _receive(switch, sak, sci, 3, corrupt=True)
-    assert sa_counts(switch, 3)["protected"] == 4 and sa_counts(switch, 8) == {"validated": 2, "failed": 1, "protected": 0}
+    assert sa_counts(switch, 3)["protected"] == 4
+    assert sa_counts(switch, 8) == {"validated": 2, "failed": 1, "protected": 0}
     switch.delete_sa(3)
     switch.delete_sa(8)
     counts = switch.counters.as_dict()
