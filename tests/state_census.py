@@ -126,14 +126,14 @@ def allowed(path: str) -> str | None:
 
 class Workload(NamedTuple):
     sim: Simulation
-    pairs: list[tuple[str, str]]  # hosts that exchange frames
+    pair: tuple[str, str]  # the hosts that exchange frames
     flap_link: str
     control: str  # the switch whose control channel is cut once
 
 
 def chain_run() -> Workload:
     sim = Simulation(chain_spec(3).with_params(**PARAMS), seed=1)
-    return Workload(sim, [("h1", "h2")], "s2-s3", "s2")
+    return Workload(sim, ("h1", "h2"), "s2-s3", "s2")
 
 
 def tree_run() -> Workload:
@@ -144,11 +144,11 @@ def tree_run() -> Workload:
     spec = _random_tree_spec(random.Random(TREE_SEED)).with_params(**PARAMS)
     sim = Simulation(spec, seed=1)
     hosts = sorted(sim.hosts)
-    return Workload(sim, [(hosts[0], hosts[-1])], spec.links[-1].name, spec.switches[0].chassis_id)
+    return Workload(sim, (hosts[0], hosts[-1]), spec.links[-1].name, spec.switches[0].chassis_id)
 
 
 def drive(run: Workload, until_s: float) -> None:
-    """Send `FRAMES_PER_S` frames each way between each pair per virtual
+    """Send `FRAMES_PER_S` frames each way between the pair per virtual
     second up to `until_s`, then quiesce.  The link goes down for
     `FLAP_DOWN_S` in the middle of every `FLAP_EVERY_S`, so each half of a
     run sees as many flaps, and the control channel is cut from 10 s to 11 s."""
@@ -161,9 +161,9 @@ def drive(run: Workload, until_s: float) -> None:
         # Both writes are idempotent, so a quiesce that ran past an edge skips nothing.
         sim.set_link_state(run.flap_link, not flap_at <= k % steps < heal_at)
         sim.set_control_state(run.control, not 10 * FRAMES_PER_S <= k < 11 * FRAMES_PER_S)
-        for a, b in run.pairs:
-            sim.host_send(a, sim.hosts[b].mac, 0x0800, b"census %d" % k)
-            sim.host_send(b, sim.hosts[a].mac, 0x0800, b"census %d" % k)
+        a, b = run.pair
+        sim.host_send(a, sim.hosts[b].mac, 0x0800, b"census %d" % k)
+        sim.host_send(b, sim.hosts[a].mac, 0x0800, b"census %d" % k)
     sim.run_until(until_s)
     sim.quiesce()
 
